@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,14 +47,18 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _epsilon(args: argparse.Namespace) -> float:
     if args.epsilon is not None:
-        return args.epsilon
-    env = os.environ.get(EPSILON_ENV)
-    if env is not None:
+        value, source = args.epsilon, "--epsilon"
+    else:
+        env = os.environ.get(EPSILON_ENV)
+        if env is None:
+            return TOL.verdict
         try:
-            return float(env)
+            value, source = float(env), EPSILON_ENV
         except ValueError:
             raise MrtestError(f"{EPSILON_ENV} must be a number, got {env!r}") from None
-    return TOL.verdict
+    if not (math.isfinite(value) and value >= 0.0):
+        raise MrtestError(f"{source} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -25,6 +25,7 @@ from .conditions import (
 from .errors import InputFormatError, ValidationError
 from .fine import d_interval
 from .measurement import (
+    _JSON_NUMBERS,
     MomentSet,
     measure_all,
     outcomes,
@@ -43,11 +44,24 @@ OUTPUT_GROUPS = ("averages", "correlators", "margins", "witness", "d_interval", 
 # JSON model files
 
 
+def _json_number(value, where: str) -> float:
+    """A JSON number as a float; booleans and strings are format errors."""
+    if type(value) not in _JSON_NUMBERS:
+        raise InputFormatError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value, where: str) -> int:
+    """A JSON integer; booleans and floats such as 2.5 are format errors."""
+    if type(value) is not int:
+        raise InputFormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _complex_entry(value, where: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
+        if _JSON_NUMBERS.issuperset(map(type, value)):
+            return complex(*value)
     raise InputFormatError(f"{where}: matrix entries must be [re, im] pairs, got {value!r}")
 
 
@@ -73,17 +87,15 @@ def model_from_jsonable(obj: Mapping) -> QuantumModel:
     missing = [k for k in ("dim", "hamiltonian", "rho", "observable", "times") if k not in obj]
     if missing:
         raise InputFormatError(f"model: missing fields: {', '.join(missing)}")
-    dim = obj["dim"]
-    if not isinstance(dim, int):
-        raise InputFormatError(f"model: dim must be an integer, got {dim!r}")
+    dim = _json_int(obj["dim"], "model: dim")
     times = obj["times"]
-    if not isinstance(times, list) or not all(isinstance(t, (int, float)) for t in times):
+    if not isinstance(times, list):
         raise InputFormatError("model: times must be a list of numbers")
     return QuantumModel(
         hamiltonian=_matrix_from_jsonable(obj["hamiltonian"], dim, "hamiltonian"),
         rho=_matrix_from_jsonable(obj["rho"], dim, "rho"),
         observable=_matrix_from_jsonable(obj["observable"], dim, "observable"),
-        times=tuple(float(t) for t in times),
+        times=tuple(_json_number(t, f"model: times[{k}]") for k, t in enumerate(times)),
     )
 
 
@@ -213,12 +225,14 @@ def sweep_spec_from_jsonable(obj: Mapping) -> SweepSpec:
     if outputs is None:
         # default to every group the template supports
         outputs = [o for o in OUTPUT_GROUPS if o != "d_interval" or model.n_times == 3]
+    elif not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
+        raise InputFormatError(f"sweep: outputs must be a list of group names, got {outputs!r}")
     return SweepSpec(
         model=model,
         parameter=str(obj["parameter"]),
-        start=float(obj["from"]),
-        stop=float(obj["to"]),
-        steps=int(obj["steps"]),
+        start=_json_number(obj["from"], "sweep: from"),
+        stop=_json_number(obj["to"], "sweep: to"),
+        steps=_json_int(obj["steps"], "sweep: steps"),
         outputs=tuple(outputs),
     )
 

@@ -20,11 +20,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputFormatError, ValidationError
 from .quantum import QuantumModel, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
+
+#: value types a JSON number parses to; ``bool`` is deliberately absent
+_JSON_NUMBERS = frozenset({int, float})
 
 TABLE_KINDS = ("single", "sequential", "quasi", "joint")
 
@@ -201,15 +204,30 @@ class MomentSet:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "MomentSet":
-        n = int(obj["n"])
+        n, avg, pairs, corr = obj["n"], obj["avg"], obj["pairs"], obj["corr"]
+        triple = obj.get("D")
+        if type(n) is not int:
+            raise InputFormatError(f"moments: n must be an integer, got {n!r}")
         want = pair_set(n)
-        avg = obj["avg"]
+        if not (isinstance(avg, list) and _JSON_NUMBERS.issuperset(map(type, avg))):
+            raise InputFormatError(f"moments: avg must be a list of numbers, got {avg!r}")
         if len(avg) != n:
             raise ValidationError(f"moments: expected {n} averages, got {len(avg)}")
+        if not (isinstance(corr, list) and _JSON_NUMBERS.issuperset(map(type, corr))):
+            raise InputFormatError(f"moments: corr must be a list of numbers, got {corr!r}")
+        if not (isinstance(pairs, list) and len(pairs) == len(corr)):
+            raise InputFormatError(f"moments: pairs must be a list as long as corr ({len(corr)})")
+        if not (triple is None or type(triple) in _JSON_NUMBERS):
+            raise InputFormatError(f"moments: D must be a number or null, got {triple!r}")
         given = {}
-        for pair, c in zip(obj["pairs"], obj["corr"], strict=True):
-            i, j = int(pair[0]) - 1, int(pair[1]) - 1
-            given[(i, j) if i < j else (j, i)] = float(c)
+        for k, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+                raise InputFormatError(f"moments: pairs[{k}] must be two time indices, got {pair!r}")
+            i, j = pair[0] - 1, pair[1] - 1
+            key = (i, j) if i < j else (j, i)
+            if key in given:
+                raise InputFormatError(f"moments: pairs[{k}] repeats C{key[0] + 1}{key[1] + 1}")
+            given[key] = corr[k]
         missing = [p for p in want if p not in given]
         if missing:
             names = ", ".join(f"C{i + 1}{j + 1}" for i, j in missing)
@@ -221,7 +239,7 @@ class MomentSet:
         return cls(
             averages=tuple(avg),
             correlators=tuple(given[p] for p in want),
-            triple=obj.get("D"),
+            triple=triple,
         )
 
 

@@ -3,9 +3,9 @@
 Everything here works on plain ``numpy`` complex arrays of dimension 2..16:
 projectors of a dichotomic observable, unitary time evolution generated by a
 Hermitian Hamiltonian (hbar = 1), Heisenberg-picture observables and
-expectation values.  The eigensolver is a cyclic complex Jacobi iteration:
-for these sizes it is plenty fast and, used to build ``exp(-iHt)``, keeps the
-evolution unitary up to rounding.
+expectation values.  The eigensolver is LAPACK's Hermitian ``eigh`` (through
+``numpy.linalg``); its eigenvectors are orthonormal to rounding, so
+``exp(-iHt)`` built from them stays unitary up to rounding.
 
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
@@ -19,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidObservableError, ValidationError
+from .errors import InvalidObservableError, ValidationError
 from .tolerances import TOL
 
 MAX_DIM = 16
-_JACOBI_MAX_SWEEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -62,61 +61,17 @@ def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
 
     Returns ``(eigenvalues, V)`` with eigenvalues ascending, the columns of
-    ``V`` the matching eigenvectors, and ``a = V diag(eigenvalues) V^dag`` up
-    to rounding.  Eigenvector phases are not canonicalized.
+    ``V`` the matching orthonormal eigenvectors, and
+    ``a = V diag(eigenvalues) V^dag`` up to rounding.  Eigenvector phases
+    are not canonicalized.
     """
     a = as_complex_matrix(a, name="eig_hermitian input")
     require_hermitian(a, name="eig_hermitian input")
-    n = a.shape[0]
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    threshold = 1e-14 * max(1.0, float(np.linalg.norm(a)))
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        upper = np.triu(a, 1)
-        if np.sqrt((np.abs(upper) ** 2).sum()) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                phase = apq / mag
-                mu = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                # smaller-magnitude root of t^2 - 2*mu*t - 1 = 0
-                if mu >= 0.0:
-                    t = -1.0 / (mu + np.hypot(1.0, mu))
-                else:
-                    t = 1.0 / (-mu + np.hypot(1.0, mu))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- R^dag A R with R embedding [[c, -s*phase], [s*conj(phase), c]]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
-                v[:, q] = -s * phase * vcol_p + c * vcol_q
-    else:
-        raise ConvergenceError("Jacobi eigensolver did not converge")
-
-    lam = np.real(np.diag(a)).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], v[:, order]
+    lam, vec = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return lam, vec
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,18 @@ class TestCheck:
         monkeypatch.setenv("MRTEST_EPSILON", "not-a-number")
         assert main(["check", "--model", str(model_file), "--which", "weak"]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "-1", "nan"])
+    def test_epsilon_flag_must_be_finite_nonnegative(self, model_file, capsys, value):
+        assert main(["check", "--model", str(model_file), "--which", "weak",
+                     f"--epsilon={value}"]) == 2
+        assert "--epsilon must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-1", "nan"])
+    def test_epsilon_env_must_be_finite_nonnegative(self, model_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("MRTEST_EPSILON", value)
+        assert main(["check", "--model", str(model_file), "--which", "weak"]) == 2
+        assert "MRTEST_EPSILON must be a finite number >= 0" in capsys.readouterr().err
+
     def test_missing_correlator_listed(self, tmp_path, capsys):
         p = tmp_path / "mom.json"
         p.write_text(json.dumps({
@@ -209,6 +221,50 @@ class TestCampaign:
     def test_bad_dim_range(self, capsys):
         assert main(["campaign", "--seed", "5", "--count", "1", "--dim-min", "9",
                      "--dim-max", "2"]) == 2
+
+
+_MOMENTS = {
+    "n": 3, "avg": [0.0, 0.0, 0.0],
+    "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.0, 0.0, 0.0], "D": None,
+}
+_SPEC = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+_MODEL = _SPEC["model"]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command, obj, named", [
+        ("fine", {**_MOMENTS, "corr": [0.0, 0.0]}, "pairs must be a list as long as corr"),
+        ("fine", {**_MOMENTS, "D": "abc"}, "moments: D must"),
+        ("fine", {**_MOMENTS, "n": "3"}, "moments: n must"),
+        ("fine", {**_MOMENTS, "avg": [0.0, "x", 0.0]}, "moments: avg must"),
+        ("fine", {**_MOMENTS, "pairs": [[1, 2], [2, 3], [1]]}, "pairs[2] must"),
+        ("fine", {**_MOMENTS, "pairs": [[1, 2], [2, 3], [1, 3], [2, 1]], "corr": [0.0] * 4},
+         "pairs[3] repeats C12"),
+        ("check", {**_MOMENTS, "corr": 0.5}, "moments: corr must"),
+        ("sweep", {**_SPEC, "steps": "abc"}, "steps must"),
+        ("sweep", {**_SPEC, "steps": 2.5}, "steps must"),
+        ("sweep", {**_SPEC, "from": "abc"}, "from must"),
+        ("sweep", {**_SPEC, "outputs": 5}, "outputs must"),
+        ("sweep", {**_SPEC, "model": {**_MODEL, "dim": True}}, "dim must"),
+        ("simulate", {**_MODEL, "dim": True}, "dim must"),
+        # sigma_z with a boolean entry that would otherwise read as 1+0j
+        ("simulate", {**_MODEL, "observable": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]},
+         "observable[0][0]"),
+    ])
+    def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(obj))
+        argv = {
+            "fine": ["fine", "--moments", str(p)],
+            "check": ["check", "--moments", str(p), "--which", "weak"],
+            "sweep": ["sweep", "--spec", str(p), "--out", str(tmp_path / "out.csv")],
+            "simulate": ["simulate", "--model", str(p)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mrtest: error:")
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:

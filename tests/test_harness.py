@@ -311,6 +311,13 @@ class TestCampaign:
         assert stats.samples == 120  # three pairs per model
         assert stats.max_residual < 1e-12
 
+    def test_dim16_campaign_clean_and_deterministic(self):
+        a = run_campaign(seed=11, count=20, dim_min=16, dim_max=16)
+        assert a.passed, a.reproducers
+        assert a.checks["p_minus_q_identity"].samples == 60
+        b = run_campaign(seed=11, count=20, dim_min=16, dim_max=16)
+        assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
+
     def test_count_cap(self):
         with pytest.raises(ValidationError, match="10\\^5"):
             run_campaign(seed=1, count=10**5 + 1)

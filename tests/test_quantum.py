@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mrtest.errors import InvalidObservableError, ValidationError
+from mrtest.harness import haar_unitary
 from mrtest.quantum import (
     QuantumModel,
     eig_hermitian,
@@ -89,6 +90,15 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_dim16_dichotomic_eightfold_degenerate(self, rng):
+        u = haar_unitary(rng, 16)
+        q = u @ np.diag([1.0, -1.0] * 8) @ u.conj().T
+        q = (q + q.conj().T) / 2
+        lam, v = eig_hermitian(q)
+        assert np.abs(lam - np.repeat([-1.0, 1.0], 8)).max() < 1e-12
+        assert np.abs(v @ np.diag(lam) @ v.conj().T - q).max() < 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(16)).max() < 1e-12
 
 
 class TestEvolveOperator:
@@ -197,6 +207,27 @@ class TestQuantumModel:
     def test_rejects_non_dichotomic_observable(self):
         with pytest.raises(InvalidObservableError):
             QuantumModel(hamiltonian=SX, rho=I2 / 2, observable=SX + SZ, times=(0.0, 1.0))
+
+    @pytest.mark.parametrize("floor, accepted", [(-1e-11, True), (-1e-9, False)])
+    def test_psd_floor_rank_deficient_dim16(self, rng, floor, accepted):
+        # rank 8 plus one eigenvalue just below zero; the weights sum to 1
+        w = np.zeros(16)
+        w[8:] = (1.0 - floor) / 8
+        w[0] = floor
+        u = haar_unitary(rng, 16)
+        rho = u @ np.diag(w) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2
+        args = dict(
+            hamiltonian=np.diag(np.arange(16.0)),
+            rho=rho,
+            observable=np.diag([1.0, -1.0] * 8),
+            times=(0.0, 1.0, 2.0),
+        )
+        if accepted:
+            assert QuantumModel(**args).dim == 16
+        else:
+            with pytest.raises(ValidationError, match="positive semidefinite"):
+                QuantumModel(**args)
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValidationError, match="non-decreasing"):
