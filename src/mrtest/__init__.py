@@ -26,7 +26,7 @@ from .errors import (
     MrtestError,
     ValidationError,
 )
-from .fine import FeasibilityResult, d_interval, lp_feasibility, scan_oracle, triple_expansion_table
+from .fine import FeasibilityResult, d_interval, lp_feasibility, triple_expansion_table
 from .harness import (
     CampaignSummary,
     RunRecord,
@@ -62,14 +62,7 @@ from .measurement import (
     single_time_prob,
     witness,
 )
-from .quantum import (
-    QuantumModel,
-    eig_hermitian,
-    evolve_operator,
-    expectation,
-    heisenberg,
-    projector,
-)
+from .quantum import QuantumModel, eig_hermitian, expectation
 from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"
@@ -97,10 +90,8 @@ __all__ = [
     "d_interval",
     "default_model_path",
     "eig_hermitian",
-    "evolve_operator",
     "expectation",
     "haar_unitary",
-    "heisenberg",
     "interference_term",
     "lg2",
     "lg3",
@@ -120,12 +111,10 @@ __all__ = [
     "pair_expansion_table",
     "pair_set",
     "piecewise_moments",
-    "projector",
     "quasi_prob2",
     "run_campaign",
     "run_sweep",
     "sample_model",
-    "scan_oracle",
     "sequential_moments",
     "sequential_prob",
     "simulate",

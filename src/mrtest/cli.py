@@ -26,7 +26,7 @@ from .harness import (
     simulate,
     write_sweep_csv,
 )
-from .measurement import piecewise_moments
+from .measurement import measure_all, piecewise_moments
 from .tolerances import TOL
 
 EXIT_PASS = 0
@@ -75,8 +75,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         if not args.model:
             raise MrtestError(f"check --which {args.which} needs --model (sequential runs required)")
-        model = load_model(args.model)
-        report = (mr_int if args.which == "int" else mr_strong)(model, epsilon)
+        tables = measure_all(load_model(args.model))
+        report = (mr_int if args.which == "int" else mr_strong)(tables, epsilon)
     _emit(report.to_jsonable(), args.out)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 

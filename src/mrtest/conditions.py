@@ -11,20 +11,9 @@ reports as annotations, never as checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ValidationError
-from .measurement import (
-    MomentSet,
-    ProbabilityTable,
-    outcome_key,
-    outcomes,
-    pair_set,
-    piecewise_moments,
-    sequential_prob,
-    single_time_prob,
-)
-from .quantum import QuantumModel
+from .measurement import MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
 from .tolerances import TOL
 
 KIND_GE = ">=0"
@@ -198,15 +187,14 @@ def nsit(
     return ConditionReport(checks=checks, epsilon=epsilon)
 
 
-def nsit_pairwise(model: QuantumModel, epsilon: float = TOL.verdict) -> ConditionReport:
+def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Two-time no-signaling checks for every measured pair: marginalizing
     the earlier measurement of the pair must reproduce the later single-time
     table.  For three times these are NSIT_(1)2, NSIT_(1)3, NSIT_(2)3."""
-    reports = []
-    for i, j in pair_set(model.n_times):
-        p_ij = sequential_prob(model, (i, j))
-        p_j = single_time_prob(model, j)
-        reports.append(nsit(p_ij, p_j, i, name=f"NSIT({i + 1}){j + 1}", epsilon=epsilon))
+    reports = [
+        nsit(tables.pairs[(i, j)], tables.singles[j], i, name=f"NSIT({i + 1}){j + 1}", epsilon=epsilon)
+        for i, j in pair_set(tables.n_times)
+    ]
     return reports[0].merged_with(*reports[1:])
 
 
@@ -228,17 +216,17 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     )
 
 
-def mr_int(model: QuantumModel, epsilon: float = TOL.verdict) -> ConditionReport:
+def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Intermediate macrorealism: the three pairwise no-signaling equalities
     on sequential two-time runs plus the three-time inequalities on the
     piecewise moments."""
-    if model.n_times != 3:
-        raise ValidationError(f"mr_int: need 3 times, got {model.n_times}")
-    merged = nsit_pairwise(model, epsilon).merged_with(lg3(piecewise_moments(model), epsilon))
+    if tables.n_times != 3:
+        raise ValidationError(f"mr_int: need 3 times, got {tables.n_times}")
+    merged = nsit_pairwise(tables, epsilon).merged_with(lg3(tables.moments, epsilon))
     return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))
 
 
-def mr_strong(model: QuantumModel, epsilon: float = TOL.verdict) -> ConditionReport:
+def mr_strong(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Strong macrorealism: the full sequential no-signaling set.
 
     Marginalizing t2 out of the (2,3) run must give the t3 single-time
@@ -246,45 +234,11 @@ def mr_strong(model: QuantumModel, epsilon: float = TOL.verdict) -> ConditionRep
     give the (2,3) (resp. (1,3)) run.  When all pass, the three-time
     sequential table coincides with the context-free moment expansion.
     """
-    if model.n_times != 3:
-        raise ValidationError(f"mr_strong: need 3 times, got {model.n_times}")
-    chain = sequential_prob(model, (0, 1, 2))
-    p23 = sequential_prob(model, (1, 2))
-    p13 = sequential_prob(model, (0, 2))
-    p3 = single_time_prob(model, 2)
-    merged = nsit(p23, p3, 1, name="NSIT(2)3", epsilon=epsilon).merged_with(
+    if tables.n_times != 3:
+        raise ValidationError(f"mr_strong: need 3 times, got {tables.n_times}")
+    chain, p23, p13 = tables.chain, tables.pairs[(1, 2)], tables.pairs[(0, 2)]
+    merged = nsit(p23, tables.singles[2], 1, name="NSIT(2)3", epsilon=epsilon).merged_with(
         nsit(chain, p23, 0, name="NSIT(1)23", epsilon=epsilon),
         nsit(chain, p13, 1, name="NSIT1(2)3", epsilon=epsilon),
-    )
-    return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))
-
-
-# ---------------------------------------------------------------------------
-# composite reports from precomputed tables (sweep fast path)
-
-
-def mr_int_from_tables(
-    singles: Sequence[ProbabilityTable],
-    pairs: dict,
-    moments: MomentSet,
-    epsilon: float = TOL.verdict,
-) -> ConditionReport:
-    reports = []
-    for i, j in pair_set(len(singles)):
-        reports.append(nsit(pairs[(i, j)], singles[j], i, name=f"NSIT({i + 1}){j + 1}", epsilon=epsilon))
-    reports.append(lg3(moments, epsilon))
-    merged = reports[0].merged_with(*reports[1:])
-    return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))
-
-
-def mr_strong_from_tables(
-    singles: Sequence[ProbabilityTable],
-    pairs: dict,
-    chain: ProbabilityTable,
-    epsilon: float = TOL.verdict,
-) -> ConditionReport:
-    merged = nsit(pairs[(1, 2)], singles[2], 1, name="NSIT(2)3", epsilon=epsilon).merged_with(
-        nsit(chain, pairs[(1, 2)], 0, name="NSIT(1)23", epsilon=epsilon),
-        nsit(chain, pairs[(0, 2)], 1, name="NSIT1(2)3", epsilon=epsilon),
     )
     return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))

@@ -1,6 +1,6 @@
 """Existence of an underlying joint probability matching a moment set.
 
-Three routes:
+Two routes:
 
 * ``d_interval``     -- three times only.  The unmeasured triple correlator
                         is the single free parameter; each outcome's
@@ -9,8 +9,6 @@ Three routes:
 * ``lp_feasibility`` -- three or four times.  Phase-1 simplex over the
                         outcome weights with equality rows for
                         normalization, averages and pair correlators.
-* ``scan_oracle``    -- brute-force grid scan of the triple correlator,
-                        kept as an independent cross-check for tests.
 """
 
 from __future__ import annotations
@@ -23,17 +21,13 @@ from .errors import ConvergenceError, ValidationError
 from .measurement import MomentSet, Outcome, ProbabilityTable, outcomes
 from .tolerances import TOL
 
-#: |interval width| below which a verdict is flagged as marginal
-_MARGINAL_WIDTH = 2e-9
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of a joint-probability existence test.
 
     ``d_interval`` is only set by the three-time closed form: bounds
-    (lo, hi) on the triple correlator, with lo > hi exactly when
-    infeasible.  On success ``witness_table`` is a nonnegative normalized
+    (lo, hi) on the triple correlator, with lo - hi > 2*epsilon exactly
+    when infeasible.  On success ``witness_table`` is a nonnegative normalized
     joint distribution reproducing the input moments; otherwise
     ``certificate`` describes why none exists.
     """
@@ -87,22 +81,27 @@ def _require_three_time_no_triple(m: MomentSet, op: str) -> None:
         raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
-def d_interval(m: MomentSet) -> FeasibilityResult:
+def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility for three times.
 
     Outcomes with positive parity force D >= -E(s), negative parity force
     D <= E(s); a joint distribution exists iff the resulting interval is
-    nonempty (up to a 2e-12 tie slack so the verdict matches the margin
-    convention of the inequality checks).  The witness sits at the interval
-    midpoint, which is automatically inside [-1, 1].
+    nonempty.  The width hi - lo is twice the smallest LG2/LG3 margin, so
+    the interval counts as infeasible only when it is empty by more than
+    2*epsilon: the verdict equals ``mr_weak(m, epsilon).verdict``, and a
+    width within 2*epsilon of zero is flagged as marginal.  The witness sits
+    at the interval midpoint, which is automatically inside [-1, 1]; for an
+    empty interval inside the slack its few slightly negative weights are
+    clipped at 0 and the table renormalised, as ``lp_feasibility`` does.
     """
     _require_three_time_no_triple(m, "d_interval")
-    _, e, parity = _expansion_base(m)
+    outs, e, parity = _expansion_base(m)
     lo = float((-e[parity > 0]).max())
     hi = float(e[parity < 0].min())
     width = hi - lo
-    marginal = " (marginal)" if abs(width) <= _MARGINAL_WIDTH else ""
-    if width < -2.0 * TOL.tie:
+    slack = 2.0 * epsilon
+    marginal = " (marginal)" if abs(width) <= slack else ""
+    if width < -slack:
         return FeasibilityResult(
             feasible=False,
             d_interval=(lo, hi),
@@ -112,10 +111,18 @@ def d_interval(m: MomentSet) -> FeasibilityResult:
             ),
         )
     mid = (lo + hi) / 2.0
+    if width >= 0.0:
+        table = triple_expansion_table(m, mid)
+    else:
+        w = np.maximum((e + parity * mid) / 8.0, 0.0)
+        w /= w.sum()
+        table = ProbabilityTable(
+            kind="joint", time_indices=(0, 1, 2), weights={s: float(x) for s, x in zip(outs, w)}
+        )
     return FeasibilityResult(
         feasible=True,
         d_interval=(lo, hi),
-        witness_table=triple_expansion_table(m, mid),
+        witness_table=table,
         certificate=f"triple correlator interval [{lo!r}, {hi!r}]{marginal}" if marginal else None,
     )
 
@@ -229,32 +236,3 @@ def lp_feasibility(m: MomentSet) -> FeasibilityResult:
         witness_table=table,
         certificate=f"phase-1 objective {objective:.6e}{marginal}" if marginal else None,
     )
-
-
-def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
-    """Brute-force feasibility: scan the triple correlator over [-1, 1].
-
-    Feasible iff some grid point makes all eight expansion values
-    nonnegative (down to 1e-12 slack).  Test-support oracle; intervals
-    narrower than the step can be missed.
-    """
-    _require_three_time_no_triple(m, "scan_oracle")
-    if not (0.0 < grid_step <= 0.1):
-        raise ValidationError(f"scan_oracle: grid_step must be in (0, 0.1], got {grid_step!r}")
-    outs, e, parity = _expansion_base(m)
-    n_points = int(round(2.0 / grid_step)) + 1
-    grid = np.linspace(-1.0, 1.0, n_points)
-    values = (e[:, None] + parity[:, None] * grid[None, :]) / 8.0
-    worst = values.min(axis=0)
-    best = int(np.argmax(worst))
-    if worst[best] < -TOL.tie:
-        return FeasibilityResult(
-            feasible=False,
-            certificate=(
-                f"no grid point admits a nonnegative expansion "
-                f"(step {grid_step!r}, best min weight {worst[best]:.6e})"
-            ),
-        )
-    weights = {s: float(values[k, best]) for k, s in enumerate(outs)}
-    table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
-    return FeasibilityResult(feasible=True, witness_table=table)

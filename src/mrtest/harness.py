@@ -16,12 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conditions import (
-    mr_int_from_tables,
-    mr_strong_from_tables,
-    mr_weak,
-    nsit,
-)
+from .conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from .errors import InputFormatError, ValidationError
 from .fine import d_interval
 from .measurement import (
@@ -30,8 +25,8 @@ from .measurement import (
     measure_all,
     outcomes,
     pair_set,
-    piecewise_moments,
     sequential_moments,
+    witness,
 )
 from .quantum import QuantumModel, eig_hermitian, _evolve_from_eig
 from .tolerances import TOL
@@ -151,8 +146,8 @@ def simulate(model: QuantumModel) -> dict:
 
     out: dict = {
         "times": list(model.times),
-        "moments": piecewise_moments(model).to_jsonable(),
-        "contextual": sequential_moments(model).to_jsonable() if n == 3 else None,
+        "moments": tables.moments.to_jsonable(),
+        "contextual": sequential_moments(tables).to_jsonable() if n == 3 else None,
         "tables": {
             "single": {key((i,)): t.to_jsonable() for i, t in enumerate(tables.singles)},
             "sequential": {
@@ -277,49 +272,32 @@ def _point_record(
 ) -> RunRecord:
     n = model.n_times
     tables = measure_all(model)
-    moments = MomentSet(
-        averages=tuple(t.moment((0,)) for t in tables.singles),
-        correlators=tuple(tables.pairs[p].moment((0, 1)) for p in pair_set(n)),
-    )
+    moments = tables.moments
 
     margins: dict[str, float] = {}
     verdicts: dict[str, bool] = {}
-    need_margins = "margins" in outputs
-    need_verdicts = "verdicts" in outputs
-    if need_margins or need_verdicts:
+    if "margins" in outputs or "verdicts" in outputs:
         weak = mr_weak(moments, epsilon)
         verdicts["verdict_weak"] = weak.verdict
         margins.update(weak.margins)
         if n == 3:
-            mint = mr_int_from_tables(tables.singles, tables.pairs, moments, epsilon)
-            strong = mr_strong_from_tables(tables.singles, tables.pairs, tables.chain, epsilon)
+            mint = mr_int(tables, epsilon)
+            strong = mr_strong(tables, epsilon)
             verdicts["verdict_int"] = mint.verdict
             verdicts["verdict_strong"] = strong.verdict
             for rep in (mint, strong):
                 margins.update(rep.margins)
         else:
-            for i, j in pair_set(n):
-                rep = nsit(
-                    tables.pairs[(i, j)],
-                    tables.singles[j],
-                    i,
-                    name=f"NSIT({i + 1}){j + 1}",
-                    epsilon=epsilon,
-                )
-                margins.update(rep.margins)
+            margins.update(nsit_pairwise(tables, epsilon).margins)
 
     witnesses: dict[str, float] = {}
     if "witness" in outputs:
         for i, j in pair_set(n):
-            p = tables.pairs[(i, j)]
-            single = tables.singles[j]
-            witnesses[f"W_{i + 1}{j + 1}"] = abs(
-                sum(p.weight((s1, +1)) for s1 in (-1, +1)) - single.weight((+1,))
-            )
+            witnesses[f"W_{i + 1}{j + 1}"] = witness(tables.pairs[(i, j)], tables.singles[j])
 
     interval = None
     if "d_interval" in outputs and n == 3:
-        interval = d_interval(moments).d_interval
+        interval = d_interval(moments, epsilon).d_interval
 
     return RunRecord(
         parameter_value=value,
@@ -527,7 +505,7 @@ def _campaign_sample(
     model = sample_model(rng, dim)
     n = model.n_times
     tables = measure_all(model)
-    moments = piecewise_moments(model)
+    moments = tables.moments
 
     def rec(name: str, residual: float, tol: float) -> None:
         summary.record(name, index, dim, float(residual), tol)
@@ -552,15 +530,16 @@ def _campaign_sample(
     for (i, j), quasi in tables.quasi.items():
         p = tables.pairs[(i, j)]
         qi, qj = model.observable_at(i), model.observable_at(j)
-        t_op = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real) / 8.0
+        # commutator form <[Q_i, Q_j] Q_i> = <Q_i Q_j Q_i - Q_j>, traced once for T and W
+        commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
+        t_op = commutator / 8.0
         resid = max(abs(p.weight(o) - quasi.weight(o) - t_op * o[1]) for o in outcomes(2))
         rec("p_minus_q_identity", resid, TOL.scalar)
 
-        w_res = abs(sum(p.weight((s1, +1)) for s1 in (-1, +1)) - tables.singles[j].weight((+1,)))
-        w_op = abs(float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)) / 4.0
+        w_res = witness(p, tables.singles[j])
+        w_op = abs(commutator) / 4.0
         rec("witness_formula_agreement", abs(w_res - w_op), TOL.scalar)
-        w_minus = abs(sum(p.weight((s1, -1)) for s1 in (-1, +1)) - tables.singles[j].weight((-1,)))
-        rec("witness_s2_independence", abs(w_res - w_minus), TOL.scalar)
+        rec("witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar)
 
         if 0.5 * w_op <= min(p.weights.values()):
             rec("bounded_interference_nonneg", -min(quasi.weights.values()), TOL.scalar)
@@ -586,7 +565,7 @@ def _campaign_sample(
         rec("sequential_last_marginal", resid, TOL.scalar)
 
     # contextual values stay in range (validated on construction; residual 0)
-    ctx = sequential_moments(model)
+    ctx = sequential_moments(tables)
     rec(
         "contextual_in_range",
         max(abs(v) for v in ctx.contextual.values()) - 1.0,
@@ -595,11 +574,11 @@ def _campaign_sample(
 
     # implication chain; weak verdict must match joint feasibility end to end
     weak = mr_weak(moments, epsilon)
-    mint = mr_int_from_tables(tables.singles, tables.pairs, moments, epsilon)
-    strong = mr_strong_from_tables(tables.singles, tables.pairs, tables.chain, epsilon)
+    mint = mr_int(tables, epsilon)
+    strong = mr_strong(tables, epsilon)
     chain_ok = (not strong.verdict or mint.verdict) and (not mint.verdict or weak.verdict)
     rec("implication_chain", 0.0 if chain_ok else 1.0, 0.5)
-    fine_ok = d_interval(moments).feasible == weak.verdict
+    fine_ok = d_interval(moments, epsilon).feasible == weak.verdict
     rec("fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5)
 
 

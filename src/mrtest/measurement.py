@@ -342,31 +342,22 @@ def quasi_prob2(model: QuantumModel, i: int, j: int) -> ProbabilityTable:
 def piecewise_moments(model: QuantumModel) -> MomentSet:
     """Averages and pair correlators, each from its own simulated experiment.
 
-    Every average comes from a single-time run; every correlator C_ij from a
-    two-time sequential run over {i, j} alone.  The sequential and quasi
-    two-time formulas share the correlator, so one implementation serves
-    both protocols.
+    The sequential and quasi two-time formulas share the correlator, so one
+    implementation serves both protocols.
     """
-    n = model.n_times
-    averages = tuple(single_time_prob(model, i).moment((0,)) for i in range(n))
-    correlators = tuple(
-        sequential_prob(model, pair).moment((0, 1)) for pair in pair_set(n)
-    )
-    return MomentSet(averages=averages, correlators=correlators)
+    return measure_all(model).moments
 
 
-def sequential_moments(model: QuantumModel) -> ContextualMoments:
+def sequential_moments(tables: TableSet) -> ContextualMoments:
     """Contextual averages/correlators from sequential three-time runs.
 
     Reads <Q2^(1)>, <Q3^(12)>, C23^(1), C13^(2) and the triple correlator
     from the full three-time run, <Q3^(1)> and <Q3^(2)> from the two-time
     runs, with piecewise values as the context-free base.
     """
-    if model.n_times != 3:
-        raise ValidationError(f"sequential_moments: need exactly 3 times, got {model.n_times}")
-    chain = sequential_prob(model, (0, 1, 2))
-    p13 = sequential_prob(model, (0, 2))
-    p23 = sequential_prob(model, (1, 2))
+    if tables.n_times != 3:
+        raise ValidationError(f"sequential_moments: need exactly 3 times, got {tables.n_times}")
+    chain, p13, p23 = tables.chain, tables.pairs[(0, 2)], tables.pairs[(1, 2)]
     contextual = {
         ("Q2", "1"): chain.moment((1,)),
         ("Q3", "12"): chain.moment((2,)),
@@ -376,68 +367,43 @@ def sequential_moments(model: QuantumModel) -> ContextualMoments:
         ("Q3", "1"): p13.moment((1,)),
         ("Q3", "2"): p23.moment((1,)),
     }
-    return ContextualMoments(base=piecewise_moments(model), contextual=contextual)
+    return ContextualMoments(base=tables.moments, contextual=contextual)
 
 
-def interference_term(model: QuantumModel, i: int, j: int) -> float:
-    """The constant T with p(s1,s2) - q(s1,s2) = T*s2 on every outcome.
+def interference_term(pair: ProbabilityTable, quasi: ProbabilityTable) -> float:
+    """The constant T with p(s1,s2) - q(s1,s2) = T*s2 on every outcome, read
+    off a sequential two-time table and the quasi table of the same times.
 
-    Evaluated as the table residue; the operator form
-    T = <[Q(t_i), Q(t_j)] Q(t_i)> / 8 = <Q_i Q_j Q_i - Q_j> / 8
-    is recomputed as a cross-check and must agree to 1e-12.
+    Its operator form is T = <[Q(t_i), Q(t_j)] Q(t_i)> / 8 = <Q_i Q_j Q_i - Q_j> / 8.
     """
-    if not i < j:
-        raise ValidationError(f"interference_term: need i < j, got ({i}, {j})")
-    p = sequential_prob(model, (i, j))
-    q = quasi_prob2(model, i, j)
-    residues = [
-        (p.weight(o) - q.weight(o)) * o[1] for o in outcomes(2)
-    ]
-    value = sum(residues) / len(residues)
+    if pair.arity != 2 or pair.time_indices != quasi.time_indices:
+        raise ValidationError(
+            f"interference_term: need two tables over the same pair of times, "
+            f"got {pair.time_indices} and {quasi.time_indices}"
+        )
+    residues = [(pair.weight(o) - quasi.weight(o)) * o[1] for o in outcomes(2)]
     spread = max(residues) - min(residues)
     if spread > TOL.scalar:
         raise ValidationError(
             f"interference residue not outcome-independent (spread {spread:.3e})"
         )
-    qi = model.observable_at(i)
-    qj = model.observable_at(j)
-    operator_value = expectation(model.rho, qi @ qj @ qi - qj) / 8.0
-    if abs(operator_value - value) > TOL.scalar:
-        raise ValidationError(
-            "interference term mismatch between table residue "
-            f"({value!r}) and operator formula ({operator_value!r})"
-        )
-    return value
+    return sum(residues) / len(residues)
 
 
-def witness(model: QuantumModel, i: int, j: int, s2: int = +1) -> float:
-    """Coherence witness W = |sum_{s1} p(s1,s2) - p(s2)|.
+def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> float:
+    """Coherence witness W = |sum_{s1} p(s1,s2) - p(s2)|: the NSIT residual of
+    a sequential two-time table against the single-time table of its later time.
 
-    Computed both as the NSIT residual of the sequential pair table and as
-    the commutator form |<[Q_i, Q_j] Q_i>| / 4; the two must agree to 1e-12
-    and the value is independent of the chosen outcome s2.
+    Its commutator form is |<[Q_i, Q_j] Q_i>| / 4, and it does not depend on s2.
     """
     if s2 not in SIGNS:
         raise ValidationError(f"witness: s2 must be +1 or -1, got {s2!r}")
-    p = sequential_prob(model, (i, j))
-    target = single_time_prob(model, j)
-    residuals = {
-        s: abs(sum(p.weight((s1, s)) for s1 in SIGNS) - target.weight((s,)))
-        for s in SIGNS
-    }
-    if abs(residuals[+1] - residuals[-1]) > TOL.scalar:
+    if pair.arity != 2 or single.time_indices != pair.time_indices[1:]:
         raise ValidationError(
-            f"witness depends on s2: {residuals[+1]!r} vs {residuals[-1]!r}"
+            f"witness: need a two-time table and the single-time table of its "
+            f"later time, got {pair.time_indices} and {single.time_indices}"
         )
-    qi = model.observable_at(i)
-    qj = model.observable_at(j)
-    operator_value = abs(expectation(model.rho, qi @ qj @ qi - qj)) / 4.0
-    if abs(operator_value - residuals[s2]) > TOL.scalar:
-        raise ValidationError(
-            "witness mismatch between NSIT residual "
-            f"({residuals[s2]!r}) and commutator formula ({operator_value!r})"
-        )
-    return residuals[s2]
+    return abs(sum(pair.weight((s1, s2)) for s1 in SIGNS) - single.weight((s2,)))
 
 
 def pair_expansion_table(moments: MomentSet, pair: tuple[int, int]) -> ProbabilityTable:
@@ -463,18 +429,34 @@ def pair_expansion_table(moments: MomentSet, pair: tuple[int, int]) -> Probabili
 
 @dataclass(frozen=True)
 class TableSet:
-    """All measurement tables of one model, computed once and shared."""
+    """All measurement tables of one model, computed once and shared.
+
+    ``moments`` holds the piecewise averages and pair correlators read off
+    ``singles`` and ``pairs``: every average from a single-time run, every
+    correlator C_ij from the two-time sequential run over {i, j} alone.
+    """
 
     singles: tuple[ProbabilityTable, ...]
     pairs: Mapping[tuple[int, int], ProbabilityTable]
     chain: ProbabilityTable
     quasi: Mapping[tuple[int, int], ProbabilityTable]
+    moments: MomentSet
+
+    @property
+    def n_times(self) -> int:
+        return len(self.singles)
 
 
 def measure_all(model: QuantumModel) -> TableSet:
+    """Every table of a 3- or 4-time model: single-time, sequential pair,
+    full sequential chain and quasi-probability, plus the piecewise moments."""
     n = model.n_times
     singles = tuple(single_time_prob(model, i) for i in range(n))
     pairs = {p: sequential_prob(model, p) for p in pair_set(n)}
     chain = sequential_prob(model, tuple(range(n)))
     quasi = {p: quasi_prob2(model, *p) for p in pair_set(n)}
-    return TableSet(singles=singles, pairs=pairs, chain=chain, quasi=quasi)
+    moments = MomentSet(
+        averages=tuple(t.moment((0,)) for t in singles),
+        correlators=tuple(pairs[p].moment((0, 1)) for p in pair_set(n)),
+    )
+    return TableSet(singles=singles, pairs=pairs, chain=chain, quasi=quasi, moments=moments)

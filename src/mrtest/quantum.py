@@ -1,22 +1,20 @@
 """Dense complex Hermitian linear algebra for small dimensions.
 
-Everything here works on plain ``numpy`` complex arrays of dimension 2..16:
-projectors of a dichotomic observable, unitary time evolution generated by a
-Hermitian Hamiltonian (hbar = 1), Heisenberg-picture observables and
-expectation values.  The eigensolver is LAPACK's Hermitian ``eigh`` (through
-``numpy.linalg``); its eigenvectors are orthonormal to rounding, so
-``exp(-iHt)`` built from them stays unitary up to rounding.
+Everything here works on plain ``numpy`` complex arrays of dimension 2..16.
+The eigensolver is LAPACK's Hermitian ``eigh`` (through ``numpy.linalg``);
+its eigenvectors are orthonormal to rounding, so ``exp(-iHt)`` built from
+them stays unitary up to rounding.
 
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
-construction, and memoizes the spectral data the measurement layer needs.
+construction, and memoizes the spectral data the measurement layer needs:
+the unitary evolution U(t_i) generated by H (hbar = 1), the
+Heisenberg-picture observable Q(t_i) and its two spectral projectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InvalidObservableError, ValidationError
@@ -78,49 +76,11 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 # operations
 
 
-def projector(observable, s: int) -> np.ndarray:
-    """Spectral projector (I + s*Q)/2 of a dichotomic observable.
-
-    The two projectors are built so that projector(Q, +1) + projector(Q, -1)
-    equals the identity bitwise: the minus projector is I minus the plus one.
-    """
-    q = as_complex_matrix(observable, name="observable")
-    if s not in (+1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {s!r}")
-    require_hermitian(q, name="observable")
-    require_dichotomic(q)
-    plus = 0.5 * (np.eye(q.shape[0], dtype=complex) + q)
-    if s == +1:
-        return plus
-    return np.eye(q.shape[0], dtype=complex) - plus
-
-
-def evolve_operator(hamiltonian, t: float) -> np.ndarray:
-    """Unitary U(t) = exp(-iHt) via the Hermitian eigendecomposition."""
-    h = as_complex_matrix(hamiltonian, name="hamiltonian")
-    require_hermitian(h, name="hamiltonian")
-    if t == 0.0:
-        return np.eye(h.shape[0], dtype=complex)
-    lam, vec = eig_hermitian(h)
-    return _evolve_from_eig(lam, vec, t)
-
-
 def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
     if t == 0.0:
         return np.eye(vec.shape[0], dtype=complex)
     phases = np.exp(-1j * lam * t)
     return (vec * phases) @ vec.conj().T
-
-
-def heisenberg(observable, hamiltonian, t: float) -> np.ndarray:
-    """Heisenberg-picture observable Q(t) = U(t)^dag Q U(t)."""
-    q = as_complex_matrix(observable, name="observable")
-    require_hermitian(q, name="observable")
-    require_dichotomic(q)
-    u = evolve_operator(hamiltonian, t)
-    qt = u.conj().T @ q @ u
-    require_dichotomic(qt, name="evolved observable")
-    return qt
 
 
 def expectation(rho, a) -> float:
@@ -237,20 +197,11 @@ class QuantumModel:
         self.check_time_index(i)
         key = ("P", i, s)
         if key not in self._cache:
+            if s not in (+1, -1):
+                raise ValidationError(f"sign must be +1 or -1, got {s!r}")
             q = self.observable_at(i)
             plus = 0.5 * (np.eye(self.dim, dtype=complex) + q)
             self._cache[("P", i, +1)] = plus
             self._cache[("P", i, -1)] = np.eye(self.dim, dtype=complex) - plus
         return self._cache[key]
 
-
-def model_from_parts(
-    hamiltonian, rho, observable, times: Sequence[float]
-) -> QuantumModel:
-    """Convenience constructor used by the file loaders."""
-    return QuantumModel(
-        hamiltonian=np.asarray(hamiltonian, dtype=complex),
-        rho=np.asarray(rho, dtype=complex),
-        observable=np.asarray(observable, dtype=complex),
-        times=tuple(times),
-    )

@@ -7,13 +7,12 @@ that the package has one place where numerical policy lives.  The split is:
 * ``structural``  -- identities between matrices (unitarity, idempotence,
                      dichotomy), measured in Frobenius or max norm.
 * ``psd``         -- eigenvalue floor accepted for density matrices.
-* ``verdict``     -- default epsilon for inequality/equality verdicts; the
-                     only tolerance exposed on the CLI.
+* ``verdict``     -- default epsilon for inequality/equality verdicts and
+                     for the slack of the closed-form joint-probability
+                     interval; the only tolerance exposed on the CLI.
 * ``pivot``       -- simplex pivot threshold.
 * ``feasibility`` -- phase-1 objective level below which an LP counts as
                      feasible.
-* ``tie``         -- tie-break slack used when comparing margins against the
-                     closed-form joint-probability interval.
 """
 
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ class Tolerances:
     verdict: float = 1e-9
     pivot: float = 1e-11
     feasibility: float = 1e-9
-    tie: float = 1e-12
 
 
 TOL = Tolerances()

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mrtest.errors import ValidationError
+from mrtest.fine import FeasibilityResult, _expansion_base, _require_three_time_no_triple
+from mrtest.measurement import MomentSet, ProbabilityTable
 from mrtest.quantum import QuantumModel
+from mrtest.tolerances import TOL
 
 settings.register_profile(
     "ci",
@@ -49,3 +53,32 @@ def rng():
 def random_hermitian(rng, dim, scale=1.0):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (z + z.conj().T) / 2
+
+
+def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
+    """Brute-force feasibility: scan the triple correlator over [-1, 1].
+
+    Feasible iff some grid point makes all eight expansion values
+    nonnegative (down to 1e-12 slack).  An independent cross-check of the
+    closed-form interval; intervals narrower than the step can be missed.
+    """
+    _require_three_time_no_triple(m, "scan_oracle")
+    if not (0.0 < grid_step <= 0.1):
+        raise ValidationError(f"scan_oracle: grid_step must be in (0, 0.1], got {grid_step!r}")
+    outs, e, parity = _expansion_base(m)
+    n_points = int(round(2.0 / grid_step)) + 1
+    grid = np.linspace(-1.0, 1.0, n_points)
+    values = (e[:, None] + parity[:, None] * grid[None, :]) / 8.0
+    worst = values.min(axis=0)
+    best = int(np.argmax(worst))
+    if worst[best] < -TOL.scalar:
+        return FeasibilityResult(
+            feasible=False,
+            certificate=(
+                f"no grid point admits a nonnegative expansion "
+                f"(step {grid_step!r}, best min weight {worst[best]:.6e})"
+            ),
+        )
+    weights = {s: float(values[k, best]) for k, s in enumerate(outs)}
+    table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
+    return FeasibilityResult(feasible=True, witness_table=table)

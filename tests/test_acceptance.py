@@ -10,17 +10,18 @@ import numpy as np
 import pytest
 
 from mrtest.conditions import lg2, lg3, lg4, mr_strong, nsit, nsit_pairwise
-from mrtest.fine import d_interval, lp_feasibility, scan_oracle
+from mrtest.fine import d_interval, lp_feasibility
 from mrtest.harness import SweepSpec, run_campaign, run_sweep, sample_model
 from mrtest.measurement import (
     MomentSet,
+    measure_all,
     outcomes,
     piecewise_moments,
     sequential_prob,
     single_time_prob,
 )
 
-from conftest import precession_model
+from conftest import precession_model, scan_oracle
 
 SEED_MOMENTS = 20260801
 SEED_CAMPAIGN = 20260802
@@ -256,14 +257,14 @@ def test_criterion_8_nsit_special_cases():
     commuting_verdicts = True
     for _ in range(40):
         model = sample_model(rng, int(rng.integers(2, 5)), commuting=True)
-        report = mr_strong(model)
+        report = mr_strong(measure_all(model))
         commuting_verdicts &= report.verdict
         worst_commuting = max(worst_commuting, max(abs(c.value) for c in report.checks))
 
     worst_mixed = 0.0
     for _ in range(40):
         model = sample_model(rng, 2, rho_mode="maximally_mixed")
-        report = nsit_pairwise(model)
+        report = nsit_pairwise(measure_all(model))
         worst_mixed = max(worst_mixed, max(abs(c.value) for c in report.checks))
 
     worst_diagonal = 0.0

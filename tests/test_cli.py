@@ -158,6 +158,16 @@ class TestFine:
         assert payload["d_interval"] == [-1.0, 1.0]
         assert payload["witness"]["weights"]["+++"] == pytest.approx(0.125, abs=0)
 
+    @pytest.mark.parametrize("c13, code", [(-5e-10, 0), (-2e-9, 1)])
+    def test_exits_like_check_weak_at_the_boundary(self, tmp_path, capsys, c13, code):
+        # LG3.4 margin equals C13: inside epsilon = 1e-9 both pass, beyond it both fail
+        p = tmp_path / "edge.json"
+        p.write_text(json.dumps({
+            "n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.5, 0.5, c13], "D": None,
+        }))
+        assert main(["check", "--moments", str(p), "--which", "weak"]) == code
+        assert main(["fine", "--moments", str(p)]) == code
+
     def test_four_time_moments_use_lp(self, tmp_path, capsys):
         s = float(np.sqrt(2) / 2)
         p = tmp_path / "m4.json"

@@ -20,6 +20,7 @@ from mrtest.fine import triple_expansion_table
 from mrtest.harness import sample_model
 from mrtest.measurement import (
     MomentSet,
+    measure_all,
     outcomes,
     piecewise_moments,
     quasi_prob2,
@@ -157,7 +158,7 @@ class TestNsit:
     def test_residual_equals_witness(self):
         model = precession_model(times=(0.6, 1.9), rho=RHO_UP)
         r = nsit(sequential_prob(model, (0, 1)), single_time_prob(model, 1), 0)
-        w = witness(model, 0, 1)
+        w = witness(sequential_prob(model, (0, 1)), single_time_prob(model, 1))
         assert w > 1e-3
         for c in r.checks:
             assert abs(c.value) == pytest.approx(w, abs=1e-12)
@@ -217,11 +218,11 @@ class TestMrInt:
     def test_commuting_model_passes(self):
         m = QuantumModel(hamiltonian=0.9 * SZ, rho=np.diag([0.8, 0.2]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        assert mr_int(m).verdict
+        assert mr_int(measure_all(m)).verdict
 
     def test_mixed_state_third_turn_fails_only_lg3(self):
         model = precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3))
-        r = mr_int(model)
+        r = mr_int(measure_all(model))
         assert not r.verdict
         failing = {c.name for c in r.checks if not c.passed}
         assert failing == {"LG3.2"}
@@ -231,21 +232,21 @@ class TestMrInt:
 
     def test_mixed_state_quarter_turn_passes(self):
         model = precession_model(times=(0.0, np.pi / 2, np.pi))
-        r = mr_int(model)
+        r = mr_int(measure_all(model))
         assert r.verdict
         margins = [r.check(f"LG3.{k}").margin for k in (1, 2, 3, 4)]
         assert margins == pytest.approx([0.0, 0.0, 2.0, 2.0], abs=1e-12)
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
-            mr_int(precession_model(times=(0.0, 1.0)))
+            mr_int(measure_all(precession_model(times=(0.0, 1.0, 2.0, 3.0))))
 
 
 class TestMrStrong:
     def test_commuting_model_passes(self):
         m = QuantumModel(hamiltonian=0.9 * SZ, rho=np.diag([0.8, 0.2]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        r = mr_strong(m)
+        r = mr_strong(measure_all(m))
         assert r.verdict
         assert max(abs(c.value) for c in r.checks) < 1e-12
 
@@ -254,13 +255,13 @@ class TestMrStrong:
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=rho, observable=SZ, times=(0.0, 1.0, 2.0))
-        assert mr_strong(m).verdict
+        assert mr_strong(measure_all(m)).verdict
 
     def test_generic_pure_state_fails_with_witness_scale_residuals(self):
         model = precession_model(times=(0.7, 1.4, 2.1), rho=RHO_UP)
-        r = mr_strong(model)
+        r = mr_strong(measure_all(model))
         assert not r.verdict
-        w23 = witness(model, 1, 2)
+        w23 = witness(sequential_prob(model, (1, 2)), single_time_prob(model, 2))
         for c in r.checks:
             if c.name.startswith("NSIT(2)3"):
                 assert abs(c.value) == pytest.approx(w23, abs=1e-12)
@@ -268,26 +269,26 @@ class TestMrStrong:
     def test_pass_implies_context_free_expansion(self):
         m = QuantumModel(hamiltonian=0.9 * SZ, rho=np.diag([0.8, 0.2]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        assert mr_strong(m).verdict
-        ctx = sequential_moments(m)
+        assert mr_strong(measure_all(m)).verdict
+        ctx = sequential_moments(measure_all(m))
         reconstructed = triple_expansion_table(ctx.base, ctx.value("D", "123"))
         chain = sequential_prob(m, (0, 1, 2))
         assert max(abs(reconstructed.weight(o) - chain.weight(o)) for o in outcomes(3)) < 1e-12
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
-            mr_strong(precession_model(times=(0.0, 1.0)))
+            mr_strong(measure_all(precession_model(times=(0.0, 1.0, 2.0, 3.0))))
 
 
 class TestPairwiseNsit:
     def test_maximally_mixed_qubit_all_pass(self, mixed_qubit):
-        r = nsit_pairwise(mixed_qubit)
+        r = nsit_pairwise(measure_all(mixed_qubit))
         assert r.verdict
         assert max(abs(c.value) for c in r.checks) < 1e-12
 
     def test_four_time_families(self):
         model = precession_model(times=(0.0, 1.0, 2.0, 3.0))
-        r = nsit_pairwise(model)
+        r = nsit_pairwise(measure_all(model))
         families = {c.name.rsplit(".", 1)[0] for c in r.checks}
         assert families == {"NSIT(1)2", "NSIT(2)3", "NSIT(3)4", "NSIT(1)4"}
 
@@ -324,7 +325,7 @@ class TestFixedInitialStateReduction:
 
 class TestSerialization:
     def test_report_json_shape(self, mixed_qubit):
-        r = mr_int(mixed_qubit)
+        r = mr_int(measure_all(mixed_qubit))
         obj = r.to_jsonable()
         assert set(obj) == {"epsilon", "verdict", "assumptions", "checks"}
         names = [c["name"] for c in obj["checks"]]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -11,11 +11,13 @@ from mrtest.fine import (
     _moment_rows,
     d_interval,
     lp_feasibility,
-    scan_oracle,
     triple_expansion_table,
 )
 from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, piecewise_moments
+from mrtest.tolerances import TOL
+
+from conftest import scan_oracle
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -92,6 +94,47 @@ class TestDInterval:
                 assert -1 - 1e-12 <= lo <= hi <= 1 + 1e-12
 
 
+class TestWeakBoundary:
+    """The interval verdict and the weak verdict at one epsilon, on moment
+    sets whose smallest LG2/LG3 margin lies within 10 epsilon of zero."""
+
+    @given(
+        st.lists(unit, min_size=6, max_size=6),
+        st.floats(-10.0, 10.0),
+        st.sampled_from((TOL.verdict, 1e-6)),
+    )
+    def test_interval_matches_weak_verdict(self, values, scale, epsilon):
+        # every margin is 1 plus a linear form in the moments, so shrinking
+        # the moments by lam moves the smallest margin M to 1 + lam*(M - 1)
+        smallest = min(lg_margins(moment_set3(values)))
+        assume(smallest < 1.0)
+        target = scale * epsilon
+        # the two routes round differently by ~1e-16 right at the threshold
+        assume(abs(target + epsilon) > 1e-14)
+        lam = (1.0 - target) / (1.0 - smallest)
+        scaled = [lam * v for v in values]
+        assume(all(abs(v) <= 1.0 for v in scaled))
+        m = moment_set3(scaled)
+        assert abs(min(lg_margins(m)) - target) < 1e-12
+        r = d_interval(m, epsilon)
+        assert r.feasible == mr_weak(m, epsilon).verdict
+        if r.feasible:
+            # clipping weights of at most epsilon/8 moves the moments by less than epsilon
+            avg, corr = table_moments(r, m)
+            assert avg == pytest.approx(list(m.averages), abs=epsilon)
+            assert corr == pytest.approx(list(m.correlators), abs=epsilon)
+
+    def test_epsilon_sized_gap_is_feasible_and_marginal(self):
+        # LG3.4 margin is -5e-10: weak passes at epsilon 1e-9, so the interval must too
+        m = MomentSet(averages=(0.0,) * 3, correlators=(0.5, 0.5, -5e-10))
+        assert mr_weak(m).verdict
+        r = d_interval(m)
+        assert r.feasible
+        assert "(marginal)" in r.certificate
+        assert min(r.witness_table.weights.values()) >= 0.0
+        assert not d_interval(m, epsilon=1e-10).feasible
+
+
 class TestLpFeasibility:
     def test_four_time_uniform(self):
         r = lp_feasibility(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
@@ -135,6 +178,25 @@ class TestLpFeasibility:
                     assert abs(hi - lo) <= 1e-6
                 else:
                     pytest.fail(f"simplex disagrees with reference on {m}")
+
+    def test_four_time_weak_verdict_matches_lp(self):
+        # LG2 + LG4 is necessary and sufficient at four times (n-cycle
+        # theorem).  Uniform sets are feasible only about 2.4 % of the time,
+        # so every tenth set comes from a random 4-time quantum model instead.
+        rng = np.random.default_rng(20261018)
+        disagreements, feasible = [], 0
+        for k in range(10_000):
+            if k % 10 == 0:
+                m = piecewise_moments(sample_model(rng, int(rng.integers(2, 5)), 4))
+            else:
+                vals = rng.uniform(-1.0, 1.0, 8)
+                m = MomentSet(averages=tuple(vals[:4]), correlators=tuple(vals[4:]))
+            lp = lp_feasibility(m).feasible
+            feasible += lp
+            if lp != mr_weak(m).verdict:
+                disagreements.append(m)
+        assert disagreements == []
+        assert 300 < feasible < 9_000
 
     def test_quantum_moments_always_feasible_iff_weak_passes(self, rng):
         for _ in range(60):

@@ -21,7 +21,7 @@ from mrtest.measurement import (
     single_time_prob,
     witness,
 )
-from mrtest.quantum import QuantumModel
+from mrtest.quantum import QuantumModel, expectation
 
 from conftest import SZ, precession_model
 
@@ -220,7 +220,7 @@ class TestSequentialMoments:
     def test_commuting_contextual_equals_base(self):
         m = QuantumModel(hamiltonian=0.8 * SZ, rho=np.diag([0.6, 0.4]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        ctx = sequential_moments(m)
+        ctx = sequential_moments(measure_all(m))
         base = ctx.base
         assert ctx.value("Q2", "1") == pytest.approx(base.averages[1], abs=1e-14)
         assert ctx.value("Q3", "12") == pytest.approx(base.averages[2], abs=1e-14)
@@ -229,51 +229,52 @@ class TestSequentialMoments:
 
     def test_first_measurement_harmless_for_diagonal_rho(self, rng):
         model = sample_model(rng, 3, rho_mode="q1_diagonal")
-        ctx = sequential_moments(model)
+        ctx = sequential_moments(measure_all(model))
         assert ctx.value("Q2", "1") == pytest.approx(ctx.base.averages[1], abs=1e-12)
 
     def test_intermediate_measurement_disturbs_generic_state(self):
         model = precession_model(times=(0.7, 1.4, 2.1), rho=RHO_UP)
-        ctx = sequential_moments(model)
+        ctx = sequential_moments(measure_all(model))
         shift = abs(ctx.value("Q3", "2") - ctx.base.averages[2])
         assert shift > 1e-3
         # per-outcome residual of the (2,3) run against p3 equals the witness
         p23 = sequential_prob(model, (1, 2))
         p3 = single_time_prob(model, 2)
         residual = abs(sum(p23.weight((s2, +1)) for s2 in (-1, +1)) - p3.weight((+1,)))
-        assert residual == pytest.approx(witness(model, 1, 2), abs=1e-12)
+        assert residual == pytest.approx(witness(p23, p3), abs=1e-12)
 
     def test_triple_correlator_recorded(self, mixed_qubit):
-        ctx = sequential_moments(mixed_qubit)
+        ctx = sequential_moments(measure_all(mixed_qubit))
         chain = sequential_prob(mixed_qubit, (0, 1, 2))
         assert ctx.value("D", "123") == pytest.approx(chain.moment((0, 1, 2)), abs=1e-14)
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
-            sequential_moments(precession_model(times=(0.0, 1.0)))
+            sequential_moments(measure_all(precession_model(times=(0.0, 1.0, 2.0, 3.0))))
 
 
 class TestInterference:
     def test_commuting_is_zero(self):
         m = QuantumModel(hamiltonian=1.1 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
                          observable=SZ, times=(0.0, 1.0))
-        assert interference_term(m, 0, 1) == pytest.approx(0.0, abs=1e-14)
+        assert interference_term(sequential_prob(m, (0, 1)), quasi_prob2(m, 0, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_is_zero(self, rng):
         for _ in range(10):
             model = sample_model(rng, int(rng.integers(2, 5)), rho_mode="maximally_mixed")
-            assert interference_term(model, 0, 1) == pytest.approx(0.0, abs=1e-13)
+            t = interference_term(sequential_prob(model, (0, 1)), quasi_prob2(model, 0, 1))
+            assert t == pytest.approx(0.0, abs=1e-13)
 
     def test_frozen_value(self):
         # rho = |0><0|, times (pi/4, pi/2): T = <Q1 Q2 Q1 - Q2>/8 = 1/8
         m = precession_model(times=(np.pi / 4, np.pi / 2), rho=RHO_UP)
-        assert interference_term(m, 0, 1) == pytest.approx(0.125, abs=1e-12)
+        assert interference_term(sequential_prob(m, (0, 1)), quasi_prob2(m, 0, 1)) == pytest.approx(0.125, abs=1e-12)
 
     def test_equals_table_subtraction(self):
         m = precession_model(times=(np.pi / 4, np.pi / 2, 3 * np.pi / 4), rho=RHO_UP)
-        t = interference_term(m, 0, 1)
         p = sequential_prob(m, (0, 1))
         q = quasi_prob2(m, 0, 1)
+        t = interference_term(p, q)
         for s1, s2 in outcomes(2):
             assert p.weight((s1, s2)) - q.weight((s1, s2)) == pytest.approx(t * s2, abs=1e-12)
 
@@ -281,34 +282,53 @@ class TestInterference:
         for _ in range(50):
             model = sample_model(rng, int(rng.integers(2, 5)))
             for i, j in pair_set(3):
-                t = interference_term(model, i, j)
                 p = sequential_prob(model, (i, j))
                 q = quasi_prob2(model, i, j)
+                t = interference_term(p, q)
                 resid = max(abs(p.weight(o) - q.weight(o) - t * o[1]) for o in outcomes(2))
                 assert resid < 1e-12
+
+    def test_matches_operator_form(self, rng):
+        # table residue against T = <Q_i Q_j Q_i - Q_j> / 8
+        for _ in range(30):
+            model = sample_model(rng, int(rng.integers(2, 5)))
+            tables = measure_all(model)
+            for i, j in pair_set(3):
+                qi, qj = model.observable_at(i), model.observable_at(j)
+                t_op = expectation(model.rho, qi @ qj @ qi - qj) / 8.0
+                t = interference_term(tables.pairs[(i, j)], tables.quasi[(i, j)])
+                assert abs(t - t_op) < 1e-12
+
+    def test_rejects_tables_of_different_times(self, mixed_qubit):
+        tables = measure_all(mixed_qubit)
+        with pytest.raises(ValidationError, match="same pair"):
+            interference_term(tables.pairs[(0, 1)], tables.quasi[(1, 2)])
 
 
 class TestWitness:
     def test_commuting_is_zero(self):
         m = QuantumModel(hamiltonian=1.1 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
                          observable=SZ, times=(0.0, 1.0))
-        assert witness(m, 0, 1) == pytest.approx(0.0, abs=1e-14)
+        assert witness(sequential_prob(m, (0, 1)), single_time_prob(m, 1)) == pytest.approx(0.0, abs=1e-14)
 
     def test_twice_interference_magnitude(self):
         m = precession_model(times=(np.pi / 4, np.pi / 2), rho=RHO_UP)
-        assert witness(m, 0, 1) == pytest.approx(2 * abs(interference_term(m, 0, 1)), abs=1e-12)
+        p = sequential_prob(m, (0, 1))
+        w = witness(p, single_time_prob(m, 1))
+        assert w == pytest.approx(2 * abs(interference_term(p, quasi_prob2(m, 0, 1))), abs=1e-12)
 
     def test_independent_of_s2(self, rng):
-        model = sample_model(rng, 3)
-        assert witness(model, 0, 1, +1) == pytest.approx(witness(model, 0, 1, -1), abs=1e-14)
+        tables = measure_all(sample_model(rng, 3))
+        p, p2 = tables.pairs[(0, 1)], tables.singles[1]
+        assert witness(p, p2, +1) == pytest.approx(witness(p, p2, -1), abs=1e-14)
 
     def test_bounded_interference_implies_nonnegative_quasi(self, rng):
         checked = 0
         for _ in range(60):
             model = sample_model(rng, int(rng.integers(2, 5)))
             for i, j in pair_set(3):
-                w = witness(model, i, j)
                 p = sequential_prob(model, (i, j))
+                w = witness(p, single_time_prob(model, j))
                 if 0.5 * w <= min(p.weights.values()):
                     checked += 1
                     q = quasi_prob2(model, i, j)
@@ -318,8 +338,26 @@ class TestWitness:
     def test_unbounded_case_exists_with_negative_quasi(self):
         m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3), rho=RHO_UP)
         p = sequential_prob(m, (0, 1))
-        assert 0.5 * witness(m, 0, 1) > min(p.weights.values())
+        assert 0.5 * witness(p, single_time_prob(m, 1)) > min(p.weights.values())
         assert min(quasi_prob2(m, 0, 1).weights.values()) < -1e-3
+
+    def test_matches_commutator_form(self, rng):
+        # NSIT residual against W = |<Q_i Q_j Q_i - Q_j>| / 4
+        for _ in range(30):
+            model = sample_model(rng, int(rng.integers(2, 5)))
+            tables = measure_all(model)
+            for i, j in pair_set(3):
+                qi, qj = model.observable_at(i), model.observable_at(j)
+                w_op = abs(expectation(model.rho, qi @ qj @ qi - qj)) / 4.0
+                for s2 in (-1, +1):
+                    assert abs(witness(tables.pairs[(i, j)], tables.singles[j], s2) - w_op) < 1e-12
+
+    def test_rejects_single_table_of_wrong_time(self, mixed_qubit):
+        tables = measure_all(mixed_qubit)
+        with pytest.raises(ValidationError, match="later time"):
+            witness(tables.pairs[(0, 1)], tables.singles[0])
+        with pytest.raises(ValidationError, match="s2"):
+            witness(tables.pairs[(0, 1)], tables.singles[1], 0)
 
 
 class TestMomentSet:
@@ -380,3 +418,12 @@ def test_measure_all_bundles_everything(mixed_qubit):
     assert set(tables.pairs) == {(0, 1), (1, 2), (0, 2)}
     assert tables.chain.time_indices == (0, 1, 2)
     assert set(tables.quasi) == {(0, 1), (1, 2), (0, 2)}
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.4, 1.1), (0.0, 0.4, 1.1, 1.9)])
+def test_measure_all_moments_read_off_its_tables(times):
+    model = precession_model(times=times, rho=RHO_UP)
+    tables = measure_all(model)
+    assert tables.moments.averages == tuple(t.moment((0,)) for t in tables.singles)
+    assert tables.moments.correlators == tuple(tables.pairs[p].moment((0, 1)) for p in pair_set(len(times)))
+    assert piecewise_moments(model) == tables.moments

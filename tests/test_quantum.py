@@ -3,48 +3,54 @@ import pytest
 
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary
-from mrtest.quantum import (
-    QuantumModel,
-    eig_hermitian,
-    evolve_operator,
-    expectation,
-    heisenberg,
-    projector,
-)
+from mrtest.quantum import QuantumModel, eig_hermitian, expectation
 
 from conftest import I2, SX, SY, SZ, precession_model, random_hermitian
 
 
+def model_at(t, hamiltonian=None, observable=SZ) -> QuantumModel:
+    """A maximally mixed model measured twice at time t: its time index 0
+    gives U(t), Q(t) and the projectors P_s(t).  H defaults to zero."""
+    dim = observable.shape[0]
+    h = np.zeros((dim, dim)) if hamiltonian is None else hamiltonian
+    return QuantumModel(hamiltonian=h, rho=np.eye(dim) / dim, observable=observable, times=(t, t))
+
+
+def random_dichotomic(rng, dim):
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    pattern = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
+    q = u @ np.diag(pattern) @ u.conj().T
+    return (q + q.conj().T) / 2
+
+
 class TestProjector:
     def test_diagonal_observable(self):
-        assert np.array_equal(projector(SZ, +1), np.diag([1.0, 0.0]).astype(complex))
-        assert np.array_equal(projector(SZ, -1), np.diag([0.0, 1.0]).astype(complex))
+        m = model_at(0.0)
+        assert np.array_equal(m.projector_at(0, +1), np.diag([1.0, 0.0]).astype(complex))
+        assert np.array_equal(m.projector_at(0, -1), np.diag([0.0, 1.0]).astype(complex))
 
     def test_sigma_x_gives_half_entries(self):
-        assert np.allclose(projector(SX, +1), np.full((2, 2), 0.5), atol=0)
+        assert np.allclose(model_at(0.0, observable=SX).projector_at(0, +1), np.full((2, 2), 0.5), atol=0)
 
     def test_pair_sums_to_identity_bitwise(self, rng):
         for dim in (2, 3, 4, 5):
-            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-            pattern = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
-            q = u @ np.diag(pattern) @ u.conj().T
-            q = (q + q.conj().T) / 2
-            total = projector(q, +1) + projector(q, -1)
-            assert np.array_equal(total, np.eye(dim, dtype=complex))
+            for t in (0.0, float(rng.uniform(-5, 5))):
+                m = model_at(t, random_hermitian(rng, dim), random_dichotomic(rng, dim))
+                total = m.projector_at(0, +1) + m.projector_at(0, -1)
+                assert np.array_equal(total, np.eye(dim, dtype=complex))
 
     def test_idempotent_and_hermitian(self, rng):
-        q = SX.copy()
-        p = projector(q, -1)
+        p = model_at(0.0, observable=SX.copy()).projector_at(0, -1)
         assert np.abs(p @ p - p).max() < 1e-10
         assert np.abs(p - p.conj().T).max() < 1e-12
 
     def test_rejects_non_dichotomic(self):
         with pytest.raises(InvalidObservableError):
-            projector(np.diag([2.0, -1.0]).astype(complex), +1)
+            model_at(0.0, observable=np.diag([2.0, -1.0]).astype(complex))
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValidationError):
-            projector(SZ, 0)
+            model_at(0.0).projector_at(0, 0)
 
 
 class TestEigHermitian:
@@ -102,56 +108,60 @@ class TestEigHermitian:
 
 
 class TestEvolveOperator:
+    """U(t_i) = exp(-iHt_i) through ``QuantumModel.unitary_at``."""
+
     def test_zero_hamiltonian(self):
-        assert np.array_equal(evolve_operator(np.zeros((2, 2)), 3.7), np.eye(2, dtype=complex))
+        assert np.array_equal(model_at(3.7).unitary_at(0), np.eye(2, dtype=complex))
 
     def test_zero_time_exact_identity(self, rng):
-        h = random_hermitian(rng, 4)
-        assert np.array_equal(evolve_operator(h, 0.0), np.eye(4, dtype=complex))
+        m = model_at(0.0, random_hermitian(rng, 4), np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert np.array_equal(m.unitary_at(0), np.eye(4, dtype=complex))
 
     def test_pi_pulse_flips_population(self):
         # omega * t = pi about x maps |0><0| to |1><1| under conjugation
-        u = evolve_operator(SX / 2, np.pi)
+        u = model_at(np.pi, SX / 2).unitary_at(0)
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.abs(u @ rho @ u.conj().T - np.diag([0.0, 1.0])).max() < 1e-12
 
     def test_inverse(self, rng):
-        h = random_hermitian(rng, 3)
-        u = evolve_operator(h, 1.3) @ evolve_operator(h, -1.3)
+        m = QuantumModel(hamiltonian=random_hermitian(rng, 3), rho=np.eye(3) / 3,
+                         observable=np.diag([1.0, -1.0, 1.0]), times=(-1.3, 1.3))
+        u = m.unitary_at(1) @ m.unitary_at(0)
         assert np.abs(u - np.eye(3)).max() < 1e-10
 
     def test_group_property(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 5))
             h = random_hermitian(rng, dim)
+            q = np.diag([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
             t1, t2 = rng.uniform(-10, 10, 2)
-            lhs = evolve_operator(h, t1 + t2)
-            rhs = evolve_operator(h, t1) @ evolve_operator(h, t2)
+            lhs = model_at(t1 + t2, h, q).unitary_at(0)
+            rhs = model_at(t1, h, q).unitary_at(0) @ model_at(t2, h, q).unitary_at(0)
             assert np.abs(lhs - rhs).max() < 1e-9
 
 
 class TestHeisenberg:
+    """Q(t_i) = U(t_i)^dag Q U(t_i) through ``QuantumModel.observable_at``."""
+
     def test_commuting_hamiltonian_leaves_observable(self):
-        qt = heisenberg(SZ, 2.5 * SZ, 1.7)
+        qt = model_at(1.7, 2.5 * SZ).observable_at(0)
         assert np.abs(qt - SZ).max() < 1e-12
 
     def test_zero_time(self, rng):
-        assert np.abs(heisenberg(SX, random_hermitian(rng, 2), 0.0) - SX).max() == 0.0
+        qt = model_at(0.0, random_hermitian(rng, 2), SX).observable_at(0)
+        assert np.abs(qt - SX).max() == 0.0
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 3, 2.1])
     def test_precession_closed_form(self, theta):
         # Q(t) = cos(wt) sigma_z + sin(wt) sigma_y, checked entrywise
-        qt = heisenberg(SZ, SX / 2, theta)
+        qt = model_at(theta, SX / 2).observable_at(0)
         assert np.abs(qt - (np.cos(theta) * SZ + np.sin(theta) * SY)).max() < 1e-12
 
     def test_stays_dichotomic(self, rng):
         for _ in range(25):
             dim = int(rng.integers(2, 5))
-            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-            pattern = np.array([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
-            q = u @ np.diag(pattern) @ u.conj().T
-            q = (q + q.conj().T) / 2
-            qt = heisenberg(q, random_hermitian(rng, dim), float(rng.uniform(-5, 5)))
+            q = random_dichotomic(rng, dim)
+            qt = model_at(float(rng.uniform(-5, 5)), random_hermitian(rng, dim), q).observable_at(0)
             assert np.linalg.norm(qt @ qt - np.eye(dim)) < 1e-10
 
 
@@ -174,11 +184,11 @@ class TestExpectation:
             z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            q = heisenberg(
-                np.diag([1.0, -1.0, 1.0]).astype(complex),
-                random_hermitian(rng, 3),
+            q = model_at(
                 float(rng.uniform(0, 4)),
-            )
+                random_hermitian(rng, 3),
+                np.diag([1.0, -1.0, 1.0]).astype(complex),
+            ).observable_at(0)
             assert abs(expectation(rho, q)) <= 1 + 1e-10
 
 
@@ -188,7 +198,7 @@ class TestQuantumModel:
         assert mixed_qubit.n_times == 3
 
     def test_cached_observable_matches_direct(self, mixed_qubit):
-        direct = heisenberg(SZ, SX / 2, mixed_qubit.times[1])
+        direct = model_at(mixed_qubit.times[1], SX / 2).observable_at(0)
         assert np.abs(mixed_qubit.observable_at(1) - direct).max() < 1e-14
 
     def test_projector_cache_sums_to_identity(self, mixed_qubit):
