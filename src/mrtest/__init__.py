@@ -7,6 +7,8 @@ coherence witness bound, and joint-probability existence via the
 closed-form triple-correlator interval with an independent LP check.
 """
 
+import types
+
 from .conditions import (
     Check,
     ConditionReport,
@@ -26,7 +28,7 @@ from .errors import (
     MrtestError,
     ValidationError,
 )
-from .fine import FeasibilityResult, d_interval, lp_feasibility, triple_expansion_table
+from .fine import FeasibilityResult, d_bounds, d_interval, lp_feasibility, triple_expansion_table
 from .harness import (
     CampaignSummary,
     RunRecord,
@@ -43,6 +45,7 @@ from .harness import (
     run_sweep,
     sample_model,
     simulate,
+    sweep_blocks,
     sweep_csv_lines,
     write_sweep_csv,
 )
@@ -67,60 +70,7 @@ from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Check",
-    "CampaignSummary",
-    "ConditionReport",
-    "ContextualMoments",
-    "ConvergenceError",
-    "FeasibilityResult",
-    "InputFormatError",
-    "InvalidObservableError",
-    "MomentSet",
-    "MrtestError",
-    "ProbabilityTable",
-    "QuantumModel",
-    "RunRecord",
-    "SweepSpec",
-    "TOL",
-    "TableSet",
-    "Tolerances",
-    "ValidationError",
-    "apply_parameter",
-    "d_interval",
-    "default_model_path",
-    "eig_hermitian",
-    "expectation",
-    "haar_unitary",
-    "interference_term",
-    "lg2",
-    "lg3",
-    "lg4",
-    "load_model",
-    "load_moments",
-    "load_sweep_spec",
-    "lp_feasibility",
-    "measure_all",
-    "model_from_jsonable",
-    "model_to_jsonable",
-    "mr_int",
-    "mr_strong",
-    "mr_weak",
-    "nsit",
-    "nsit_pairwise",
-    "pair_expansion_table",
-    "pair_set",
-    "piecewise_moments",
-    "quasi_prob2",
-    "run_campaign",
-    "run_sweep",
-    "sample_model",
-    "sequential_moments",
-    "sequential_prob",
-    "simulate",
-    "single_time_prob",
-    "sweep_csv_lines",
-    "triple_expansion_table",
-    "witness",
-    "write_sweep_csv",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(
+    name for name, value in vars().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

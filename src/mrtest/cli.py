@@ -22,8 +22,8 @@ from .harness import (
     load_moments,
     load_sweep_spec,
     run_campaign,
-    run_sweep,
     simulate,
+    sweep_blocks,
     write_sweep_csv,
 )
 from .measurement import measure_all, piecewise_moments
@@ -61,21 +61,30 @@ def _epsilon(args: argparse.Namespace) -> float:
     return value
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _measured_model(args: argparse.Namespace):
+    """The --model file; its tables and moments need 3 or 4 times."""
     model = load_model(args.model)
-    _emit(simulate(model), args.out)
+    if model.n_times not in (3, 4):
+        raise MrtestError(
+            f"{args.command} needs a model with 3 or 4 times, but {args.model} has {model.n_times}: {model.times}"
+        )
+    return model
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    _emit(simulate(_measured_model(args)), args.out)
     return EXIT_PASS
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     epsilon = _epsilon(args)
     if args.which == "weak":
-        moments = load_moments(args.moments) if args.moments else piecewise_moments(load_model(args.model))
+        moments = load_moments(args.moments) if args.moments else piecewise_moments(_measured_model(args))
         report = mr_weak(moments, epsilon)
     else:
         if not args.model:
             raise MrtestError(f"check --which {args.which} needs --model (sequential runs required)")
-        tables = measure_all(load_model(args.model))
+        tables = measure_all(_measured_model(args))
         report = (mr_int if args.which == "int" else mr_strong)(tables, epsilon)
     _emit(report.to_jsonable(), args.out)
     return EXIT_PASS if report.verdict else EXIT_FAIL
@@ -83,15 +92,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_fine(args: argparse.Namespace) -> int:
     moments = load_moments(args.moments)
-    result = d_interval(moments) if moments.n_times == 3 else lp_feasibility(moments)
+    result = d_interval(moments, _epsilon(args)) if moments.n_times == 3 else lp_feasibility(moments)
     _emit(result.to_jsonable(), args.out)
     return EXIT_PASS if result.feasible else EXIT_FAIL
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec)
-    records = run_sweep(spec, _epsilon(args))
-    write_sweep_csv(spec, records, args.out)
+    write_sweep_csv(spec, sweep_blocks(spec, _epsilon(args)), args.out)
     return EXIT_PASS
 
 
@@ -133,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fine = sub.add_parser("fine", help="joint-probability feasibility for a moment set")
     p_fine.add_argument("--moments", required=True, help="moments JSON file")
+    p_fine.add_argument("--epsilon", type=float, help=f"slack of the 3-time interval (default {TOL.verdict})")
     p_fine.add_argument("--out", help="output JSON file (default stdout)")
     p_fine.set_defaults(func=_cmd_fine)
 

@@ -6,11 +6,17 @@ value >= -epsilon, margin = value) or "=0" shaped (pass when |value| <=
 epsilon, margin = -|value|).  Modeling assumptions that are postulated
 rather than measured (piecewise non-invasiveness, induction) are carried on
 reports as annotations, never as checks.
+
+Each family serves one moment set (Python floats and bools) or a grid of
+them from ``measure_all`` over a grid of times, where each check's value,
+margin and pass flag and each report's verdict are arrays over the grid.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
@@ -59,7 +65,7 @@ class ConditionReport:
 
     @property
     def verdict(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return reduce(operator.and_, (c.passed for c in self.checks), True)
 
     @property
     def margins(self) -> dict[str, float]:

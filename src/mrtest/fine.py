@@ -6,6 +6,8 @@ Two routes:
                         is the single free parameter; each outcome's
                         nonnegativity gives a one-sided bound on it, so
                         feasibility reduces to a closed-form interval test.
+                        Its bounds, ``d_bounds``, broadcast over a grid of
+                        moment sets.
 * ``lp_feasibility`` -- three or four times.  Phase-1 simplex over the
                         outcome weights with equality rows for
                         normalization, averages and pair correlators.
@@ -46,31 +48,27 @@ class FeasibilityResult:
         }
 
 
+_OUTCOMES3 = outcomes(3)
+_PARITY3 = np.array([s[0] * s[1] * s[2] for s in _OUTCOMES3], dtype=float)
+
+
 def _expansion_base(m: MomentSet) -> tuple[list[Outcome], np.ndarray, np.ndarray]:
-    """Per-outcome triple-free expansion value E(s) and parity s1*s2*s3,
-    where p(s) = (E(s) + parity * D) / 8."""
-    outs = outcomes(3)
-    e = np.empty(8)
-    parity = np.empty(8)
-    for k, s in enumerate(outs):
-        e[k] = (
-            1.0
-            + s[0] * m.averages[0]
-            + s[1] * m.averages[1]
-            + s[2] * m.averages[2]
-            + s[0] * s[1] * m.corr(0, 1)
-            + s[1] * s[2] * m.corr(1, 2)
-            + s[0] * s[2] * m.corr(0, 2)
-        )
-        parity[k] = s[0] * s[1] * s[2]
-    return outs, e, parity
+    """Per-outcome triple-free expansion value E(s), shape ``(8,) + batch``,
+    and parity s1*s2*s3, where p(s) = (E(s) + parity * D) / 8."""
+    a1, a2, a3 = m.averages
+    c12, c23, c13 = m.corr(0, 1), m.corr(1, 2), m.corr(0, 2)
+    e = np.array([
+        1.0 + s1 * a1 + s2 * a2 + s3 * a3 + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
+        for s1, s2, s3 in _OUTCOMES3
+    ])
+    return _OUTCOMES3, e, _PARITY3
 
 
 def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
     """Three-time joint table from the moment expansion at triple
     correlator value d (must be nonnegative to validate)."""
-    outs, e, parity = _expansion_base(m)
-    weights = {s: (e[k] + parity[k] * d) / 8.0 for k, s in enumerate(outs)}
+    _, e, parity = _expansion_base(m)
+    weights = ((e + parity * d) / 8.0).reshape(2, 2, 2)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
 
 
@@ -81,11 +79,19 @@ def _require_three_time_no_triple(m: MomentSet, op: str) -> None:
         raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
+def d_bounds(m: MomentSet):
+    """Bounds (lo, hi) on the unmeasured triple correlator of a three-time
+    moment set: outcomes with positive parity force D >= -E(s), negative
+    parity force D <= E(s).  Floats, or arrays over the grid of ``m``."""
+    _require_three_time_no_triple(m, "d_bounds")
+    _, e, parity = _expansion_base(m)
+    return (-e[parity > 0]).max(axis=0), e[parity < 0].min(axis=0)
+
+
 def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility for three times.
 
-    Outcomes with positive parity force D >= -E(s), negative parity force
-    D <= E(s); a joint distribution exists iff the resulting interval is
+    A joint distribution exists iff the interval ``d_bounds(m)`` is
     nonempty.  The width hi - lo is twice the smallest LG2/LG3 margin, so
     the interval counts as infeasible only when it is empty by more than
     2*epsilon: the verdict equals ``mr_weak(m, epsilon).verdict``, and a
@@ -95,9 +101,7 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     clipped at 0 and the table renormalised, as ``lp_feasibility`` does.
     """
     _require_three_time_no_triple(m, "d_interval")
-    outs, e, parity = _expansion_base(m)
-    lo = float((-e[parity > 0]).max())
-    hi = float(e[parity < 0].min())
+    lo, hi = map(float, d_bounds(m))
     width = hi - lo
     slack = 2.0 * epsilon
     marginal = " (marginal)" if abs(width) <= slack else ""
@@ -114,11 +118,10 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     if width >= 0.0:
         table = triple_expansion_table(m, mid)
     else:
+        _, e, parity = _expansion_base(m)
         w = np.maximum((e + parity * mid) / 8.0, 0.0)
         w /= w.sum()
-        table = ProbabilityTable(
-            kind="joint", time_indices=(0, 1, 2), weights={s: float(x) for s, x in zip(outs, w)}
-        )
+        table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=w.reshape(2, 2, 2))
     return FeasibilityResult(
         feasible=True,
         d_interval=(lo, hi),
@@ -194,17 +197,10 @@ def _phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _moment_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray, list[Outcome]]:
-    n = m.n_times
-    outs = outcomes(n)
-    rows = [np.ones(len(outs))]
-    rhs = [1.0]
-    for i in range(n):
-        rows.append(np.array([float(o[i]) for o in outs]))
-        rhs.append(m.averages[i])
-    for k, (i, j) in enumerate(m.pairs):
-        rows.append(np.array([float(o[i] * o[j]) for o in outs]))
-        rhs.append(m.correlators[k])
-    return np.vstack(rows), np.array(rhs), outs
+    outs = outcomes(m.n_times)
+    signs = np.array(outs, dtype=float).T
+    rows = [np.ones(len(outs)), *signs, *(signs[i] * signs[j] for i, j in m.pairs)]
+    return np.vstack(rows), np.array([1.0, *m.averages, *m.correlators]), outs
 
 
 def lp_feasibility(m: MomentSet) -> FeasibilityResult:
@@ -216,7 +212,7 @@ def lp_feasibility(m: MomentSet) -> FeasibilityResult:
     """
     if m.n_times not in (3, 4):
         raise ValidationError(f"lp_feasibility: need 3 or 4 times, got {m.n_times}")
-    a_eq, b_eq, outs = _moment_rows(m)
+    a_eq, b_eq, _ = _moment_rows(m)
     objective, x = _phase1_simplex(a_eq, b_eq)
     marginal = " (marginal)" if 0.1 * TOL.feasibility < objective < 10.0 * TOL.feasibility else ""
     if objective > TOL.feasibility:
@@ -226,11 +222,7 @@ def lp_feasibility(m: MomentSet) -> FeasibilityResult:
         )
     x = np.maximum(x, 0.0)
     x /= x.sum()
-    table = ProbabilityTable(
-        kind="joint",
-        time_indices=tuple(range(m.n_times)),
-        weights={o: float(w) for o, w in zip(outs, x)},
-    )
+    table = ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=x.reshape((2,) * m.n_times))
     return FeasibilityResult(
         feasible=True,
         witness_table=table,

@@ -12,23 +12,23 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from .errors import InputFormatError, ValidationError
-from .fine import d_interval
+from .fine import d_bounds, d_interval
 from .measurement import (
     _JSON_NUMBERS,
+    SIGNS,
     MomentSet,
     measure_all,
-    outcomes,
     pair_set,
     sequential_moments,
     witness,
 )
-from .quantum import QuantumModel, eig_hermitian, _evolve_from_eig
+from .quantum import QuantumModel, check_times, eig_hermitian, _evolve_from_eig
 from .tolerances import TOL
 
 SWEEP_PARAMETERS = ("tau", "t2", "t3", "omega")
@@ -256,8 +256,10 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One sweep grid point: the parameter value plus every quantity the
-    sweep's output list asked for."""
+    """Sweep grid points: the parameter value plus every quantity the
+    sweep's output list asked for.  A point record holds floats and bools;
+    a block record from ``sweep_blocks`` holds arrays over consecutive grid
+    points in the same fields."""
 
     parameter_value: float
     moments: MomentSet
@@ -267,103 +269,113 @@ class RunRecord:
     verdicts: dict[str, bool]
 
 
-def _point_record(
-    model: QuantumModel, value: float, outputs: Sequence[str], epsilon: float
-) -> RunRecord:
-    n = model.n_times
-    tables = measure_all(model)
-    moments = tables.moments
+#: bytes of complex work arrays one sweep block may use; fixes the block
+#: size, so a sweep's memory stays bounded whatever its number of steps
+SWEEP_BLOCK_BYTES = 1 << 24
 
-    margins: dict[str, float] = {}
-    verdicts: dict[str, bool] = {}
+
+def _block_record(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilon: float) -> RunRecord:
+    n, outputs = spec.model.n_times, spec.outputs
+    # exp(-i omega H t) = V exp(-i omega lambda t) V^dag: omega scales the evolution times
+    tables = measure_all(spec.model, values[:, None] * times if spec.parameter == "omega" else times)
+    margins, verdicts = {}, {}
     if "margins" in outputs or "verdicts" in outputs:
-        weak = mr_weak(moments, epsilon)
-        verdicts["verdict_weak"] = weak.verdict
-        margins.update(weak.margins)
+        reports = {"weak": mr_weak(tables.moments, epsilon)}
         if n == 3:
-            mint = mr_int(tables, epsilon)
-            strong = mr_strong(tables, epsilon)
-            verdicts["verdict_int"] = mint.verdict
-            verdicts["verdict_strong"] = strong.verdict
-            for rep in (mint, strong):
-                margins.update(rep.margins)
-        else:
+            reports.update(int=mr_int(tables, epsilon), strong=mr_strong(tables, epsilon))
+        for name, report in reports.items():
+            verdicts[f"verdict_{name}"] = report.verdict
+            margins.update(report.margins)
+        if n == 4:
             margins.update(nsit_pairwise(tables, epsilon).margins)
-
-    witnesses: dict[str, float] = {}
+    witnesses = {}
     if "witness" in outputs:
-        for i, j in pair_set(n):
-            witnesses[f"W_{i + 1}{j + 1}"] = witness(tables.pairs[(i, j)], tables.singles[j])
-
-    interval = None
-    if "d_interval" in outputs and n == 3:
-        interval = d_interval(moments, epsilon).d_interval
-
+        witnesses = {f"W_{i + 1}{j + 1}": witness(tables.pairs[(i, j)], tables.singles[j]) for i, j in pair_set(n)}
     return RunRecord(
-        parameter_value=value,
-        moments=moments,
+        parameter_value=values,
+        moments=tables.moments,
         margins=margins,
         witnesses=witnesses,
-        interval=interval,
+        interval=d_bounds(tables.moments) if "d_interval" in outputs else None,
         verdicts=verdicts,
     )
 
 
+def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[RunRecord]:
+    """The sweep as block records, computed lazily one block at a time.
+
+    The measurement times of the whole grid are built and checked once, up
+    front.  Each block then measures the one template model at its slice of
+    the grid, so the sweep shares one eigendecomposition of H.  A block
+    holds as many points as fit ``SWEEP_BLOCK_BYTES`` at about
+    32 d^2 (2^n + 4n) bytes of states and projectors per point.
+    """
+    model, values = spec.model, spec.grid
+    times = np.tile(np.array(model.times), (len(values), 1))
+    if spec.parameter == "tau":
+        times = times[:, :1] + np.arange(model.n_times) * values[:, None]
+    elif spec.parameter in ("t2", "t3"):
+        times[:, int(spec.parameter[1]) - 1] = values
+    times = check_times(times)
+    size = max(1, SWEEP_BLOCK_BYTES // (32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)))
+    # a lazy map, not a generator, which bench/tracer.py would count once per block
+    return map(
+        lambda k: _block_record(spec, values[k : k + size], times[k : k + size], epsilon),
+        range(0, len(values), size),
+    )
+
+
 def run_sweep(spec: SweepSpec, epsilon: float = TOL.verdict) -> list[RunRecord]:
-    return [
-        _point_record(apply_parameter(spec.model, spec.parameter, float(v)), float(v), spec.outputs, epsilon)
-        for v in spec.grid
-    ]
+    """One point record per grid value, read off the block records."""
+    records = []
+    for block in sweep_blocks(spec, epsilon):
+        m = block.moments
+        for k, value in enumerate(block.parameter_value.tolist()):
+            records.append(RunRecord(
+                parameter_value=value,
+                moments=MomentSet(averages=[a[k] for a in m.averages], correlators=[c[k] for c in m.correlators]),
+                margins={name: col[k].item() for name, col in block.margins.items()},
+                witnesses={name: col[k].item() for name, col in block.witnesses.items()},
+                interval=None if block.interval is None else tuple(x[k].item() for x in block.interval),
+                verdicts={name: col[k].item() for name, col in block.verdicts.items()},
+            ))
+    return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def sweep_csv_lines(spec: SweepSpec, records: Sequence[RunRecord]) -> list[str]:
+def sweep_csv_lines(spec: SweepSpec, records: Iterable[RunRecord]) -> list[str]:
     """Deterministic CSV: '.' decimals, 17 significant digits, verdicts as
-    1/0, columns fixed by the outputs list (in its given order)."""
+    1/0, columns fixed by the outputs list (in its given order).  Takes
+    point records from ``run_sweep`` or block records from ``sweep_blocks``."""
     n = spec.model.n_times
-    if not records:
-        raise ValidationError("sweep produced no records")
-    first = records[0]
-    header: list[str] = [spec.parameter]
-    for group in spec.outputs:
-        if group == "averages":
-            header += [f"avg_{i + 1}" for i in range(n)]
-        elif group == "correlators":
-            header += [f"C_{i + 1}{j + 1}" for i, j in pair_set(n)]
-        elif group == "margins":
-            header += list(first.margins)
-        elif group == "witness":
-            header += list(first.witnesses)
-        elif group == "d_interval":
-            header += ["d_lo", "d_hi"]
-        elif group == "verdicts":
-            header += list(first.verdicts)
-    lines = [",".join(header)]
+    lines: list[str] = []
     for rec in records:
-        row: list[str] = [_fmt(rec.parameter_value)]
+        groups = {
+            "averages": {f"avg_{i + 1}": a for i, a in enumerate(rec.moments.averages)},
+            "correlators": {f"C_{i + 1}{j + 1}": c for (i, j), c in zip(pair_set(n), rec.moments.correlators)},
+            "margins": rec.margins,
+            "witness": rec.witnesses,
+            "d_interval": dict(zip(("d_lo", "d_hi"), rec.interval or (float("nan"),) * 2)),
+            "verdicts": rec.verdicts,
+        }
+        columns = {spec.parameter: rec.parameter_value}
         for group in spec.outputs:
-            if group == "averages":
-                row += [_fmt(a) for a in rec.moments.averages]
-            elif group == "correlators":
-                row += [_fmt(c) for c in rec.moments.correlators]
-            elif group == "margins":
-                row += [_fmt(rec.margins[k]) for k in first.margins]
-            elif group == "witness":
-                row += [_fmt(rec.witnesses[k]) for k in first.witnesses]
-            elif group == "d_interval":
-                lo, hi = rec.interval if rec.interval is not None else (float("nan"), float("nan"))
-                row += [_fmt(lo), _fmt(hi)]
-            elif group == "verdicts":
-                row += ["1" if rec.verdicts[k] else "0" for k in first.verdicts]
-        lines.append(",".join(row))
+            columns.update(groups[group])
+        if not lines:
+            lines.append(",".join(columns))
+        row = ",".join("%d" if name in rec.verdicts else "%.17g" for name in columns)
+        lines += [row % values for values in zip(*(np.ravel(c).tolist() for c in columns.values()))]
+    if not lines:
+        raise ValidationError("sweep produced no records")
     return lines
 
 
-def write_sweep_csv(spec: SweepSpec, records: Sequence[RunRecord], path) -> None:
-    Path(path).write_text("\n".join(sweep_csv_lines(spec, records)) + "\n")
+def write_sweep_csv(spec: SweepSpec, records: Iterable[RunRecord], path) -> None:
+    """Write the CSV of ``sweep_csv_lines`` one record at a time, so block
+    records from ``sweep_blocks`` stream through in bounded memory."""
+    with open(path, "w") as fh:
+        for k, rec in enumerate(records):
+            lines = sweep_csv_lines(spec, [rec])
+            fh.write("\n".join(lines[1:] if k else lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +423,6 @@ def sample_model(
 
     gaps = rng.uniform(0.3, 1.2, size=n_times - 1)
     times = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
-    t1 = times[0]
 
     if rho_mode == "maximally_mixed":
         rho = np.eye(dim, dtype=complex) / dim
@@ -419,18 +430,13 @@ def sample_model(
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = _hermitize(z @ z.conj().T)
         rho /= np.trace(rho).real
+        # t1 = 0, so Q(t1) = Q
         if rho_mode == "plus_eigenspace":
-            lam, vec = eig_hermitian(h)
-            u1 = _evolve_from_eig(lam, vec, t1)
-            q1 = u1.conj().T @ q @ u1
-            p_plus = 0.5 * (np.eye(dim) + q1)
+            p_plus = 0.5 * (np.eye(dim) + q)
             rho = _hermitize(p_plus @ rho @ p_plus)
             rho /= np.trace(rho).real
         elif rho_mode == "q1_diagonal":
-            lam, vec = eig_hermitian(h)
-            u1 = _evolve_from_eig(lam, vec, t1)
-            q1 = _hermitize(u1.conj().T @ q @ u1)
-            _, v = eig_hermitian(q1)
+            _, v = eig_hermitian(q)
             w = rng.uniform(0.05, 1.0, size=dim)
             w /= w.sum()
             rho = _hermitize(v @ np.diag(w) @ v.conj().T)
@@ -503,7 +509,6 @@ def _campaign_sample(
     summary: CampaignSummary, index: int, rng: np.random.Generator, dim: int, epsilon: float
 ) -> None:
     model = sample_model(rng, dim)
-    n = model.n_times
     tables = measure_all(model)
     moments = tables.moments
 
@@ -511,19 +516,13 @@ def _campaign_sample(
         summary.record(name, index, dim, float(residual), tol)
 
     # dichotomy and expectation range of evolved observables
-    dich = max(
-        float(np.linalg.norm(model.observable_at(i) @ model.observable_at(i) - np.eye(dim)))
-        for i in range(n)
-    )
-    rec("dichotomy_preserved", dich, TOL.structural)
+    q = model.spectral()[1]
+    rec("dichotomy_preserved", np.linalg.norm(q @ q - np.eye(dim), axis=(-2, -1)).max(), TOL.structural)
     rec("expectation_range", max(abs(a) for a in moments.averages) - 1.0, TOL.structural)
 
     # unitary group property on a random time pair
     ta, tb = rng.uniform(-10.0, 10.0, size=2)
-    lam, vec = model.hamiltonian_eig()
-    ua = _evolve_from_eig(lam, vec, float(ta))
-    ub = _evolve_from_eig(lam, vec, float(tb))
-    uab = _evolve_from_eig(lam, vec, float(ta + tb))
+    ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig(), [ta, tb, ta + tb])
     rec("unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9)
 
     # p - q = T*s2, witness identities, bounded interference, quasi marginals
@@ -533,44 +532,31 @@ def _campaign_sample(
         # commutator form <[Q_i, Q_j] Q_i> = <Q_i Q_j Q_i - Q_j>, traced once for T and W
         commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
         t_op = commutator / 8.0
-        resid = max(abs(p.weight(o) - quasi.weight(o) - t_op * o[1]) for o in outcomes(2))
-        rec("p_minus_q_identity", resid, TOL.scalar)
+        rec("p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar)
 
         w_res = witness(p, tables.singles[j])
         w_op = abs(commutator) / 4.0
         rec("witness_formula_agreement", abs(w_res - w_op), TOL.scalar)
         rec("witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar)
 
-        if 0.5 * w_op <= min(p.weights.values()):
-            rec("bounded_interference_nonneg", -min(quasi.weights.values()), TOL.scalar)
+        if 0.5 * w_op <= p.weights.min():
+            rec("bounded_interference_nonneg", -quasi.weights.min(), TOL.scalar)
 
-        marg = max(
-            max(abs(quasi.marginal(j).weight(o) - tables.singles[i].weight(o)) for o in outcomes(1)),
-            max(abs(quasi.marginal(i).weight(o) - tables.singles[j].weight(o)) for o in outcomes(1)),
-        )
-        rec("quasi_marginals", marg, TOL.scalar)
+        marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max() for a, b in ((i, j), (j, i))]
+        rec("quasi_marginals", max(marg), TOL.scalar)
 
-        rec(
-            "piecewise_equals_quasi_correlator",
-            abs(moments.corr(i, j) - quasi.moment((0, 1))),
-            TOL.scalar,
-        )
+        rec("piecewise_equals_quasi_correlator", abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar)
 
     # marginalizing the last measured time reproduces the shorter run
     last = tables.chain.time_indices[-1]
     shorter = tables.pairs.get(tuple(tables.chain.time_indices[:-1]))
     if shorter is not None:
-        marg = tables.chain.marginal(last)
-        resid = max(abs(marg.weight(o) - shorter.weight(o)) for o in outcomes(n - 1))
+        resid = np.abs(tables.chain.marginal(last).weights - shorter.weights).max()
         rec("sequential_last_marginal", resid, TOL.scalar)
 
     # contextual values stay in range (validated on construction; residual 0)
     ctx = sequential_moments(tables)
-    rec(
-        "contextual_in_range",
-        max(abs(v) for v in ctx.contextual.values()) - 1.0,
-        TOL.scalar,
-    )
+    rec("contextual_in_range", max(abs(v) for v in ctx.contextual.values()) - 1.0, TOL.scalar)
 
     # implication chain; weak verdict must match joint feasibility end to end
     weak = mr_weak(moments, epsilon)

@@ -34,6 +34,9 @@ TABLE_KINDS = ("single", "sequential", "quasi", "joint")
 #: signs of a dichotomic outcome, in serialization order (-1 before +1)
 SIGNS = (-1, +1)
 
+#: position of each sign on a table's outcome axis
+_SIGN_INDEX = {-1: 0, +1: 1}
+
 
 def outcomes(arity: int) -> list[Outcome]:
     """All outcome tuples in {-1,+1}^arity, lexicographic with -1 first."""
@@ -56,39 +59,43 @@ def outcome_from_key(key: str) -> Outcome:
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Map from outcome tuples in {-1,+1}^k to real weights.
-
-    ``kind`` fixes the validation class: "single"/"sequential"/"joint"
-    weights must be nonnegative (down to -1e-12 rounding slack), "quasi"
-    weights may be negative but stay within [-1, 1] up to slack.  All kinds
-    must sum to 1.
+    """Real weights on the outcomes {-1,+1}^k as a float array of shape
+    ``batch + (2,)*k``, index 0 for s = -1: one table per grid point of
+    ``batch``, which is empty for a single table (that may also be given as
+    a map from outcome tuples to weights).  ``kind`` fixes the validation
+    class: "single"/"sequential"/"joint" weights must be nonnegative (down
+    to -1e-12 rounding slack), "quasi" weights may be negative but stay
+    within [-1, 1] up to slack.  Every table must sum to 1.
     """
 
     kind: str
     time_indices: tuple[int, ...]
-    weights: Mapping[Outcome, float]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in TABLE_KINDS:
             raise ValidationError(f"table kind must be one of {TABLE_KINDS}, got {self.kind!r}")
         idx = tuple(int(i) for i in self.time_indices)
-        if not (1 <= len(idx) <= 4):
-            raise ValidationError(f"table arity must be 1-4, got {len(idx)}")
-        expected = outcomes(len(idx))
-        w = {tuple(k): float(v) for k, v in self.weights.items()}
-        if sorted(w) != sorted(expected):
+        k = len(idx)
+        if not (1 <= k <= 4):
+            raise ValidationError(f"table arity must be 1-4, got {k}")
+        w = self.weights
+        if isinstance(w, Mapping):
+            given = {tuple(o): v for o, v in w.items()}
+            w = np.reshape([given[o] for o in outcomes(k)], (2,) * k) if sorted(given) == outcomes(k) else ()
+        w = np.asarray(w, dtype=float)
+        if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
-        total = sum(w.values())
-        if abs(total - 1.0) > TOL.scalar:
-            raise ValidationError(f"table weights must sum to 1, got {total!r}")
+        total = w.sum(axis=tuple(range(-k, 0)))
+        off = ~(np.abs(total - 1.0) <= TOL.scalar)
+        if off.any():
+            raise ValidationError(f"table weights must sum to 1, got {float(total[off].flat[0])!r}")
         if self.kind == "quasi":
-            bad = [v for v in w.values() if not (-1 - TOL.structural <= v <= 1 + TOL.structural)]
-            if bad:
-                raise ValidationError(f"quasi weight out of [-1, 1]: {bad[0]!r}")
-        else:
-            neg = [v for v in w.values() if v < -TOL.scalar]
-            if neg:
-                raise ValidationError(f"{self.kind} table weight negative: {min(neg)!r}")
+            bad = w[~((-1 - TOL.structural <= w) & (w <= 1 + TOL.structural))]
+            if bad.size:
+                raise ValidationError(f"quasi weight out of [-1, 1]: {float(bad[0])!r}")
+        elif w.min() < -TOL.scalar:
+            raise ValidationError(f"{self.kind} table weight negative: {float(w.min())!r}")
         object.__setattr__(self, "time_indices", idx)
         object.__setattr__(self, "weights", w)
 
@@ -96,14 +103,20 @@ class ProbabilityTable:
     def arity(self) -> int:
         return len(self.time_indices)
 
-    def weight(self, outcome: Outcome) -> float:
-        return self.weights[tuple(outcome)]
+    def weight(self, outcome: Outcome):
+        """The weight of one outcome: a float, or an array over the grid."""
+        w = self.weights[(...,) + tuple(_SIGN_INDEX[s] for s in outcome)]
+        return w if w.ndim else float(w)
 
-    def moment(self, positions: Iterable[int]) -> float:
+    def moment(self, positions: Iterable[int]):
         """Expectation of the product of outcome signs at the given
-        positions (positions index into the tuple, not into model times)."""
-        pos = tuple(positions)
-        return sum(w * float(np.prod([o[p] for p in pos])) for o, w in self.weights.items())
+        positions (positions index into the tuple, not into model times):
+        a float, or an array over the grid."""
+        pos = set(positions)
+        w = self.weights
+        for p in reversed(range(self.arity)):
+            w = w[..., 1] - w[..., 0] if p in pos else w[..., 0] + w[..., 1]
+        return w if w.ndim else float(w)
 
     def marginal(self, time_index: int) -> "ProbabilityTable":
         """Sum out the measurement at the given model time index."""
@@ -111,17 +124,16 @@ class ProbabilityTable:
             raise ValidationError(f"time index {time_index} not in table {self.time_indices}")
         pos = self.time_indices.index(time_index)
         kept = tuple(i for i in self.time_indices if i != time_index)
-        acc: dict[Outcome, float] = {o: 0.0 for o in outcomes(len(kept))}
-        for o, w in self.weights.items():
-            acc[o[:pos] + o[pos + 1 :]] += w
-        return ProbabilityTable(kind=self.kind, time_indices=kept, weights=acc)
+        return ProbabilityTable(
+            kind=self.kind, time_indices=kept, weights=self.weights.sum(axis=pos - self.arity)
+        )
 
     def to_jsonable(self) -> dict:
         return {
             "arity": self.arity,
             "times": [i + 1 for i in self.time_indices],
             "kind": self.kind,
-            "weights": {outcome_key(o): self.weights[o] for o in outcomes(self.arity)},
+            "weights": dict(zip(map(outcome_key, outcomes(self.arity)), self.weights.ravel().tolist())),
         }
 
     @classmethod
@@ -147,13 +159,29 @@ def pair_set(n_times: int) -> tuple[tuple[int, int], ...]:
     raise ValidationError(f"moment sets are defined for 3 or 4 times, got {n_times}")
 
 
+def _unit_values(label: str, values) -> tuple:
+    """Python floats, or float arrays over a grid if any value is an array,
+    each checked to lie in [-1, 1] up to TOL.scalar."""
+    if any(isinstance(x, np.ndarray) for x in values):
+        vals = tuple(np.asarray(x, dtype=float) for x in values)
+        bad = [float(b[0]) for b in (x[~(np.abs(x) <= 1 + TOL.scalar)] for x in vals) if b.size]
+    else:
+        vals = tuple(float(x) for x in values)
+        bad = [x for x in vals if not (-1 - TOL.scalar <= x <= 1 + TOL.scalar)]
+    if bad:
+        raise ValidationError(f"{label} out of [-1, 1]: {bad[0]!r}")
+    return vals
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Averages <Q_i> and pair correlators C_ij, optional triple correlator.
 
     The pair set is fixed by the number of times (3 or 4); the triple
     correlator is the s1*s2*s3 coefficient and stays ``None`` for piecewise
-    protocols, which never measure it.
+    protocols, which never measure it.  The averages and correlators are
+    floats, or arrays over a grid when the set comes from ``measure_all``
+    with a grid of times.
     """
 
     averages: tuple[float, ...]
@@ -161,17 +189,13 @@ class MomentSet:
     triple: float | None = None
 
     def __post_init__(self) -> None:
-        avg = tuple(float(x) for x in self.averages)
-        corr = tuple(float(x) for x in self.correlators)
+        avg = _unit_values("average", self.averages)
+        corr = _unit_values("correlator", self.correlators)
         pairs = pair_set(len(avg))
         if len(corr) != len(pairs):
             raise ValidationError(
                 f"need {len(pairs)} correlators for {len(avg)} times, got {len(corr)}"
             )
-        for label, vals in (("average", avg), ("correlator", corr)):
-            for x in vals:
-                if not (-1 - TOL.scalar <= x <= 1 + TOL.scalar):
-                    raise ValidationError(f"{label} out of [-1, 1]: {x!r}")
         if self.triple is not None and not (-1 - TOL.scalar <= self.triple <= 1 + TOL.scalar):
             raise ValidationError(f"triple correlator out of [-1, 1]: {self.triple!r}")
         object.__setattr__(self, "averages", avg)
@@ -279,12 +303,24 @@ class ContextualMoments:
 # measurement operations
 
 
+def _sequential_weights(proj: np.ndarray, rho: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """Weights of chained projective measurements at the time indices idx,
+    for projector pairs ``proj`` of shape ``batch + (n, 2, d, d)``: the
+    state update per outcome is rho -> P rho P, one outcome axis per
+    measurement, and each weight is the trace of the final state,
+    Tr(P rho P) = Tr(P rho) for the last projector."""
+    state = rho
+    for depth, i in enumerate(idx):
+        p = proj[..., i, :, :, :]
+        p = p.reshape(p.shape[:-3] + (1,) * depth + p.shape[-3:])
+        if depth == len(idx) - 1:
+            return np.einsum("...ij,...ji->...", p, state[..., None, :, :]).real
+        state = p @ state[..., None, :, :] @ p
+
+
 def single_time_prob(model: QuantumModel, i: int) -> ProbabilityTable:
     """p(s) = Tr(P_s(t_i) rho) = (1 + s <Q(t_i)>)/2."""
-    model.check_time_index(i)
-    weights = {
-        (s,): expectation(model.rho, model.projector_at(i, s)) for s in SIGNS
-    }
+    weights = expectation(model.rho, model.spectral()[2][model.check_time_index(i)])
     return ProbabilityTable(kind="single", time_indices=(i,), weights=weights)
 
 
@@ -301,21 +337,14 @@ def sequential_prob(model: QuantumModel, subset: Sequence[int]) -> ProbabilityTa
         raise ValidationError(f"sequential_prob: subset must be strictly increasing, got {idx}")
     for i in idx:
         model.check_time_index(i)
-
-    weights: dict[Outcome, float] = {}
-    # depth-first branch over outcomes, reusing the partial conditioned states
-    stack: list[tuple[Outcome, np.ndarray]] = [((), model.rho)]
-    while stack:
-        prefix, state = stack.pop()
-        depth = len(prefix)
-        if depth == len(idx):
-            tr = np.trace(state)
-            weights[prefix] = float(tr.real)
-            continue
-        for s in SIGNS:
-            p = model.projector_at(idx[depth], s)
-            stack.append((prefix + (s,), p @ state @ p))
+    weights = _sequential_weights(model.spectral()[2], model.rho, idx)
     return ProbabilityTable(kind="sequential", time_indices=idx, weights=weights)
+
+
+def _quasi_weights(proj: np.ndarray, rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    p1 = proj[..., i, :, None, :, :]
+    p2 = proj[..., j, None, :, :, :]
+    return 0.5 * expectation(rho, p2 @ p1 + p1 @ p2)
 
 
 def quasi_prob2(model: QuantumModel, i: int, j: int) -> ProbabilityTable:
@@ -327,15 +356,8 @@ def quasi_prob2(model: QuantumModel, i: int, j: int) -> ProbabilityTable:
     """
     if not i < j:
         raise ValidationError(f"quasi_prob2: need i < j, got ({i}, {j})")
-    model.check_time_index(i)
-    model.check_time_index(j)
-    weights: dict[Outcome, float] = {}
-    for s1 in SIGNS:
-        p1 = model.projector_at(i, s1)
-        for s2 in SIGNS:
-            p2 = model.projector_at(j, s2)
-            sym = p2 @ p1 + p1 @ p2
-            weights[(s1, s2)] = 0.5 * expectation(model.rho, sym)
+    proj = model.spectral()[2]
+    weights = _quasi_weights(proj, model.rho, model.check_time_index(i), model.check_time_index(j))
     return ProbabilityTable(kind="quasi", time_indices=(i, j), weights=weights)
 
 
@@ -447,14 +469,32 @@ class TableSet:
         return len(self.singles)
 
 
-def measure_all(model: QuantumModel) -> TableSet:
+def measure_all(model: QuantumModel, times=None) -> TableSet:
     """Every table of a 3- or 4-time model: single-time, sequential pair,
-    full sequential chain and quasi-probability, plus the piecewise moments."""
+    full sequential chain and quasi-probability, plus the piecewise moments.
+
+    ``times`` (shape ``batch + (n,)``) replaces the model's own times with a
+    grid of evolution times; every table and moment then carries the grid
+    axes ``batch``.  The times are used as given (see
+    ``QuantumModel.spectral``), so a caller passing a grid checks it first.
+    """
     n = model.n_times
-    singles = tuple(single_time_prob(model, i) for i in range(n))
-    pairs = {p: sequential_prob(model, p) for p in pair_set(n)}
-    chain = sequential_prob(model, tuple(range(n)))
-    quasi = {p: quasi_prob2(model, *p) for p in pair_set(n)}
+    proj = model.spectral(times)[2]
+    rho = model.rho
+    single = expectation(rho, proj)
+    singles = tuple(
+        ProbabilityTable(kind="single", time_indices=(i,), weights=single[..., i, :]) for i in range(n)
+    )
+    pairs = {
+        p: ProbabilityTable(kind="sequential", time_indices=p, weights=_sequential_weights(proj, rho, p))
+        for p in pair_set(n)
+    }
+    every = tuple(range(n))
+    chain = ProbabilityTable(kind="sequential", time_indices=every, weights=_sequential_weights(proj, rho, every))
+    quasi = {
+        p: ProbabilityTable(kind="quasi", time_indices=p, weights=_quasi_weights(proj, rho, *p))
+        for p in pair_set(n)
+    }
     moments = MomentSet(
         averages=tuple(t.moment((0,)) for t in singles),
         correlators=tuple(pairs[p].moment((0, 1)) for p in pair_set(n)),

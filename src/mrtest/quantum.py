@@ -8,8 +8,12 @@ them stays unitary up to rounding.
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
 construction, and memoizes the spectral data the measurement layer needs:
-the unitary evolution U(t_i) generated by H (hbar = 1), the
-Heisenberg-picture observable Q(t_i) and its two spectral projectors.
+the unitary evolution U(t) generated by H (hbar = 1), the
+Heisenberg-picture observable Q(t) and its two spectral projectors.  H is
+diagonalised once per model; ``spectral`` then evaluates all three for a
+whole array of times, so a sweep over a grid of times, or over a scale
+omega of H (exp(-i omega H t) = V exp(-i omega lambda t) V^dag), reuses
+that one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -46,12 +50,27 @@ def require_hermitian(a: np.ndarray, *, name: str = "matrix", tol: float = TOL.s
 
 
 def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
-    """Observable must square to the identity (eigenvalues +1/-1)."""
-    dev = np.linalg.norm(q @ q - np.eye(q.shape[0]))
+    """Observable must square to the identity (eigenvalues +1/-1); a stack
+    of observables is checked matrix by matrix."""
+    dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
     if dev > TOL.structural:
         raise InvalidObservableError(
             f"{name}: not dichotomic, ||Q^2 - I|| = {dev:.3e} > {TOL.structural:.0e}"
         )
+
+
+def check_times(times) -> np.ndarray:
+    """Times as a float array: a row of 2-4 finite, non-decreasing times
+    per grid point, or one row for one model."""
+    t = np.asarray(times, dtype=float)
+    if not (2 <= t.shape[-1] <= 4):
+        raise ValidationError(f"times: need 2-4 measurement times, got {t.shape[-1]}")
+    if not np.isfinite(t).all():
+        raise ValidationError("times: entries must be finite")
+    bad = (np.diff(t, axis=-1) < 0).any(axis=-1)
+    if bad.any():
+        raise ValidationError(f"times: must be non-decreasing, got {tuple(t[bad][0].tolist())}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +95,31 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 # operations
 
 
-def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t: float) -> np.ndarray:
-    if t == 0.0:
-        return np.eye(vec.shape[0], dtype=complex)
-    phases = np.exp(-1j * lam * t)
-    return (vec * phases) @ vec.conj().T
+def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) from the eigendecomposition of H, for a time or an array
+    of times (shape ``t.shape + (d, d)``); t = 0 gives the exact identity."""
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * lam * t[..., None])
+    u = (vec * phases[..., None, :]) @ vec.conj().T
+    u[t == 0.0] = np.eye(vec.shape[0])
+    return u
 
 
-def expectation(rho, a) -> float:
-    """Real part of Tr(A rho); the imaginary residue must be negligible."""
+def expectation(rho, a):
+    """Real part of Tr(A rho), for one operator A or a stack of them (a float
+    or an array over the leading axes); every imaginary residue must be
+    negligible."""
     rho = np.asarray(rho, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    if rho.shape != a.shape or rho.ndim != 2:
+    if rho.ndim != 2 or a.shape[-2:] != rho.shape:
         raise ValidationError(f"expectation: shape mismatch {a.shape} vs {rho.shape}")
-    val = np.trace(a @ rho)
-    if abs(val.imag) > TOL.scalar:
+    val = np.einsum("...ij,ji->...", a, rho)
+    worst = np.abs(val.imag).max()
+    if worst > TOL.scalar:
         raise ValidationError(
-            f"expectation: imaginary residue {val.imag:.3e} exceeds {TOL.scalar:.0e}"
+            f"expectation: imaginary residue {worst:.3e} exceeds {TOL.scalar:.0e}"
         )
-    return float(val.real)
+    return float(val.real) if val.ndim == 0 else val.real
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +165,7 @@ class QuantumModel:
         lam, _ = eig_hermitian(r)
         if lam[0] < -TOL.psd:
             raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam[0]:.3e})")
-        times = tuple(float(t) for t in self.times)
-        if not (2 <= len(times) <= 4):
-            raise ValidationError(f"times: need 2-4 measurement times, got {len(times)}")
-        if any(not np.isfinite(t) for t in times):
-            raise ValidationError("times: entries must be finite")
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValidationError(f"times: must be non-decreasing, got {times}")
+        times = tuple(check_times(self.times).tolist())
         for arr in (h, r, q):
             arr.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -172,36 +191,33 @@ class QuantumModel:
             self._cache["heig"] = eig_hermitian(self.hamiltonian)
         return self._cache["heig"]
 
+    def spectral(self, times=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U(t), Q(t) and the projector pairs P_s(t) (s = -1, +1) for an array
+        of times, with shapes ``times.shape + (d, d)`` and ``+ (2, d, d)``;
+        ``times=None`` means the model's own times, memoized.  The times are
+        not checked for order (an omega sweep passes omega * t); every Q(t)
+        must stay dichotomic."""
+        if times is None:
+            if "spectral" not in self._cache:
+                self._cache["spectral"] = self.spectral(np.array(self.times))
+            return self._cache["spectral"]
+        u = _evolve_from_eig(*self.hamiltonian_eig(), times)
+        q = np.swapaxes(u.conj(), -1, -2) @ self.observable @ u
+        require_dichotomic(q, name="evolved observable")
+        eye = np.eye(self.dim, dtype=complex)
+        plus = 0.5 * (eye + q)
+        return u, q, np.stack([eye - plus, plus], axis=-3)
+
     def unitary_at(self, i: int) -> np.ndarray:
         """U(t_i) = exp(-i H t_i)."""
-        self.check_time_index(i)
-        key = ("U", i)
-        if key not in self._cache:
-            lam, vec = self.hamiltonian_eig()
-            self._cache[key] = _evolve_from_eig(lam, vec, self.times[i])
-        return self._cache[key]
+        return self.spectral()[0][self.check_time_index(i)]
 
     def observable_at(self, i: int) -> np.ndarray:
-        """Heisenberg observable Q(t_i), memoized per time index."""
-        self.check_time_index(i)
-        key = ("Q", i)
-        if key not in self._cache:
-            u = self.unitary_at(i)
-            qt = u.conj().T @ self.observable @ u
-            require_dichotomic(qt, name="evolved observable")
-            self._cache[key] = qt
-        return self._cache[key]
+        """Heisenberg observable Q(t_i) = U(t_i)^dag Q U(t_i)."""
+        return self.spectral()[1][self.check_time_index(i)]
 
     def projector_at(self, i: int, s: int) -> np.ndarray:
         """Projector onto outcome s of a measurement at time t_i."""
-        self.check_time_index(i)
-        key = ("P", i, s)
-        if key not in self._cache:
-            if s not in (+1, -1):
-                raise ValidationError(f"sign must be +1 or -1, got {s!r}")
-            q = self.observable_at(i)
-            plus = 0.5 * (np.eye(self.dim, dtype=complex) + q)
-            self._cache[("P", i, +1)] = plus
-            self._cache[("P", i, -1)] = np.eye(self.dim, dtype=complex) - plus
-        return self._cache[key]
-
+        if s not in (+1, -1):
+            raise ValidationError(f"sign must be +1 or -1, got {s!r}")
+        return self.spectral()[2][self.check_time_index(i), (s + 1) // 2]

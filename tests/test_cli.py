@@ -77,6 +77,18 @@ class TestSimulate:
         assert "non-decreasing" in capsys.readouterr().err
 
 
+class TestTwoTimeModel:
+    @pytest.mark.parametrize("argv", [["simulate"], *(["check", "--which", w] for w in ("weak", "int", "strong"))])
+    def test_exit_two_names_the_times(self, tmp_path, capsys, argv):
+        p = tmp_path / "two.json"
+        p.write_text(json.dumps(model_to_jsonable(precession_model(times=(0.0, 1.0)))))
+        assert main([*argv, "--model", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} needs a model with 3 or 4 times" in err
+        assert "has 2: (0.0, 1.0)" in err
+        assert "Traceback" not in err
+
+
 class TestCheck:
     def test_weak_pass_exit_zero(self, zero_moments_file, capsys):
         assert main(["check", "--moments", str(zero_moments_file), "--which", "weak"]) == 0
@@ -179,6 +191,23 @@ class TestFine:
         payload = json.loads(capsys.readouterr().out)
         assert "phase-1 objective" in payload["certificate"]
 
+    def test_env_epsilon_exits_like_check_weak(self, tmp_path, capsys, monkeypatch):
+        # LG3.4 margin -5e-7: outside the default epsilon, inside MRTEST_EPSILON = 1e-6
+        p = tmp_path / "edge.json"
+        p.write_text(json.dumps({
+            "n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.5, 0.5, -5e-7], "D": None,
+        }))
+        assert main(["fine", "--moments", str(p)]) == 1
+        monkeypatch.setenv("MRTEST_EPSILON", "1e-6")
+        assert main(["check", "--moments", str(p), "--which", "weak"]) == 0
+        assert main(["fine", "--moments", str(p)]) == 0
+        assert main(["fine", "--moments", str(p), "--epsilon", "1e-9"]) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "-1"])
+    def test_epsilon_flag_must_be_finite_nonnegative(self, zero_moments_file, capsys, value):
+        assert main(["fine", "--moments", str(zero_moments_file), f"--epsilon={value}"]) == 2
+        assert "--epsilon must be a finite number >= 0" in capsys.readouterr().err
+
     def test_triple_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({
@@ -203,6 +232,18 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 51
         assert lines[0].startswith("tau,C_12")
+
+    def test_t2_past_t3_exits_two_naming_the_times(self, tmp_path, capsys):
+        spec = {
+            "model": model_to_jsonable(precession_model()),
+            "parameter": "t2", "from": 0.5, "to": 2.5, "steps": 11,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "times: must be non-decreasing, got (0.0, 2.1, 2.0)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_output_rejected(self, tmp_path, capsys):
         spec = {

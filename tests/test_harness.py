@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from mrtest import harness
+from mrtest.cli import main
+from mrtest.conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from mrtest.errors import InputFormatError, ValidationError
+from mrtest.fine import d_interval
 from mrtest.harness import (
     SweepSpec,
     apply_parameter,
@@ -18,10 +22,11 @@ from mrtest.harness import (
     run_sweep,
     sample_model,
     simulate,
+    sweep_blocks,
     sweep_csv_lines,
     write_sweep_csv,
 )
-from mrtest.measurement import outcomes, sequential_prob, single_time_prob
+from mrtest.measurement import measure_all, outcomes, pair_set, sequential_prob, single_time_prob, witness
 from mrtest.quantum import QuantumModel
 
 from conftest import precession_model
@@ -259,6 +264,120 @@ class TestRunSweep:
         assert "verdict_weak" in header
         assert "verdict_int" not in header and "verdict_strong" not in header
         assert not any(c.startswith("LG3") for c in header)
+
+
+def point_reference(spec: SweepSpec, value: float, epsilon: float = 1e-9) -> dict:
+    """One grid point the per-point way: a new model, its own tables and the
+    scalar conditions and interval."""
+    tables = measure_all(apply_parameter(spec.model, spec.parameter, value))
+    m = tables.moments
+    n = tables.n_times
+    reports = [mr_weak(m, epsilon)]
+    reports += [mr_int(tables, epsilon), mr_strong(tables, epsilon)] if n == 3 else [nsit_pairwise(tables, epsilon)]
+    names = ("verdict_weak", "verdict_int", "verdict_strong") if n == 3 else ("verdict_weak",)
+    return {
+        "averages": m.averages,
+        "correlators": m.correlators,
+        "margins": {k: v for r in reports for k, v in r.margins.items()},
+        "witnesses": {f"W_{i + 1}{j + 1}": witness(tables.pairs[(i, j)], tables.singles[j]) for i, j in pair_set(n)},
+        "interval": d_interval(m, epsilon).d_interval if n == 3 else None,
+        "verdicts": dict(zip(names, (r.verdict for r in reports))),
+    }
+
+
+def _sweep_case(model, parameter, start, stop, steps=23):
+    outputs = ["averages", "correlators", "margins", "witness", "d_interval", "verdicts"]
+    if model.n_times == 4:
+        outputs.remove("d_interval")
+    return SweepSpec(model=model, parameter=parameter, start=start, stop=stop, steps=steps, outputs=tuple(outputs))
+
+
+def _sweep_cases():
+    qubit3, qubit4 = precession_model(), precession_model(times=(0.0, 1.0, 2.0, 3.0))
+    dim3 = sample_model(np.random.default_rng(31), 3)
+    dim3_4 = sample_model(np.random.default_rng(32), 3, 4)
+    dim16 = sample_model(np.random.default_rng(33), 16)
+    cases = {}
+    for label, model in (("qubit3", qubit3), ("qubit4", qubit4), ("dim3", dim3), ("dim3_4t", dim3_4)):
+        t = model.times
+        cases[f"{label}-tau"] = _sweep_case(model, "tau", 0.0, 2 * np.pi)
+        cases[f"{label}-t2"] = _sweep_case(model, "t2", t[0], t[2])
+        cases[f"{label}-t3"] = _sweep_case(model, "t3", t[1], t[-1] + 2.0 if model.n_times == 3 else t[3])
+        cases[f"{label}-omega-crossing-0"] = _sweep_case(model, "omega", -2.0, 3.0, steps=11)
+        cases[f"{label}-omega-negative"] = _sweep_case(model, "omega", -3.0, -0.5)
+    cases["dim16-tau"] = _sweep_case(dim16, "tau", 0.0, 3.0, steps=9)
+    cases["dim16-omega"] = _sweep_case(dim16, "omega", -1.5, 1.5, steps=9)
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+class TestBatchedSweep:
+    """The batched sweep against the per-point path, point by point."""
+
+    @staticmethod
+    def assert_matches_points(spec: SweepSpec) -> None:
+        records = run_sweep(spec)
+        assert [r.parameter_value for r in records] == spec.grid.tolist()
+        for rec in records:
+            ref = point_reference(spec, rec.parameter_value)
+            assert np.abs(np.subtract(rec.moments.averages, ref["averages"])).max() <= 1e-12
+            assert np.abs(np.subtract(rec.moments.correlators, ref["correlators"])).max() <= 1e-12
+            for group in ("margins", "witnesses"):
+                got = getattr(rec, group)
+                assert list(got) == list(ref[group])
+                assert max(abs(got[k] - v) for k, v in ref[group].items()) <= 1e-12
+            if ref["interval"] is None:
+                assert rec.interval is None
+            else:
+                assert np.abs(np.subtract(rec.interval, ref["interval"])).max() <= 1e-12
+            assert rec.verdicts == ref["verdicts"]
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_every_point_matches_the_per_point_path(self, case):
+        spec = SWEEP_CASES[case]
+        if "crossing" in case:
+            assert spec.grid.min() < 0.0 < spec.grid.max() and 0.0 in spec.grid
+        self.assert_matches_points(spec)
+
+    @pytest.mark.parametrize("case", ["qubit3-tau", "dim3_4t-omega-crossing-0"])
+    def test_block_boundaries(self, case, monkeypatch):
+        spec = SWEEP_CASES[case]
+        model = spec.model
+        per_point = 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)
+        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * per_point)
+        blocks = list(sweep_blocks(spec))
+        assert [len(b.parameter_value) for b in blocks] == ([7, 7, 7, 2] if spec.steps == 23 else [7, 4])
+        self.assert_matches_points(spec)
+
+    def test_block_records_give_the_point_csv(self, tmp_path):
+        spec = SWEEP_CASES["qubit3-tau"]
+        a, b = tmp_path / "blocks.csv", tmp_path / "points.csv"
+        write_sweep_csv(spec, sweep_blocks(spec), a)
+        write_sweep_csv(spec, run_sweep(spec), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_one_eigendecomposition_of_h_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+        # blocks of 64 points: the 500-step sweeps span 8 blocks, the 50-step one a single block
+        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 64 * 32 * 2**2 * (2**3 + 4 * 3))
+        counts = {}
+        for parameter, start, steps in (("tau", 0.0, 50), ("tau", 0.0, 500), ("omega", -1.0, 500)):
+            spec = {
+                "model": model_to_jsonable(precession_model()),
+                "parameter": parameter, "from": start, "to": 2.0, "steps": steps,
+            }
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            calls.clear()
+            assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+            counts[(parameter, steps)] = len(calls)
+        # one for the PSD check of rho, one for H
+        assert len(set(counts.values())) == 1
+        assert counts[("tau", 50)] <= 2
 
 
 class TestSamplers:

@@ -63,7 +63,7 @@ class TestProbabilityTable:
         back = ProbabilityTable.from_jsonable(t.to_jsonable())
         assert back.kind == t.kind
         assert back.time_indices == t.time_indices
-        assert back.weights == t.weights
+        assert np.array_equal(back.weights, t.weights)
 
 
 class TestSingleTime:
@@ -329,17 +329,17 @@ class TestWitness:
             for i, j in pair_set(3):
                 p = sequential_prob(model, (i, j))
                 w = witness(p, single_time_prob(model, j))
-                if 0.5 * w <= min(p.weights.values()):
+                if 0.5 * w <= p.weights.min():
                     checked += 1
                     q = quasi_prob2(model, i, j)
-                    assert min(q.weights.values()) >= -1e-12
+                    assert q.weights.min() >= -1e-12
         assert checked > 0
 
     def test_unbounded_case_exists_with_negative_quasi(self):
         m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3), rho=RHO_UP)
         p = sequential_prob(m, (0, 1))
-        assert 0.5 * witness(p, single_time_prob(m, 1)) > min(p.weights.values())
-        assert min(quasi_prob2(m, 0, 1).weights.values()) < -1e-3
+        assert 0.5 * witness(p, single_time_prob(m, 1)) > p.weights.min()
+        assert quasi_prob2(m, 0, 1).weights.min() < -1e-3
 
     def test_matches_commutator_form(self, rng):
         # NSIT residual against W = |<Q_i Q_j Q_i - Q_j>| / 4
@@ -427,3 +427,71 @@ def test_measure_all_moments_read_off_its_tables(times):
     assert tables.moments.averages == tuple(t.moment((0,)) for t in tables.singles)
     assert tables.moments.correlators == tuple(tables.pairs[p].moment((0, 1)) for p in pair_set(len(times)))
     assert piecewise_moments(model) == tables.moments
+
+
+def loop_tables(model):
+    """Reference tables the loop way, one outcome at a time from U(t_i) built
+    per time: the depth-first sequential runs, the quasi-probabilities and
+    the single-time tables, each weight a trace of dense matrix products."""
+    n, rho = model.n_times, model.rho
+    lam, vec = np.linalg.eigh(model.hamiltonian)
+
+    def proj(i, s):
+        u = vec @ np.diag(np.exp(-1j * lam * model.times[i])) @ vec.conj().T
+        q = u.conj().T @ model.observable @ u
+        plus = 0.5 * (np.eye(model.dim) + q)
+        return plus if s > 0 else np.eye(model.dim) - plus
+
+    def sequential(idx):
+        weights, stack = {}, [((), rho)]
+        while stack:
+            prefix, state = stack.pop()
+            if len(prefix) == len(idx):
+                weights[prefix] = float(np.trace(state).real)
+                continue
+            for s in (-1, +1):
+                p = proj(idx[len(prefix)], s)
+                stack.append((prefix + (s,), p @ state @ p))
+        return weights
+
+    quasi = {
+        (i, j): {
+            (s1, s2): 0.5 * float(np.trace((proj(j, s2) @ proj(i, s1) + proj(i, s1) @ proj(j, s2)) @ rho).real)
+            for s1, s2 in outcomes(2)
+        }
+        for i, j in pair_set(n)
+    }
+    singles = [{(s,): float(np.trace(proj(i, s) @ rho).real) for s in (-1, +1)} for i in range(n)]
+    pairs = {p: sequential(p) for p in pair_set(n)}
+    return singles, pairs, sequential(tuple(range(n))), quasi
+
+
+class TestArrayTablesAgainstLoops:
+    """measure_all's whole-array tables, moments and marginals against the
+    per-outcome loops they replaced, within 1e-12."""
+
+    @staticmethod
+    def assert_table(table, weights):
+        assert max(abs(table.weight(o) - w) for o, w in weights.items()) < 1e-12
+
+    @pytest.mark.parametrize("n_times", [3, 4])
+    def test_random_models(self, rng, n_times):
+        for _ in range(15):
+            model = sample_model(rng, int(rng.integers(2, 6)), n_times)
+            tables = measure_all(model)
+            singles, pairs, chain, quasi = loop_tables(model)
+            for table, weights in zip(tables.singles, singles):
+                self.assert_table(table, weights)
+            for p in pair_set(n_times):
+                self.assert_table(tables.pairs[p], pairs[p])
+                self.assert_table(tables.quasi[p], quasi[p])
+            self.assert_table(tables.chain, chain)
+            for positions in [(0,), (1,), (0, 1), (0, 2), (0, 1, 2), tuple(range(n_times))]:
+                want = sum(w * np.prod([o[k] for k in positions]) for o, w in chain.items())
+                assert abs(tables.chain.moment(positions) - want) < 1e-12
+            for drop in range(n_times):
+                marg = {}
+                for o, w in chain.items():
+                    key = o[:drop] + o[drop + 1:]
+                    marg[key] = marg.get(key, 0.0) + w
+                self.assert_table(tables.chain.marginal(drop), marg)
