@@ -33,7 +33,6 @@ from .harness import (
     CampaignSummary,
     RunRecord,
     SweepSpec,
-    apply_parameter,
     default_model_path,
     haar_unitary,
     load_model,
@@ -42,7 +41,6 @@ from .harness import (
     model_from_jsonable,
     model_to_jsonable,
     run_campaign,
-    run_sweep,
     sample_model,
     simulate,
     sweep_blocks,

@@ -9,6 +9,7 @@ including the seed, produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -117,13 +118,7 @@ def load_model(path) -> QuantumModel:
 
 
 def load_moments(path) -> MomentSet:
-    obj = _load_json(path)
-    if not isinstance(obj, Mapping):
-        raise InputFormatError(f"{path}: expected a JSON object with moment fields")
-    for key in ("n", "avg", "pairs", "corr"):
-        if key not in obj:
-            raise InputFormatError(f"{path}: missing field {key!r}")
-    return MomentSet.from_jsonable(obj)
+    return MomentSet.from_jsonable(_load_json(path))
 
 
 def default_model_path() -> Path:
@@ -185,6 +180,9 @@ class SweepSpec:
             raise InputFormatError(
                 f"sweep: unknown parameter {self.parameter!r}, expected one of {SWEEP_PARAMETERS}"
             )
+        for name, value in (("from", self.start), ("to", self.stop)):
+            if not math.isfinite(value):
+                raise InputFormatError(f"sweep: {name} must be a finite number, got {value!r}")
         if not self.start < self.stop:
             raise InputFormatError("sweep: need from < to")
         if not (2 <= self.steps <= 10**6):
@@ -236,37 +234,18 @@ def load_sweep_spec(path) -> SweepSpec:
     return sweep_spec_from_jsonable(_load_json(path))
 
 
-def apply_parameter(template: QuantumModel, parameter: str, value: float) -> QuantumModel:
-    """Instantiate the template at one grid point."""
-    h, rho, q = template.hamiltonian, template.rho, template.observable
-    times = template.times
-    if parameter == "tau":
-        t0 = times[0]
-        times = tuple(t0 + k * value for k in range(len(times)))
-    elif parameter == "t2":
-        times = (times[0], value) + times[2:]
-    elif parameter == "t3":
-        times = times[:2] + (value,) + times[3:]
-    elif parameter == "omega":
-        h = value * h
-    else:  # pragma: no cover - guarded by SweepSpec
-        raise InputFormatError(f"unknown sweep parameter {parameter!r}")
-    return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
-
-
 @dataclass(frozen=True)
 class RunRecord:
-    """Sweep grid points: the parameter value plus every quantity the
-    sweep's output list asked for.  A point record holds floats and bools;
-    a block record from ``sweep_blocks`` holds arrays over consecutive grid
-    points in the same fields."""
+    """A block of consecutive sweep grid points: the parameter values plus
+    every quantity the sweep's output list asked for, each an array over
+    the block's points."""
 
-    parameter_value: float
+    parameter_value: np.ndarray
     moments: MomentSet
-    margins: dict[str, float]
-    witnesses: dict[str, float]
-    interval: tuple[float, float] | None
-    verdicts: dict[str, bool]
+    margins: dict[str, np.ndarray]
+    witnesses: dict[str, np.ndarray]
+    interval: tuple[np.ndarray, np.ndarray] | None
+    verdicts: dict[str, np.ndarray]
 
 
 #: bytes of complex work arrays one sweep block may use; fixes the block
@@ -325,27 +304,10 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[RunR
     )
 
 
-def run_sweep(spec: SweepSpec, epsilon: float = TOL.verdict) -> list[RunRecord]:
-    """One point record per grid value, read off the block records."""
-    records = []
-    for block in sweep_blocks(spec, epsilon):
-        m = block.moments
-        for k, value in enumerate(block.parameter_value.tolist()):
-            records.append(RunRecord(
-                parameter_value=value,
-                moments=MomentSet(averages=[a[k] for a in m.averages], correlators=[c[k] for c in m.correlators]),
-                margins={name: col[k].item() for name, col in block.margins.items()},
-                witnesses={name: col[k].item() for name, col in block.witnesses.items()},
-                interval=None if block.interval is None else tuple(x[k].item() for x in block.interval),
-                verdicts={name: col[k].item() for name, col in block.verdicts.items()},
-            ))
-    return records
-
-
 def sweep_csv_lines(spec: SweepSpec, records: Iterable[RunRecord]) -> list[str]:
-    """Deterministic CSV: '.' decimals, 17 significant digits, verdicts as
-    1/0, columns fixed by the outputs list (in its given order).  Takes
-    point records from ``run_sweep`` or block records from ``sweep_blocks``."""
+    """Deterministic CSV of ``sweep_blocks`` records: '.' decimals, 17
+    significant digits, verdicts as 1/0, columns fixed by the outputs list
+    (in its given order), one row per grid point."""
     n = spec.model.n_times
     lines: list[str] = []
     for rec in records:
@@ -363,15 +325,15 @@ def sweep_csv_lines(spec: SweepSpec, records: Iterable[RunRecord]) -> list[str]:
         if not lines:
             lines.append(",".join(columns))
         row = ",".join("%d" if name in rec.verdicts else "%.17g" for name in columns)
-        lines += [row % values for values in zip(*(np.ravel(c).tolist() for c in columns.values()))]
+        lines += [row % values for values in zip(*(c.tolist() for c in columns.values()))]
     if not lines:
         raise ValidationError("sweep produced no records")
     return lines
 
 
 def write_sweep_csv(spec: SweepSpec, records: Iterable[RunRecord], path) -> None:
-    """Write the CSV of ``sweep_csv_lines`` one record at a time, so block
-    records from ``sweep_blocks`` stream through in bounded memory."""
+    """Write the CSV of ``sweep_csv_lines`` one block record at a time, so
+    a sweep streams through in bounded memory."""
     with open(path, "w") as fh:
         for k, rec in enumerate(records):
             lines = sweep_csv_lines(spec, [rec])
@@ -578,6 +540,8 @@ def run_campaign(
     """Sample ``count`` random models and assert every module-level identity
     on each.  Deterministic under the seed; sample k draws from its own
     spawned stream, so a reproducer is fully described by (seed, index)."""
+    if seed < 0:
+        raise ValidationError(f"campaign: seed must be nonnegative, got {seed}")
     if count > 10**5:
         raise ValidationError(f"campaign: count must be <= 10^5, got {count}")
     if count < 0:

@@ -228,7 +228,14 @@ class MomentSet:
 
     @classmethod
     def from_jsonable(cls, obj: Mapping) -> "MomentSet":
-        n, avg, pairs, corr = obj["n"], obj["avg"], obj["pairs"], obj["corr"]
+        try:
+            n, avg, pairs, corr = obj["n"], obj["avg"], obj["pairs"], obj["corr"]
+        except KeyError as exc:
+            raise InputFormatError(f"moments: missing field {exc.args[0]!r}") from None
+        except TypeError:
+            raise InputFormatError(
+                f"moments: expected a JSON object with fields n, avg, pairs, corr, got {type(obj).__name__}"
+            ) from None
         triple = obj.get("D")
         if type(n) is not int:
             raise InputFormatError(f"moments: n must be an integer, got {n!r}")

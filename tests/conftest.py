@@ -55,6 +55,27 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (z + z.conj().T) / 2
 
 
+def apply_parameter(template: QuantumModel, parameter: str, value: float) -> QuantumModel:
+    """The sweep template instantiated at one grid point, as a new model.
+
+    The per-point reference that the batched sweep is checked against:
+    ``measure_all(apply_parameter(spec.model, spec.parameter, value))``.
+    """
+    h, rho, q = template.hamiltonian, template.rho, template.observable
+    times = template.times
+    if parameter == "tau":
+        times = tuple(times[0] + k * value for k in range(len(times)))
+    elif parameter == "t2":
+        times = (times[0], value) + times[2:]
+    elif parameter == "t3":
+        times = times[:2] + (value,) + times[3:]
+    elif parameter == "omega":
+        h = value * h
+    else:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
+
+
 def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
     """Brute-force feasibility: scan the triple correlator over [-1, 1].
 

@@ -11,7 +11,7 @@ import pytest
 
 from mrtest.conditions import lg2, lg3, lg4, mr_strong, nsit, nsit_pairwise
 from mrtest.fine import d_interval, lp_feasibility
-from mrtest.harness import SweepSpec, run_campaign, run_sweep, sample_model
+from mrtest.harness import SweepSpec, run_campaign, sample_model, sweep_blocks
 from mrtest.measurement import (
     MomentSet,
     measure_all,
@@ -71,8 +71,7 @@ def test_criterion_1_three_time_violation_extremum():
         steps=2000,
         outputs=("correlators", "margins"),
     )
-    records = run_sweep(spec)
-    margins = [rec.margins["LG3.2"] for rec in records]
+    margins = np.concatenate([block.margins["LG3.2"] for block in sweep_blocks(spec)]).tolist()
 
     def margin_at(tau: float) -> float:
         mom = piecewise_moments(precession_model(times=(0.0, tau, 2 * tau)))
@@ -106,14 +105,14 @@ def test_criterion_2_four_time_bound():
         steps=2000,
         outputs=("correlators", "margins"),
     )
-    records = run_sweep(spec)
+    blocks = list(sweep_blocks(spec))
 
     def signed_sum(moments: MomentSet) -> float:
         return (
             moments.corr(0, 1) + moments.corr(1, 2) + moments.corr(2, 3) - moments.corr(0, 3)
         )
 
-    sums = [signed_sum(rec.moments) for rec in records]
+    sums = np.concatenate([signed_sum(block.moments) for block in blocks]).tolist()
 
     def neg_sum_at(tau: float) -> float:
         mom = piecewise_moments(precession_model(times=(0.0, tau, 2 * tau, 3 * tau)))
@@ -124,11 +123,11 @@ def test_criterion_2_four_time_bound():
     max_sum = -neg_sum_at(tau_star)
 
     agreement = True
-    for rec in records:
-        lg4_margins = [v for k, v in rec.margins.items() if k.startswith("LG4")]
-        violated = any(m < 0.0 for m in lg4_margins)
-        feasible = lp_feasibility(rec.moments).feasible
-        if feasible != (not violated):
+    for block in blocks:
+        lg4_margins = np.array([v for k, v in block.margins.items() if k.startswith("LG4")])
+        violated = (lg4_margins < 0.0).any(axis=0)
+        points = zip(zip(*block.moments.averages), zip(*block.moments.correlators))
+        if any(lp_feasibility(MomentSet(a, c)).feasible == bad for (a, c), bad in zip(points, violated)):
             agreement = False
             break
     elapsed = time.perf_counter() - start

@@ -273,6 +273,12 @@ class TestCampaign:
         assert main(["campaign", "--seed", "5", "--count", "1", "--dim-min", "9",
                      "--dim-max", "2"]) == 2
 
+    def test_negative_seed(self, capsys):
+        assert main(["campaign", "--seed", "-1", "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mrtest: error:") and "seed" in err
+        assert "Traceback" not in err
+
 
 _MOMENTS = {
     "n": 3, "avg": [0.0, 0.0, 0.0],
@@ -301,6 +307,7 @@ class TestMalformedFiles:
         # sigma_z with a boolean entry that would otherwise read as 1+0j
         ("simulate", {**_MODEL, "observable": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]},
          "observable[0][0]"),
+        ("sweep", {**_SPEC, "to": float("inf")}, "to must be a finite number"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"

@@ -10,7 +10,6 @@ from mrtest.errors import InputFormatError, ValidationError
 from mrtest.fine import d_interval
 from mrtest.harness import (
     SweepSpec,
-    apply_parameter,
     default_model_path,
     haar_unitary,
     load_model,
@@ -19,7 +18,6 @@ from mrtest.harness import (
     model_from_jsonable,
     model_to_jsonable,
     run_campaign,
-    run_sweep,
     sample_model,
     simulate,
     sweep_blocks,
@@ -29,7 +27,7 @@ from mrtest.harness import (
 from mrtest.measurement import measure_all, outcomes, pair_set, sequential_prob, single_time_prob, witness
 from mrtest.quantum import QuantumModel
 
-from conftest import precession_model
+from conftest import apply_parameter, precession_model
 
 
 class TestModelJson:
@@ -223,8 +221,7 @@ class TestRunSweep:
         assert len(grid) == 101
 
     def test_rows_and_columns(self, spec, tmp_path):
-        records = run_sweep(spec)
-        lines = sweep_csv_lines(spec, records)
+        lines = sweep_csv_lines(spec, sweep_blocks(spec))
         header = lines[0].split(",")
         assert len(lines) == 102
         assert header[0] == "tau"
@@ -236,20 +233,18 @@ class TestRunSweep:
 
     def test_byte_identical_reruns(self, spec, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(spec, run_sweep(spec), a)
-        write_sweep_csv(spec, run_sweep(spec), b)
+        write_sweep_csv(spec, sweep_blocks(spec), a)
+        write_sweep_csv(spec, sweep_blocks(spec), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_verdict_flips_exactly_where_margins_cross(self, spec):
-        records = run_sweep(spec)
         eps = 1e-9
-        for rec in records:
-            lg_margins = [v for k, v in rec.margins.items() if k.startswith("LG")]
-            assert rec.verdicts["verdict_weak"] == all(m >= -eps for m in lg_margins)
+        for block in sweep_blocks(spec):
+            lg_margins = np.array([v for k, v in block.margins.items() if k.startswith("LG")])
+            assert np.array_equal(block.verdicts["verdict_weak"], (lg_margins >= -eps).all(axis=0))
 
     def test_witness_zero_for_maximally_mixed(self, spec):
-        records = run_sweep(spec)
-        assert max(max(r.witnesses.values()) for r in records) < 1e-12
+        assert max(np.max(list(b.witnesses.values())) for b in sweep_blocks(spec)) < 1e-12
 
     def test_four_time_sweep_columns(self):
         spec4 = SweepSpec(
@@ -257,7 +252,7 @@ class TestRunSweep:
             parameter="tau", start=0.0, stop=np.pi, steps=7,
             outputs=("correlators", "margins", "verdicts"),
         )
-        lines = sweep_csv_lines(spec4, run_sweep(spec4))
+        lines = sweep_csv_lines(spec4, sweep_blocks(spec4))
         header = lines[0].split(",")
         assert "LG4.1.lo" in header and "LG4.4.hi" in header
         assert "C_34" in header and "C_14" in header
@@ -318,21 +313,24 @@ class TestBatchedSweep:
 
     @staticmethod
     def assert_matches_points(spec: SweepSpec) -> None:
-        records = run_sweep(spec)
-        assert [r.parameter_value for r in records] == spec.grid.tolist()
-        for rec in records:
-            ref = point_reference(spec, rec.parameter_value)
-            assert np.abs(np.subtract(rec.moments.averages, ref["averages"])).max() <= 1e-12
-            assert np.abs(np.subtract(rec.moments.correlators, ref["correlators"])).max() <= 1e-12
-            for group in ("margins", "witnesses"):
-                got = getattr(rec, group)
-                assert list(got) == list(ref[group])
-                assert max(abs(got[k] - v) for k, v in ref[group].items()) <= 1e-12
-            if ref["interval"] is None:
-                assert rec.interval is None
-            else:
-                assert np.abs(np.subtract(rec.interval, ref["interval"])).max() <= 1e-12
-            assert rec.verdicts == ref["verdicts"]
+        values = []
+        for block in sweep_blocks(spec):
+            m = block.moments
+            for k, value in enumerate(block.parameter_value.tolist()):
+                values.append(value)
+                ref = point_reference(spec, value)
+                assert np.abs(np.subtract([a[k] for a in m.averages], ref["averages"])).max() <= 1e-12
+                assert np.abs(np.subtract([c[k] for c in m.correlators], ref["correlators"])).max() <= 1e-12
+                for group in ("margins", "witnesses"):
+                    got = getattr(block, group)
+                    assert list(got) == list(ref[group])
+                    assert max(abs(got[name][k] - v) for name, v in ref[group].items()) <= 1e-12
+                if ref["interval"] is None:
+                    assert block.interval is None
+                else:
+                    assert np.abs(np.subtract([x[k] for x in block.interval], ref["interval"])).max() <= 1e-12
+                assert {name: col[k] for name, col in block.verdicts.items()} == ref["verdicts"]
+        assert values == spec.grid.tolist()
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_every_point_matches_the_per_point_path(self, case):
@@ -351,12 +349,29 @@ class TestBatchedSweep:
         assert [len(b.parameter_value) for b in blocks] == ([7, 7, 7, 2] if spec.steps == 23 else [7, 4])
         self.assert_matches_points(spec)
 
-    def test_block_records_give_the_point_csv(self, tmp_path):
+    def test_csv_rows_match_the_per_point_reference(self, tmp_path, monkeypatch):
         spec = SWEEP_CASES["qubit3-tau"]
-        a, b = tmp_path / "blocks.csv", tmp_path / "points.csv"
-        write_sweep_csv(spec, sweep_blocks(spec), a)
-        write_sweep_csv(spec, run_sweep(spec), b)
-        assert a.read_bytes() == b.read_bytes()
+        model = spec.model
+        # 7-point blocks: rows 7 and 8, 14 and 15, 21 and 22 sit across block boundaries
+        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(spec, sweep_blocks(spec), path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert [float(row[0]) for row in rows] == spec.grid.tolist()
+        n = model.n_times
+        for row in rows:
+            ref = point_reference(spec, float(row[0]))
+            numbers = {
+                **{f"avg_{i + 1}": a for i, a in enumerate(ref["averages"])},
+                **{f"C_{i + 1}{j + 1}": c for (i, j), c in zip(pair_set(n), ref["correlators"])},
+                **ref["margins"],
+                **ref["witnesses"],
+                **dict(zip(("d_lo", "d_hi"), ref["interval"])),
+            }
+            assert header == [spec.parameter, *numbers, *ref["verdicts"]]
+            got = dict(zip(header, row))
+            assert max(abs(float(got[name]) - v) for name, v in numbers.items()) <= 1e-12
+            assert {name: got[name] for name in ref["verdicts"]} == {k: str(int(v)) for k, v in ref["verdicts"].items()}
 
     def test_one_eigendecomposition_of_h_per_sweep(self, tmp_path, monkeypatch):
         calls = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrtest.errors import ValidationError
+from mrtest.errors import InputFormatError, ValidationError
 from mrtest.harness import sample_model
 from mrtest.measurement import (
     ContextualMoments,
@@ -384,6 +384,14 @@ class TestMomentSet:
         obj = {"n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3]], "corr": [0.0, 0.0], "D": None}
         with pytest.raises(ValidationError, match="C13"):
             MomentSet.from_jsonable(obj)
+
+    def test_missing_field_or_non_object_named(self):
+        with pytest.raises(InputFormatError, match="missing field 'n'"):
+            MomentSet.from_jsonable({})
+        with pytest.raises(InputFormatError, match="missing field 'corr'"):
+            MomentSet.from_jsonable({"n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]]})
+        with pytest.raises(InputFormatError, match="expected a JSON object"):
+            MomentSet.from_jsonable([])
 
 
 class TestExpansionTable:
