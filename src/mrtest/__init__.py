@@ -3,8 +3,8 @@
 Given the statistics of one two-valued observable at 2-4 times (measured or
 simulated), decide which notions of macrorealism they admit: the augmented
 Leggett-Garg inequality sets, the no-signaling-in-time equalities, the
-coherence witness bound, and joint-probability existence via the
-closed-form triple-correlator interval with an independent LP check.
+coherence witness bound, and joint-probability existence (Fine's theorem)
+via a closed-form interval on the one free correlator.
 """
 
 import types
@@ -22,7 +22,6 @@ from .conditions import (
     nsit_pairwise,
 )
 from .errors import (
-    ConvergenceError,
     InputFormatError,
     InvalidObservableError,
     MrtestError,

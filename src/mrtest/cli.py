@@ -16,7 +16,7 @@ import sys
 
 from .conditions import mr_int, mr_strong, mr_weak
 from .errors import MrtestError
-from .fine import d_interval, lp_feasibility
+from .fine import d_interval
 from .harness import (
     load_model,
     load_moments,
@@ -91,8 +91,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_fine(args: argparse.Namespace) -> int:
-    moments = load_moments(args.moments)
-    result = d_interval(moments, _epsilon(args)) if moments.n_times == 3 else lp_feasibility(moments)
+    result = d_interval(load_moments(args.moments), _epsilon(args))
     _emit(result.to_jsonable(), args.out)
     return EXIT_PASS if result.feasible else EXIT_FAIL
 
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fine = sub.add_parser("fine", help="joint-probability feasibility for a moment set")
     p_fine.add_argument("--moments", required=True, help="moments JSON file")
-    p_fine.add_argument("--epsilon", type=float, help=f"slack of the 3-time interval (default {TOL.verdict})")
+    p_fine.add_argument("--epsilon", type=float, help=f"verdict tolerance (default {TOL.verdict})")
     p_fine.add_argument("--out", help="output JSON file (default stdout)")
     p_fine.set_defaults(func=_cmd_fine)
 

@@ -19,8 +19,3 @@ class InvalidObservableError(ValidationError):
 
 class InputFormatError(MrtestError, ValueError):
     """A model/moments/sweep file is malformed or names unknown quantities."""
-
-
-class ConvergenceError(MrtestError):
-    """An iterative routine hit its iteration cap (should not happen for
-    the supported problem sizes)."""

@@ -1,16 +1,22 @@
-"""Existence of an underlying joint probability matching a moment set.
+"""Existence of an underlying joint probability matching a moment set
+(Fine's theorem), in closed form at three and four times.
 
-Two routes:
+The moments leave one parameter z free, and every nonnegativity condition
+on the joint is a row b + sigma*z >= 0 with slope sigma = +-1:
 
-* ``d_interval``     -- three times only.  The unmeasured triple correlator
-                        is the single free parameter; each outcome's
-                        nonnegativity gives a one-sided bound on it, so
-                        feasibility reduces to a closed-form interval test.
-                        Its bounds, ``d_bounds``, broadcast over a grid of
-                        moment sets.
-* ``lp_feasibility`` -- three or four times.  Phase-1 simplex over the
-                        outcome weights with equality rows for
-                        normalization, averages and pair correlators.
+* three times: z is the unmeasured triple correlator D, and the rows are
+  the eight outcome weights p(s) = (E(s) + s1 s2 s3 D) / 8, times 8;
+* four times: z is the unmeasured chord C13 = x.  It splits the pair cycle
+  {12, 23, 34, 14} into the triangles (1,2,3) and (1,3,4), and each
+  triangle has a joint exactly when its LG2 and LG3 rows hold.  The rows
+  that involve x are the four chord LG2 rows and the eight triangle LG3
+  rows; a joint of the two triangles glues into one of all four times
+  (the chordal extension behind Fine's theorem: Fine, PRL 48, 291 (1982);
+  Araujo et al., PRA 88, 022118 (2013)).
+
+``d_bounds`` is the interval [lo, hi] the rows leave for z, broadcasting
+over a grid of moment sets; ``d_interval`` decides feasibility from it at
+the verdict epsilon and builds a witness table at its midpoint.
 """
 
 from __future__ import annotations
@@ -19,19 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
-from .measurement import MomentSet, Outcome, ProbabilityTable, outcomes
+from .errors import ValidationError
+from .measurement import MomentSet, ProbabilityTable, outcomes
 from .tolerances import TOL
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of a joint-probability existence test.
 
-    ``d_interval`` is only set by the three-time closed form: bounds
-    (lo, hi) on the triple correlator, with lo - hi > 2*epsilon exactly
-    when infeasible.  On success ``witness_table`` is a nonnegative normalized
-    joint distribution reproducing the input moments; otherwise
-    ``certificate`` describes why none exists.
+    ``d_interval`` holds the bounds (lo, hi) on the free parameter: the
+    triple correlator at three times, the chord correlator C13 at four.
+    On success ``witness_table`` is a nonnegative normalized joint
+    distribution reproducing the input moments; otherwise ``certificate``
+    describes why none exists.
     """
 
     feasible: bool
@@ -48,183 +54,150 @@ class FeasibilityResult:
         }
 
 
-_OUTCOMES3 = outcomes(3)
-_PARITY3 = np.array([s[0] * s[1] * s[2] for s in _OUTCOMES3], dtype=float)
+_PARITY3 = np.array([s[0] * s[1] * s[2] for s in outcomes(3)], dtype=float)
+_SIGNS2 = outcomes(2)
+#: slopes u*v of the four-time rows 1 + u*p + v*q: the chord LG2 block,
+#: then the LG3 blocks of triangles (1,2,3) and (1,3,4)
+_SLOPES4 = np.array([u * v for u, v in _SIGNS2] * 3, dtype=float)
+#: row pairs (lower of one triangle, upper of the other): the LG4 margins
+_CROSS = np.array([
+    (lower, upper)
+    for own, other in ((1, 2), (2, 1))
+    for lower in range(4 * own, 4 * own + 4) if _SLOPES4[lower] > 0
+    for upper in range(4 * other, 4 * other + 4) if _SLOPES4[upper] < 0
+]).T
 
 
-def _expansion_base(m: MomentSet) -> tuple[list[Outcome], np.ndarray, np.ndarray]:
-    """Per-outcome triple-free expansion value E(s), shape ``(8,) + batch``,
-    and parity s1*s2*s3, where p(s) = (E(s) + parity * D) / 8."""
-    a1, a2, a3 = m.averages
-    c12, c23, c13 = m.corr(0, 1), m.corr(1, 2), m.corr(0, 2)
-    e = np.array([
+def _expansion(averages, correlators) -> np.ndarray:
+    """Triple-free expansion values E(s), shape ``(8,) + batch``, of three
+    averages and the correlators C12, C23, C13: p(s) = (E(s) + s1 s2 s3 D) / 8."""
+    a1, a2, a3 = averages
+    c12, c23, c13 = correlators
+    return np.array([
         1.0 + s1 * a1 + s2 * a2 + s3 * a3 + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
-        for s1, s2, s3 in _OUTCOMES3
+        for s1, s2, s3 in outcomes(3)
     ])
-    return _OUTCOMES3, e, _PARITY3
+
+
+def _rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows b, shape ``(k,) + batch``, and slopes sigma, shape ``(k,)``: the
+    free parameter z is admissible iff b + sigma*z >= 0 on every row."""
+    if m.n_times == 3:
+        return _expansion(m.averages, m.correlators), _PARITY3
+    a1, _, a3, _ = m.averages
+    c12, c23, c34, c14 = m.correlators
+    # chord LG2 1 + s1 a1 + s3 a3 + s1 s3 x, then the LG3 rows of (1,2,3) and (1,3,4)
+    b = np.array([1.0 + u * p + v * q for p, q in ((a1, a3), (c12, c23), (c34, c14)) for u, v in _SIGNS2])
+    return b, _SLOPES4
+
+
+def _bounds(b: np.ndarray, sigma: np.ndarray):
+    return (-b[sigma > 0]).max(axis=0), b[sigma < 0].min(axis=0)
+
+
+def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
+    if m.triple is not None:
+        raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
 def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
     """Three-time joint table from the moment expansion at triple
     correlator value d (must be nonnegative to validate)."""
-    _, e, parity = _expansion_base(m)
-    weights = ((e + parity * d) / 8.0).reshape(2, 2, 2)
+    weights = ((_expansion(m.averages, m.correlators) + _PARITY3 * d) / 8.0).reshape(2, 2, 2)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
 
 
-def _require_three_time_no_triple(m: MomentSet, op: str) -> None:
-    if m.n_times != 3:
-        raise ValidationError(f"{op}: need 3 times, got {m.n_times}")
-    if m.triple is not None:
-        raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
-
-
 def d_bounds(m: MomentSet):
-    """Bounds (lo, hi) on the unmeasured triple correlator of a three-time
-    moment set: outcomes with positive parity force D >= -E(s), negative
-    parity force D <= E(s).  Floats, or arrays over the grid of ``m``."""
-    _require_three_time_no_triple(m, "d_bounds")
-    _, e, parity = _expansion_base(m)
-    return (-e[parity > 0]).max(axis=0), e[parity < 0].min(axis=0)
+    """Bounds (lo, hi) on the free parameter of a moment set: rows with
+    slope +1 force z >= -b, slope -1 force z <= b.  Floats, or arrays over
+    the grid of ``m``."""
+    _require_unmeasured_triple(m, "d_bounds")
+    return _bounds(*_rows(m))
+
+
+def _smallest_margin(m: MomentSet, b: np.ndarray, lo: float, hi: float) -> float:
+    """The smallest of the margins ``mr_weak`` reads, from the rows.
+
+    At three times the width hi - lo is twice the smallest LG2/LG3 margin.
+    At four times a lower row plus an upper row of different triangles is
+    an LG4 margin, and every other such sum is a sum of two measured LG2
+    margins, which stay constraints of their own.
+    """
+    if m.n_times == 3:
+        return (hi - lo) / 2.0
+    avg = m.averages
+    lg2 = min(
+        1.0 + u * avg[i] + v * avg[j] + u * v * c
+        for (i, j), c in zip(m.pairs, m.correlators)
+        for u, v in _SIGNS2
+    )
+    return min(float((b[_CROSS[0]] + b[_CROSS[1]]).min()), lg2)
+
+
+def _midpoint_weights(e: np.ndarray) -> np.ndarray:
+    """Three-time joint weights from the expansion values e at the midpoint
+    of their triple-correlator interval.  For an empty interval the few
+    slightly negative weights are clipped at 0 and the table renormalised."""
+    lo, hi = _bounds(e, _PARITY3)
+    w = (e + _PARITY3 * ((lo + hi) / 2.0)) / 8.0
+    if hi < lo:
+        w = np.maximum(w, 0.0)
+        w /= w.sum()
+    return w.reshape(2, 2, 2)
+
+
+def _glued_weights(m: MomentSet, x: float) -> np.ndarray:
+    """Four-time joint weights at chord value x: the triangle joints p123
+    and p134, each at its own interval midpoint, glued as
+    p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
+    a1, a2, a3, a4 = m.averages
+    c12, c23, c34, c14 = m.correlators
+    p123 = _midpoint_weights(_expansion((a1, a2, a3), (c12, c23, x)))
+    p134 = _midpoint_weights(_expansion((a1, a3, a4), (x, c34, c14)))
+    p13 = p134.sum(axis=2, keepdims=True)
+    cond = np.divide(p134, p13, out=np.zeros_like(p134), where=p13 > 0.0)
+    w = p123[:, :, :, None] * cond[:, None, :, :]
+    return w / w.sum()
 
 
 def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
-    """Closed-form feasibility for three times.
+    """Closed-form feasibility at three or four times.
 
-    A joint distribution exists iff the interval ``d_bounds(m)`` is
-    nonempty.  The width hi - lo is twice the smallest LG2/LG3 margin, so
-    the interval counts as infeasible only when it is empty by more than
-    2*epsilon: the verdict equals ``mr_weak(m, epsilon).verdict``, and a
-    width within 2*epsilon of zero is flagged as marginal.  The witness sits
-    at the interval midpoint, which is automatically inside [-1, 1]; for an
-    empty interval inside the slack its few slightly negative weights are
-    clipped at 0 and the table renormalised, as ``lp_feasibility`` does.
+    A joint distribution exists iff every margin ``mr_weak`` reads is
+    nonnegative; here they come from the rows (see ``_smallest_margin``),
+    and the set counts as feasible when the smallest is at least -epsilon,
+    so the verdict equals ``mr_weak(m, epsilon).verdict``.  A smallest
+    margin within epsilon of zero is flagged as marginal.  The witness sits
+    at the midpoint of ``d_bounds(m)``, which lies inside [-1, 1]; at four
+    times it is the glue of the two triangle joints.  Weights left slightly
+    negative inside the slack are clipped at 0 and the table renormalised.
     """
-    _require_three_time_no_triple(m, "d_interval")
-    lo, hi = map(float, d_bounds(m))
-    width = hi - lo
-    slack = 2.0 * epsilon
-    marginal = " (marginal)" if abs(width) <= slack else ""
-    if width < -slack:
-        return FeasibilityResult(
-            feasible=False,
-            d_interval=(lo, hi),
-            certificate=(
-                f"empty interval: triple correlator must be >= {lo!r} "
-                f"and <= {hi!r}{marginal}"
-            ),
-        )
-    mid = (lo + hi) / 2.0
-    if width >= 0.0:
-        table = triple_expansion_table(m, mid)
+    _require_unmeasured_triple(m, "d_interval")
+    b, sigma = _rows(m)
+    lo, hi = map(float, _bounds(b, sigma))
+    margin = _smallest_margin(m, b, lo, hi)
+    name = "triple correlator" if m.n_times == 3 else "chord correlator C13"
+    if margin < -epsilon:
+        if hi < lo:
+            why = f"empty interval: {name} must be >= {lo!r} and <= {hi!r}"
+        else:
+            why = f"negative two-time weight: measured LG2 margin {margin!r}"
+        return FeasibilityResult(feasible=False, d_interval=(lo, hi), certificate=why)
+    marginal = " (marginal)" if margin <= epsilon else ""
+    if m.n_times == 3:
+        weights = _midpoint_weights(b)
     else:
-        _, e, parity = _expansion_base(m)
-        w = np.maximum((e + parity * mid) / 8.0, 0.0)
-        w /= w.sum()
-        table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=w.reshape(2, 2, 2))
+        weights = _glued_weights(m, (lo + hi) / 2.0)
     return FeasibilityResult(
         feasible=True,
         d_interval=(lo, hi),
-        witness_table=table,
-        certificate=f"triple correlator interval [{lo!r}, {hi!r}]{marginal}" if marginal else None,
+        witness_table=ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=weights),
+        certificate=f"{name} interval [{lo!r}, {hi!r}]{marginal}" if marginal else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# phase-1 simplex
-
-
-def _phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize the sum of artificial variables for A x = b, x >= 0.
-
-    Dense tableau with Bland's anti-cycling rule; returns (objective, x).
-    The problem sizes here are at most 9 rows by 16 columns, so robustness
-    wins over speed.
-    """
-    m, n = a_eq.shape
-    a = a_eq.copy()
-    b = b_eq.astype(float).copy()
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    width = n + m + 1
-    t = np.zeros((m + 1, width))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
-    t[:m, -1] = b
-    # reduced costs for cost vector (0,...,0, 1,...,1); artificials basic
-    t[m, :n] = -a.sum(axis=0)
-    t[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
-
-    max_pivots = 200 * (n + m)
-    for _ in range(max_pivots):
-        enter = -1
-        for j in range(n + m):
-            if t[m, j] < -TOL.pivot:
-                enter = j
-                break
-        if enter < 0:
-            break
-        ratios = []
-        for i in range(m):
-            if t[i, enter] > TOL.pivot:
-                ratios.append((t[i, -1] / t[i, enter], basis[i], i))
-        if not ratios:
-            raise ConvergenceError("phase-1 simplex: unbounded column (numerical breakdown)")
-        best = min(r for r, _, _ in ratios)
-        # Bland tie-break: among rows attaining the ratio, smallest basis var
-        leave_row = min(
-            (i for r, _, i in ratios if r <= best + TOL.pivot),
-            key=lambda i: basis[i],
-        )
-        piv = t[leave_row, enter]
-        t[leave_row] /= piv
-        for i in range(m + 1):
-            if i != leave_row and t[i, enter] != 0.0:
-                t[i] -= t[i, enter] * t[leave_row]
-        basis[leave_row] = enter
-    else:
-        raise ConvergenceError("phase-1 simplex: pivot limit reached")
-
-    objective = -t[m, -1]
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = t[i, -1]
-    return float(objective), x
-
-
-def _moment_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray, list[Outcome]]:
-    outs = outcomes(m.n_times)
-    signs = np.array(outs, dtype=float).T
-    rows = [np.ones(len(outs)), *signs, *(signs[i] * signs[j] for i, j in m.pairs)]
-    return np.vstack(rows), np.array([1.0, *m.averages, *m.correlators]), outs
 
 
 def lp_feasibility(m: MomentSet) -> FeasibilityResult:
-    """Existence of nonnegative weights over {-1,+1}^n with the given
-    normalization, averages and pair correlators, via phase-1 simplex.
-
-    Feasible when the phase-1 objective is below 1e-9; verdicts within a
-    decade of that threshold carry a "marginal" flag in the certificate.
-    """
-    if m.n_times not in (3, 4):
-        raise ValidationError(f"lp_feasibility: need 3 or 4 times, got {m.n_times}")
-    a_eq, b_eq, _ = _moment_rows(m)
-    objective, x = _phase1_simplex(a_eq, b_eq)
-    marginal = " (marginal)" if 0.1 * TOL.feasibility < objective < 10.0 * TOL.feasibility else ""
-    if objective > TOL.feasibility:
-        return FeasibilityResult(
-            feasible=False,
-            certificate=f"phase-1 objective {objective:.6e} > {TOL.feasibility:.0e}{marginal}",
-        )
-    x = np.maximum(x, 0.0)
-    x /= x.sum()
-    table = ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=x.reshape((2,) * m.n_times))
-    return FeasibilityResult(
-        feasible=True,
-        witness_table=table,
-        certificate=f"phase-1 objective {objective:.6e}{marginal}" if marginal else None,
-    )
+    """``d_interval(m)`` at the default epsilon.  Kept only because the
+    benchmark worker (``bench/worker.py``) calls it; it goes when the
+    benchmark next changes."""
+    return d_interval(m)

@@ -197,8 +197,6 @@ class SweepSpec:
             raise InputFormatError("sweep: tau must start at 0 or above")
         if self.parameter == "t3" and n < 3:
             raise InputFormatError("sweep: parameter t3 needs at least 3 times")
-        if n == 4 and "d_interval" in self.outputs:
-            raise InputFormatError("sweep: d_interval output is only defined for 3-time models")
         if n not in (3, 4):
             raise InputFormatError(f"sweep: template must have 3 or 4 times, got {n}")
 
@@ -216,8 +214,7 @@ def sweep_spec_from_jsonable(obj: Mapping) -> SweepSpec:
     model = model_from_jsonable(obj["model"])
     outputs = obj.get("outputs")
     if outputs is None:
-        # default to every group the template supports
-        outputs = [o for o in OUTPUT_GROUPS if o != "d_interval" or model.n_times == 3]
+        outputs = OUTPUT_GROUPS
     elif not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
         raise InputFormatError(f"sweep: outputs must be a list of group names, got {outputs!r}")
     return SweepSpec(
@@ -255,8 +252,7 @@ SWEEP_BLOCK_BYTES = 1 << 24
 
 def _block_record(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilon: float) -> RunRecord:
     n, outputs = spec.model.n_times, spec.outputs
-    # exp(-i omega H t) = V exp(-i omega lambda t) V^dag: omega scales the evolution times
-    tables = measure_all(spec.model, values[:, None] * times if spec.parameter == "omega" else times)
+    tables = measure_all(spec.model, times)
     margins, verdicts = {}, {}
     if "margins" in outputs or "verdicts" in outputs:
         reports = {"weak": mr_weak(tables.moments, epsilon)}
@@ -283,19 +279,29 @@ def _block_record(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilo
 def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[RunRecord]:
     """The sweep as block records, computed lazily one block at a time.
 
-    The measurement times of the whole grid are built and checked once, up
-    front.  Each block then measures the one template model at its slice of
-    the grid, so the sweep shares one eigendecomposition of H.  A block
-    holds as many points as fit ``SWEEP_BLOCK_BYTES`` at about
-    32 d^2 (2^n + 4n) bytes of states and projectors per point.
+    The evolution times of the whole grid are built and checked once, up
+    front; an omega sweep scales the model's times instead of H.  Each block
+    then measures the one template model at its slice of the grid, so the
+    sweep shares one eigendecomposition of H.  A block holds as many points
+    as fit ``SWEEP_BLOCK_BYTES`` at about 32 d^2 (2^n + 4n) bytes of states
+    and projectors per point.
     """
-    model, values = spec.model, spec.grid
-    times = np.tile(np.array(model.times), (len(values), 1))
-    if spec.parameter == "tau":
-        times = times[:, :1] + np.arange(model.n_times) * values[:, None]
-    elif spec.parameter in ("t2", "t3"):
-        times[:, int(spec.parameter[1]) - 1] = values
-    times = check_times(times)
+    model = spec.model
+    # overflow shows up as non-finite times, which the checks below name
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = spec.grid
+        times = np.tile(np.array(model.times), (len(values), 1))
+        if spec.parameter == "tau":
+            times = times[:, :1] + np.arange(model.n_times) * values[:, None]
+        elif spec.parameter in ("t2", "t3"):
+            times[:, int(spec.parameter[1]) - 1] = values
+        times = check_times(times)
+        if spec.parameter == "omega":
+            # exp(-i omega H t) = V exp(-i omega lambda t) V^dag: omega scales the evolution times
+            times = values[:, None] * times
+    if not np.isfinite(times).all():
+        name, value = max((("from", spec.start), ("to", spec.stop)), key=lambda item: abs(item[1]))
+        raise InputFormatError(f"sweep: omega {name} = {value!r} scales the times {model.times} past the float range")
     size = max(1, SWEEP_BLOCK_BYTES // (32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)))
     # a lazy map, not a generator, which bench/tracer.py would count once per block
     return map(

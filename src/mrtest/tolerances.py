@@ -7,12 +7,9 @@ that the package has one place where numerical policy lives.  The split is:
 * ``structural``  -- identities between matrices (unitarity, idempotence,
                      dichotomy), measured in Frobenius or max norm.
 * ``psd``         -- eigenvalue floor accepted for density matrices.
-* ``verdict``     -- default epsilon for inequality/equality verdicts and
-                     for the slack of the closed-form joint-probability
-                     interval; the only tolerance exposed on the CLI.
-* ``pivot``       -- simplex pivot threshold.
-* ``feasibility`` -- phase-1 objective level below which an LP counts as
-                     feasible.
+* ``verdict``     -- default epsilon for inequality/equality verdicts,
+                     joint-probability feasibility included; the only
+                     tolerance exposed on the CLI.
 """
 
 from dataclasses import dataclass
@@ -24,8 +21,6 @@ class Tolerances:
     structural: float = 1e-10
     psd: float = 1e-10
     verdict: float = 1e-9
-    pivot: float = 1e-11
-    feasibility: float = 1e-9
 
 
 TOL = Tolerances()

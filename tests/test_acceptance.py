@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mrtest.conditions import lg2, lg3, lg4, mr_strong, nsit, nsit_pairwise
-from mrtest.fine import d_interval, lp_feasibility
+from mrtest.fine import d_interval
 from mrtest.harness import SweepSpec, run_campaign, sample_model, sweep_blocks
 from mrtest.measurement import (
     MomentSet,
@@ -21,7 +21,7 @@ from mrtest.measurement import (
     single_time_prob,
 )
 
-from conftest import precession_model, scan_oracle
+from conftest import lp_oracle, precession_model, scan_oracle
 
 SEED_MOMENTS = 20260801
 SEED_CAMPAIGN = 20260802
@@ -127,7 +127,7 @@ def test_criterion_2_four_time_bound():
         lg4_margins = np.array([v for k, v in block.margins.items() if k.startswith("LG4")])
         violated = (lg4_margins < 0.0).any(axis=0)
         points = zip(zip(*block.moments.averages), zip(*block.moments.correlators))
-        if any(lp_feasibility(MomentSet(a, c)).feasible == bad for (a, c), bad in zip(points, violated)):
+        if any(d_interval(MomentSet(a, c)).feasible == bad for (a, c), bad in zip(points, violated)):
             agreement = False
             break
     elapsed = time.perf_counter() - start
@@ -142,7 +142,7 @@ def test_criterion_2_four_time_bound():
         2,
         ok,
         f"max C12+C23+C34-C14 = {max_sum:.9f} at w*tau {tau_star:.9f} "
-        f"(target 2*sqrt(2) = {2 * np.sqrt(2):.9f} at pi/4), LP/LG4 agreement "
+        f"(target 2*sqrt(2) = {2 * np.sqrt(2):.9f} at pi/4), Fine/LG4 agreement "
         f"on all 2000 points: {agreement}, {elapsed:.2f}s < 10s",
     )
 
@@ -164,7 +164,7 @@ def test_criterion_3_fine_theorem_equivalence():
             lg_disagreements += 1
         lo, hi = di.d_interval
         boundary_distance = abs(hi - lo)
-        if lp_feasibility(m).feasible != di.feasible and boundary_distance > 1e-2:
+        if lp_oracle(m).feasible != di.feasible and boundary_distance > 1e-2:
             lp_hard += 1
         if scan_oracle(m, 1e-3).feasible != di.feasible and boundary_distance > 1e-2:
             scan_hard += 1

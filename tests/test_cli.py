@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,15 +173,30 @@ class TestFine:
 
     @pytest.mark.parametrize("c13, code", [(-5e-10, 0), (-2e-9, 1)])
     def test_exits_like_check_weak_at_the_boundary(self, tmp_path, capsys, c13, code):
-        # LG3.4 margin equals C13: inside epsilon = 1e-9 both pass, beyond it both fail
-        p = tmp_path / "edge.json"
-        p.write_text(json.dumps({
-            "n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.5, 0.5, c13], "D": None,
-        }))
-        assert main(["check", "--moments", str(p), "--which", "weak"]) == code
-        assert main(["fine", "--moments", str(p)]) == code
+        # LG3.4 margin equals C13, and at four times LG4.4.hi = 2 - 4c equals
+        # it too: inside epsilon = 1e-9 both commands pass, beyond it both fail
+        c = 0.5 - c13 / 4
+        for k, moments in enumerate([
+            {"n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.5, 0.5, c13], "D": None},
+            {"n": 4, "avg": [0] * 4, "pairs": [[1, 2], [2, 3], [3, 4], [1, 4]], "corr": [c, c, c, -c], "D": None},
+        ]):
+            p = tmp_path / f"edge{k}.json"
+            p.write_text(json.dumps(moments))
+            assert main(["check", "--moments", str(p), "--which", "weak"]) == code
+            assert main(["fine", "--moments", str(p)]) == code
 
-    def test_four_time_moments_use_lp(self, tmp_path, capsys):
+    @pytest.mark.parametrize("epsilon, code", [("1e-9", 1), ("1e-6", 1), ("1e-3", 0)])
+    def test_four_time_epsilon_is_the_verdict_tolerance(self, tmp_path, capsys, epsilon, code):
+        # LG4.4.hi = 2 - 4 * 0.5002 = -8e-4
+        p = tmp_path / "m4.json"
+        p.write_text(json.dumps({
+            "n": 4, "avg": [0.0] * 4,
+            "pairs": [[1, 2], [2, 3], [3, 4], [1, 4]], "corr": [0.5002, 0.5002, 0.5002, -0.5002], "D": None,
+        }))
+        assert main(["check", "--moments", str(p), "--which", "weak", "--epsilon", epsilon]) == code
+        assert main(["fine", "--moments", str(p), "--epsilon", epsilon]) == code
+
+    def test_four_time_moments_use_the_chord_interval(self, tmp_path, capsys):
         s = float(np.sqrt(2) / 2)
         p = tmp_path / "m4.json"
         p.write_text(json.dumps({
@@ -189,7 +205,8 @@ class TestFine:
         }))
         assert main(["fine", "--moments", str(p)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert "phase-1 objective" in payload["certificate"]
+        assert payload["d_interval"] == pytest.approx([2 * s - 1, 1 - 2 * s], abs=1e-12)
+        assert "empty interval: chord correlator C13" in payload["certificate"]
 
     def test_env_epsilon_exits_like_check_weak(self, tmp_path, capsys, monkeypatch):
         # LG3.4 margin -5e-7: outside the default epsilon, inside MRTEST_EPSILON = 1e-6
@@ -308,6 +325,8 @@ class TestMalformedFiles:
         ("simulate", {**_MODEL, "observable": [[[True, False], [0, 0]], [[0, 0], [-1, 0]]]},
          "observable[0][0]"),
         ("sweep", {**_SPEC, "to": float("inf")}, "to must be a finite number"),
+        ("sweep", {**_SPEC, "parameter": "omega", "from": 0.0, "to": 1e308, "steps": 3},
+         "omega to = 1e+308 scales the times"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"
@@ -323,6 +342,16 @@ class TestMalformedFiles:
         assert err.startswith("mrtest: error:")
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("parameter", ["tau", "omega"])
+    def test_overflow_reports_only_the_error(self, tmp_path, capsys, parameter):
+        # t0 + 2*tau and omega*t overflow: no numpy warning may precede the error line
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**_SPEC, "parameter": parameter, "from": 0.0, "to": 1e308, "steps": 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--spec", str(p), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.startswith("mrtest: error:")
 
 
 class TestEntryPoint:

@@ -4,11 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mrtest.conditions import lg2, lg3, mr_weak
+from mrtest.conditions import lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
-    _moment_rows,
     d_interval,
     lp_feasibility,
     triple_expansion_table,
@@ -17,7 +16,7 @@ from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, piecewise_moments
 from mrtest.tolerances import TOL
 
-from conftest import scan_oracle
+from conftest import lp_oracle, moment_rows, scan_oracle
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -66,9 +65,12 @@ class TestDInterval:
         with pytest.raises(ValidationError, match="triple"):
             d_interval(m)
 
-    def test_rejects_four_times(self):
-        with pytest.raises(ValidationError, match="3 times"):
-            d_interval(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
+    def test_four_times_bounds_the_chord(self):
+        # every chord row is 1 +- x, and the two uniform triangles glue into the uniform joint
+        r = d_interval(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
+        assert r.feasible
+        assert r.d_interval == (-1.0, 1.0)
+        assert all(w == pytest.approx(1 / 16, abs=1e-15) for w in r.witness_table.weights.ravel())
 
     @given(st.lists(unit, min_size=6, max_size=6))
     def test_witness_reproduces_moments(self, values):
@@ -135,6 +137,57 @@ class TestWeakBoundary:
         assert not d_interval(m, epsilon=1e-10).feasible
 
 
+def lg_margins4(m: MomentSet) -> tuple[list[float], list[float]]:
+    """The LG2 margins of the measured pairs and the LG4 margins."""
+    return [c.margin for pair in m.pairs for c in lg2(m, pair).checks], [c.margin for c in lg4(m).checks]
+
+
+class TestFourTimeBoundary:
+    """The chord interval and the weak verdict at one epsilon, on four-time
+    moment sets whose smallest LG2/LG4 margin lies within 10 epsilon of zero."""
+
+    @given(
+        st.lists(unit, min_size=8, max_size=8),
+        st.floats(-10.0, 10.0),
+        st.sampled_from((TOL.verdict, 1e-6)),
+    )
+    def test_interval_matches_weak_verdict(self, values, scale, epsilon):
+        # scaling the moments by lam moves an LG2 margin M to 1 + lam*(M - 1)
+        # and an LG4 margin M to 2 + lam*(M - 2); the first to reach the
+        # target as lam grows fixes lam.  Large lam amplifies the rounding
+        # of M - 1, so nearly zero moment sets are skipped.
+        target = scale * epsilon
+        assume(abs(target + epsilon) > 1e-14)
+        lg2s, lg4s = lg_margins4(MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:])))
+        lams = [(c - target) / (c - v) for c, vs in ((1.0, lg2s), (2.0, lg4s)) for v in vs if v < c]
+        assume(lams and min(lams) <= 10.0)
+        scaled = [min(lams) * v for v in values]
+        assume(all(abs(v) <= 1.0 for v in scaled))
+        m = MomentSet(averages=tuple(scaled[:4]), correlators=tuple(scaled[4:]))
+        assert abs(min(min(part) for part in lg_margins4(m)) - target) < 1e-12
+        r = d_interval(m, epsilon)
+        assert r.feasible == mr_weak(m, epsilon).verdict
+        if r.feasible:
+            avg, corr = table_moments(r, m)
+            assert avg == pytest.approx(list(m.averages), abs=epsilon)
+            assert corr == pytest.approx(list(m.correlators), abs=epsilon)
+
+    def test_lg4_just_past_epsilon_is_infeasible(self):
+        # LG4.3.hi is -1.38e-9: the interval is empty by less than 2*epsilon,
+        # yet the set fails mr_weak at epsilon 1e-9, and so does the simplex
+        m = MomentSet(
+            averages=(0.2551541681236259, 0.3532378892095624, 0.4599780125191328, 0.1678996368191617),
+            correlators=(0.7858576711835944, 0.2359652729552364, -0.2309054258841117, 0.7472716313570577),
+        )
+        assert lg4(m).check("LG4.3.hi").margin == pytest.approx(-1.38e-9, abs=1e-11)
+        r = d_interval(m, 1e-9)
+        lo, hi = r.d_interval
+        assert -2e-9 < hi - lo < -1e-9
+        assert not r.feasible
+        assert not mr_weak(m, 1e-9).verdict
+        assert not lp_oracle(m).feasible
+
+
 class TestLpFeasibility:
     def test_four_time_uniform(self):
         r = lp_feasibility(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
@@ -147,13 +200,21 @@ class TestLpFeasibility:
         s = np.sqrt(2) / 2
         r = lp_feasibility(MomentSet(averages=(0.0,) * 4, correlators=(s, s, s, -s)))
         assert not r.feasible
-        assert "phase-1 objective" in r.certificate
+        # LG3 of (1,2,3) needs C13 >= 2s - 1, LG3 of (1,3,4) needs C13 <= 1 - 2s
+        assert r.d_interval == pytest.approx((2 * s - 1, 1 - 2 * s), abs=1e-12)
+        assert "empty interval: chord correlator C13" in r.certificate
+
+    def test_delegates_to_the_interval(self, rng):
+        for _ in range(50):
+            vals = rng.uniform(-1, 1, 8)
+            m = MomentSet(averages=tuple(vals[:4]), correlators=tuple(vals[4:]))
+            assert lp_feasibility(m).to_jsonable() == d_interval(m).to_jsonable()
 
     def test_agrees_with_interval_on_random_sets(self, rng):
         for _ in range(500):
             m = moment_set3(rng.uniform(-1, 1, 6))
             di = d_interval(m)
-            lp = lp_feasibility(m)
+            lp = lp_oracle(m)
             if lp.feasible != di.feasible:
                 lo, hi = di.d_interval
                 assert abs(hi - lo) <= 1e-2  # only allowed hard against the boundary
@@ -167,11 +228,11 @@ class TestLpFeasibility:
         for _ in range(120):
             vals = rng.uniform(-1, 1, 2 * n)
             m = MomentSet(averages=tuple(vals[:n]), correlators=tuple(vals[n:]))
-            a_eq, b_eq, _ = _moment_rows(m)
+            a_eq, b_eq, _ = moment_rows(m)
             ref = linprog(
                 np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
             )
-            mine = lp_feasibility(m).feasible
+            mine = lp_oracle(m).feasible
             if mine != (ref.status == 0):
                 if n == 3:
                     lo, hi = d_interval(m).d_interval
@@ -181,22 +242,29 @@ class TestLpFeasibility:
 
     def test_four_time_weak_verdict_matches_lp(self):
         # LG2 + LG4 is necessary and sufficient at four times (n-cycle
-        # theorem).  Uniform sets are feasible only about 2.4 % of the time,
-        # so every tenth set comes from a random 4-time quantum model instead.
+        # theorem), checked against the simplex oracle; the chord interval
+        # must agree with both and its witness reproduce the moments.
+        # Uniform sets are feasible only about 2.4 % of the time, so every
+        # tenth set comes from a random 4-time quantum model instead.
         rng = np.random.default_rng(20261018)
-        disagreements, feasible = [], 0
+        disagreements, feasible, worst = [], 0, 0.0
         for k in range(10_000):
             if k % 10 == 0:
                 m = piecewise_moments(sample_model(rng, int(rng.integers(2, 5)), 4))
             else:
                 vals = rng.uniform(-1.0, 1.0, 8)
                 m = MomentSet(averages=tuple(vals[:4]), correlators=tuple(vals[4:]))
-            lp = lp_feasibility(m).feasible
+            lp = lp_oracle(m).feasible
             feasible += lp
-            if lp != mr_weak(m).verdict:
+            di = d_interval(m)
+            if not lp == di.feasible == mr_weak(m).verdict:
                 disagreements.append(m)
+            if di.feasible:
+                avg, corr = table_moments(di, m)
+                worst = max(worst, np.abs(np.subtract(avg + corr, m.averages + m.correlators)).max())
         assert disagreements == []
         assert 300 < feasible < 9_000
+        assert worst < 1e-12
 
     def test_quantum_moments_always_feasible_iff_weak_passes(self, rng):
         for _ in range(60):

@@ -158,12 +158,6 @@ class TestSweepSpec:
             SweepSpec(model=mixed_qubit, parameter="tau", start=-0.5, stop=1.0,
                       steps=10, outputs=("margins",))
 
-    def test_d_interval_rejected_for_four_times(self):
-        m4 = precession_model(times=(0.0, 1.0, 2.0, 3.0))
-        with pytest.raises(InputFormatError, match="d_interval"):
-            SweepSpec(model=m4, parameter="tau", start=0.0, stop=1.0,
-                      steps=10, outputs=("d_interval",))
-
     def test_spec_file_round_trip(self, tmp_path, mixed_qubit):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({
@@ -260,6 +254,25 @@ class TestRunSweep:
         assert "verdict_int" not in header and "verdict_strong" not in header
         assert not any(c.startswith("LG3") for c in header)
 
+    def test_four_time_d_interval_columns_match_points(self, tmp_path):
+        # a random dim-3 model, so the chord bounds move with tau and cross at LG4 violations
+        spec4 = SweepSpec(
+            model=sample_model(np.random.default_rng(34), 3, 4),
+            parameter="tau", start=0.0, stop=2 * np.pi, steps=61,
+            outputs=("d_interval", "verdicts"),
+        )
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(spec4, sweep_blocks(spec4), path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == ["tau", "d_lo", "d_hi", "verdict_weak"]
+        crossed = 0
+        for row in rows:
+            r = d_interval(measure_all(apply_parameter(spec4.model, "tau", float(row[0]))).moments)
+            assert np.abs(np.subtract([float(row[1]), float(row[2])], r.d_interval)).max() <= 1e-12
+            assert row[3] == str(int(r.feasible))
+            crossed += r.d_interval[0] > r.d_interval[1]
+        assert 0 < crossed < len(rows)
+
 
 def point_reference(spec: SweepSpec, value: float, epsilon: float = 1e-9) -> dict:
     """One grid point the per-point way: a new model, its own tables and the
@@ -275,16 +288,14 @@ def point_reference(spec: SweepSpec, value: float, epsilon: float = 1e-9) -> dic
         "correlators": m.correlators,
         "margins": {k: v for r in reports for k, v in r.margins.items()},
         "witnesses": {f"W_{i + 1}{j + 1}": witness(tables.pairs[(i, j)], tables.singles[j]) for i, j in pair_set(n)},
-        "interval": d_interval(m, epsilon).d_interval if n == 3 else None,
+        "interval": d_interval(m, epsilon).d_interval,
         "verdicts": dict(zip(names, (r.verdict for r in reports))),
     }
 
 
 def _sweep_case(model, parameter, start, stop, steps=23):
-    outputs = ["averages", "correlators", "margins", "witness", "d_interval", "verdicts"]
-    if model.n_times == 4:
-        outputs.remove("d_interval")
-    return SweepSpec(model=model, parameter=parameter, start=start, stop=stop, steps=steps, outputs=tuple(outputs))
+    outputs = ("averages", "correlators", "margins", "witness", "d_interval", "verdicts")
+    return SweepSpec(model=model, parameter=parameter, start=start, stop=stop, steps=steps, outputs=outputs)
 
 
 def _sweep_cases():
@@ -325,10 +336,7 @@ class TestBatchedSweep:
                     got = getattr(block, group)
                     assert list(got) == list(ref[group])
                     assert max(abs(got[name][k] - v) for name, v in ref[group].items()) <= 1e-12
-                if ref["interval"] is None:
-                    assert block.interval is None
-                else:
-                    assert np.abs(np.subtract([x[k] for x in block.interval], ref["interval"])).max() <= 1e-12
+                assert np.abs(np.subtract([x[k] for x in block.interval], ref["interval"])).max() <= 1e-12
                 assert {name: col[k] for name, col in block.verdicts.items()} == ref["verdicts"]
         assert values == spec.grid.tolist()
 
