@@ -53,7 +53,6 @@ from .measurement import (
     TableSet,
     interference_term,
     measure_all,
-    pair_expansion_table,
     pair_set,
     piecewise_moments,
     quasi_prob2,

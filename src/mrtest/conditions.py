@@ -1,29 +1,30 @@
 """Inequality and equality families with signed margins, and the three
 macrorealism verdicts composed from them.
 
-Margin semantics are uniform: every check is either ">=0" shaped (pass when
-value >= -epsilon, margin = value) or "=0" shaped (pass when |value| <=
-epsilon, margin = -|value|).  Modeling assumptions that are postulated
-rather than measured (piecewise non-invasiveness, induction) are carried on
-reports as annotations, never as checks.
-
-Each family serves one moment set (Python floats and bools) or a grid of
-them from ``measure_all`` over a grid of times, where each check's value,
-margin and pass flag and each report's verdict are arrays over the grid.
+Every inequality is a row b + G x of the moments x = (averages,
+correlators); ``ROWS`` holds each block of rows once, with its check names,
+and ``affine_values`` evaluates one.  A ``ConditionReport`` holds names, a
+value array of shape ``(k,) + batch`` and a per-row equality flag.  A
+">=0" row passes when value >= -epsilon (margin = value), an "=0" row when
+|value| <= epsilon (margin = -|value|): when its margin is >= -epsilon.
+Margins, pass flags and verdict are array reductions, Python floats and
+bools for one moment set or arrays over a grid of them from
+``measure_all``; ``Check`` views are built only when asked for.  Modeling
+assumptions (piecewise non-invasiveness, induction) are carried on reports
+as annotations, never as checks.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
 from .tolerances import TOL
-
-KIND_GE = ">=0"
-KIND_EQ = "=0"
 
 ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assumption)"
 ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (modeling assumption)"
@@ -31,21 +32,13 @@ ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (mode
 
 @dataclass(frozen=True)
 class Check:
+    """One row of a report: a float and a bool, or arrays over a grid."""
+
     name: str
     value: float
     kind: str
     margin: float
     passed: bool
-
-    @classmethod
-    def ge(cls, name: str, value: float, epsilon: float) -> "Check":
-        return cls(name=name, value=value, kind=KIND_GE, margin=value, passed=value >= -epsilon)
-
-    @classmethod
-    def eq(cls, name: str, value: float, epsilon: float) -> "Check":
-        return cls(
-            name=name, value=value, kind=KIND_EQ, margin=-abs(value), passed=abs(value) <= epsilon
-        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -59,35 +52,54 @@ class Check:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    checks: tuple[Check, ...]
+    """Named rows: ``values``, a float array of shape ``(k,) + batch``, has
+    one row per name, and the bool array ``equality`` flags the "=0" rows."""
+
+    names: tuple[str, ...]
+    values: np.ndarray
+    equality: np.ndarray
     epsilon: float
     assumptions: tuple[str, ...] = ()
 
+    def _out(self, a: np.ndarray):
+        """Python floats and bools for one moment set, arrays over a grid."""
+        return a.tolist() if self.values.ndim == 1 else a
+
+    def _margins(self) -> np.ndarray:
+        if not self.equality.any():
+            return self.values
+        eq = self.equality.reshape((-1,) + (1,) * (self.values.ndim - 1))
+        return np.where(eq, -np.abs(self.values), self.values)
+
     @property
-    def verdict(self) -> bool:
-        return reduce(operator.and_, (c.passed for c in self.checks), True)
+    def verdict(self):
+        return self._out((self._margins() >= -self.epsilon).all(axis=0))
 
     @property
     def margins(self) -> dict[str, float]:
-        return {c.name: c.margin for c in self.checks}
+        return dict(zip(self.names, self._out(self._margins())))
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        kinds = ["=0" if eq else ">=0" for eq in self.equality]
+        margins = self._margins()
+        rows = (self._out(self.values), kinds, self._out(margins), self._out(margins >= -self.epsilon))
+        return tuple(map(Check, self.names, *rows))
 
     def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return dict(zip(self.names, self.checks))[name]
 
     def merged_with(self, *others: "ConditionReport") -> "ConditionReport":
-        checks = self.checks
-        assumptions = list(self.assumptions)
-        for other in others:
-            if other.epsilon != self.epsilon:
-                raise ValidationError("cannot merge reports with different epsilons")
-            checks = checks + other.checks
-            for a in other.assumptions:
-                if a not in assumptions:
-                    assumptions.append(a)
-        return ConditionReport(checks=checks, epsilon=self.epsilon, assumptions=tuple(assumptions))
+        if any(other.epsilon != self.epsilon for other in others):
+            raise ValidationError("cannot merge reports with different epsilons")
+        reports = (self,) + others
+        return ConditionReport(
+            names=sum((r.names for r in others), self.names),
+            values=np.concatenate([r.values for r in reports]),
+            equality=np.concatenate([r.equality for r in reports]),
+            epsilon=self.epsilon,
+            assumptions=tuple(dict.fromkeys(a for r in reports for a in r.assumptions)),
+        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -99,68 +111,107 @@ class ConditionReport:
 
 
 # ---------------------------------------------------------------------------
+# the affine rows
+
+
+class RowBlock(NamedTuple):
+    """Rows b + G x over x = (averages, correlators), one name per row."""
+
+    names: tuple[str, ...]
+    b: np.ndarray
+    g: np.ndarray
+
+
+def _row_table(n: int) -> dict:
+    pairs = pair_set(n)
+
+    def block(names, b, columns, coefficients) -> RowBlock:
+        g = np.zeros((len(names), n + len(pairs)))
+        g[:, columns] = coefficients
+        return RowBlock(tuple(names), np.full(len(names), b), g)
+
+    lg2 = [(s1, s2, s1 * s2) for s1, s2 in outcomes(2)]
+    table = {
+        (i, j): block([f"LG2.{i + 1}{j + 1}.{outcome_key(s)}" for s in outcomes(2)], 1.0, [i, j, n + k], lg2)
+        for k, (i, j) in enumerate(pairs)
+    }
+    if n == 3:
+        lg3 = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
+        table["LG3"] = block([f"LG3.{k}" for k in range(1, 5)], 1.0, [3, 4, 5], lg3)
+        # E(s) = 1 + sum s_i <Q_i> + sum s_i s_j C_ij, and p(s) = (E(s) + s1 s2 s3 D) / 8
+        e = [(s1, s2, s3, s1 * s2, s2 * s3, s1 * s3) for s1, s2, s3 in outcomes(3)]
+        table["E"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(6), e)
+    else:
+        lg4 = [[side * (-1 if idx == k else 1) for idx in range(4)] for k in range(4) for side in (1, -1)]
+        table["LG4"] = block([f"LG4.{k}.{side}" for k in range(1, 5) for side in ("lo", "hi")], 2.0, [4, 5, 6, 7], lg4)
+    weak = [table[p] for p in pairs] + [table["LG3" if n == 3 else "LG4"]]
+    names, b, g = zip(*weak)
+    table["weak"] = RowBlock(sum(names, ()), np.concatenate(b), np.vstack(g))
+    return table
+
+
+#: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3"
+#: or "LG4", "E" at 3 times, and "weak", the LG2 blocks then the family, as ``mr_weak`` reads them
+ROWS = {n: _row_table(n) for n in (3, 4)}
+
+
+def affine_values(block: RowBlock, x) -> np.ndarray:
+    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
+    arrays over one grid).  Each row sums its terms left to right, starting
+    from b, in the order its formula lists them: one whole column at a time."""
+    x = np.array(x, dtype=float)
+    g = block.g.T.reshape(block.g.T.shape + (1,) * (x.ndim - 1))
+    values = block.b.reshape(g.shape[1:]) + g[0] * x[0]
+    for column, xj in zip(g[1:], x[1:]):
+        values += column * xj
+    return values
+
+
+def _inequalities(block: RowBlock, m: MomentSet, epsilon: float, assumptions=()) -> ConditionReport:
+    values = affine_values(block, m.averages + m.correlators)
+    return ConditionReport(block.names, values, np.zeros(len(block.names), bool), epsilon, assumptions)
+
+
+# ---------------------------------------------------------------------------
 # inequality families
 
 
 def lg2(m: MomentSet, pair: tuple[int, int], epsilon: float = TOL.verdict) -> ConditionReport:
-    """Four two-time inequalities for one measured pair:
-    1 + s_i <Q_i> + s_j <Q_j> + s_i s_j C_ij >= 0.
-
-    Each margin, divided by 4, is the candidate two-time probability of the
-    moment expansion for that outcome.
-    """
-    i, j = pair
-    c = m.corr(i, j)
-    ai, aj = m.averages[i], m.averages[j]
-    checks = tuple(
-        Check.ge(
-            f"LG2.{i + 1}{j + 1}.{outcome_key((s1, s2))}",
-            1.0 + s1 * ai + s2 * aj + s1 * s2 * c,
-            epsilon,
-        )
-        for s1, s2 in outcomes(2)
-    )
-    return ConditionReport(checks=checks, epsilon=epsilon)
+    """Four two-time inequalities for one measured pair (i, j), i < j:
+    1 + s_i <Q_i> + s_j <Q_j> + s_i s_j C_ij >= 0.  Each value, divided by
+    4, is the moment expansion's candidate probability p(s_i, s_j)."""
+    block = ROWS[m.n_times].get(tuple(pair))
+    if block is None:
+        raise ValidationError(f"pair {tuple(pair)} not in measured pair set {m.pairs}")
+    return _inequalities(block, m, epsilon)
 
 
 def lg3(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """The four three-time inequalities on C12, C23, C13."""
     if m.n_times != 3:
         raise ValidationError(f"lg3: need 3 times, got {m.n_times}")
-    c12, c23, c13 = (m.corr(0, 1), m.corr(1, 2), m.corr(0, 2))
-    values = (
-        1.0 + c12 + c23 + c13,
-        1.0 - c12 - c23 + c13,
-        1.0 + c12 - c23 - c13,
-        1.0 - c12 + c23 - c13,
-    )
-    checks = tuple(
-        Check.ge(f"LG3.{k}", v, epsilon) for k, v in enumerate(values, start=1)
-    )
-    return ConditionReport(checks=checks, epsilon=epsilon)
+    return _inequalities(ROWS[3]["LG3"], m, epsilon)
 
 
 def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
-    """The eight four-time bounds -2 <= +-C12 +- C23 +- C34 +- C14 <= 2 with
-    exactly one minus sign.
-
-    The k-th signed sum puts the minus on the k-th pair of {12, 23, 34, 14};
-    each two-sided bound is reported as two one-sided checks so that every
-    check keeps ">=0" margin semantics.
-    """
+    """The eight four-time bounds -2 <= +-C12 +- C23 +- C34 +- C14 <= 2, the
+    k-th with its one minus sign on the k-th pair of {12, 23, 34, 14}, as
+    the ">=0" checks LG4.k.lo = 2 + sum and LG4.k.hi = 2 - sum."""
     if m.n_times != 4:
         raise ValidationError(f"lg4: need 4 times, got {m.n_times}")
-    cs = [m.corr(*p) for p in m.pairs]
-    checks = []
-    for k in range(4):
-        signed = sum(-c if idx == k else c for idx, c in enumerate(cs))
-        checks.append(Check.ge(f"LG4.{k + 1}.lo", signed + 2.0, epsilon))
-        checks.append(Check.ge(f"LG4.{k + 1}.hi", 2.0 - signed, epsilon))
-    return ConditionReport(checks=tuple(checks), epsilon=epsilon)
+    return _inequalities(ROWS[4]["LG4"], m, epsilon)
 
 
 # ---------------------------------------------------------------------------
 # no-signaling-in-time equalities
+
+
+@lru_cache(maxsize=64)
+def _nsit_names(name: str, arity: int) -> tuple[str, ...]:
+    return tuple(f"{name}.{outcome_key(o)}" for o in outcomes(arity))
+
+
+_PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pair_set(n)) for n in (3, 4)}
 
 
 def nsit(
@@ -185,12 +236,11 @@ def nsit(
             f"nsit: incompatible index sets {table_a.time_indices} minus "
             f"{{{marginalized}}} vs {table_b.time_indices}"
         )
-    marg = table_a.marginal(marginalized)
-    checks = tuple(
-        Check.eq(f"{name}.{outcome_key(o)}", marg.weight(o) - table_b.weight(o), epsilon)
-        for o in outcomes(len(kept))
-    )
-    return ConditionReport(checks=checks, epsilon=epsilon)
+    diff = table_a.marginal(marginalized).weights - table_b.weights
+    k = len(kept)
+    # outcomes first, in serialization order, then the grid axes
+    values = diff.reshape(-1, 2**k).T.reshape((2**k,) + diff.shape[: diff.ndim - k])
+    return ConditionReport(_nsit_names(name, k), values, np.ones(2**k, bool), epsilon)
 
 
 def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
@@ -198,8 +248,8 @@ def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionRe
     the earlier measurement of the pair must reproduce the later single-time
     table.  For three times these are NSIT_(1)2, NSIT_(1)3, NSIT_(2)3."""
     reports = [
-        nsit(tables.pairs[(i, j)], tables.singles[j], i, name=f"NSIT({i + 1}){j + 1}", epsilon=epsilon)
-        for i, j in pair_set(tables.n_times)
+        nsit(tables.pairs[(i, j)], tables.singles[j], i, name=name, epsilon=epsilon)
+        for i, j, name in _PAIRWISE_NSIT[tables.n_times]
     ]
     return reports[0].merged_with(*reports[1:])
 
@@ -212,14 +262,7 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Weak macrorealism: every two-time inequality for the measured pairs
     plus the three-time (or four-time) family, under piecewise
     non-invasiveness and induction."""
-    reports = [lg2(m, pair, epsilon) for pair in m.pairs]
-    reports.append(lg3(m, epsilon) if m.n_times == 3 else lg4(m, epsilon))
-    merged = reports[0].merged_with(*reports[1:])
-    return ConditionReport(
-        checks=merged.checks,
-        epsilon=epsilon,
-        assumptions=(ASSUMPTION_NIM_PW, ASSUMPTION_IND),
-    )
+    return _inequalities(ROWS[m.n_times]["weak"], m, epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
 
 
 def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
@@ -229,7 +272,7 @@ def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     if tables.n_times != 3:
         raise ValidationError(f"mr_int: need 3 times, got {tables.n_times}")
     merged = nsit_pairwise(tables, epsilon).merged_with(lg3(tables.moments, epsilon))
-    return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))
+    return replace(merged, assumptions=(ASSUMPTION_IND,))
 
 
 def mr_strong(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
@@ -247,4 +290,4 @@ def mr_strong(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport
         nsit(chain, p23, 0, name="NSIT(1)23", epsilon=epsilon),
         nsit(chain, p13, 1, name="NSIT1(2)3", epsilon=epsilon),
     )
-    return ConditionReport(checks=merged.checks, epsilon=epsilon, assumptions=(ASSUMPTION_IND,))
+    return replace(merged, assumptions=(ASSUMPTION_IND,))

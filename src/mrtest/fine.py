@@ -2,21 +2,25 @@
 (Fine's theorem), in closed form at three and four times.
 
 The moments leave one parameter z free, and every nonnegativity condition
-on the joint is a row b + sigma*z >= 0 with slope sigma = +-1:
+on the joint is a row b + sigma*z >= 0 with slope sigma = +-1.  The rows
+are blocks of the affine row table ``conditions.ROWS``:
 
 * three times: z is the unmeasured triple correlator D, and the rows are
-  the eight outcome weights p(s) = (E(s) + s1 s2 s3 D) / 8, times 8;
+  the eight expansion values E(s), with p(s) = (E(s) + s1 s2 s3 D) / 8;
 * four times: z is the unmeasured chord C13 = x.  It splits the pair cycle
   {12, 23, 34, 14} into the triangles (1,2,3) and (1,3,4), and each
   triangle has a joint exactly when its LG2 and LG3 rows hold.  The rows
   that involve x are the four chord LG2 rows and the eight triangle LG3
-  rows; a joint of the two triangles glues into one of all four times
-  (the chordal extension behind Fine's theorem: Fine, PRL 48, 291 (1982);
-  Araujo et al., PRA 88, 022118 (2013)).
+  rows, each taken at x = 0 with its C13 coefficient as slope; a joint of
+  the two triangles glues into one of all four times (the chordal
+  extension behind Fine's theorem: Fine, PRL 48, 291 (1982); Araujo et
+  al., PRA 88, 022118 (2013)).
 
 ``d_bounds`` is the interval [lo, hi] the rows leave for z, broadcasting
-over a grid of moment sets; ``d_interval`` decides feasibility from it at
-the verdict epsilon and builds a witness table at its midpoint.
+over a grid of moment sets.  ``d_interval`` takes its verdict and its
+smallest margin from ``mr_weak``'s own values at the verdict epsilon, so
+it agrees with the weak verdict by construction, and builds a witness
+table at the midpoint of the interval.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conditions import ROWS, affine_values, mr_weak
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable, outcomes
 from .tolerances import TOL
@@ -55,40 +60,23 @@ class FeasibilityResult:
 
 
 _PARITY3 = np.array([s[0] * s[1] * s[2] for s in outcomes(3)], dtype=float)
-_SIGNS2 = outcomes(2)
-#: slopes u*v of the four-time rows 1 + u*p + v*q: the chord LG2 block,
-#: then the LG3 blocks of triangles (1,2,3) and (1,3,4)
-_SLOPES4 = np.array([u * v for u, v in _SIGNS2] * 3, dtype=float)
-#: row pairs (lower of one triangle, upper of the other): the LG4 margins
-_CROSS = np.array([
-    (lower, upper)
-    for own, other in ((1, 2), (2, 1))
-    for lower in range(4 * own, 4 * own + 4) if _SLOPES4[lower] > 0
-    for upper in range(4 * other, 4 * other + 4) if _SLOPES4[upper] < 0
-]).T
-
-
-def _expansion(averages, correlators) -> np.ndarray:
-    """Triple-free expansion values E(s), shape ``(8,) + batch``, of three
-    averages and the correlators C12, C23, C13: p(s) = (E(s) + s1 s2 s3 D) / 8."""
-    a1, a2, a3 = averages
-    c12, c23, c13 = correlators
-    return np.array([
-        1.0 + s1 * a1 + s2 * a2 + s3 * a3 + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
-        for s1, s2, s3 in outcomes(3)
-    ])
+_EXPANSION, _CHORD_LG2, _LG3 = ROWS[3]["E"], ROWS[3][(0, 2)], ROWS[3]["LG3"]
 
 
 def _rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
     """Rows b, shape ``(k,) + batch``, and slopes sigma, shape ``(k,)``: the
-    free parameter z is admissible iff b + sigma*z >= 0 on every row."""
+    free parameter z is admissible iff b + sigma*z >= 0 on every row.  At
+    four times a row is a triangle's row at C13 = 0, its slope its C13 coefficient."""
     if m.n_times == 3:
-        return _expansion(m.averages, m.correlators), _PARITY3
-    a1, _, a3, _ = m.averages
+        return affine_values(_EXPANSION, m.averages + m.correlators), _PARITY3
+    a1, a2, a3, a4 = m.averages
     c12, c23, c34, c14 = m.correlators
-    # chord LG2 1 + s1 a1 + s3 a3 + s1 s3 x, then the LG3 rows of (1,2,3) and (1,3,4)
-    b = np.array([1.0 + u * p + v * q for p, q in ((a1, a3), (c12, c23), (c34, c14)) for u, v in _SIGNS2])
-    return b, _SLOPES4
+    zero = np.zeros(np.shape(a1))
+    # the triangles (1,2,3) and (1,3,4) side by side as three-time moments at C13 = 0
+    x = [(a1, a1), (a2, a3), (a3, a4), (c12, zero), (c23, c34), (zero, c14)]
+    lg3 = affine_values(_LG3, x)
+    b = [affine_values(_CHORD_LG2, [t[0] for t in x]), lg3[:, 0], lg3[:, 1]]
+    return np.concatenate(b), np.concatenate([_CHORD_LG2.g[:, 5], _LG3.g[:, 5], _LG3.g[:, 3]])
 
 
 def _bounds(b: np.ndarray, sigma: np.ndarray):
@@ -103,7 +91,9 @@ def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
 def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
     """Three-time joint table from the moment expansion at triple
     correlator value d (must be nonnegative to validate)."""
-    weights = ((_expansion(m.averages, m.correlators) + _PARITY3 * d) / 8.0).reshape(2, 2, 2)
+    if m.n_times != 3:
+        raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
+    weights = ((affine_values(_EXPANSION, m.averages + m.correlators) + _PARITY3 * d) / 8.0).reshape(2, 2, 2)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
 
 
@@ -113,25 +103,6 @@ def d_bounds(m: MomentSet):
     the grid of ``m``."""
     _require_unmeasured_triple(m, "d_bounds")
     return _bounds(*_rows(m))
-
-
-def _smallest_margin(m: MomentSet, b: np.ndarray, lo: float, hi: float) -> float:
-    """The smallest of the margins ``mr_weak`` reads, from the rows.
-
-    At three times the width hi - lo is twice the smallest LG2/LG3 margin.
-    At four times a lower row plus an upper row of different triangles is
-    an LG4 margin, and every other such sum is a sum of two measured LG2
-    margins, which stay constraints of their own.
-    """
-    if m.n_times == 3:
-        return (hi - lo) / 2.0
-    avg = m.averages
-    lg2 = min(
-        1.0 + u * avg[i] + v * avg[j] + u * v * c
-        for (i, j), c in zip(m.pairs, m.correlators)
-        for u, v in _SIGNS2
-    )
-    return min(float((b[_CROSS[0]] + b[_CROSS[1]]).min()), lg2)
 
 
 def _midpoint_weights(e: np.ndarray) -> np.ndarray:
@@ -152,8 +123,8 @@ def _glued_weights(m: MomentSet, x: float) -> np.ndarray:
     p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
     a1, a2, a3, a4 = m.averages
     c12, c23, c34, c14 = m.correlators
-    p123 = _midpoint_weights(_expansion((a1, a2, a3), (c12, c23, x)))
-    p134 = _midpoint_weights(_expansion((a1, a3, a4), (x, c34, c14)))
+    e = affine_values(_EXPANSION, [(a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)])
+    p123, p134 = _midpoint_weights(e[:, 0]), _midpoint_weights(e[:, 1])
     p13 = p134.sum(axis=2, keepdims=True)
     cond = np.divide(p134, p13, out=np.zeros_like(p134), where=p13 > 0.0)
     w = p123[:, :, :, None] * cond[:, None, :, :]
@@ -163,21 +134,20 @@ def _glued_weights(m: MomentSet, x: float) -> np.ndarray:
 def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility at three or four times.
 
-    A joint distribution exists iff every margin ``mr_weak`` reads is
-    nonnegative; here they come from the rows (see ``_smallest_margin``),
-    and the set counts as feasible when the smallest is at least -epsilon,
-    so the verdict equals ``mr_weak(m, epsilon).verdict``.  A smallest
-    margin within epsilon of zero is flagged as marginal.  The witness sits
-    at the midpoint of ``d_bounds(m)``, which lies inside [-1, 1]; at four
-    times it is the glue of the two triangle joints.  Weights left slightly
+    A joint exists iff every margin ``mr_weak`` reads is nonnegative, so
+    the verdict is ``mr_weak(m, epsilon).verdict``, and a smallest margin
+    of that report within epsilon of zero is flagged as marginal.  The
+    witness sits at the midpoint of ``d_bounds(m)``, inside [-1, 1]; at
+    four times it glues the two triangle joints.  Weights left slightly
     negative inside the slack are clipped at 0 and the table renormalised.
     """
     _require_unmeasured_triple(m, "d_interval")
+    weak = mr_weak(m, epsilon)
     b, sigma = _rows(m)
     lo, hi = map(float, _bounds(b, sigma))
-    margin = _smallest_margin(m, b, lo, hi)
+    margin = float(weak.values.min())
     name = "triple correlator" if m.n_times == 3 else "chord correlator C13"
-    if margin < -epsilon:
+    if not weak.verdict:
         if hi < lo:
             why = f"empty interval: {name} must be >= {lo!r} and <= {hi!r}"
         else:

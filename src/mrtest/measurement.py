@@ -290,10 +290,10 @@ class ContextualMoments:
     contextual: Mapping[tuple[str, str], float]
 
     def __post_init__(self) -> None:
-        ctx = {(str(q), str(c)): float(v) for (q, c), v in self.contextual.items()}
-        for (q, c), v in ctx.items():
-            if not (-1 - TOL.scalar <= v <= 1 + TOL.scalar):
-                raise ValidationError(f"contextual value {q}^({c}) out of [-1, 1]: {v!r}")
+        ctx = {
+            (str(q), str(c)): _unit_values(f"contextual value {q}^({c})", (v,))[0]
+            for (q, c), v in self.contextual.items()
+        }
         object.__setattr__(self, "contextual", ctx)
 
     def value(self, quantity: str, context: str) -> float:
@@ -401,7 +401,8 @@ def sequential_moments(tables: TableSet) -> ContextualMoments:
 
 def interference_term(pair: ProbabilityTable, quasi: ProbabilityTable) -> float:
     """The constant T with p(s1,s2) - q(s1,s2) = T*s2 on every outcome, read
-    off a sequential two-time table and the quasi table of the same times.
+    off a sequential two-time table and the quasi table of the same times:
+    a float, or an array over the grid.
 
     Its operator form is T = <[Q(t_i), Q(t_j)] Q(t_i)> / 8 = <Q_i Q_j Q_i - Q_j> / 8.
     """
@@ -410,13 +411,14 @@ def interference_term(pair: ProbabilityTable, quasi: ProbabilityTable) -> float:
             f"interference_term: need two tables over the same pair of times, "
             f"got {pair.time_indices} and {quasi.time_indices}"
         )
-    residues = [(pair.weight(o) - quasi.weight(o)) * o[1] for o in outcomes(2)]
-    spread = max(residues) - min(residues)
+    residues = ((pair.weights - quasi.weights) * np.array(SIGNS)).reshape(pair.weights.shape[:-2] + (4,))
+    spread = float(np.ptp(residues, axis=-1).max())
     if spread > TOL.scalar:
         raise ValidationError(
             f"interference residue not outcome-independent (spread {spread:.3e})"
         )
-    return sum(residues) / len(residues)
+    t = residues.sum(axis=-1) / 4
+    return t if t.ndim else float(t)
 
 
 def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> float:
@@ -433,23 +435,6 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
             f"later time, got {pair.time_indices} and {single.time_indices}"
         )
     return abs(sum(pair.weight((s1, s2)) for s1 in SIGNS) - single.weight((s2,)))
-
-
-def pair_expansion_table(moments: MomentSet, pair: tuple[int, int]) -> ProbabilityTable:
-    """Two-time table assembled from moments:
-    p(s_i, s_j) = (1 + s_i <Q_i> + s_j <Q_j> + s_i s_j C_ij) / 4.
-
-    This is the candidate probability of the piecewise protocol; entries go
-    negative exactly when a two-time inequality fails, hence kind "quasi".
-    """
-    i, j = pair
-    c = moments.corr(i, j)
-    ai, aj = moments.averages[i], moments.averages[j]
-    weights = {
-        (s1, s2): (1.0 + s1 * ai + s2 * aj + s1 * s2 * c) / 4.0
-        for s1, s2 in outcomes(2)
-    }
-    return ProbabilityTable(kind="quasi", time_indices=pair, weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mrtest.errors import ValidationError
-from mrtest.fine import _PARITY3, FeasibilityResult, _expansion
-from mrtest.measurement import MomentSet, Outcome, ProbabilityTable, outcomes, pair_set
+from mrtest.fine import _PARITY3, FeasibilityResult
+from mrtest.measurement import MomentSet, Outcome, ProbabilityTable, TableSet, outcomes, pair_set
 from mrtest.quantum import QuantumModel
 from mrtest.tolerances import TOL
 
@@ -28,6 +28,23 @@ I2 = np.eye(2, dtype=complex)
 @pytest.fixture
 def pauli():
     return {"x": SX, "y": SY, "z": SZ, "i": I2}
+
+
+def point_tables(tables: TableSet, g: int) -> TableSet:
+    """Point g of a grid ``TableSet`` as a one-point TableSet: the same
+    weights and moments, as floats instead of arrays over the grid."""
+
+    def at(t: ProbabilityTable) -> ProbabilityTable:
+        return ProbabilityTable(kind=t.kind, time_indices=t.time_indices, weights=t.weights[g])
+
+    m = tables.moments
+    return TableSet(
+        singles=tuple(map(at, tables.singles)),
+        pairs={p: at(t) for p, t in tables.pairs.items()},
+        chain=at(tables.chain),
+        quasi={p: at(t) for p, t in tables.quasi.items()},
+        moments=MomentSet(averages=tuple(a[g] for a in m.averages), correlators=tuple(c[g] for c in m.correlators)),
+    )
 
 
 def precession_model(times=(0.0, 1.0, 2.0), omega=1.0, rho=None) -> QuantumModel:
@@ -89,7 +106,12 @@ def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
         raise ValidationError("scan_oracle: need 3 times and an unmeasured triple correlator")
     if not (0.0 < grid_step <= 0.1):
         raise ValidationError(f"scan_oracle: grid_step must be in (0, 0.1], got {grid_step!r}")
-    outs, e, parity = outcomes(3), _expansion(m.averages, m.correlators), _PARITY3
+    (a1, a2, a3), (c12, c23, c13) = m.averages, m.correlators
+    outs, parity = outcomes(3), _PARITY3
+    e = np.array([
+        1.0 + s1 * a1 + s2 * a2 + s3 * a3 + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
+        for s1, s2, s3 in outs
+    ])
     n_points = int(round(2.0 / grid_step)) + 1
     grid = np.linspace(-1.0, 1.0, n_points)
     values = (e[:, None] + parity[:, None] * grid[None, :]) / 8.0

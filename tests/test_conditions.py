@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtest.conditions import (
+    ROWS,
     Check,
     ConditionReport,
+    affine_values,
     lg2,
     lg3,
     lg4,
@@ -21,7 +23,9 @@ from mrtest.harness import sample_model
 from mrtest.measurement import (
     MomentSet,
     measure_all,
+    outcome_key,
     outcomes,
+    pair_set,
     piecewise_moments,
     quasi_prob2,
     sequential_moments,
@@ -31,30 +35,51 @@ from mrtest.measurement import (
 )
 from mrtest.quantum import QuantumModel
 
-from conftest import SZ, precession_model
+from conftest import SZ, point_tables, precession_model
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
+
+
+def one_row(value, equality: bool, epsilon: float) -> Check:
+    """The row of a one-row report: a scalar check, or arrays for an array value."""
+    value = np.asarray(value)
+    report = ConditionReport(names=("x",), values=value[None], equality=np.array([equality]), epsilon=epsilon)
+    return report.check("x")
 
 
 class TestCheckSemantics:
     @given(st.floats(-2, 2), st.floats(1e-12, 1e-3))
     def test_ge_margin_rule(self, value, epsilon):
-        c = Check.ge("x", value, epsilon)
+        c = one_row(value, False, epsilon)
+        assert c.kind == ">=0"
         assert c.margin == value
         assert c.passed == (value >= -epsilon)
+        v = np.array([value, -value, epsilon, -epsilon, -2 * epsilon])
+        c = one_row(v, False, epsilon)
+        assert np.array_equal(c.margin, v)
+        assert np.array_equal(c.passed, v >= -epsilon)
 
     @given(st.floats(-2, 2), st.floats(1e-12, 1e-3))
     def test_eq_margin_rule(self, value, epsilon):
-        c = Check.eq("x", value, epsilon)
+        c = one_row(value, True, epsilon)
+        assert c.kind == "=0"
         assert c.margin == -abs(value)
         assert c.passed == (abs(value) <= epsilon)
+        v = np.array([value, -value, epsilon, -epsilon, -2 * epsilon])
+        c = one_row(v, True, epsilon)
+        assert np.array_equal(c.margin, -np.abs(v))
+        assert np.array_equal(c.passed, np.abs(v) <= epsilon)
 
     def test_report_verdict_is_conjunction(self):
-        r = ConditionReport(
-            checks=(Check.ge("a", 1.0, 1e-9), Check.ge("b", -1.0, 1e-9)), epsilon=1e-9
-        )
+        ge = np.array([False, False])
+        r = ConditionReport(names=("a", "b"), values=np.array([1.0, -1.0]), equality=ge, epsilon=1e-9)
         assert not r.verdict
         assert r.check("a").passed
+        # over a grid of two points: column 0 fails through "a", column 1 passes
+        grid = ConditionReport(
+            names=("a", "b"), values=np.array([[1.0, 1.0], [-1.0, 0.0]]), equality=np.array([False, True]), epsilon=1e-9
+        )
+        assert grid.verdict.tolist() == [False, True]
 
 
 class TestLg2:
@@ -341,8 +366,84 @@ class TestSerialization:
         assert not lg3(mom, epsilon=1e-9).verdict
         assert lg3(mom, epsilon=1e-3).verdict
 
+    def test_verdicts_and_margins_build_no_checks(self, mixed_qubit, monkeypatch):
+        built = []
+        init = Check.__init__
+        monkeypatch.setattr(Check, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        tables = measure_all(mixed_qubit)
+        for report in (mr_weak(tables.moments), mr_int(tables), mr_strong(tables), nsit_pairwise(tables)):
+            report.verdict, report.margins
+        assert built == []
+        assert len(mr_int(tables).to_jsonable()["checks"]) == len(built) == 6 + 4  # NSIT pairs, LG3
+
     def test_merge_rejects_mixed_epsilon(self):
         a = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-9)
         b = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-6)
         with pytest.raises(ValidationError, match="epsilon"):
             a.merged_with(b)
+
+
+class TestRowFormulas:
+    """Every row of the affine table against the formula its name denotes,
+    written out left to right: bit-equal where the table sums the same terms
+    in the same order, within 4 ulp of 4 for LG4, whose formula adds the
+    correlators first and the constant last (partial sums stay below 8)."""
+
+    @given(st.lists(st.floats(-1, 1), min_size=8, max_size=8), st.sampled_from([3, 4]))
+    def test_each_value_is_its_formula(self, x, n):
+        pairs = pair_set(n)
+        a, cs = x[:n], x[n : n + len(pairs)]
+        c = dict(zip(pairs, cs))
+        want = {}
+        for i, j in pairs:
+            for s1, s2 in outcomes(2):
+                want[f"LG2.{i + 1}{j + 1}.{outcome_key((s1, s2))}"] = 1.0 + s1 * a[i] + s2 * a[j] + s1 * s2 * c[(i, j)]
+        if n == 3:
+            c12, c23, c13 = cs
+            want["LG3.1"] = 1.0 + c12 + c23 + c13
+            want["LG3.2"] = 1.0 - c12 - c23 + c13
+            want["LG3.3"] = 1.0 + c12 - c23 - c13
+            want["LG3.4"] = 1.0 - c12 + c23 - c13
+        else:
+            for k in range(4):
+                signed = sum(-v if idx == k else v for idx, v in enumerate(cs))
+                want[f"LG4.{k + 1}.lo"] = signed + 2.0
+                want[f"LG4.{k + 1}.hi"] = 2.0 - signed
+        got = mr_weak(MomentSet(averages=tuple(a), correlators=tuple(cs))).margins
+        assert list(got) == list(want)
+        for name, value in got.items():
+            if name.startswith("LG4"):
+                assert abs(value - want[name]) <= 4 * np.spacing(4.0), name
+            else:
+                assert value.hex() == want[name].hex(), name
+        if n == 3:
+            expansion = affine_values(ROWS[3]["E"], a + cs).tolist()
+            for (s1, s2, s3), value in zip(outcomes(3), expansion):
+                e = 1.0 + s1 * a[0] + s2 * a[1] + s3 * a[2] + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
+                assert value.hex() == e.hex()
+
+
+class TestGridMatchesPoints:
+    """A grid TableSet gives, for each family, the names of the per-point
+    reports and, at every grid point, bit-equal values and verdicts."""
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4]), st.integers(2, 4), st.integers(1, 5))
+    def test_reports_bit_equal_per_point(self, seed, n_times, dim, size):
+        rng = np.random.default_rng(seed)
+        model = sample_model(rng, dim, n_times)
+        times = np.sort(rng.uniform(0.0, 4.0, size=(size, n_times)), axis=1)
+        tables = measure_all(model, times)
+        families = [lambda t, eps: mr_weak(t.moments, eps), nsit_pairwise]
+        if n_times == 3:
+            families += [mr_int, mr_strong]
+        for epsilon in (1e-9, 1e-3):
+            for family in families:
+                grid = family(tables, epsilon)
+                assert grid.values.shape == (len(grid.names), size)
+                for g in range(size):
+                    point = family(point_tables(tables, g), epsilon)
+                    assert grid.names == point.names
+                    assert grid.values[:, g].tobytes() == point.values.tobytes()
+                    assert grid.verdict[g] == point.verdict
+                    assert [c.passed[g] for c in grid.checks] == [c.passed for c in point.checks]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mrtest.conditions import lg2
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.harness import sample_model
 from mrtest.measurement import (
@@ -12,7 +13,6 @@ from mrtest.measurement import (
     outcome_from_key,
     outcome_key,
     outcomes,
-    pair_expansion_table,
     pair_set,
     piecewise_moments,
     quasi_prob2,
@@ -23,7 +23,7 @@ from mrtest.measurement import (
 )
 from mrtest.quantum import QuantumModel, expectation
 
-from conftest import SZ, precession_model
+from conftest import SZ, point_tables, precession_model
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -252,6 +252,20 @@ class TestSequentialMoments:
         with pytest.raises(ValidationError, match="3 times"):
             sequential_moments(measure_all(precession_model(times=(0.0, 1.0, 2.0, 3.0))))
 
+    def test_grid_matches_scalar_calls(self, rng):
+        model = sample_model(rng, 3)
+        times = np.sort(rng.uniform(0.0, 3.0, size=(6, 3)), axis=1)
+        tables = measure_all(model, times)
+        grid = sequential_moments(tables)
+        for g in range(len(times)):
+            point = sequential_moments(point_tables(tables, g))
+            assert {k: v[g] for k, v in grid.contextual.items()} == point.contextual
+
+    def test_grid_values_are_range_checked(self):
+        base = MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3)
+        with pytest.raises(ValidationError, match=r"contextual value Q2\^\(1\) out of \[-1, 1\]: 1.5"):
+            ContextualMoments(base=base, contextual={("Q2", "1"): np.array([0.5, 1.5])})
+
 
 class TestInterference:
     def test_commuting_is_zero(self):
@@ -303,6 +317,25 @@ class TestInterference:
         tables = measure_all(mixed_qubit)
         with pytest.raises(ValidationError, match="same pair"):
             interference_term(tables.pairs[(0, 1)], tables.quasi[(1, 2)])
+
+    def test_grid_matches_scalar_calls(self, rng):
+        model = sample_model(rng, 3)
+        times = np.sort(rng.uniform(0.0, 3.0, size=(6, 3)), axis=1)
+        tables = measure_all(model, times)
+        for p in pair_set(3):
+            grid = interference_term(tables.pairs[p], tables.quasi[p])
+            assert grid.shape == (len(times),)
+            for g in range(len(times)):
+                point = point_tables(tables, g)
+                assert grid[g] == interference_term(point.pairs[p], point.quasi[p])
+
+    def test_grid_rejects_an_outcome_dependent_point(self):
+        quasi = ProbabilityTable(kind="quasi", time_indices=(0, 1), weights=np.full((2, 2, 2), 0.25))
+        # point 0 is outcome-independent (T = 0), point 1 is not
+        weights = np.array([[[0.25, 0.25], [0.25, 0.25]], [[0.4, 0.1], [0.1, 0.4]]])
+        pair = ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=weights)
+        with pytest.raises(ValidationError, match="not outcome-independent"):
+            interference_term(pair, quasi)
 
 
 class TestWitness:
@@ -395,29 +428,28 @@ class TestMomentSet:
 
 
 class TestExpansionTable:
+    """The moment expansion p(s_i, s_j) of a measured pair is its LG2 block
+    divided by 4, in outcome order."""
+
     def test_matches_quasi_for_model_moments(self, rng):
         # the moment expansion over a measured pair reproduces the quasi table
         for _ in range(10):
             model = sample_model(rng, 2)
             mom = piecewise_moments(model)
             for pair in pair_set(3):
-                expanded = pair_expansion_table(mom, pair)
+                expanded = lg2(mom, pair).values / 4
                 q = quasi_prob2(model, *pair)
-                assert max(abs(expanded.weight(o) - q.weight(o)) for o in outcomes(2)) < 1e-12
+                assert max(abs(expanded[k] - q.weight(o)) for k, o in enumerate(outcomes(2))) < 1e-12
 
     def test_compatibility_with_single_time_marginals(self, rng):
         # moment-expansion pair tables obey every marginal compatibility relation
         vals = rng.uniform(-0.4, 0.4, 6)
         mom = MomentSet(averages=tuple(vals[:3]), correlators=tuple(vals[3:]))
         for i, j in pair_set(3):
-            t = pair_expansion_table(mom, (i, j))
-            for s in (-1, +1):
-                assert t.marginal(j).weight((s,)) == pytest.approx(
-                    (1 + s * mom.averages[i]) / 2, abs=1e-12
-                )
-                assert t.marginal(i).weight((s,)) == pytest.approx(
-                    (1 + s * mom.averages[j]) / 2, abs=1e-12
-                )
+            t = (lg2(mom, (i, j)).values / 4).reshape(2, 2)  # axes (s_i, s_j), -1 first
+            for k, s in enumerate((-1, +1)):
+                assert t[k, :].sum() == pytest.approx((1 + s * mom.averages[i]) / 2, abs=1e-12)
+                assert t[:, k].sum() == pytest.approx((1 + s * mom.averages[j]) / 2, abs=1e-12)
 
 
 def test_measure_all_bundles_everything(mixed_qubit):
