@@ -87,7 +87,11 @@ class ConditionReport:
         return tuple(map(Check, self.names, *rows))
 
     def check(self, name: str) -> Check:
-        return dict(zip(self.names, self.checks))[name]
+        """The named row alone, built as the one ``Check`` of a one-row report."""
+        if name not in self.names:
+            raise ValidationError(f"no check named {name!r} in this report")
+        k = self.names.index(name)
+        return replace(self, names=(name,), values=self.values[k : k + 1], equality=self.equality[k : k + 1]).checks[0]
 
     def merged_with(self, *others: "ConditionReport") -> "ConditionReport":
         if any(other.epsilon != self.epsilon for other in others):
@@ -115,56 +119,74 @@ class ConditionReport:
 
 
 class RowBlock(NamedTuple):
-    """Rows b + G x over x = (averages, correlators), one name per row."""
+    """Rows b + G x + slope*z, one name per row, as ``a = [b | G]`` and ``slope``:
+    x = (averages, correlators), and z is the free parameter they leave out (the
+    triple correlator D at 3 times, the chord C13 at 4), on which only Fine's rows depend."""
 
     names: tuple[str, ...]
-    b: np.ndarray
-    g: np.ndarray
+    a: np.ndarray
+    slope: np.ndarray
+
+
+def _stacked(blocks) -> RowBlock:
+    names, a, slope = zip(*blocks)
+    return RowBlock(sum(names, ()), np.vstack(a), np.concatenate(slope))
 
 
 def _row_table(n: int) -> dict:
     pairs = pair_set(n)
 
     def block(names, b, columns, coefficients) -> RowBlock:
-        g = np.zeros((len(names), n + len(pairs)))
-        g[:, columns] = coefficients
-        return RowBlock(tuple(names), np.full(len(names), b), g)
+        # columns: b, the moments x, then z; a coefficient on z goes to slope
+        a = np.zeros((len(names), 2 + n + len(pairs)))
+        a[:, 0] = b
+        a[:, [1 + c for c in columns]] = coefficients
+        return RowBlock(tuple(names), a[:, :-1], a[:, -1])
 
     lg2 = [(s1, s2, s1 * s2) for s1, s2 in outcomes(2)]
+    lg3 = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
     table = {
         (i, j): block([f"LG2.{i + 1}{j + 1}.{outcome_key(s)}" for s in outcomes(2)], 1.0, [i, j, n + k], lg2)
         for k, (i, j) in enumerate(pairs)
     }
     if n == 3:
-        lg3 = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
         table["LG3"] = block([f"LG3.{k}" for k in range(1, 5)], 1.0, [3, 4, 5], lg3)
         # E(s) = 1 + sum s_i <Q_i> + sum s_i s_j C_ij, and p(s) = (E(s) + s1 s2 s3 D) / 8
-        e = [(s1, s2, s3, s1 * s2, s2 * s3, s1 * s3) for s1, s2, s3 in outcomes(3)]
-        table["E"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(6), e)
+        e = [(s1, s2, s3, s1 * s2, s2 * s3, s1 * s3, s1 * s2 * s3) for s1, s2, s3 in outcomes(3)]
+        table["E"] = table["fine"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(7), e)
     else:
         lg4 = [[side * (-1 if idx == k else 1) for idx in range(4)] for k in range(4) for side in (1, -1)]
         table["LG4"] = block([f"LG4.{k}.{side}" for k in range(1, 5) for side in ("lo", "hi")], 2.0, [4, 5, 6, 7], lg4)
-    weak = [table[p] for p in pairs] + [table["LG3" if n == 3 else "LG4"]]
-    names, b, g = zip(*weak)
-    table["weak"] = RowBlock(sum(names, ()), np.concatenate(b), np.vstack(g))
+        # z = C13: the chord's LG2 rows and the LG3 rows of the triangles (1,2,3),
+        # on (C12, C23, C13), and (1,3,4), on (C13, C34, C14)
+        table["fine"] = _stacked([
+            block([f"LG2.13.{outcome_key(s)}" for s in outcomes(2)], 1.0, [0, 2, 8], lg2),
+            block([f"LG3(123).{k}" for k in range(1, 5)], 1.0, [4, 5, 8], lg3),
+            block([f"LG3(134).{k}" for k in range(1, 5)], 1.0, [8, 6, 7], lg3),
+        ])
+    table["weak"] = _stacked([table[p] for p in pairs] + [table["LG3" if n == 3 else "LG4"]])
+    table["weak+fine"] = _stacked([table["weak"], table["fine"]])
     return table
 
 
-#: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3"
-#: or "LG4", "E" at 3 times, and "weak", the LG2 blocks then the family, as ``mr_weak`` reads them
+#: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3" or
+#: "LG4", "E" at 3 times, "weak", the LG2 blocks then the family, as ``mr_weak`` reads them,
+#: "fine", the rows ``fine.d_bounds`` reads ("E" at 3 times), and "weak+fine", the two stacked
 ROWS = {n: _row_table(n) for n in (3, 4)}
 
 
 def affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
-    arrays over one grid).  Each row sums its terms left to right, starting
-    from b, in the order its formula lists them: one whole column at a time."""
-    x = np.array(x, dtype=float)
-    g = block.g.T.reshape(block.g.T.shape + (1,) * (x.ndim - 1))
-    values = block.b.reshape(g.shape[1:]) + g[0] * x[0]
-    for column, xj in zip(g[1:], x[1:]):
-        values += column * xj
-    return values
+    arrays of one shape over a grid): one product of ``block.a`` with (1, x),
+    then ``np.add.accumulate`` sums each row's terms strictly left to right
+    from b.  The result owns its memory: it keeps no terms array alive."""
+    x = np.asarray(x, dtype=float)
+    xp = np.empty((1 + len(x),) + x.shape[1:])
+    xp[0] = 1.0
+    xp[1:] = x
+    terms = block.a.reshape(block.a.shape + (1,) * (xp.ndim - 1)) * xp
+    np.add.accumulate(terms, axis=1, out=terms)
+    return terms[:, -1].copy()
 
 
 def _inequalities(block: RowBlock, m: MomentSet, epsilon: float, assumptions=()) -> ConditionReport:

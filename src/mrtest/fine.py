@@ -3,7 +3,7 @@
 
 The moments leave one parameter z free, and every nonnegativity condition
 on the joint is a row b + sigma*z >= 0 with slope sigma = +-1.  The rows
-are blocks of the affine row table ``conditions.ROWS``:
+are the "fine" block of the affine row table ``conditions.ROWS``:
 
 * three times: z is the unmeasured triple correlator D, and the rows are
   the eight expansion values E(s), with p(s) = (E(s) + s1 s2 s3 D) / 8;
@@ -11,16 +11,16 @@ are blocks of the affine row table ``conditions.ROWS``:
   {12, 23, 34, 14} into the triangles (1,2,3) and (1,3,4), and each
   triangle has a joint exactly when its LG2 and LG3 rows hold.  The rows
   that involve x are the four chord LG2 rows and the eight triangle LG3
-  rows, each taken at x = 0 with its C13 coefficient as slope; a joint of
-  the two triangles glues into one of all four times (the chordal
-  extension behind Fine's theorem: Fine, PRL 48, 291 (1982); Araujo et
-  al., PRA 88, 022118 (2013)).
+  rows, each lifted onto the four-time columns at x = 0 with its C13
+  coefficient as slope; a joint of the two triangles glues into one of all
+  four times (the chordal extension behind Fine's theorem: Fine, PRL 48,
+  291 (1982); Araujo et al., PRA 88, 022118 (2013)).
 
 ``d_bounds`` is the interval [lo, hi] the rows leave for z, broadcasting
-over a grid of moment sets.  ``d_interval`` takes its verdict and its
-smallest margin from ``mr_weak``'s own values at the verdict epsilon, so
-it agrees with the weak verdict by construction, and builds a witness
-table at the midpoint of the interval.
+over a grid of moment sets.  ``d_interval`` makes one stacked evaluation
+of the weak and Fine rows, reads its verdict and smallest margin from the
+weak slice (``mr_weak``'s reduction, so they agree by construction), and
+builds a witness table at the midpoint of the interval.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, affine_values, mr_weak
+from .conditions import ROWS, ConditionReport, affine_values
 from .errors import ValidationError
-from .measurement import MomentSet, ProbabilityTable, outcomes
+from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
 
 @dataclass(frozen=True)
@@ -59,28 +59,13 @@ class FeasibilityResult:
         }
 
 
-_PARITY3 = np.array([s[0] * s[1] * s[2] for s in outcomes(3)], dtype=float)
-_EXPANSION, _CHORD_LG2, _LG3 = ROWS[3]["E"], ROWS[3][(0, 2)], ROWS[3]["LG3"]
+_EXPANSION = ROWS[3]["E"]
+_SIDES = {n: (np.flatnonzero(ROWS[n]["fine"].slope > 0), np.flatnonzero(ROWS[n]["fine"].slope < 0)) for n in (3, 4)}
 
 
-def _rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """Rows b, shape ``(k,) + batch``, and slopes sigma, shape ``(k,)``: the
-    free parameter z is admissible iff b + sigma*z >= 0 on every row.  At
-    four times a row is a triangle's row at C13 = 0, its slope its C13 coefficient."""
-    if m.n_times == 3:
-        return affine_values(_EXPANSION, m.averages + m.correlators), _PARITY3
-    a1, a2, a3, a4 = m.averages
-    c12, c23, c34, c14 = m.correlators
-    zero = np.zeros(np.shape(a1))
-    # the triangles (1,2,3) and (1,3,4) side by side as three-time moments at C13 = 0
-    x = [(a1, a1), (a2, a3), (a3, a4), (c12, zero), (c23, c34), (zero, c14)]
-    lg3 = affine_values(_LG3, x)
-    b = [affine_values(_CHORD_LG2, [t[0] for t in x]), lg3[:, 0], lg3[:, 1]]
-    return np.concatenate(b), np.concatenate([_CHORD_LG2.g[:, 5], _LG3.g[:, 5], _LG3.g[:, 3]])
-
-
-def _bounds(b: np.ndarray, sigma: np.ndarray):
-    return (-b[sigma > 0]).max(axis=0), b[sigma < 0].min(axis=0)
+def _bounds(b: np.ndarray, n: int):
+    up, down = _SIDES[n]
+    return (-b[up]).max(axis=0), b[down].min(axis=0)
 
 
 def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
@@ -93,7 +78,7 @@ def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
     correlator value d (must be nonnegative to validate)."""
     if m.n_times != 3:
         raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
-    weights = ((affine_values(_EXPANSION, m.averages + m.correlators) + _PARITY3 * d) / 8.0).reshape(2, 2, 2)
+    weights = ((affine_values(_EXPANSION, m.averages + m.correlators) + _EXPANSION.slope * d) / 8.0).reshape(2, 2, 2)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
 
 
@@ -102,15 +87,15 @@ def d_bounds(m: MomentSet):
     slope +1 force z >= -b, slope -1 force z <= b.  Floats, or arrays over
     the grid of ``m``."""
     _require_unmeasured_triple(m, "d_bounds")
-    return _bounds(*_rows(m))
+    return _bounds(affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators), m.n_times)
 
 
 def _midpoint_weights(e: np.ndarray) -> np.ndarray:
     """Three-time joint weights from the expansion values e at the midpoint
     of their triple-correlator interval.  For an empty interval the few
     slightly negative weights are clipped at 0 and the table renormalised."""
-    lo, hi = _bounds(e, _PARITY3)
-    w = (e + _PARITY3 * ((lo + hi) / 2.0)) / 8.0
+    lo, hi = _bounds(e, 3)
+    w = (e + _EXPANSION.slope * ((lo + hi) / 2.0)) / 8.0
     if hi < lo:
         w = np.maximum(w, 0.0)
         w /= w.sum()
@@ -134,19 +119,21 @@ def _glued_weights(m: MomentSet, x: float) -> np.ndarray:
 def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility at three or four times.
 
-    A joint exists iff every margin ``mr_weak`` reads is nonnegative, so
-    the verdict is ``mr_weak(m, epsilon).verdict``, and a smallest margin
-    of that report within epsilon of zero is flagged as marginal.  The
+    A joint exists iff every margin ``mr_weak`` reads is nonnegative, so the
+    weak slice of the stacked rows gives ``mr_weak(m, epsilon).verdict``,
+    and a smallest margin within epsilon of zero is flagged as marginal.  The
     witness sits at the midpoint of ``d_bounds(m)``, inside [-1, 1]; at
     four times it glues the two triangle joints.  Weights left slightly
     negative inside the slack are clipped at 0 and the table renormalised.
     """
     _require_unmeasured_triple(m, "d_interval")
-    weak = mr_weak(m, epsilon)
-    b, sigma = _rows(m)
-    lo, hi = map(float, _bounds(b, sigma))
+    n, names = m.n_times, ROWS[m.n_times]["weak"].names
+    values = affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
+    k = len(names)
+    weak = ConditionReport(names, values[:k], np.zeros(k, bool), epsilon)
+    lo, hi = map(float, _bounds(values[k:], n))
     margin = float(weak.values.min())
-    name = "triple correlator" if m.n_times == 3 else "chord correlator C13"
+    name = "triple correlator" if n == 3 else "chord correlator C13"
     if not weak.verdict:
         if hi < lo:
             why = f"empty interval: {name} must be >= {lo!r} and <= {hi!r}"
@@ -154,8 +141,8 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
             why = f"negative two-time weight: measured LG2 margin {margin!r}"
         return FeasibilityResult(feasible=False, d_interval=(lo, hi), certificate=why)
     marginal = " (marginal)" if margin <= epsilon else ""
-    if m.n_times == 3:
-        weights = _midpoint_weights(b)
+    if n == 3:
+        weights = _midpoint_weights(values[k:])
     else:
         weights = _glued_weights(m, (lo + hi) / 2.0)
     return FeasibilityResult(

@@ -196,6 +196,9 @@ class MomentSet:
             raise ValidationError(
                 f"need {len(pairs)} correlators for {len(avg)} times, got {len(corr)}"
             )
+        shapes = sorted({getattr(x, "shape", ()) for x in avg + corr})
+        if len(shapes) > 1:
+            raise ValidationError(f"averages and correlators must share one shape, got {', '.join(map(str, shapes))}")
         if self.triple is not None and not (-1 - TOL.scalar <= self.triple <= 1 + TOL.scalar):
             raise ValidationError(f"triple correlator out of [-1, 1]: {self.triple!r}")
         object.__setattr__(self, "averages", avg)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mrtest.conditions import ROWS, RowBlock
 from mrtest.errors import ValidationError
-from mrtest.fine import _PARITY3, FeasibilityResult
+from mrtest.fine import FeasibilityResult
 from mrtest.measurement import MomentSet, Outcome, ProbabilityTable, TableSet, outcomes, pair_set
 from mrtest.quantum import QuantumModel
 from mrtest.tolerances import TOL
@@ -95,6 +96,34 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
     return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
 
 
+def column_sums(block: RowBlock, x) -> np.ndarray:
+    """b + G x added one whole column at a time, left to right, from b: the
+    loop that ``affine_values`` must match bit for bit."""
+    x = np.array(x, dtype=float)
+    a = block.a.T.reshape(block.a.T.shape + (1,) * (x.ndim - 1))
+    values = a[0] + a[1] * x[0]
+    for column, xj in zip(a[2:], x[1:]):
+        values = values + column * xj
+    return values
+
+
+def triangle_fine_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """The four-time Fine rows and slopes built from three-time blocks: the
+    triangles (1,2,3) and (1,3,4) side by side as three-time moments at
+    C13 = 0, the chord's LG2 rows on the first, then each triangle's LG3
+    rows; a row's slope is its C13 coefficient.  The reference for the
+    lifted block ``ROWS[4]["fine"]``."""
+    chord, lg3 = ROWS[3][(0, 2)], ROWS[3]["LG3"]
+    a1, a2, a3, a4 = m.averages
+    c12, c23, c34, c14 = m.correlators
+    zero = np.zeros(np.shape(a1))
+    x = [(a1, a1), (a2, a3), (a3, a4), (c12, zero), (c23, c34), (zero, c14)]
+    triangles = column_sums(lg3, x)
+    b = [column_sums(chord, [t[0] for t in x]), triangles[:, 0], triangles[:, 1]]
+    # C13 is the last three-time column of the first triangle and the fourth of the second
+    return np.concatenate(b), np.concatenate([chord.a[:, 6], lg3.a[:, 6], lg3.a[:, 4]])
+
+
 def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
     """Brute-force feasibility: scan the triple correlator over [-1, 1].
 
@@ -107,7 +136,8 @@ def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
     if not (0.0 < grid_step <= 0.1):
         raise ValidationError(f"scan_oracle: grid_step must be in (0, 0.1], got {grid_step!r}")
     (a1, a2, a3), (c12, c23, c13) = m.averages, m.correlators
-    outs, parity = outcomes(3), _PARITY3
+    outs = outcomes(3)
+    parity = np.array([s1 * s2 * s3 for s1, s2, s3 in outs], dtype=float)
     e = np.array([
         1.0 + s1 * a1 + s2 * a2 + s3 * a3 + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
         for s1, s2, s3 in outs

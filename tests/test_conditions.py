@@ -35,7 +35,7 @@ from mrtest.measurement import (
 )
 from mrtest.quantum import QuantumModel
 
-from conftest import SZ, point_tables, precession_model
+from conftest import SZ, column_sums, point_tables, precession_model
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -374,7 +374,14 @@ class TestSerialization:
         for report in (mr_weak(tables.moments), mr_int(tables), mr_strong(tables), nsit_pairwise(tables)):
             report.verdict, report.margins
         assert built == []
-        assert len(mr_int(tables).to_jsonable()["checks"]) == len(built) == 6 + 4  # NSIT pairs, LG3
+        report = mr_int(tables)
+        lg3_2 = report.check("LG3.2")
+        assert len(built) == 1
+        assert lg3_2 == dict(zip(report.names, report.checks))["LG3.2"]
+        built.clear()
+        assert len(report.to_jsonable()["checks"]) == len(built) == 6 + 4  # NSIT pairs, LG3
+        with pytest.raises(ValidationError, match="no check named 'LG3.5'"):
+            report.check("LG3.5")
 
     def test_merge_rejects_mixed_epsilon(self):
         a = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-9)
@@ -421,6 +428,27 @@ class TestRowFormulas:
             for (s1, s2, s3), value in zip(outcomes(3), expansion):
                 e = 1.0 + s1 * a[0] + s2 * a[1] + s3 * a[2] + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
                 assert value.hex() == e.hex()
+
+
+class TestAffineValues:
+    """``affine_values`` against the column-at-a-time loop, on every block."""
+
+    @given(st.lists(st.floats(-1, 1), min_size=8, max_size=8), st.sampled_from([3, 4]))
+    def test_bit_equal_to_the_column_loop(self, x, n):
+        for key, block in ROWS[n].items():
+            width = block.a.shape[1] - 1
+            assert affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
+
+    def test_grid_bit_equal_and_owns_its_memory(self, rng):
+        # a view of the terms array would keep it alive inside every report
+        for n in (3, 4):
+            for key, block in ROWS[n].items():
+                width = block.a.shape[1] - 1
+                for x in (list(rng.uniform(-1, 1, width)), tuple(rng.uniform(-1, 1, (width, 7)))):
+                    values = affine_values(block, x)
+                    assert values.base is None, key
+                    assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
+                    assert values.tobytes() == column_sums(block, x).tobytes(), key
 
 
 class TestGridMatchesPoints:

@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mrtest.conditions import lg2, lg3, lg4, mr_weak
+from mrtest import conditions, fine
+from mrtest.conditions import ROWS, affine_values, lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
+    d_bounds,
     d_interval,
     lp_feasibility,
     triple_expansion_table,
@@ -16,7 +20,7 @@ from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, piecewise_moments
 from mrtest.tolerances import TOL
 
-from conftest import lp_oracle, moment_rows, scan_oracle
+from conftest import lp_oracle, moment_rows, scan_oracle, triangle_fine_rows
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -36,6 +40,39 @@ def table_moments(result: FeasibilityResult, m: MomentSet):
     avg = [t.moment((i,)) for i in range(m.n_times)]
     corr = [t.moment(p) for p in m.pairs]
     return avg, corr
+
+
+def interval_and_weak_calls(m: MomentSet, epsilon: float) -> tuple[FeasibilityResult, int]:
+    """``d_interval(m, epsilon)`` and the number of calls it made to ``mr_weak``."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mr_weak(*args, **kwargs)
+
+    with mock.patch.object(conditions, "mr_weak", counted), mock.patch.object(fine, "mr_weak", counted, create=True):
+        return d_interval(m, epsilon), len(calls)
+
+
+class TestFineRows:
+    """The lifted four-time block against the triangle construction it
+    replaced: bit-equal values, equal slopes, and so equal bounds."""
+
+    @given(st.lists(unit, min_size=8, max_size=8))
+    def test_lifted_block_is_the_triangle_construction(self, values):
+        m = MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:]))
+        b, slope = triangle_fine_rows(m)
+        assert affine_values(ROWS[4]["fine"], values).tobytes() == b.tobytes()
+        assert ROWS[4]["fine"].slope.tolist() == slope.tolist()
+
+    def test_lifted_block_on_a_grid(self, rng):
+        x = rng.uniform(-1.0, 1.0, size=(8, 500)) * rng.uniform(0.0, 1.0, size=500)
+        m = MomentSet(averages=tuple(x[:4]), correlators=tuple(x[4:]))
+        b, slope = triangle_fine_rows(m)
+        assert affine_values(ROWS[4]["fine"], m.averages + m.correlators).tobytes() == b.tobytes()
+        lo, hi = d_bounds(m)
+        assert lo.tobytes() == (-b[slope > 0]).max(axis=0).tobytes()
+        assert hi.tobytes() == b[slope < 0].min(axis=0).tobytes()
 
 
 class TestDInterval:
@@ -118,7 +155,8 @@ class TestWeakBoundary:
         assume(all(abs(v) <= 1.0 for v in scaled))
         m = moment_set3(scaled)
         assert abs(min(lg_margins(m)) - target) < 1e-12
-        r = d_interval(m, epsilon)
+        r, weak_calls = interval_and_weak_calls(m, epsilon)
+        assert weak_calls == 0
         assert r.feasible == mr_weak(m, epsilon).verdict
         if r.feasible:
             # clipping weights of at most epsilon/8 moves the moments by less than epsilon
@@ -165,7 +203,8 @@ class TestFourTimeBoundary:
         assume(all(abs(v) <= 1.0 for v in scaled))
         m = MomentSet(averages=tuple(scaled[:4]), correlators=tuple(scaled[4:]))
         assert abs(min(min(part) for part in lg_margins4(m)) - target) < 1e-12
-        r = d_interval(m, epsilon)
+        r, weak_calls = interval_and_weak_calls(m, epsilon)
+        assert weak_calls == 0
         assert r.feasible == mr_weak(m, epsilon).verdict
         if r.feasible:
             avg, corr = table_moments(r, m)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,20 @@ class TestMomentSet:
     def test_range_validation(self):
         with pytest.raises(ValidationError, match="out of"):
             MomentSet(averages=(1.5, 0.0, 0.0), correlators=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "averages, correlators, shapes",
+        [
+            ((np.zeros(3), 0.0, 0.0), (0.0,) * 3, "(), (3,)"),
+            ((np.zeros(3), np.zeros(2), 0.0), (0.0,) * 3, "(), (2,), (3,)"),
+            ((np.zeros(3),) * 3, (0.0,) * 3, "(), (3,)"),
+            ((np.zeros(3),) * 3, (np.zeros(2),) * 3, "(2,), (3,)"),
+        ],
+    )
+    def test_grid_values_share_one_shape(self, averages, correlators, shapes):
+        # before the check, mr_weak and d_bounds failed on these with a numpy ValueError
+        with pytest.raises(ValidationError, match=rf"must share one shape, got {re.escape(shapes)}$"):
+            MomentSet(averages=averages, correlators=correlators)
 
     def test_json_round_trip_with_triple(self):
         m = MomentSet(averages=(0.1, -0.2, 0.3), correlators=(0.0, 0.25, -0.5), triple=0.125)
