@@ -54,11 +54,7 @@ from .measurement import (
     interference_term,
     measure_all,
     pair_set,
-    piecewise_moments,
-    quasi_prob2,
     sequential_moments,
-    sequential_prob,
-    single_time_prob,
     witness,
 )
 from .quantum import QuantumModel, eig_hermitian, expectation

@@ -26,7 +26,7 @@ from .harness import (
     sweep_blocks,
     write_sweep_csv,
 )
-from .measurement import measure_all, piecewise_moments
+from .measurement import measure_all
 from .tolerances import TOL
 
 EXIT_PASS = 0
@@ -79,7 +79,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     epsilon = _epsilon(args)
     if args.which == "weak":
-        moments = load_moments(args.moments) if args.moments else piecewise_moments(_measured_model(args))
+        moments = load_moments(args.moments) if args.moments else measure_all(_measured_model(args)).moments
         report = mr_weak(moments, epsilon)
     else:
         if not args.model:

@@ -1,9 +1,10 @@
 """Model ingestion, parameter sweeps and random-model property campaigns.
 
-This layer owns the file formats (model JSON, moments JSON, sweep spec
-JSON, CSV output) and the reproducible random-model sampling used by the
-property campaign.  Everything is deterministic: identical inputs,
-including the seed, produce byte-identical outputs.
+This layer reads the model and sweep spec JSON files (a moments file is
+parsed by ``MomentSet.from_jsonable``), writes the sweep CSV, and owns the
+reproducible random-model sampling used by the property campaign.
+Everything is deterministic: identical inputs, including the seed, produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from .errors import InputFormatError, ValidationError
 from .fine import d_bounds, d_interval
 from .measurement import (
-    _JSON_NUMBERS,
+    _json_number,
     SIGNS,
     MomentSet,
     measure_all,
@@ -40,13 +41,6 @@ OUTPUT_GROUPS = ("averages", "correlators", "margins", "witness", "d_interval", 
 # JSON model files
 
 
-def _json_number(value, where: str) -> float:
-    """A JSON number as a float; booleans and strings are format errors."""
-    if type(value) not in _JSON_NUMBERS:
-        raise InputFormatError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
 def _json_int(value, where: str) -> int:
     """A JSON integer; booleans and floats such as 2.5 are format errors."""
     if type(value) is not int:
@@ -56,8 +50,7 @@ def _json_int(value, where: str) -> int:
 
 def _complex_entry(value, where: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        if _JSON_NUMBERS.issuperset(map(type, value)):
-            return complex(*value)
+        return complex(*(_json_number(x, where) for x in value))
     raise InputFormatError(f"{where}: matrix entries must be [re, im] pairs, got {value!r}")
 
 
@@ -106,11 +99,13 @@ def model_to_jsonable(model: QuantumModel) -> dict:
 
 
 def _load_json(path) -> object:
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer literal past the int-string conversion limit, or nesting too deep
+        raise InputFormatError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_model(path) -> QuantumModel:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -28,6 +28,18 @@ Outcome = tuple[int, ...]
 
 #: value types a JSON number parses to; ``bool`` is deliberately absent
 _JSON_NUMBERS = frozenset({int, float})
+
+
+def _json_number(value, where: str) -> float:
+    """A JSON number as a float; booleans, strings and integers beyond the
+    float range are format errors naming ``where``."""
+    if type(value) not in _JSON_NUMBERS:
+        raise InputFormatError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputFormatError(f"{where} must be within the float range, got {len(str(value))} digits") from None
+
 
 TABLE_KINDS = ("single", "sequential", "quasi", "joint")
 
@@ -47,12 +59,6 @@ def outcome_key(outcome: Outcome) -> str:
     return "".join("+" if s > 0 else "-" for s in outcome)
 
 
-def outcome_from_key(key: str) -> Outcome:
-    if not key or any(ch not in "+-" for ch in key):
-        raise ValidationError(f"outcome key must be a string of '+'/'-', got {key!r}")
-    return tuple(+1 if ch == "+" else -1 for ch in key)
-
-
 # ---------------------------------------------------------------------------
 # tables
 
@@ -61,11 +67,10 @@ def outcome_from_key(key: str) -> Outcome:
 class ProbabilityTable:
     """Real weights on the outcomes {-1,+1}^k as a float array of shape
     ``batch + (2,)*k``, index 0 for s = -1: one table per grid point of
-    ``batch``, which is empty for a single table (that may also be given as
-    a map from outcome tuples to weights).  ``kind`` fixes the validation
-    class: "single"/"sequential"/"joint" weights must be nonnegative (down
-    to -1e-12 rounding slack), "quasi" weights may be negative but stay
-    within [-1, 1] up to slack.  Every table must sum to 1.
+    ``batch``, which is empty for a single table.  ``kind`` fixes the
+    validation class: "single"/"sequential"/"joint" weights must be
+    nonnegative (down to -1e-12 rounding slack), "quasi" weights may be
+    negative but stay within [-1, 1] up to slack.  Every table must sum to 1.
     """
 
     kind: str
@@ -79,11 +84,7 @@ class ProbabilityTable:
         k = len(idx)
         if not (1 <= k <= 4):
             raise ValidationError(f"table arity must be 1-4, got {k}")
-        w = self.weights
-        if isinstance(w, Mapping):
-            given = {tuple(o): v for o, v in w.items()}
-            w = np.reshape([given[o] for o in outcomes(k)], (2,) * k) if sorted(given) == outcomes(k) else ()
-        w = np.asarray(w, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
         if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
         total = w.sum(axis=tuple(range(-k, 0)))
@@ -135,15 +136,6 @@ class ProbabilityTable:
             "kind": self.kind,
             "weights": dict(zip(map(outcome_key, outcomes(self.arity)), self.weights.ravel().tolist())),
         }
-
-    @classmethod
-    def from_jsonable(cls, obj: Mapping) -> "ProbabilityTable":
-        weights = {outcome_from_key(k): v for k, v in obj["weights"].items()}
-        return cls(
-            kind=obj["kind"],
-            time_indices=tuple(int(i) - 1 for i in obj["times"]),
-            weights=weights,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +263,9 @@ class MomentSet:
             names = ", ".join(f"C{i + 1}{j + 1}" for i, j in extra)
             raise ValidationError(f"moments: unexpected pairs: {names}")
         return cls(
-            averages=tuple(avg),
-            correlators=tuple(given[p] for p in want),
-            triple=triple,
+            averages=tuple(_json_number(x, "moments: avg") for x in avg),
+            correlators=tuple(_json_number(given[p], "moments: corr") for p in want),
+            triple=None if triple is None else _json_number(triple, "moments: D"),
         )
 
 
@@ -328,56 +320,13 @@ def _sequential_weights(proj: np.ndarray, rho: np.ndarray, idx: tuple[int, ...])
         state = p @ state[..., None, :, :] @ p
 
 
-def single_time_prob(model: QuantumModel, i: int) -> ProbabilityTable:
-    """p(s) = Tr(P_s(t_i) rho) = (1 + s <Q(t_i)>)/2."""
-    weights = expectation(model.rho, model.spectral()[2][model.check_time_index(i)])
-    return ProbabilityTable(kind="single", time_indices=(i,), weights=weights)
-
-
-def sequential_prob(model: QuantumModel, subset: Sequence[int]) -> ProbabilityTable:
-    """Chained projective measurements over the given time indices.
-
-    State update per outcome is rho -> P rho P; the table weight is the
-    trace of the final unnormalized state.
-    """
-    idx = tuple(int(i) for i in subset)
-    if not idx:
-        raise ValidationError("sequential_prob: subset must be nonempty")
-    if any(j <= i for i, j in zip(idx, idx[1:])):
-        raise ValidationError(f"sequential_prob: subset must be strictly increasing, got {idx}")
-    for i in idx:
-        model.check_time_index(i)
-    weights = _sequential_weights(model.spectral()[2], model.rho, idx)
-    return ProbabilityTable(kind="sequential", time_indices=idx, weights=weights)
-
-
 def _quasi_weights(proj: np.ndarray, rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Symmetrized quasi-probability of the time indices i < j,
+    q(s1, s2) = Re Tr((P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho) / 2:
+    its marginals are the single-time tables, but entries may be negative."""
     p1 = proj[..., i, :, None, :, :]
     p2 = proj[..., j, None, :, :, :]
     return 0.5 * expectation(rho, p2 @ p1 + p1 @ p2)
-
-
-def quasi_prob2(model: QuantumModel, i: int, j: int) -> ProbabilityTable:
-    """Symmetrized two-time quasi-probability.
-
-    q(s1, s2) = Re Tr( (P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho ) / 2.
-    Its marginals reproduce both single-time tables exactly, but entries may
-    be negative.
-    """
-    if not i < j:
-        raise ValidationError(f"quasi_prob2: need i < j, got ({i}, {j})")
-    proj = model.spectral()[2]
-    weights = _quasi_weights(proj, model.rho, model.check_time_index(i), model.check_time_index(j))
-    return ProbabilityTable(kind="quasi", time_indices=(i, j), weights=weights)
-
-
-def piecewise_moments(model: QuantumModel) -> MomentSet:
-    """Averages and pair correlators, each from its own simulated experiment.
-
-    The sequential and quasi two-time formulas share the correlator, so one
-    implementation serves both protocols.
-    """
-    return measure_all(model).moments
 
 
 def sequential_moments(tables: TableSet) -> ContextualMoments:

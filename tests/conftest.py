@@ -155,8 +155,7 @@ def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
                 f"(step {grid_step!r}, best min weight {worst[best]:.6e})"
             ),
         )
-    weights = {s: float(values[k, best]) for k, s in enumerate(outs)}
-    table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
+    table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=values[:, best].reshape(2, 2, 2))
     return FeasibilityResult(feasible=True, witness_table=table)
 
 

@@ -16,9 +16,6 @@ from mrtest.measurement import (
     MomentSet,
     measure_all,
     outcomes,
-    piecewise_moments,
-    sequential_prob,
-    single_time_prob,
 )
 
 from conftest import lp_oracle, precession_model, scan_oracle
@@ -74,7 +71,7 @@ def test_criterion_1_three_time_violation_extremum():
     margins = np.concatenate([block.margins["LG3.2"] for block in sweep_blocks(spec)]).tolist()
 
     def margin_at(tau: float) -> float:
-        mom = piecewise_moments(precession_model(times=(0.0, tau, 2 * tau)))
+        mom = measure_all(precession_model(times=(0.0, tau, 2 * tau))).moments
         return lg3(mom).check("LG3.2").margin
 
     lo, hi = first_attaining_bracket(list(spec.grid), margins)
@@ -115,7 +112,7 @@ def test_criterion_2_four_time_bound():
     sums = np.concatenate([signed_sum(block.moments) for block in blocks]).tolist()
 
     def neg_sum_at(tau: float) -> float:
-        mom = piecewise_moments(precession_model(times=(0.0, tau, 2 * tau, 3 * tau)))
+        mom = measure_all(precession_model(times=(0.0, tau, 2 * tau, 3 * tau))).moments
         return -signed_sum(mom)
 
     lo, hi = first_attaining_bracket(list(spec.grid), [-s for s in sums])
@@ -228,7 +225,7 @@ def test_criterion_7_fixed_initial_state_reduction():
     worst_margin = 0.0
     for _ in range(100):
         model = sample_model(rng, int(rng.integers(2, 5)), rho_mode="plus_eigenspace")
-        mom = piecewise_moments(model)
+        mom = measure_all(model).moments
         worst_moment = max(
             worst_moment,
             abs(mom.corr(0, 1) - mom.averages[1]),
@@ -268,11 +265,9 @@ def test_criterion_8_nsit_special_cases():
 
     worst_diagonal = 0.0
     for _ in range(40):
-        model = sample_model(rng, int(rng.integers(2, 5)), rho_mode="q1_diagonal")
+        tables = measure_all(sample_model(rng, int(rng.integers(2, 5)), rho_mode="q1_diagonal"))
         for j in (1, 2):
-            pair_table = sequential_prob(model, (0, j))
-            target = single_time_prob(model, j)
-            report = nsit(pair_table, target, 0, name=f"NSIT(1){j + 1}")
+            report = nsit(tables.pairs[(0, j)], tables.singles[j], 0, name=f"NSIT(1){j + 1}")
             worst_diagonal = max(worst_diagonal, max(abs(c.value) for c in report.checks))
 
     ok = (

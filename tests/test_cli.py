@@ -305,6 +305,16 @@ _SPEC = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_tex
 _MODEL = _SPEC["model"]
 
 
+def _argv(command, path):
+    """The command line that reads ``path`` as its input file."""
+    return {
+        "fine": ["fine", "--moments", str(path)],
+        "check": ["check", "--moments", str(path), "--which", "weak"],
+        "sweep": ["sweep", "--spec", str(path), "--out", str(path.with_suffix(".csv"))],
+        "simulate": ["simulate", "--model", str(path)],
+    }[command]
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("command, obj, named", [
         ("fine", {**_MOMENTS, "corr": [0.0, 0.0]}, "pairs must be a list as long as corr"),
@@ -327,21 +337,41 @@ class TestMalformedFiles:
         ("sweep", {**_SPEC, "to": float("inf")}, "to must be a finite number"),
         ("sweep", {**_SPEC, "parameter": "omega", "from": 0.0, "to": 1e308, "steps": 3},
          "omega to = 1e+308 scales the times"),
+        # integers beyond the float range, one per field
+        ("fine", {**_MOMENTS, "avg": [0, 10**400, 0]}, "moments: avg must be within the float range"),
+        ("check", {**_MOMENTS, "corr": [0, 0, -(10**400)]}, "moments: corr must be within the float range"),
+        ("fine", {**_MOMENTS, "D": 10**400}, "moments: D must be within the float range"),
+        ("simulate", {**_MODEL, "times": [0, 10**400, 2]}, "model: times[1] must be within the float range"),
+        ("simulate", {**_MODEL, "hamiltonian": [[[0, 0], [10**400, 0]], [[0.5, 0], [0, 0]]]},
+         "hamiltonian[0][1] must be within the float range"),
+        ("sweep", {**_SPEC, "from": 10**400}, "sweep: from must be within the float range"),
+        ("sweep", {**_SPEC, "to": 10**400}, "sweep: to must be within the float range"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"
         p.write_text(json.dumps(obj))
-        argv = {
-            "fine": ["fine", "--moments", str(p)],
-            "check": ["check", "--moments", str(p), "--which", "weak"],
-            "sweep": ["sweep", "--spec", str(p), "--out", str(tmp_path / "out.csv")],
-            "simulate": ["simulate", "--model", str(p)],
-        }[command]
-        assert main(argv) == 2
+        assert main(_argv(command, p)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("mrtest: error:")
+        assert err.startswith("mrtest: error:") and err.count("\n") == 1
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("fine", b"\xff\xfe{"),
+        ("simulate", b"\xff\xfe{"),
+        ("sweep", b"\xff\xfe{"),
+        ("fine", json.dumps({**_MOMENTS, "avg": [0, 0, 0]}).replace("[0, 0, 0]", "[0, " + "1" * 5000 + ", 0]", 1)),
+        ("simulate", json.dumps({**_MODEL, "times": [0, 1, 2]}).replace("[0, 1, 2]", "[0, 1, " + "2" * 5000 + "]")),
+        ("sweep", json.dumps({**_SPEC, "from": 0}).replace('"from": 0', '"from": ' + "1" * 5000)),
+        ("check", "[" * 100_000),
+    ], ids=["moments-not-utf8", "model-not-utf8", "sweep-not-utf8",
+            "moments-long-int", "model-long-int", "sweep-long-int", "moments-deep-nesting"])
+    def test_unreadable_file_exits_two_naming_the_path(self, tmp_path, capsys, command, text):
+        p = tmp_path / "input.json"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(_argv(command, p)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mrtest: error: {p}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("parameter", ["tau", "omega"])
     def test_overflow_reports_only_the_error(self, tmp_path, capsys, parameter):

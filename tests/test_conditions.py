@@ -26,11 +26,7 @@ from mrtest.measurement import (
     outcome_key,
     outcomes,
     pair_set,
-    piecewise_moments,
-    quasi_prob2,
     sequential_moments,
-    sequential_prob,
-    single_time_prob,
     witness,
 )
 from mrtest.quantum import QuantumModel
@@ -98,7 +94,7 @@ class TestLg2:
     def test_eigenstate_precession_margins(self):
         # rho in Q(t1)=+1 eigenspace at w tau = pi/3: <Q1>=1, <Q2>=C12=1/2;
         # margins over (--, -+, +-, ++) are (0, 0, 1, 3)
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3), rho=RHO_UP))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3), rho=RHO_UP)).moments
         assert mom.averages[0] == pytest.approx(1.0, abs=1e-12)
         assert mom.averages[1] == pytest.approx(0.5, abs=1e-12)
         assert mom.corr(0, 1) == pytest.approx(0.5, abs=1e-12)
@@ -107,10 +103,9 @@ class TestLg2:
         assert r.verdict
 
     def test_margins_quarter_the_expansion_probabilities(self, rng):
-        model = sample_model(rng, 3)
-        mom = piecewise_moments(model)
-        r = lg2(mom, (0, 2))
-        q = quasi_prob2(model, 0, 2)
+        tables = measure_all(sample_model(rng, 3))
+        r = lg2(tables.moments, (0, 2))
+        q = tables.quasi[(0, 2)]
         for (s1, s2), c in zip(outcomes(2), r.checks):
             assert c.margin / 4 == pytest.approx(q.weight((s1, s2)), abs=1e-12)
 
@@ -134,7 +129,7 @@ class TestLg3:
     def test_third_turn_violation(self):
         # piecewise qubit moments at w tau = pi/3: (1/2, 1/2, -1/2);
         # second inequality margin 1 - 1/2 - 1/2 - 1/2 = -1/2
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3)))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3))).moments
         r = lg3(mom)
         assert r.check("LG3.2").margin == pytest.approx(-0.5, abs=1e-12)
         assert not r.verdict
@@ -157,7 +152,7 @@ class TestLg4:
 
     def test_eighth_turn_strongest_violation(self):
         # equal gaps at w tau = pi/4: signed sum 3 cos(pi/4) - cos(3 pi/4) = 2 sqrt 2
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4))).moments
         r = lg4(mom)
         assert r.check("LG4.4.hi").margin == pytest.approx(2 - 2 * np.sqrt(2), abs=1e-12)
 
@@ -168,37 +163,36 @@ class TestLg4:
 
 class TestNsit:
     def test_quasi_table_formally_satisfies_nsit(self, rng):
-        model = sample_model(rng, 3)
-        q = quasi_prob2(model, 0, 1)
-        r = nsit(q, single_time_prob(model, 1), 0, name="NSIT(1)2")
+        tables = measure_all(sample_model(rng, 3))
+        r = nsit(tables.quasi[(0, 1)], tables.singles[1], 0, name="NSIT(1)2")
         assert r.verdict
         assert all(abs(c.value) < 1e-12 for c in r.checks)
 
     def test_commuting_sequential_tables(self):
         m = QuantumModel(hamiltonian=0.9 * SZ, rho=np.diag([0.8, 0.2]).astype(complex),
-                         observable=SZ, times=(0.0, 1.0))
-        r = nsit(sequential_prob(m, (0, 1)), single_time_prob(m, 1), 0)
+                         observable=SZ, times=(0.0, 1.0, 2.0))
+        tables = measure_all(m)
+        r = nsit(tables.pairs[(0, 1)], tables.singles[1], 0)
         assert all(abs(c.value) < 1e-12 for c in r.checks)
 
     def test_residual_equals_witness(self):
-        model = precession_model(times=(0.6, 1.9), rho=RHO_UP)
-        r = nsit(sequential_prob(model, (0, 1)), single_time_prob(model, 1), 0)
-        w = witness(sequential_prob(model, (0, 1)), single_time_prob(model, 1))
+        tables = measure_all(precession_model(times=(0.6, 1.9, 3.2), rho=RHO_UP))
+        r = nsit(tables.pairs[(0, 1)], tables.singles[1], 0)
+        w = witness(tables.pairs[(0, 1)], tables.singles[1])
         assert w > 1e-3
         for c in r.checks:
             assert abs(c.value) == pytest.approx(w, abs=1e-12)
 
     def test_check_names_carry_outcomes(self, mixed_qubit):
-        chain = sequential_prob(mixed_qubit, (0, 1, 2))
-        p23 = sequential_prob(mixed_qubit, (1, 2))
-        r = nsit(chain, p23, 0, name="NSIT(1)23")
+        tables = measure_all(mixed_qubit)
+        r = nsit(tables.chain, tables.pairs[(1, 2)], 0, name="NSIT(1)23")
         assert [c.name for c in r.checks] == [
             "NSIT(1)23.--", "NSIT(1)23.-+", "NSIT(1)23.+-", "NSIT(1)23.++",
         ]
 
     def test_incompatible_index_sets(self, mixed_qubit):
-        p12 = sequential_prob(mixed_qubit, (0, 1))
-        p3 = single_time_prob(mixed_qubit, 2)
+        tables = measure_all(mixed_qubit)
+        p12, p3 = tables.pairs[(0, 1)], tables.singles[2]
         with pytest.raises(ValidationError, match="incompatible"):
             nsit(p12, p3, 0)
         with pytest.raises(ValidationError, match="not measured"):
@@ -218,7 +212,7 @@ class TestMrWeak:
         assert all("NIM" not in c.name and "Ind" not in c.name for c in r.checks)
 
     def test_third_turn_fails_through_lg3(self):
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3)))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3))).moments
         r = mr_weak(mom)
         assert not r.verdict
         failing = [c.name for c in r.checks if not c.passed]
@@ -227,13 +221,13 @@ class TestMrWeak:
     def test_deterministic_constant_signal_passes_at_extremes(self):
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ,
                          times=(0.0, 1.0, 2.0))
-        r = mr_weak(piecewise_moments(m))
+        r = mr_weak(measure_all(m).moments)
         assert r.verdict
         assert r.check("LG2.12.++").margin == pytest.approx(4.0, abs=1e-12)
         assert r.check("LG2.12.--").margin == pytest.approx(0.0, abs=1e-12)
 
     def test_four_time_uses_lg4(self):
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4))).moments
         r = mr_weak(mom)
         assert len(r.checks) == 16 + 8
         assert not r.verdict
@@ -284,9 +278,10 @@ class TestMrStrong:
 
     def test_generic_pure_state_fails_with_witness_scale_residuals(self):
         model = precession_model(times=(0.7, 1.4, 2.1), rho=RHO_UP)
-        r = mr_strong(measure_all(model))
+        tables = measure_all(model)
+        r = mr_strong(tables)
         assert not r.verdict
-        w23 = witness(sequential_prob(model, (1, 2)), single_time_prob(model, 2))
+        w23 = witness(tables.pairs[(1, 2)], tables.singles[2])
         for c in r.checks:
             if c.name.startswith("NSIT(2)3"):
                 assert abs(c.value) == pytest.approx(w23, abs=1e-12)
@@ -294,11 +289,11 @@ class TestMrStrong:
     def test_pass_implies_context_free_expansion(self):
         m = QuantumModel(hamiltonian=0.9 * SZ, rho=np.diag([0.8, 0.2]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        assert mr_strong(measure_all(m)).verdict
-        ctx = sequential_moments(measure_all(m))
+        tables = measure_all(m)
+        assert mr_strong(tables).verdict
+        ctx = sequential_moments(tables)
         reconstructed = triple_expansion_table(ctx.base, ctx.value("D", "123"))
-        chain = sequential_prob(m, (0, 1, 2))
-        assert max(abs(reconstructed.weight(o) - chain.weight(o)) for o in outcomes(3)) < 1e-12
+        assert max(abs(reconstructed.weight(o) - tables.chain.weight(o)) for o in outcomes(3)) < 1e-12
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
@@ -328,7 +323,7 @@ class TestFixedInitialStateReduction:
         }
         for _ in range(10):
             model = sample_model(rng, int(rng.integers(2, 5)), rho_mode="plus_eigenspace")
-            mom = piecewise_moments(model)
+            mom = measure_all(model).moments
             assert mom.corr(0, 1) == pytest.approx(mom.averages[1], abs=1e-12)
             assert mom.corr(0, 2) == pytest.approx(mom.averages[2], abs=1e-12)
             r3 = lg3(mom)

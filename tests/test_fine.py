@@ -17,7 +17,7 @@ from mrtest.fine import (
     triple_expansion_table,
 )
 from mrtest.harness import sample_model
-from mrtest.measurement import MomentSet, piecewise_moments
+from mrtest.measurement import MomentSet, measure_all
 from mrtest.tolerances import TOL
 
 from conftest import lp_oracle, moment_rows, scan_oracle, triangle_fine_rows
@@ -289,7 +289,7 @@ class TestLpFeasibility:
         disagreements, feasible, worst = [], 0, 0.0
         for k in range(10_000):
             if k % 10 == 0:
-                m = piecewise_moments(sample_model(rng, int(rng.integers(2, 5)), 4))
+                m = measure_all(sample_model(rng, int(rng.integers(2, 5)), 4)).moments
             else:
                 vals = rng.uniform(-1.0, 1.0, 8)
                 m = MomentSet(averages=tuple(vals[:4]), correlators=tuple(vals[4:]))
@@ -307,8 +307,7 @@ class TestLpFeasibility:
 
     def test_quantum_moments_always_feasible_iff_weak_passes(self, rng):
         for _ in range(60):
-            model = sample_model(rng, int(rng.integers(2, 5)))
-            mom = piecewise_moments(model)
+            mom = measure_all(sample_model(rng, int(rng.integers(2, 5)))).moments
             assert d_interval(mom).feasible == mr_weak(mom).verdict
 
     def test_wrong_arity(self):

@@ -24,7 +24,7 @@ from mrtest.harness import (
     sweep_csv_lines,
     write_sweep_csv,
 )
-from mrtest.measurement import measure_all, outcomes, pair_set, sequential_prob, single_time_prob, witness
+from mrtest.measurement import measure_all, outcomes, pair_set, witness
 from mrtest.quantum import QuantumModel
 
 from conftest import apply_parameter, precession_model
@@ -43,7 +43,7 @@ class TestModelJson:
         assert model.dim == 2
         assert model.times == (0.0, 1.0, 2.0)
         # maximally mixed: both single-time outcomes even
-        t = single_time_prob(model, 1)
+        t = measure_all(model).singles[1]
         assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-14)
 
     def test_missing_field(self, tmp_path):
@@ -179,7 +179,7 @@ class TestApplyParameter:
         m = apply_parameter(mixed_qubit, "tau", 0.0)
         assert m.times == (0.0, 0.0, 0.0)
         # repeated-measurement limit: chain concentrates on equal outcomes
-        t = sequential_prob(m, (0, 1, 2))
+        t = measure_all(m).chain
         assert t.weight((+1, +1, +1)) == pytest.approx(0.5, abs=1e-14)
         assert t.weight((-1, -1, -1)) == pytest.approx(0.5, abs=1e-14)
 

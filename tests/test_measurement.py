@@ -12,15 +12,10 @@ from mrtest.measurement import (
     ProbabilityTable,
     interference_term,
     measure_all,
-    outcome_from_key,
     outcome_key,
     outcomes,
     pair_set,
-    piecewise_moments,
-    quasi_prob2,
     sequential_moments,
-    sequential_prob,
-    single_time_prob,
     witness,
 )
 from mrtest.quantum import QuantumModel, expectation
@@ -33,76 +28,59 @@ RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 class TestProbabilityTable:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            ProbabilityTable(kind="single", time_indices=(0,), weights={(-1,): 0.2, (+1,): 0.2})
+            ProbabilityTable(kind="single", time_indices=(0,), weights=np.array([0.2, 0.2]))
 
     def test_rejects_negative_sequential(self):
         with pytest.raises(ValidationError, match="negative"):
-            ProbabilityTable(kind="sequential", time_indices=(0, 1), weights={
-                (-1, -1): 0.6, (-1, +1): 0.6, (+1, -1): -0.1, (+1, +1): -0.1,
-            })
+            ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.array([[0.6, 0.6], [-0.1, -0.1]]))
 
     def test_quasi_may_be_negative(self):
-        t = ProbabilityTable(kind="quasi", time_indices=(0, 1), weights={
-            (-1, -1): 0.6, (-1, +1): 0.6, (+1, -1): -0.1, (+1, +1): -0.1,
-        })
+        t = ProbabilityTable(kind="quasi", time_indices=(0, 1), weights=np.array([[0.6, 0.6], [-0.1, -0.1]]))
         assert t.weight((+1, +1)) == -0.1
+        with pytest.raises(ValidationError, match=r"quasi weight out of \[-1, 1\]: 1.5"):
+            ProbabilityTable(kind="quasi", time_indices=(0, 1), weights=np.array([[1.5, -0.5], [0.0, 0.0]]))
 
     def test_rejects_incomplete_outcomes(self):
         with pytest.raises(ValidationError, match="cover"):
-            ProbabilityTable(kind="single", time_indices=(0,), weights={(+1,): 1.0})
+            ProbabilityTable(kind="single", time_indices=(0,), weights=np.array([1.0]))
+        with pytest.raises(ValidationError, match="cover"):
+            ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full(4, 0.25))
 
     def test_outcome_keys(self):
         assert outcome_key((-1, +1, -1)) == "-+-"
-        assert outcome_from_key("-+-") == (-1, +1, -1)
-        with pytest.raises(ValidationError):
-            outcome_from_key("+0")
 
     def test_lexicographic_order_minus_first(self):
         assert outcomes(2) == [(-1, -1), (-1, +1), (+1, -1), (+1, +1)]
 
-    def test_json_round_trip(self, mixed_qubit):
-        t = sequential_prob(mixed_qubit, (0, 1))
-        back = ProbabilityTable.from_jsonable(t.to_jsonable())
-        assert back.kind == t.kind
-        assert back.time_indices == t.time_indices
-        assert np.array_equal(back.weights, t.weights)
-
 
 class TestSingleTime:
     def test_eigenstate_is_deterministic(self):
-        m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0))
-        t = single_time_prob(m, 0)
+        m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0, 2.0))
+        t = measure_all(m).singles[0]
         assert t.weight((+1,)) == pytest.approx(1.0, abs=1e-14)
         assert t.weight((-1,)) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_is_even(self, mixed_qubit):
-        for i in range(3):
-            t = single_time_prob(mixed_qubit, i)
+        for t in measure_all(mixed_qubit).singles:
             assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-14)
 
     def test_quarter_turn(self):
         # <Q(t)> = cos(wt) for rho = |0><0|; at wt = pi/2 both outcomes even
-        m = precession_model(times=(np.pi / 2, np.pi), rho=RHO_UP)
-        t = single_time_prob(m, 0)
+        m = precession_model(times=(np.pi / 2, np.pi, 3 * np.pi / 2), rho=RHO_UP)
+        t = measure_all(m).singles[0]
         assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_moment_expansion(self, mixed_qubit):
-        for i in range(3):
-            t = single_time_prob(mixed_qubit, i)
+        for t in measure_all(mixed_qubit).singles:
             avg = t.moment((0,))
             for s in (-1, +1):
                 assert t.weight((s,)) == pytest.approx((1 + s * avg) / 2, abs=1e-12)
 
-    def test_index_out_of_range(self, mixed_qubit):
-        with pytest.raises(ValidationError, match="out of range"):
-            single_time_prob(mixed_qubit, 5)
-
 
 class TestSequential:
     def test_repeated_time_reproduces_single(self):
-        m = precession_model(times=(0.5, 0.5))
-        t = sequential_prob(m, (0, 1))
-        single = single_time_prob(m, 0)
+        tables = measure_all(precession_model(times=(0.5, 0.5, 1.0)))
+        t, single = tables.pairs[(0, 1)], tables.singles[0]
         for s in (-1, +1):
             assert t.weight((s, s)) == pytest.approx(single.weight((s,)), abs=1e-14)
             assert t.weight((s, -s)) == pytest.approx(0.0, abs=1e-14)
@@ -110,51 +88,40 @@ class TestSequential:
     @pytest.mark.parametrize("tau", [0.4, np.pi / 3, 2.0])
     def test_maximally_mixed_closed_form(self, tau):
         # p(s1, s2) = (1 + s1 s2 cos(w tau)) / 4 for rho = I/2
-        m = precession_model(times=(0.0, tau))
-        t = sequential_prob(m, (0, 1))
+        t = measure_all(precession_model(times=(0.0, tau, 2 * tau))).pairs[(0, 1)]
         for s1, s2 in outcomes(2):
             assert t.weight((s1, s2)) == pytest.approx((1 + s1 * s2 * np.cos(tau)) / 4, abs=1e-12)
 
     def test_frozen_hamiltonian_chain(self):
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0, 2.0))
-        t = sequential_prob(m, (0, 1, 2))
+        t = measure_all(m).chain
         assert t.weight((+1, +1, +1)) == pytest.approx(1.0, abs=1e-14)
         assert sum(abs(t.weight(o)) for o in outcomes(3) if o != (1, 1, 1)) < 1e-14
 
     def test_marginalizing_last_time_drops_measurement(self, rng):
         for k in range(20):
-            model = sample_model(rng, int(rng.integers(2, 5)))
-            chain = sequential_prob(model, (0, 1, 2))
-            pair = sequential_prob(model, (0, 1))
-            marg = chain.marginal(2)
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
+            marg, pair = tables.chain.marginal(2), tables.pairs[(0, 1)]
             assert max(abs(marg.weight(o) - pair.weight(o)) for o in outcomes(2)) < 1e-12
-
-    def test_rejects_unordered_subset(self, mixed_qubit):
-        with pytest.raises(ValidationError, match="increasing"):
-            sequential_prob(mixed_qubit, (1, 0))
-
-    def test_rejects_empty_subset(self, mixed_qubit):
-        with pytest.raises(ValidationError, match="nonempty"):
-            sequential_prob(mixed_qubit, ())
 
 
 class TestQuasi:
     def test_equals_sequential_for_maximally_mixed(self, mixed_qubit):
-        p = sequential_prob(mixed_qubit, (0, 1))
-        q = quasi_prob2(mixed_qubit, 0, 1)
+        tables = measure_all(mixed_qubit)
+        p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
         assert max(abs(q.weight(o) - p.weight(o)) for o in outcomes(2)) < 1e-12
 
     def test_equals_sequential_for_commuting(self):
         m = QuantumModel(hamiltonian=1.3 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
-                         observable=SZ, times=(0.0, 1.0))
-        p = sequential_prob(m, (0, 1))
-        q = quasi_prob2(m, 0, 1)
+                         observable=SZ, times=(0.0, 1.0, 2.0))
+        tables = measure_all(m)
+        p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
         assert max(abs(q.weight(o) - p.weight(o)) for o in outcomes(2)) < 1e-14
 
     def test_eigenstate_kills_minus_branch(self):
         # rho in the Q(t1)=+1 eigenspace: q(-1, s2) = 0 from the expansion
-        m = precession_model(times=(0.0, np.pi / 3), rho=RHO_UP)
-        q = quasi_prob2(m, 0, 1)
+        m = precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3), rho=RHO_UP)
+        q = measure_all(m).quasi[(0, 1)]
         assert q.weight((-1, -1)) == pytest.approx(0.0, abs=1e-12)
         assert q.weight((-1, +1)) == pytest.approx(0.0, abs=1e-12)
         # and the +1 branch matches 1/4 (2 + s2) at c = 1/2
@@ -163,57 +130,50 @@ class TestQuasi:
 
     def test_negative_entry_case(self):
         # frozen: rho = |0><0|, times (2pi/3, 4pi/3) -> q(+,+) = -1/8
-        m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3), rho=RHO_UP)
-        q = quasi_prob2(m, 0, 1)
+        m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi), rho=RHO_UP)
+        q = measure_all(m).quasi[(0, 1)]
         assert q.weight((+1, +1)) == pytest.approx(-0.125, abs=1e-12)
 
     def test_marginals_match_single_time(self, rng):
         for _ in range(25):
-            model = sample_model(rng, int(rng.integers(2, 5)))
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
             for i, j in pair_set(3):
-                q = quasi_prob2(model, i, j)
-                si, sj = single_time_prob(model, i), single_time_prob(model, j)
+                q = tables.quasi[(i, j)]
+                si, sj = tables.singles[i], tables.singles[j]
                 for s in (-1, +1):
                     assert q.marginal(j).weight((s,)) == pytest.approx(si.weight((s,)), abs=1e-12)
                     assert q.marginal(i).weight((s,)) == pytest.approx(sj.weight((s,)), abs=1e-12)
-
-    def test_requires_ordered_pair(self, mixed_qubit):
-        with pytest.raises(ValidationError, match="i < j"):
-            quasi_prob2(mixed_qubit, 1, 0)
 
 
 class TestPiecewiseMoments:
     def test_static_eigenstate(self):
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0, 2.0))
-        mom = piecewise_moments(m)
+        mom = measure_all(m).moments
         assert mom.averages == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
         assert mom.correlators == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
     @pytest.mark.parametrize("tau", [0.3, np.pi / 3, np.pi / 2])
     def test_equal_gap_closed_form(self, tau):
-        mom = piecewise_moments(precession_model(times=(0.0, tau, 2 * tau)))
+        mom = measure_all(precession_model(times=(0.0, tau, 2 * tau))).moments
         assert mom.averages == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
         assert mom.corr(0, 1) == pytest.approx(np.cos(tau), abs=1e-12)
         assert mom.corr(1, 2) == pytest.approx(np.cos(tau), abs=1e-12)
         assert mom.corr(0, 2) == pytest.approx(np.cos(2 * tau), abs=1e-12)
 
     def test_quarter_turn_special_case(self):
-        mom = piecewise_moments(precession_model(times=(0.0, np.pi / 2, np.pi)))
+        mom = measure_all(precession_model(times=(0.0, np.pi / 2, np.pi))).moments
         assert mom.corr(0, 1) == pytest.approx(0.0, abs=1e-12)
         assert mom.corr(1, 2) == pytest.approx(0.0, abs=1e-12)
         assert mom.corr(0, 2) == pytest.approx(-1.0, abs=1e-12)
 
     def test_correlator_equals_quasi_correlator(self, rng):
         for _ in range(20):
-            model = sample_model(rng, int(rng.integers(2, 5)))
-            mom = piecewise_moments(model)
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
             for i, j in pair_set(3):
-                assert mom.corr(i, j) == pytest.approx(
-                    quasi_prob2(model, i, j).moment((0, 1)), abs=1e-12
-                )
+                assert tables.moments.corr(i, j) == pytest.approx(tables.quasi[(i, j)].moment((0, 1)), abs=1e-12)
 
     def test_four_time_pair_set(self):
-        mom = piecewise_moments(precession_model(times=(0.0, 1.0, 2.0, 3.0)))
+        mom = measure_all(precession_model(times=(0.0, 1.0, 2.0, 3.0))).moments
         assert mom.pairs == ((0, 1), (1, 2), (2, 3), (0, 3))
         assert mom.corr(0, 3) == pytest.approx(np.cos(3.0), abs=1e-12)
 
@@ -240,15 +200,15 @@ class TestSequentialMoments:
         shift = abs(ctx.value("Q3", "2") - ctx.base.averages[2])
         assert shift > 1e-3
         # per-outcome residual of the (2,3) run against p3 equals the witness
-        p23 = sequential_prob(model, (1, 2))
-        p3 = single_time_prob(model, 2)
+        tables = measure_all(model)
+        p23, p3 = tables.pairs[(1, 2)], tables.singles[2]
         residual = abs(sum(p23.weight((s2, +1)) for s2 in (-1, +1)) - p3.weight((+1,)))
         assert residual == pytest.approx(witness(p23, p3), abs=1e-12)
 
     def test_triple_correlator_recorded(self, mixed_qubit):
-        ctx = sequential_moments(measure_all(mixed_qubit))
-        chain = sequential_prob(mixed_qubit, (0, 1, 2))
-        assert ctx.value("D", "123") == pytest.approx(chain.moment((0, 1, 2)), abs=1e-14)
+        tables = measure_all(mixed_qubit)
+        ctx = sequential_moments(tables)
+        assert ctx.value("D", "123") == pytest.approx(tables.chain.moment((0, 1, 2)), abs=1e-14)
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
@@ -272,34 +232,33 @@ class TestSequentialMoments:
 class TestInterference:
     def test_commuting_is_zero(self):
         m = QuantumModel(hamiltonian=1.1 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
-                         observable=SZ, times=(0.0, 1.0))
-        assert interference_term(sequential_prob(m, (0, 1)), quasi_prob2(m, 0, 1)) == pytest.approx(0.0, abs=1e-14)
+                         observable=SZ, times=(0.0, 1.0, 2.0))
+        tables = measure_all(m)
+        assert interference_term(tables.pairs[(0, 1)], tables.quasi[(0, 1)]) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_is_zero(self, rng):
         for _ in range(10):
-            model = sample_model(rng, int(rng.integers(2, 5)), rho_mode="maximally_mixed")
-            t = interference_term(sequential_prob(model, (0, 1)), quasi_prob2(model, 0, 1))
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5)), rho_mode="maximally_mixed"))
+            t = interference_term(tables.pairs[(0, 1)], tables.quasi[(0, 1)])
             assert t == pytest.approx(0.0, abs=1e-13)
 
     def test_frozen_value(self):
         # rho = |0><0|, times (pi/4, pi/2): T = <Q1 Q2 Q1 - Q2>/8 = 1/8
-        m = precession_model(times=(np.pi / 4, np.pi / 2), rho=RHO_UP)
-        assert interference_term(sequential_prob(m, (0, 1)), quasi_prob2(m, 0, 1)) == pytest.approx(0.125, abs=1e-12)
+        tables = measure_all(precession_model(times=(np.pi / 4, np.pi / 2, 3 * np.pi / 4), rho=RHO_UP))
+        assert interference_term(tables.pairs[(0, 1)], tables.quasi[(0, 1)]) == pytest.approx(0.125, abs=1e-12)
 
     def test_equals_table_subtraction(self):
-        m = precession_model(times=(np.pi / 4, np.pi / 2, 3 * np.pi / 4), rho=RHO_UP)
-        p = sequential_prob(m, (0, 1))
-        q = quasi_prob2(m, 0, 1)
+        tables = measure_all(precession_model(times=(np.pi / 4, np.pi / 2, 3 * np.pi / 4), rho=RHO_UP))
+        p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
         t = interference_term(p, q)
         for s1, s2 in outcomes(2):
             assert p.weight((s1, s2)) - q.weight((s1, s2)) == pytest.approx(t * s2, abs=1e-12)
 
     def test_residue_identity_on_random_models(self, rng):
         for _ in range(50):
-            model = sample_model(rng, int(rng.integers(2, 5)))
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
             for i, j in pair_set(3):
-                p = sequential_prob(model, (i, j))
-                q = quasi_prob2(model, i, j)
+                p, q = tables.pairs[(i, j)], tables.quasi[(i, j)]
                 t = interference_term(p, q)
                 resid = max(abs(p.weight(o) - q.weight(o) - t * o[1]) for o in outcomes(2))
                 assert resid < 1e-12
@@ -343,14 +302,15 @@ class TestInterference:
 class TestWitness:
     def test_commuting_is_zero(self):
         m = QuantumModel(hamiltonian=1.1 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
-                         observable=SZ, times=(0.0, 1.0))
-        assert witness(sequential_prob(m, (0, 1)), single_time_prob(m, 1)) == pytest.approx(0.0, abs=1e-14)
+                         observable=SZ, times=(0.0, 1.0, 2.0))
+        tables = measure_all(m)
+        assert witness(tables.pairs[(0, 1)], tables.singles[1]) == pytest.approx(0.0, abs=1e-14)
 
     def test_twice_interference_magnitude(self):
-        m = precession_model(times=(np.pi / 4, np.pi / 2), rho=RHO_UP)
-        p = sequential_prob(m, (0, 1))
-        w = witness(p, single_time_prob(m, 1))
-        assert w == pytest.approx(2 * abs(interference_term(p, quasi_prob2(m, 0, 1))), abs=1e-12)
+        tables = measure_all(precession_model(times=(np.pi / 4, np.pi / 2, 3 * np.pi / 4), rho=RHO_UP))
+        p = tables.pairs[(0, 1)]
+        w = witness(p, tables.singles[1])
+        assert w == pytest.approx(2 * abs(interference_term(p, tables.quasi[(0, 1)])), abs=1e-12)
 
     def test_independent_of_s2(self, rng):
         tables = measure_all(sample_model(rng, 3))
@@ -360,21 +320,20 @@ class TestWitness:
     def test_bounded_interference_implies_nonnegative_quasi(self, rng):
         checked = 0
         for _ in range(60):
-            model = sample_model(rng, int(rng.integers(2, 5)))
+            tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
             for i, j in pair_set(3):
-                p = sequential_prob(model, (i, j))
-                w = witness(p, single_time_prob(model, j))
+                p = tables.pairs[(i, j)]
+                w = witness(p, tables.singles[j])
                 if 0.5 * w <= p.weights.min():
                     checked += 1
-                    q = quasi_prob2(model, i, j)
-                    assert q.weights.min() >= -1e-12
+                    assert tables.quasi[(i, j)].weights.min() >= -1e-12
         assert checked > 0
 
     def test_unbounded_case_exists_with_negative_quasi(self):
-        m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3), rho=RHO_UP)
-        p = sequential_prob(m, (0, 1))
-        assert 0.5 * witness(p, single_time_prob(m, 1)) > p.weights.min()
-        assert quasi_prob2(m, 0, 1).weights.min() < -1e-3
+        tables = measure_all(precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi), rho=RHO_UP))
+        p = tables.pairs[(0, 1)]
+        assert 0.5 * witness(p, tables.singles[1]) > p.weights.min()
+        assert tables.quasi[(0, 1)].weights.min() < -1e-3
 
     def test_matches_commutator_form(self, rng):
         # NSIT residual against W = |<Q_i Q_j Q_i - Q_j>| / 4
@@ -450,11 +409,10 @@ class TestExpansionTable:
     def test_matches_quasi_for_model_moments(self, rng):
         # the moment expansion over a measured pair reproduces the quasi table
         for _ in range(10):
-            model = sample_model(rng, 2)
-            mom = piecewise_moments(model)
+            tables = measure_all(sample_model(rng, 2))
             for pair in pair_set(3):
-                expanded = lg2(mom, pair).values / 4
-                q = quasi_prob2(model, *pair)
+                expanded = lg2(tables.moments, pair).values / 4
+                q = tables.quasi[pair]
                 assert max(abs(expanded[k] - q.weight(o)) for k, o in enumerate(outcomes(2))) < 1e-12
 
     def test_compatibility_with_single_time_marginals(self, rng):
@@ -476,13 +434,28 @@ def test_measure_all_bundles_everything(mixed_qubit):
     assert set(tables.quasi) == {(0, 1), (1, 2), (0, 2)}
 
 
+def test_pair_tables_depend_only_on_their_own_times(rng):
+    # the tables over times {0, 1} do not see the third time, so they are the
+    # tables of the 2-time model (t0, t1)
+    models = [precession_model(rho=RHO_UP)] + [sample_model(rng, int(rng.integers(2, 5))) for _ in range(5)]
+    for model, tau in zip(models, [0.3, 0.7, 1.1, 1.9, 2.6, 4.0]):
+        a, b = (
+            measure_all(QuantumModel(hamiltonian=model.hamiltonian, rho=model.rho, observable=model.observable,
+                                     times=(0.0, tau, k * tau)))
+            for k in (2, 5)
+        )
+        for ta, tb in [(a.singles[0], b.singles[0]), (a.singles[1], b.singles[1]),
+                       (a.pairs[(0, 1)], b.pairs[(0, 1)]), (a.quasi[(0, 1)], b.quasi[(0, 1)])]:
+            assert (ta.kind, ta.time_indices) == (tb.kind, tb.time_indices)
+            assert np.abs(ta.weights - tb.weights).max() <= 1e-14
+
+
 @pytest.mark.parametrize("times", [(0.0, 0.4, 1.1), (0.0, 0.4, 1.1, 1.9)])
 def test_measure_all_moments_read_off_its_tables(times):
     model = precession_model(times=times, rho=RHO_UP)
     tables = measure_all(model)
     assert tables.moments.averages == tuple(t.moment((0,)) for t in tables.singles)
     assert tables.moments.correlators == tuple(tables.pairs[p].moment((0, 1)) for p in pair_set(len(times)))
-    assert piecewise_moments(model) == tables.moments
 
 
 def loop_tables(model):
