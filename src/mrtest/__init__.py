@@ -30,7 +30,6 @@ from .errors import (
 from .fine import FeasibilityResult, d_bounds, d_interval, lp_feasibility, triple_expansion_table
 from .harness import (
     CampaignSummary,
-    RunRecord,
     SweepSpec,
     default_model_path,
     haar_unitary,
@@ -47,7 +46,6 @@ from .harness import (
     write_sweep_csv,
 )
 from .measurement import (
-    ContextualMoments,
     MomentSet,
     ProbabilityTable,
     TableSet,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .conditions import mr_int, mr_strong, mr_weak
@@ -33,8 +32,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
-EPSILON_ENV = "MRTEST_EPSILON"
-
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2)
@@ -46,18 +43,9 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _epsilon(args: argparse.Namespace) -> float:
-    if args.epsilon is not None:
-        value, source = args.epsilon, "--epsilon"
-    else:
-        env = os.environ.get(EPSILON_ENV)
-        if env is None:
-            return TOL.verdict
-        try:
-            value, source = float(env), EPSILON_ENV
-        except ValueError:
-            raise MrtestError(f"{EPSILON_ENV} must be a number, got {env!r}") from None
+    value = TOL.verdict if args.epsilon is None else args.epsilon
     if not (math.isfinite(value) and value >= 0.0):
-        raise MrtestError(f"{source} must be a finite number >= 0, got {value!r}")
+        raise MrtestError(f"--epsilon must be a finite number >= 0, got {value!r}")
     return value
 
 
@@ -98,7 +86,7 @@ def _cmd_fine(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_sweep_spec(args.spec)
-    write_sweep_csv(spec, sweep_blocks(spec, _epsilon(args)), args.out)
+    write_sweep_csv(sweep_blocks(spec, _epsilon(args)), args.out)
     return EXIT_PASS
 
 

@@ -73,11 +73,17 @@ def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
         raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
+def _require_one_set(m: MomentSet, op: str) -> None:
+    if isinstance(m.averages[0], np.ndarray):
+        raise ValidationError(f"{op}: needs one moment set, got a grid; d_bounds takes grids")
+
+
 def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
     """Three-time joint table from the moment expansion at triple
     correlator value d (must be nonnegative to validate)."""
     if m.n_times != 3:
         raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
+    _require_one_set(m, "triple_expansion_table")
     weights = ((affine_values(_EXPANSION, m.averages + m.correlators) + _EXPANSION.slope * d) / 8.0).reshape(2, 2, 2)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
 
@@ -127,6 +133,7 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     negative inside the slack are clipped at 0 and the table renormalised.
     """
     _require_unmeasured_triple(m, "d_interval")
+    _require_one_set(m, "d_interval")
     n, names = m.n_times, ROWS[m.n_times]["weak"].names
     values = affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
     k = len(names)

@@ -2,7 +2,10 @@
 
 This layer reads the model and sweep spec JSON files (a moments file is
 parsed by ``MomentSet.from_jsonable``), writes the sweep CSV, and owns the
-reproducible random-model sampling used by the property campaign.
+reproducible random-model sampling used by the property campaign.  A
+sweep is a lazy sequence of blocks, each an ordered map from CSV column
+name to an array over the block's points; ``OUTPUT_GROUPS`` maps each
+output group to its columns, and the CSV writer only formats the maps.
 Everything is deterministic: identical inputs, including the seed, produce
 byte-identical outputs.
 """
@@ -22,6 +25,7 @@ from .conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from .errors import InputFormatError, ValidationError
 from .fine import d_bounds, d_interval
 from .measurement import (
+    _echo,
     _json_number,
     SIGNS,
     MomentSet,
@@ -34,7 +38,22 @@ from .quantum import QuantumModel, check_times, eig_hermitian, _evolve_from_eig
 from .tolerances import TOL
 
 SWEEP_PARAMETERS = ("tau", "t2", "t3", "omega")
-OUTPUT_GROUPS = ("averages", "correlators", "margins", "witness", "d_interval", "verdicts")
+#: the sweep's output groups in their default order, each mapped to the
+#: columns it takes from one block's tables and condition reports
+OUTPUT_GROUPS = {
+    "averages": lambda tables, reports: {f"avg_{i + 1}": a for i, a in enumerate(tables.moments.averages)},
+    "correlators": lambda tables, reports: {
+        f"C_{i + 1}{j + 1}": c for (i, j), c in zip(pair_set(tables.n_times), tables.moments.correlators)
+    },
+    "margins": lambda tables, reports: {k: v for r in reports.values() for k, v in r.margins.items()},
+    "witness": lambda tables, reports: {
+        f"W_{i + 1}{j + 1}": witness(tables.pairs[(i, j)], tables.singles[j]) for i, j in pair_set(tables.n_times)
+    },
+    "d_interval": lambda tables, reports: dict(zip(("d_lo", "d_hi"), d_bounds(tables.moments))),
+    "verdicts": lambda tables, reports: {
+        f"verdict_{k}": reports[k].verdict for k in ("weak", "int", "strong") if k in reports
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +63,19 @@ OUTPUT_GROUPS = ("averages", "correlators", "margins", "witness", "d_interval", 
 def _json_int(value, where: str) -> int:
     """A JSON integer; booleans and floats such as 2.5 are format errors."""
     if type(value) is not int:
-        raise InputFormatError(f"{where} must be an integer, got {value!r}")
+        raise InputFormatError(f"{where} must be an integer, got {_echo(value)}")
     return value
 
 
 def _complex_entry(value, where: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(*(_json_number(x, where) for x in value))
-    raise InputFormatError(f"{where}: matrix entries must be [re, im] pairs, got {value!r}")
+    raise InputFormatError(f"{where}: matrix entries must be [re, im] pairs, got {_echo(value)}")
 
 
 def _matrix_from_jsonable(rows, dim: int, name: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
-        raise InputFormatError(f"{name}: expected {dim} rows")
+        raise InputFormatError(f"{name}: expected {_echo(dim)} rows")
     out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -134,10 +153,16 @@ def simulate(model: QuantumModel) -> dict:
     def key(indices) -> str:
         return "".join(str(i + 1) for i in indices)
 
-    out: dict = {
+    moments = tables.moments.to_jsonable()
+    contextual = None
+    if n == 3:
+        # the piecewise moments as the context-free base, then each contextual value
+        ctx = sorted(sequential_moments(tables).items())
+        contextual = {"base": moments, "contextual": {f"{q}^({c})": v for (q, c), v in ctx}}
+    return {
         "times": list(model.times),
-        "moments": tables.moments.to_jsonable(),
-        "contextual": sequential_moments(tables).to_jsonable() if n == 3 else None,
+        "moments": moments,
+        "contextual": contextual,
         "tables": {
             "single": {key((i,)): t.to_jsonable() for i, t in enumerate(tables.singles)},
             "sequential": {
@@ -147,7 +172,6 @@ def simulate(model: QuantumModel) -> dict:
             "quasi": {key(p): tables.quasi[p].to_jsonable() for p in pair_set(n)},
         },
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +197,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
             raise InputFormatError(
-                f"sweep: unknown parameter {self.parameter!r}, expected one of {SWEEP_PARAMETERS}"
+                f"sweep: unknown parameter {_echo(self.parameter)}, expected one of {SWEEP_PARAMETERS}"
             )
         for name, value in (("from", self.start), ("to", self.stop)):
             if not math.isfinite(value):
@@ -181,11 +205,11 @@ class SweepSpec:
         if not self.start < self.stop:
             raise InputFormatError("sweep: need from < to")
         if not (2 <= self.steps <= 10**6):
-            raise InputFormatError(f"sweep: steps must be in [2, 10^6], got {self.steps}")
+            raise InputFormatError(f"sweep: steps must be in [2, 10^6], got {_echo(self.steps)}")
         unknown = [o for o in self.outputs if o not in OUTPUT_GROUPS]
         if unknown:
             raise InputFormatError(
-                f"sweep: unknown output name(s) {unknown}, expected subset of {OUTPUT_GROUPS}"
+                f"sweep: unknown output name(s) {_echo(unknown)}, expected subset of {tuple(OUTPUT_GROUPS)}"
             )
         n = self.model.n_times
         if self.parameter == "tau" and self.start < 0:
@@ -209,9 +233,9 @@ def sweep_spec_from_jsonable(obj: Mapping) -> SweepSpec:
     model = model_from_jsonable(obj["model"])
     outputs = obj.get("outputs")
     if outputs is None:
-        outputs = OUTPUT_GROUPS
+        outputs = tuple(OUTPUT_GROUPS)
     elif not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
-        raise InputFormatError(f"sweep: outputs must be a list of group names, got {outputs!r}")
+        raise InputFormatError(f"sweep: outputs must be a list of group names, got {_echo(outputs)}")
     return SweepSpec(
         model=model,
         parameter=str(obj["parameter"]),
@@ -226,53 +250,32 @@ def load_sweep_spec(path) -> SweepSpec:
     return sweep_spec_from_jsonable(_load_json(path))
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """A block of consecutive sweep grid points: the parameter values plus
-    every quantity the sweep's output list asked for, each an array over
-    the block's points."""
-
-    parameter_value: np.ndarray
-    moments: MomentSet
-    margins: dict[str, np.ndarray]
-    witnesses: dict[str, np.ndarray]
-    interval: tuple[np.ndarray, np.ndarray] | None
-    verdicts: dict[str, np.ndarray]
-
-
 #: bytes of complex work arrays one sweep block may use; fixes the block
 #: size, so a sweep's memory stays bounded whatever its number of steps
 SWEEP_BLOCK_BYTES = 1 << 24
 
 
-def _block_record(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilon: float) -> RunRecord:
-    n, outputs = spec.model.n_times, spec.outputs
+def _block_columns(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilon: float) -> dict[str, np.ndarray]:
+    """One sweep block as ordered columns over its points: the parameter,
+    then each requested output group in the spec's order.  The only place
+    that names and orders the sweep's columns."""
     tables = measure_all(spec.model, times)
-    margins, verdicts = {}, {}
-    if "margins" in outputs or "verdicts" in outputs:
-        reports = {"weak": mr_weak(tables.moments, epsilon)}
-        if n == 3:
+    reports = {}
+    if {"margins", "verdicts"} & set(spec.outputs):
+        reports["weak"] = mr_weak(tables.moments, epsilon)
+        if tables.n_times == 3:
             reports.update(int=mr_int(tables, epsilon), strong=mr_strong(tables, epsilon))
-        for name, report in reports.items():
-            verdicts[f"verdict_{name}"] = report.verdict
-            margins.update(report.margins)
-        if n == 4:
-            margins.update(nsit_pairwise(tables, epsilon).margins)
-    witnesses = {}
-    if "witness" in outputs:
-        witnesses = {f"W_{i + 1}{j + 1}": witness(tables.pairs[(i, j)], tables.singles[j]) for i, j in pair_set(n)}
-    return RunRecord(
-        parameter_value=values,
-        moments=tables.moments,
-        margins=margins,
-        witnesses=witnesses,
-        interval=d_bounds(tables.moments) if "d_interval" in outputs else None,
-        verdicts=verdicts,
-    )
+        else:
+            reports["nsit"] = nsit_pairwise(tables, epsilon)
+    columns = {spec.parameter: values}
+    for group in spec.outputs:
+        columns.update(OUTPUT_GROUPS[group](tables, reports))
+    return columns
 
 
-def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[RunRecord]:
-    """The sweep as block records, computed lazily one block at a time.
+def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict[str, np.ndarray]]:
+    """The sweep as one column map per block, computed lazily one block at
+    a time; every block has the same columns, in the same order.
 
     The evolution times of the whole grid are built and checked once, up
     front; an omega sweep scales the model's times instead of H.  Each block
@@ -300,45 +303,26 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[RunR
     size = max(1, SWEEP_BLOCK_BYTES // (32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)))
     # a lazy map, not a generator, which bench/tracer.py would count once per block
     return map(
-        lambda k: _block_record(spec, values[k : k + size], times[k : k + size], epsilon),
+        lambda k: _block_columns(spec, values[k : k + size], times[k : k + size], epsilon),
         range(0, len(values), size),
     )
 
 
-def sweep_csv_lines(spec: SweepSpec, records: Iterable[RunRecord]) -> list[str]:
-    """Deterministic CSV of ``sweep_blocks`` records: '.' decimals, 17
-    significant digits, verdicts as 1/0, columns fixed by the outputs list
-    (in its given order), one row per grid point."""
-    n = spec.model.n_times
-    lines: list[str] = []
-    for rec in records:
-        groups = {
-            "averages": {f"avg_{i + 1}": a for i, a in enumerate(rec.moments.averages)},
-            "correlators": {f"C_{i + 1}{j + 1}": c for (i, j), c in zip(pair_set(n), rec.moments.correlators)},
-            "margins": rec.margins,
-            "witness": rec.witnesses,
-            "d_interval": dict(zip(("d_lo", "d_hi"), rec.interval or (float("nan"),) * 2)),
-            "verdicts": rec.verdicts,
-        }
-        columns = {spec.parameter: rec.parameter_value}
-        for group in spec.outputs:
-            columns.update(groups[group])
-        if not lines:
-            lines.append(",".join(columns))
-        row = ",".join("%d" if name in rec.verdicts else "%.17g" for name in columns)
-        lines += [row % values for values in zip(*(c.tolist() for c in columns.values()))]
-    if not lines:
-        raise ValidationError("sweep produced no records")
-    return lines
+def sweep_csv_lines(columns: Mapping[str, np.ndarray]) -> list[str]:
+    """The CSV rows of one ``sweep_blocks`` block: '.' decimals, 17
+    significant digits, bool columns (the verdicts) as 1/0."""
+    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns.values())
+    return [row % values for values in zip(*(c.tolist() for c in columns.values()))]
 
 
-def write_sweep_csv(spec: SweepSpec, records: Iterable[RunRecord], path) -> None:
-    """Write the CSV of ``sweep_csv_lines`` one block record at a time, so
-    a sweep streams through in bounded memory."""
+def write_sweep_csv(blocks: Iterable[Mapping[str, np.ndarray]], path) -> None:
+    """Write ``sweep_blocks`` as CSV one block at a time, so a sweep streams
+    through in bounded memory; the header is the first block's column names."""
     with open(path, "w") as fh:
-        for k, rec in enumerate(records):
-            lines = sweep_csv_lines(spec, [rec])
-            fh.write("\n".join(lines[1:] if k else lines) + "\n")
+        for k, columns in enumerate(blocks):
+            if k == 0:
+                fh.write(",".join(columns) + "\n")
+            fh.write("\n".join(sweep_csv_lines(columns)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +501,8 @@ def _campaign_sample(
         resid = np.abs(tables.chain.marginal(last).weights - shorter.weights).max()
         rec("sequential_last_marginal", resid, TOL.scalar)
 
-    # contextual values stay in range (validated on construction; residual 0)
-    ctx = sequential_moments(tables)
-    rec("contextual_in_range", max(abs(v) for v in ctx.contextual.values()) - 1.0, TOL.scalar)
+    # contextual values stay in [-1, 1]
+    rec("contextual_in_range", max(abs(v) for v in sequential_moments(tables).values()) - 1.0, TOL.scalar)
 
     # implication chain; weak verdict must match joint feasibility end to end
     weak = mr_weak(moments, epsilon)

@@ -26,19 +26,27 @@ from .tolerances import TOL
 
 Outcome = tuple[int, ...]
 
-#: value types a JSON number parses to; ``bool`` is deliberately absent
-_JSON_NUMBERS = frozenset({int, float})
+
+def _echo(value) -> str:
+    """An input value as an error line shows it: its repr in full when
+    short, else an integer's digit count or the repr cut to 60 characters."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    if type(value) is int:
+        return f"<{len(text.lstrip('-'))}-digit integer>"
+    return f"{text[:60]}... <{len(text)} characters>"
 
 
 def _json_number(value, where: str) -> float:
     """A JSON number as a float; booleans, strings and integers beyond the
     float range are format errors naming ``where``."""
-    if type(value) not in _JSON_NUMBERS:
-        raise InputFormatError(f"{where} must be a number, got {value!r}")
+    if type(value) not in (int, float):
+        raise InputFormatError(f"{where} must be a number, got {_echo(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise InputFormatError(f"{where} must be within the float range, got {len(str(value))} digits") from None
+        raise InputFormatError(f"{where} must be within the float range, got {_echo(value)}") from None
 
 
 TABLE_KINDS = ("single", "sequential", "quasi", "joint")
@@ -148,7 +156,7 @@ def pair_set(n_times: int) -> tuple[tuple[int, int], ...]:
         return ((0, 1), (1, 2), (0, 2))
     if n_times == 4:
         return ((0, 1), (1, 2), (2, 3), (0, 3))
-    raise ValidationError(f"moment sets are defined for 3 or 4 times, got {n_times}")
+    raise ValidationError(f"moment sets are defined for 3 or 4 times, got {_echo(n_times)}")
 
 
 def _unit_values(label: str, values) -> tuple:
@@ -231,24 +239,26 @@ class MomentSet:
             raise InputFormatError(
                 f"moments: expected a JSON object with fields n, avg, pairs, corr, got {type(obj).__name__}"
             ) from None
-        triple = obj.get("D")
-        if type(n) is not int:
-            raise InputFormatError(f"moments: n must be an integer, got {n!r}")
+        if type(n) is not int or n not in (3, 4):
+            raise InputFormatError(f"moments: n must be 3 or 4, got {_echo(n)}")
         want = pair_set(n)
-        if not (isinstance(avg, list) and _JSON_NUMBERS.issuperset(map(type, avg))):
-            raise InputFormatError(f"moments: avg must be a list of numbers, got {avg!r}")
+        if not isinstance(avg, list):
+            raise InputFormatError(f"moments: avg must be a list of numbers, got {_echo(avg)}")
+        # a JSON float is a float already; anything else is typed under its indexed name
+        avg = tuple(x if type(x) is float else _json_number(x, f"moments: avg[{k}]") for k, x in enumerate(avg))
         if len(avg) != n:
             raise ValidationError(f"moments: expected {n} averages, got {len(avg)}")
-        if not (isinstance(corr, list) and _JSON_NUMBERS.issuperset(map(type, corr))):
-            raise InputFormatError(f"moments: corr must be a list of numbers, got {corr!r}")
+        if not isinstance(corr, list):
+            raise InputFormatError(f"moments: corr must be a list of numbers, got {_echo(corr)}")
+        corr = [x if type(x) is float else _json_number(x, f"moments: corr[{k}]") for k, x in enumerate(corr)]
         if not (isinstance(pairs, list) and len(pairs) == len(corr)):
             raise InputFormatError(f"moments: pairs must be a list as long as corr ({len(corr)})")
-        if not (triple is None or type(triple) in _JSON_NUMBERS):
-            raise InputFormatError(f"moments: D must be a number or null, got {triple!r}")
+        triple = obj.get("D")
+        triple = None if triple is None else _json_number(triple, "moments: D")
         given = {}
         for k, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
-                raise InputFormatError(f"moments: pairs[{k}] must be two time indices, got {pair!r}")
+                raise InputFormatError(f"moments: pairs[{k}] must be two time indices, got {_echo(pair)}")
             i, j = pair[0] - 1, pair[1] - 1
             key = (i, j) if i < j else (j, i)
             if key in given:
@@ -262,43 +272,7 @@ class MomentSet:
         if extra:
             names = ", ".join(f"C{i + 1}{j + 1}" for i, j in extra)
             raise ValidationError(f"moments: unexpected pairs: {names}")
-        return cls(
-            averages=tuple(_json_number(x, "moments: avg") for x in avg),
-            correlators=tuple(_json_number(given[p], "moments: corr") for p in want),
-            triple=None if triple is None else _json_number(triple, "moments: D"),
-        )
-
-
-@dataclass(frozen=True)
-class ContextualMoments:
-    """Moments read off sequential runs, keyed by measurement context.
-
-    ``base`` holds the no-earlier-measurement values (piecewise protocol).
-    ``contextual`` maps (quantity, context) to the value observed when the
-    measurements named in the context string were made earlier in the same
-    run, e.g. ("Q3", "12") for the average at t3 after measuring at t1, t2.
-    The triple correlator is keyed ("D", "123") since only a full sequential
-    run determines it.
-    """
-
-    base: MomentSet
-    contextual: Mapping[tuple[str, str], float]
-
-    def __post_init__(self) -> None:
-        ctx = {
-            (str(q), str(c)): _unit_values(f"contextual value {q}^({c})", (v,))[0]
-            for (q, c), v in self.contextual.items()
-        }
-        object.__setattr__(self, "contextual", ctx)
-
-    def value(self, quantity: str, context: str) -> float:
-        return self.contextual[(quantity, context)]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "base": self.base.to_jsonable(),
-            "contextual": {f"{q}^({c})": v for (q, c), v in sorted(self.contextual.items())},
-        }
+        return cls(averages=avg, correlators=tuple(given[p] for p in want), triple=triple)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +303,20 @@ def _quasi_weights(proj: np.ndarray, rho: np.ndarray, i: int, j: int) -> np.ndar
     return 0.5 * expectation(rho, p2 @ p1 + p1 @ p2)
 
 
-def sequential_moments(tables: TableSet) -> ContextualMoments:
+def sequential_moments(tables: TableSet) -> dict[tuple[str, str], float]:
     """Contextual averages/correlators from sequential three-time runs.
 
-    Reads <Q2^(1)>, <Q3^(12)>, C23^(1), C13^(2) and the triple correlator
-    from the full three-time run, <Q3^(1)> and <Q3^(2)> from the two-time
-    runs, with piecewise values as the context-free base.
+    Maps (quantity, context) to the value observed when the measurements
+    named in the context were made earlier in the same run: <Q2^(1)>,
+    <Q3^(12)>, C23^(1), C13^(2) and the triple correlator ("D", "123") from
+    the full three-time run, <Q3^(1)> and <Q3^(2)> from the two-time runs.
+    The context-free base is ``tables.moments``.  Floats, or arrays over
+    the grid of ``tables``.
     """
     if tables.n_times != 3:
         raise ValidationError(f"sequential_moments: need exactly 3 times, got {tables.n_times}")
     chain, p13, p23 = tables.chain, tables.pairs[(0, 2)], tables.pairs[(1, 2)]
-    contextual = {
+    return {
         ("Q2", "1"): chain.moment((1,)),
         ("Q3", "12"): chain.moment((2,)),
         ("C23", "1"): chain.moment((1, 2)),
@@ -348,7 +325,6 @@ def sequential_moments(tables: TableSet) -> ContextualMoments:
         ("Q3", "1"): p13.moment((1,)),
         ("Q3", "2"): p23.moment((1,)),
     }
-    return ContextualMoments(base=tables.moments, contextual=contextual)
 
 
 def interference_term(pair: ProbabilityTable, quasi: ProbabilityTable) -> float:

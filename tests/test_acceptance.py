@@ -68,7 +68,7 @@ def test_criterion_1_three_time_violation_extremum():
         steps=2000,
         outputs=("correlators", "margins"),
     )
-    margins = np.concatenate([block.margins["LG3.2"] for block in sweep_blocks(spec)]).tolist()
+    margins = np.concatenate([block["LG3.2"] for block in sweep_blocks(spec)]).tolist()
 
     def margin_at(tau: float) -> float:
         mom = measure_all(precession_model(times=(0.0, tau, 2 * tau))).moments
@@ -100,16 +100,22 @@ def test_criterion_2_four_time_bound():
         start=0.0,
         stop=2 * np.pi,
         steps=2000,
-        outputs=("correlators", "margins"),
+        outputs=("averages", "correlators", "margins"),
     )
     blocks = list(sweep_blocks(spec))
+
+    def block_moments(block) -> MomentSet:
+        return MomentSet(
+            averages=tuple(block[f"avg_{i}"] for i in range(1, 5)),
+            correlators=tuple(block[f"C_{ij}"] for ij in ("12", "23", "34", "14")),
+        )
 
     def signed_sum(moments: MomentSet) -> float:
         return (
             moments.corr(0, 1) + moments.corr(1, 2) + moments.corr(2, 3) - moments.corr(0, 3)
         )
 
-    sums = np.concatenate([signed_sum(block.moments) for block in blocks]).tolist()
+    sums = np.concatenate([signed_sum(block_moments(block)) for block in blocks]).tolist()
 
     def neg_sum_at(tau: float) -> float:
         mom = measure_all(precession_model(times=(0.0, tau, 2 * tau, 3 * tau))).moments
@@ -121,9 +127,10 @@ def test_criterion_2_four_time_bound():
 
     agreement = True
     for block in blocks:
-        lg4_margins = np.array([v for k, v in block.margins.items() if k.startswith("LG4")])
+        lg4_margins = np.array([v for k, v in block.items() if k.startswith("LG4")])
         violated = (lg4_margins < 0.0).any(axis=0)
-        points = zip(zip(*block.moments.averages), zip(*block.moments.correlators))
+        moments = block_moments(block)
+        points = zip(zip(*moments.averages), zip(*moments.correlators))
         if any(d_interval(MomentSet(a, c)).feasible == bad for (a, c), bad in zip(points, violated)):
             agreement = False
             break

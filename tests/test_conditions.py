@@ -292,7 +292,7 @@ class TestMrStrong:
         tables = measure_all(m)
         assert mr_strong(tables).verdict
         ctx = sequential_moments(tables)
-        reconstructed = triple_expansion_table(ctx.base, ctx.value("D", "123"))
+        reconstructed = triple_expansion_table(tables.moments, ctx[("D", "123")])
         assert max(abs(reconstructed.weight(o) - tables.chain.weight(o)) for o in outcomes(3)) < 1e-12
 
     def test_needs_three_times(self):

@@ -102,6 +102,13 @@ class TestDInterval:
         with pytest.raises(ValidationError, match="triple"):
             d_interval(m)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grid_set_names_d_bounds(self, rng, n):
+        model = sample_model(rng, 2, n)
+        grid = measure_all(model, np.array([model.times, model.times])).moments
+        with pytest.raises(ValidationError, match="d_interval: needs one moment set, got a grid; d_bounds"):
+            d_interval(grid)
+
     def test_four_times_bounds_the_chord(self):
         # every chord row is 1 +- x, and the two uniform triangles glue into the uniform joint
         r = d_interval(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
@@ -357,6 +364,12 @@ class TestExpansionTable:
             mid = sum(r.d_interval) / 2
             t = triple_expansion_table(m, mid)
             assert t.moment((0, 1, 2)) == pytest.approx(mid, abs=1e-12)
+
+    def test_grid_set_names_d_bounds(self, rng):
+        model = sample_model(rng, 2)
+        grid = measure_all(model, np.array([model.times] * 3)).moments
+        with pytest.raises(ValidationError, match="triple_expansion_table: needs one moment set, got a grid; d_bounds"):
+            triple_expansion_table(grid, 0.0)
 
     def test_rejects_negative_expansion(self):
         m = MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3)

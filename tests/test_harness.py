@@ -215,7 +215,9 @@ class TestRunSweep:
         assert len(grid) == 101
 
     def test_rows_and_columns(self, spec, tmp_path):
-        lines = sweep_csv_lines(spec, sweep_blocks(spec))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(sweep_blocks(spec), path)
+        lines = path.read_text().splitlines()
         header = lines[0].split(",")
         assert len(lines) == 102
         assert header[0] == "tau"
@@ -227,18 +229,18 @@ class TestRunSweep:
 
     def test_byte_identical_reruns(self, spec, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(spec, sweep_blocks(spec), a)
-        write_sweep_csv(spec, sweep_blocks(spec), b)
+        write_sweep_csv(sweep_blocks(spec), a)
+        write_sweep_csv(sweep_blocks(spec), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_verdict_flips_exactly_where_margins_cross(self, spec):
         eps = 1e-9
         for block in sweep_blocks(spec):
-            lg_margins = np.array([v for k, v in block.margins.items() if k.startswith("LG")])
-            assert np.array_equal(block.verdicts["verdict_weak"], (lg_margins >= -eps).all(axis=0))
+            lg_margins = np.array([v for k, v in block.items() if k.startswith("LG")])
+            assert np.array_equal(block["verdict_weak"], (lg_margins >= -eps).all(axis=0))
 
     def test_witness_zero_for_maximally_mixed(self, spec):
-        assert max(np.max(list(b.witnesses.values())) for b in sweep_blocks(spec)) < 1e-12
+        assert max(np.max([v for k, v in b.items() if k.startswith("W_")]) for b in sweep_blocks(spec)) < 1e-12
 
     def test_four_time_sweep_columns(self):
         spec4 = SweepSpec(
@@ -246,8 +248,7 @@ class TestRunSweep:
             parameter="tau", start=0.0, stop=np.pi, steps=7,
             outputs=("correlators", "margins", "verdicts"),
         )
-        lines = sweep_csv_lines(spec4, sweep_blocks(spec4))
-        header = lines[0].split(",")
+        header = list(next(sweep_blocks(spec4)))
         assert "LG4.1.lo" in header and "LG4.4.hi" in header
         assert "C_34" in header and "C_14" in header
         assert "verdict_weak" in header
@@ -262,7 +263,7 @@ class TestRunSweep:
             outputs=("d_interval", "verdicts"),
         )
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(spec4, sweep_blocks(spec4), path)
+        write_sweep_csv(sweep_blocks(spec4), path)
         header, *rows = [line.split(",") for line in path.read_text().splitlines()]
         assert header == ["tau", "d_lo", "d_hi", "verdict_weak"]
         crossed = 0
@@ -325,19 +326,23 @@ class TestBatchedSweep:
     @staticmethod
     def assert_matches_points(spec: SweepSpec) -> None:
         values = []
+        n = spec.model.n_times
+        averages = [f"avg_{i + 1}" for i in range(n)]
+        correlators = [f"C_{i + 1}{j + 1}" for i, j in pair_set(n)]
         for block in sweep_blocks(spec):
-            m = block.moments
-            for k, value in enumerate(block.parameter_value.tolist()):
+            for k, value in enumerate(block[spec.parameter].tolist()):
                 values.append(value)
                 ref = point_reference(spec, value)
-                assert np.abs(np.subtract([a[k] for a in m.averages], ref["averages"])).max() <= 1e-12
-                assert np.abs(np.subtract([c[k] for c in m.correlators], ref["correlators"])).max() <= 1e-12
+                assert list(block) == [
+                    spec.parameter, *averages, *correlators, *ref["margins"], *ref["witnesses"],
+                    "d_lo", "d_hi", *ref["verdicts"],
+                ]
+                assert np.abs(np.subtract([block[a][k] for a in averages], ref["averages"])).max() <= 1e-12
+                assert np.abs(np.subtract([block[c][k] for c in correlators], ref["correlators"])).max() <= 1e-12
                 for group in ("margins", "witnesses"):
-                    got = getattr(block, group)
-                    assert list(got) == list(ref[group])
-                    assert max(abs(got[name][k] - v) for name, v in ref[group].items()) <= 1e-12
-                assert np.abs(np.subtract([x[k] for x in block.interval], ref["interval"])).max() <= 1e-12
-                assert {name: col[k] for name, col in block.verdicts.items()} == ref["verdicts"]
+                    assert max(abs(block[name][k] - v) for name, v in ref[group].items()) <= 1e-12
+                assert np.abs(np.subtract([block["d_lo"][k], block["d_hi"][k]], ref["interval"])).max() <= 1e-12
+                assert {name: block[name][k] for name in ref["verdicts"]} == ref["verdicts"]
         assert values == spec.grid.tolist()
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -354,7 +359,7 @@ class TestBatchedSweep:
         per_point = 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)
         monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * per_point)
         blocks = list(sweep_blocks(spec))
-        assert [len(b.parameter_value) for b in blocks] == ([7, 7, 7, 2] if spec.steps == 23 else [7, 4])
+        assert [len(b[spec.parameter]) for b in blocks] == ([7, 7, 7, 2] if spec.steps == 23 else [7, 4])
         self.assert_matches_points(spec)
 
     def test_csv_rows_match_the_per_point_reference(self, tmp_path, monkeypatch):
@@ -363,7 +368,7 @@ class TestBatchedSweep:
         # 7-point blocks: rows 7 and 8, 14 and 15, 21 and 22 sit across block boundaries
         monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times))
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(spec, sweep_blocks(spec), path)
+        write_sweep_csv(sweep_blocks(spec), path)
         header, *rows = [line.split(",") for line in path.read_text().splitlines()]
         assert [float(row[0]) for row in rows] == spec.grid.tolist()
         n = model.n_times
@@ -401,6 +406,33 @@ class TestBatchedSweep:
         # one for the PSD check of rho, one for H
         assert len(set(counts.values())) == 1
         assert counts[("tau", 50)] <= 2
+
+
+class TestSweepColumns:
+    """A multi-block sweep: every block is a column map with the CSV
+    header's names, in the header's order."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("outputs", [tuple(harness.OUTPUT_GROUPS), ("verdicts", "d_interval", "averages")],
+                             ids=["every-group", "subset-reordered"])
+    def test_every_block_has_the_header_columns(self, n, outputs, tmp_path, monkeypatch):
+        model = precession_model(times=(0.0, 1.0, 2.0, 3.0)[:n])
+        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 5 * 32 * model.dim**2 * (2**n + 4 * n))
+        spec = SweepSpec(model=model, parameter="tau", start=0.0, stop=np.pi, steps=13, outputs=outputs)
+        blocks = list(sweep_blocks(spec))
+        assert [len(b["tau"]) for b in blocks] == [5, 5, 3]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(blocks, path)
+        header, *rows = path.read_text().splitlines()
+        assert [header, *rows].count(header) == 1
+        assert rows == [row for block in blocks for row in sweep_csv_lines(block)]
+        columns = header.split(",")
+        if outputs[0] == "verdicts":
+            assert columns[1] == "verdict_weak" and columns[-1] == f"avg_{n}"
+        for block in blocks:
+            assert list(block) == columns
+            for name, column in block.items():
+                assert column.dtype == (bool if name.startswith("verdict_") else float), name
 
 
 class TestSamplers:
@@ -459,6 +491,13 @@ class TestCampaign:
         assert a.checks["p_minus_q_identity"].samples == 60
         b = run_campaign(seed=11, count=20, dim_min=16, dim_max=16)
         assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
+
+    def test_contextual_value_past_one_is_a_violation(self, monkeypatch):
+        # contextual_in_range reads the contextual dict and is a real range check
+        monkeypatch.setattr(harness, "sequential_moments", lambda tables: {("Q2", "1"): 0.5, ("Q3", "2"): -1.25})
+        summary = run_campaign(seed=1, count=2)
+        assert [(v["check"], v["index"]) for v in summary.reproducers] == [("contextual_in_range", 0), ("contextual_in_range", 1)]
+        assert summary.checks["contextual_in_range"].max_residual == 0.25
 
     def test_count_cap(self):
         with pytest.raises(ValidationError, match="10\\^5"):

@@ -7,7 +7,6 @@ from mrtest.conditions import lg2
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.harness import sample_model
 from mrtest.measurement import (
-    ContextualMoments,
     MomentSet,
     ProbabilityTable,
     interference_term,
@@ -182,25 +181,24 @@ class TestSequentialMoments:
     def test_commuting_contextual_equals_base(self):
         m = QuantumModel(hamiltonian=0.8 * SZ, rho=np.diag([0.6, 0.4]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
-        ctx = sequential_moments(measure_all(m))
-        base = ctx.base
-        assert ctx.value("Q2", "1") == pytest.approx(base.averages[1], abs=1e-14)
-        assert ctx.value("Q3", "12") == pytest.approx(base.averages[2], abs=1e-14)
-        assert ctx.value("C23", "1") == pytest.approx(base.corr(1, 2), abs=1e-14)
-        assert ctx.value("C13", "2") == pytest.approx(base.corr(0, 2), abs=1e-14)
+        tables = measure_all(m)
+        ctx, base = sequential_moments(tables), tables.moments
+        assert ctx[("Q2", "1")] == pytest.approx(base.averages[1], abs=1e-14)
+        assert ctx[("Q3", "12")] == pytest.approx(base.averages[2], abs=1e-14)
+        assert ctx[("C23", "1")] == pytest.approx(base.corr(1, 2), abs=1e-14)
+        assert ctx[("C13", "2")] == pytest.approx(base.corr(0, 2), abs=1e-14)
 
     def test_first_measurement_harmless_for_diagonal_rho(self, rng):
         model = sample_model(rng, 3, rho_mode="q1_diagonal")
-        ctx = sequential_moments(measure_all(model))
-        assert ctx.value("Q2", "1") == pytest.approx(ctx.base.averages[1], abs=1e-12)
+        tables = measure_all(model)
+        assert sequential_moments(tables)[("Q2", "1")] == pytest.approx(tables.moments.averages[1], abs=1e-12)
 
     def test_intermediate_measurement_disturbs_generic_state(self):
         model = precession_model(times=(0.7, 1.4, 2.1), rho=RHO_UP)
-        ctx = sequential_moments(measure_all(model))
-        shift = abs(ctx.value("Q3", "2") - ctx.base.averages[2])
+        tables = measure_all(model)
+        shift = abs(sequential_moments(tables)[("Q3", "2")] - tables.moments.averages[2])
         assert shift > 1e-3
         # per-outcome residual of the (2,3) run against p3 equals the witness
-        tables = measure_all(model)
         p23, p3 = tables.pairs[(1, 2)], tables.singles[2]
         residual = abs(sum(p23.weight((s2, +1)) for s2 in (-1, +1)) - p3.weight((+1,)))
         assert residual == pytest.approx(witness(p23, p3), abs=1e-12)
@@ -208,7 +206,7 @@ class TestSequentialMoments:
     def test_triple_correlator_recorded(self, mixed_qubit):
         tables = measure_all(mixed_qubit)
         ctx = sequential_moments(tables)
-        assert ctx.value("D", "123") == pytest.approx(tables.chain.moment((0, 1, 2)), abs=1e-14)
+        assert ctx[("D", "123")] == pytest.approx(tables.chain.moment((0, 1, 2)), abs=1e-14)
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
@@ -221,12 +219,16 @@ class TestSequentialMoments:
         grid = sequential_moments(tables)
         for g in range(len(times)):
             point = sequential_moments(point_tables(tables, g))
-            assert {k: v[g] for k, v in grid.contextual.items()} == point.contextual
+            assert {k: v[g] for k, v in grid.items()} == point
 
     def test_grid_values_are_range_checked(self):
-        base = MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3)
-        with pytest.raises(ValidationError, match=r"contextual value Q2\^\(1\) out of \[-1, 1\]: 1.5"):
-            ContextualMoments(base=base, contextual={("Q2", "1"): np.array([0.5, 1.5])})
+        # a contextual value is a moment of a validated table: a grid chain with
+        # <Q2^(1)> = 1.5 at its second point needs negative weights and is rejected
+        w = np.full((2, 2, 2, 2), 1 / 8)
+        w[1, :, 0, :], w[1, :, 1, :] = -1 / 16, 5 / 16
+        assert w[1, :, 1, :].sum() - w[1, :, 0, :].sum() == 1.5
+        with pytest.raises(ValidationError, match=r"sequential table weight negative: -0.0625"):
+            ProbabilityTable(kind="sequential", time_indices=(0, 1, 2), weights=w)
 
 
 class TestInterference:
