@@ -3,7 +3,7 @@ macrorealism verdicts composed from them.
 
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` holds each block of rows once, with its check names,
-and ``affine_values`` evaluates one.  A ``ConditionReport`` holds names, a
+and ``_affine_values`` evaluates one.  A ``ConditionReport`` holds names, a
 value array of shape ``(k,) + batch`` and a per-row equality flag.  A
 ">=0" row passes when value >= -epsilon (margin = value), an "=0" row when
 |value| <= epsilon (margin = -|value|): when its margin is >= -epsilon.
@@ -175,7 +175,7 @@ def _row_table(n: int) -> dict:
 ROWS = {n: _row_table(n) for n in (3, 4)}
 
 
-def affine_values(block: RowBlock, x) -> np.ndarray:
+def _affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
     arrays of one shape over a grid): one product of ``block.a`` with (1, x),
     then ``np.add.accumulate`` sums each row's terms strictly left to right
@@ -190,7 +190,7 @@ def affine_values(block: RowBlock, x) -> np.ndarray:
 
 
 def _inequalities(block: RowBlock, m: MomentSet, epsilon: float, assumptions=()) -> ConditionReport:
-    values = affine_values(block, m.averages + m.correlators)
+    values = _affine_values(block, m.averages + m.correlators)
     return ConditionReport(block.names, values, np.zeros(len(block.names), bool), epsilon, assumptions)
 
 

@@ -16,11 +16,11 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
   four times (the chordal extension behind Fine's theorem: Fine, PRL 48,
   291 (1982); Araujo et al., PRA 88, 022118 (2013)).
 
-``d_bounds`` is the interval [lo, hi] the rows leave for z, broadcasting
-over a grid of moment sets.  ``d_interval`` makes one stacked evaluation
-of the weak and Fine rows, reads its verdict and smallest margin from the
-weak slice (``mr_weak``'s reduction, so they agree by construction), and
-builds a witness table at the midpoint of the interval.
+``d_bounds`` is the interval [lo, hi] the rows leave for z.  ``d_interval``
+makes one stacked evaluation of the weak and Fine rows, reads its verdict
+from the smallest weak margin (so it agrees with ``mr_weak`` by
+construction) and builds a witness table at the midpoint of the interval.
+Both broadcast over a grid of moment sets.
 """
 
 from __future__ import annotations
@@ -29,33 +29,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, ConditionReport, affine_values
+from .conditions import ROWS, _affine_values
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
 
+
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of a joint-probability existence test.
+    """Outcome of a joint-probability existence test: Python floats and
+    bools for one moment set, arrays over a grid of them.  ``d_interval``
+    bounds (lo, hi) the free parameter: the triple correlator at three
+    times, the chord correlator C13 at four.  ``margin`` is the smallest
+    weak margin; ``feasible`` is margin >= -epsilon.  ``witness_table``, a
+    joint reproducing the moments, is None unless every set is feasible."""
 
-    ``d_interval`` holds the bounds (lo, hi) on the free parameter: the
-    triple correlator at three times, the chord correlator C13 at four.
-    On success ``witness_table`` is a nonnegative normalized joint
-    distribution reproducing the input moments; otherwise ``certificate``
-    describes why none exists.
-    """
-
+    n_times: int
     feasible: bool
-    d_interval: tuple[float, float] | None = None
+    d_interval: tuple[float, float]
+    margin: float
+    epsilon: float
     witness_table: ProbabilityTable | None = None
-    certificate: str | None = None
 
     def to_jsonable(self) -> dict:
+        """One moment set only; the certificate says why no joint exists, or
+        flags a smallest margin within epsilon of zero as marginal."""
+        lo, hi = self.d_interval
+        name = "triple correlator" if self.n_times == 3 else "chord correlator C13"
+        if self.feasible:
+            certificate = f"{name} interval [{lo!r}, {hi!r}] (marginal)" if self.margin <= self.epsilon else None
+        elif hi < lo:
+            certificate = f"empty interval: {name} must be >= {lo!r} and <= {hi!r}"
+        else:
+            certificate = f"negative two-time weight: measured LG2 margin {self.margin!r}"
         return {
             "feasible": self.feasible,
-            "d_interval": list(self.d_interval) if self.d_interval is not None else None,
-            "witness": self.witness_table.to_jsonable() if self.witness_table else None,
-            "certificate": self.certificate,
+            "d_interval": [lo, hi],
+            "witness": self.witness_table.to_jsonable() if self.witness_table is not None else None,
+            "certificate": certificate,
         }
 
 
@@ -73,91 +84,78 @@ def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
         raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
-def _require_one_set(m: MomentSet, op: str) -> None:
-    if isinstance(m.averages[0], np.ndarray):
-        raise ValidationError(f"{op}: needs one moment set, got a grid; d_bounds takes grids")
+def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
+    """p(s) = (E(s) + s1 s2 s3 d) / 8 from the expansion values e, shape
+    ``(8,) + batch``, as ``batch + (8,)``: the outcome axis last and
+    contiguous, so a sum over it adds in the same order as for one set."""
+    slope = _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1))
+    return np.ascontiguousarray(np.moveaxis((e + slope * d) / 8.0, 0, -1))
 
 
-def triple_expansion_table(m: MomentSet, d: float) -> ProbabilityTable:
-    """Three-time joint table from the moment expansion at triple
-    correlator value d (must be nonnegative to validate)."""
+def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
+    """Three-time joint table from the moment expansion at triple correlator
+    d, a float or an array over the grid of ``m`` (negative weights fail)."""
     if m.n_times != 3:
         raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
-    _require_one_set(m, "triple_expansion_table")
-    weights = ((affine_values(_EXPANSION, m.averages + m.correlators) + _EXPANSION.slope * d) / 8.0).reshape(2, 2, 2)
-    return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=weights)
+    w = _expansion_weights(_affine_values(_EXPANSION, m.averages + m.correlators), d)
+    return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=w.reshape(w.shape[:-1] + (2, 2, 2)))
 
 
 def d_bounds(m: MomentSet):
-    """Bounds (lo, hi) on the free parameter of a moment set: rows with
-    slope +1 force z >= -b, slope -1 force z <= b.  Floats, or arrays over
-    the grid of ``m``."""
+    """Bounds (lo, hi) on the free parameter: rows with slope +1 force
+    z >= -b, slope -1 force z <= b.  Floats, or arrays over the grid of ``m``."""
     _require_unmeasured_triple(m, "d_bounds")
-    return _bounds(affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators), m.n_times)
+    return _bounds(_affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators), m.n_times)
 
 
 def _midpoint_weights(e: np.ndarray) -> np.ndarray:
-    """Three-time joint weights from the expansion values e at the midpoint
-    of their triple-correlator interval.  For an empty interval the few
-    slightly negative weights are clipped at 0 and the table renormalised."""
+    """Three-time joint weights, shape ``batch + (2, 2, 2)``, from the
+    expansion values e at the midpoint of their triple-correlator interval;
+    on an empty interval, clipped at 0 and renormalised."""
     lo, hi = _bounds(e, 3)
-    w = (e + _EXPANSION.slope * ((lo + hi) / 2.0)) / 8.0
-    if hi < lo:
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-    return w.reshape(2, 2, 2)
+    w = _expansion_weights(e, (lo + hi) / 2.0)
+    empty = np.expand_dims(hi < lo, -1)
+    if empty.any():
+        clipped = np.maximum(w, 0.0)
+        w = np.where(empty, clipped / clipped.sum(axis=-1, keepdims=True), w)
+    return w.reshape(w.shape[:-1] + (2, 2, 2))
 
 
-def _glued_weights(m: MomentSet, x: float) -> np.ndarray:
+def _glued_weights(m: MomentSet, x) -> np.ndarray:
     """Four-time joint weights at chord value x: the triangle joints p123
-    and p134, each at its own interval midpoint, glued as
-    p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
+    and p134 (one batch axis ahead of the grid's), each at its own interval
+    midpoint, glued as p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
     a1, a2, a3, a4 = m.averages
     c12, c23, c34, c14 = m.correlators
-    e = affine_values(_EXPANSION, [(a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)])
-    p123, p134 = _midpoint_weights(e[:, 0]), _midpoint_weights(e[:, 1])
-    p13 = p134.sum(axis=2, keepdims=True)
+    e = _affine_values(_EXPANSION, [(a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)])
+    p123, p134 = _midpoint_weights(e)
+    p13 = p134.sum(axis=-1, keepdims=True)
     cond = np.divide(p134, p13, out=np.zeros_like(p134), where=p13 > 0.0)
-    w = p123[:, :, :, None] * cond[:, None, :, :]
-    return w / w.sum()
+    w = (p123[..., None] * cond[..., None, :, :]).reshape(p123.shape[:-3] + (16,))
+    return (w / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2, 2, 2))
 
 
 def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
-    """Closed-form feasibility at three or four times.
-
-    A joint exists iff every margin ``mr_weak`` reads is nonnegative, so the
-    weak slice of the stacked rows gives ``mr_weak(m, epsilon).verdict``,
-    and a smallest margin within epsilon of zero is flagged as marginal.  The
-    witness sits at the midpoint of ``d_bounds(m)``, inside [-1, 1]; at
-    four times it glues the two triangle joints.  Weights left slightly
-    negative inside the slack are clipped at 0 and the table renormalised.
-    """
+    """Closed-form feasibility at three or four times, for one moment set
+    or a grid of them.  A joint exists iff every margin ``mr_weak`` reads is
+    nonnegative, so a set is feasible, as ``mr_weak(m, epsilon).verdict``,
+    when its smallest weak margin is >= -epsilon.  Only when every set is
+    feasible is a witness built, at the midpoint of ``d_bounds(m)`` (at four
+    times, glued from the two triangle joints), with weights left slightly
+    negative inside the slack clipped at 0 and the table renormalised."""
     _require_unmeasured_triple(m, "d_interval")
-    _require_one_set(m, "d_interval")
-    n, names = m.n_times, ROWS[m.n_times]["weak"].names
-    values = affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
-    k = len(names)
-    weak = ConditionReport(names, values[:k], np.zeros(k, bool), epsilon)
-    lo, hi = map(float, _bounds(values[k:], n))
-    margin = float(weak.values.min())
-    name = "triple correlator" if n == 3 else "chord correlator C13"
-    if not weak.verdict:
-        if hi < lo:
-            why = f"empty interval: {name} must be >= {lo!r} and <= {hi!r}"
-        else:
-            why = f"negative two-time weight: measured LG2 margin {margin!r}"
-        return FeasibilityResult(feasible=False, d_interval=(lo, hi), certificate=why)
-    marginal = " (marginal)" if margin <= epsilon else ""
-    if n == 3:
-        weights = _midpoint_weights(values[k:])
-    else:
-        weights = _glued_weights(m, (lo + hi) / 2.0)
-    return FeasibilityResult(
-        feasible=True,
-        d_interval=(lo, hi),
-        witness_table=ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=weights),
-        certificate=f"{name} interval [{lo!r}, {hi!r}]{marginal}" if marginal else None,
-    )
+    n, k = m.n_times, len(ROWS[m.n_times]["weak"].names)
+    values = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
+    lo, hi = _bounds(values[k:], n)
+    margin = values[:k].min(axis=0)
+    feasible = margin >= -epsilon
+    witness = None
+    if feasible.all():
+        w = _midpoint_weights(values[k:]) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)
+        witness = ProbabilityTable(kind="joint", time_indices=tuple(range(n)), weights=w)
+    if values.ndim == 1:
+        lo, hi, margin, feasible = lo.tolist(), hi.tolist(), margin.tolist(), feasible.tolist()
+    return FeasibilityResult(n, feasible, (lo, hi), margin, epsilon, witness)
 
 
 def lp_feasibility(m: MomentSet) -> FeasibilityResult:

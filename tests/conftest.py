@@ -1,4 +1,5 @@
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import HealthCheck, settings
 
 from mrtest.conditions import ROWS, RowBlock
 from mrtest.errors import ValidationError
-from mrtest.fine import FeasibilityResult
 from mrtest.measurement import MomentSet, Outcome, ProbabilityTable, TableSet, outcomes, pair_set
 from mrtest.quantum import QuantumModel
 from mrtest.tolerances import TOL
@@ -98,7 +98,7 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
 
 def column_sums(block: RowBlock, x) -> np.ndarray:
     """b + G x added one whole column at a time, left to right, from b: the
-    loop that ``affine_values`` must match bit for bit."""
+    loop that ``_affine_values`` must match bit for bit."""
     x = np.array(x, dtype=float)
     a = block.a.T.reshape(block.a.T.shape + (1,) * (x.ndim - 1))
     values = a[0] + a[1] * x[0]
@@ -124,7 +124,16 @@ def triangle_fine_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(b), np.concatenate([chord.a[:, 6], lg3.a[:, 6], lg3.a[:, 4]])
 
 
-def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
+class OracleResult(NamedTuple):
+    """An oracle's verdict, its witness table when it found one, and why it
+    found none otherwise."""
+
+    feasible: bool
+    witness_table: ProbabilityTable | None = None
+    certificate: str | None = None
+
+
+def scan_oracle(m: MomentSet, grid_step: float) -> OracleResult:
     """Brute-force feasibility: scan the triple correlator over [-1, 1].
 
     Feasible iff some grid point makes all eight expansion values
@@ -148,7 +157,7 @@ def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
     worst = values.min(axis=0)
     best = int(np.argmax(worst))
     if worst[best] < -TOL.scalar:
-        return FeasibilityResult(
+        return OracleResult(
             feasible=False,
             certificate=(
                 f"no grid point admits a nonnegative expansion "
@@ -156,7 +165,7 @@ def scan_oracle(m: MomentSet, grid_step: float) -> FeasibilityResult:
             ),
         )
     table = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=values[:, best].reshape(2, 2, 2))
-    return FeasibilityResult(feasible=True, witness_table=table)
+    return OracleResult(feasible=True, witness_table=table)
 
 
 #: pivot threshold of ``lp_oracle``'s simplex
@@ -236,7 +245,7 @@ def moment_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray, list[Outcome]]:
     return matrix, np.array([1.0, *m.averages, *m.correlators]), outs
 
 
-def lp_oracle(m: MomentSet) -> FeasibilityResult:
+def lp_oracle(m: MomentSet) -> OracleResult:
     """Existence of nonnegative weights over {-1,+1}^n with the given
     normalization, averages and pair correlators, via phase-1 simplex.
 
@@ -247,10 +256,10 @@ def lp_oracle(m: MomentSet) -> FeasibilityResult:
     a_eq, b_eq, _ = moment_rows(m)
     objective, x = _phase1_simplex(a_eq, b_eq)
     if objective > LP_FEASIBILITY:
-        return FeasibilityResult(
+        return OracleResult(
             feasible=False, certificate=f"phase-1 objective {objective:.6e} > {LP_FEASIBILITY:.0e}"
         )
     x = np.maximum(x, 0.0)
     x /= x.sum()
     table = ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=x.reshape((2,) * m.n_times))
-    return FeasibilityResult(feasible=True, witness_table=table)
+    return OracleResult(feasible=True, witness_table=table)

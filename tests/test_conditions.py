@@ -7,7 +7,7 @@ from mrtest.conditions import (
     ROWS,
     Check,
     ConditionReport,
-    affine_values,
+    _affine_values,
     lg2,
     lg3,
     lg4,
@@ -419,20 +419,20 @@ class TestRowFormulas:
             else:
                 assert value.hex() == want[name].hex(), name
         if n == 3:
-            expansion = affine_values(ROWS[3]["E"], a + cs).tolist()
+            expansion = _affine_values(ROWS[3]["E"], a + cs).tolist()
             for (s1, s2, s3), value in zip(outcomes(3), expansion):
                 e = 1.0 + s1 * a[0] + s2 * a[1] + s3 * a[2] + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
                 assert value.hex() == e.hex()
 
 
 class TestAffineValues:
-    """``affine_values`` against the column-at-a-time loop, on every block."""
+    """``_affine_values`` against the column-at-a-time loop, on every block."""
 
     @given(st.lists(st.floats(-1, 1), min_size=8, max_size=8), st.sampled_from([3, 4]))
     def test_bit_equal_to_the_column_loop(self, x, n):
         for key, block in ROWS[n].items():
             width = block.a.shape[1] - 1
-            assert affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
+            assert _affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
 
     def test_grid_bit_equal_and_owns_its_memory(self, rng):
         # a view of the terms array would keep it alive inside every report
@@ -440,7 +440,7 @@ class TestAffineValues:
             for key, block in ROWS[n].items():
                 width = block.a.shape[1] - 1
                 for x in (list(rng.uniform(-1, 1, width)), tuple(rng.uniform(-1, 1, (width, 7)))):
-                    values = affine_values(block, x)
+                    values = _affine_values(block, x)
                     assert values.base is None, key
                     assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
                     assert values.tobytes() == column_sums(block, x).tobytes(), key

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mrtest import conditions, fine
-from mrtest.conditions import ROWS, affine_values, lg2, lg3, lg4, mr_weak
+from mrtest.conditions import ROWS, _affine_values, lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
@@ -35,11 +35,80 @@ def lg_margins(m: MomentSet) -> list[float]:
     return out
 
 
+def lg_margins4(m: MomentSet) -> tuple[list[float], list[float]]:
+    """The LG2 margins of the measured pairs and the LG4 margins."""
+    return [c.margin for pair in m.pairs for c in lg2(m, pair).checks], [c.margin for c in lg4(m).checks]
+
+
 def table_moments(result: FeasibilityResult, m: MomentSet):
     t = result.witness_table
     avg = [t.moment((i,)) for i in range(m.n_times)]
     corr = [t.moment(p) for p in m.pairs]
     return avg, corr
+
+
+def stacked(sets: list[MomentSet]) -> MomentSet:
+    """The moment sets as one grid: each average and correlator an array."""
+    return MomentSet(
+        averages=tuple(np.array(a) for a in zip(*(m.averages for m in sets))),
+        correlators=tuple(np.array(c) for c in zip(*(m.correlators for m in sets))),
+    )
+
+
+def point(grid: MomentSet, g: int) -> MomentSet:
+    """Point g of a grid of moment sets, as one set of Python floats."""
+    return MomentSet(
+        averages=tuple(a[g].item() for a in grid.averages),
+        correlators=tuple(c[g].item() for c in grid.correlators),
+    )
+
+
+def assert_grid_equals_sets(grid: MomentSet, epsilon: float) -> list[bool]:
+    """``d_interval`` on the grid against each set alone: flags, bounds and
+    margins bit-equal, and a witness only when every set is feasible, its
+    weights then bit-equal to each set's table.  Returns the flags."""
+    r = d_interval(grid, epsilon)
+    sets = [d_interval(point(grid, g), epsilon) for g in range(len(grid.averages[0]))]
+    assert r.n_times == grid.n_times and r.epsilon == epsilon
+    assert r.feasible.tolist() == [s.feasible for s in sets]
+    for got, want in zip((*r.d_interval, r.margin), zip(*((*s.d_interval, s.margin) for s in sets))):
+        assert got.tobytes() == np.array(want).tobytes()
+    if all(s.feasible for s in sets):
+        assert r.witness_table.weights.tobytes() == np.stack([s.witness_table.weights for s in sets]).tobytes()
+    else:
+        assert r.witness_table is None
+    return [s.feasible for s in sets]
+
+
+def near_weak_boundary3(values, target: float) -> MomentSet | None:
+    """The three-time set of ``values`` shrunk so that its smallest LG2/LG3
+    margin is ``target``, or None when no shrinking does that inside [-1, 1]."""
+    # every margin is 1 plus a linear form in the moments, so shrinking
+    # the moments by lam moves the smallest margin M to 1 + lam*(M - 1)
+    smallest = min(lg_margins(moment_set3(values)))
+    if smallest >= 1.0:
+        return None
+    lam = (1.0 - target) / (1.0 - smallest)
+    scaled = [lam * v for v in values]
+    return moment_set3(scaled) if all(abs(v) <= 1.0 for v in scaled) else None
+
+
+def near_weak_boundary4(values, target: float) -> MomentSet | None:
+    """The four-time set of ``values`` scaled so that its smallest LG2/LG4
+    margin is ``target``, or None when that needs a factor above 10 or
+    leaves [-1, 1]."""
+    # scaling the moments by lam moves an LG2 margin M to 1 + lam*(M - 1)
+    # and an LG4 margin M to 2 + lam*(M - 2); the first to reach the
+    # target as lam grows fixes lam.  Large lam amplifies the rounding
+    # of M - 1, so nearly zero moment sets are skipped.
+    lg2s, lg4s = lg_margins4(MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:])))
+    lams = [(c - target) / (c - v) for c, vs in ((1.0, lg2s), (2.0, lg4s)) for v in vs if v < c]
+    if not lams or min(lams) > 10.0:
+        return None
+    scaled = [min(lams) * v for v in values]
+    if not all(abs(v) <= 1.0 for v in scaled):
+        return None
+    return MomentSet(averages=tuple(scaled[:4]), correlators=tuple(scaled[4:]))
 
 
 def interval_and_weak_calls(m: MomentSet, epsilon: float) -> tuple[FeasibilityResult, int]:
@@ -62,14 +131,14 @@ class TestFineRows:
     def test_lifted_block_is_the_triangle_construction(self, values):
         m = MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:]))
         b, slope = triangle_fine_rows(m)
-        assert affine_values(ROWS[4]["fine"], values).tobytes() == b.tobytes()
+        assert _affine_values(ROWS[4]["fine"], values).tobytes() == b.tobytes()
         assert ROWS[4]["fine"].slope.tolist() == slope.tolist()
 
     def test_lifted_block_on_a_grid(self, rng):
         x = rng.uniform(-1.0, 1.0, size=(8, 500)) * rng.uniform(0.0, 1.0, size=500)
         m = MomentSet(averages=tuple(x[:4]), correlators=tuple(x[4:]))
         b, slope = triangle_fine_rows(m)
-        assert affine_values(ROWS[4]["fine"], m.averages + m.correlators).tobytes() == b.tobytes()
+        assert _affine_values(ROWS[4]["fine"], m.averages + m.correlators).tobytes() == b.tobytes()
         lo, hi = d_bounds(m)
         assert lo.tobytes() == (-b[slope > 0]).max(axis=0).tobytes()
         assert hi.tobytes() == b[slope < 0].min(axis=0).tobytes()
@@ -89,7 +158,24 @@ class TestDInterval:
         lo, hi = r.d_interval
         assert lo == pytest.approx(0.5, abs=1e-12)
         assert hi == pytest.approx(-0.5, abs=1e-12)
-        assert "empty interval" in r.certificate
+        assert "empty interval" in r.to_jsonable()["certificate"]
+        assert r.to_jsonable() == {
+            "feasible": False,
+            "d_interval": [0.5, -0.5],
+            "witness": None,
+            "certificate": "empty interval: triple correlator must be >= 0.5 and <= -0.5",
+        }
+
+    def test_negative_two_time_weight_names_the_margin(self):
+        # LG2.12.-- is 1 - <Q1> - <Q2> + C12 = -0.5, while the chord interval stays open
+        r = d_interval(MomentSet(averages=(0.5, 0.5, 0.0, 0.0), correlators=(-0.5, 0.0, 0.0, 0.0)))
+        assert r.to_jsonable() == {
+            "feasible": False,
+            "d_interval": [-0.5, 0.5],
+            "witness": None,
+            "certificate": "negative two-time weight: measured LG2 margin -0.5",
+        }
+        assert type(r.feasible) is bool and type(r.margin) is float
 
     def test_perfect_correlation_point_mass(self):
         r = d_interval(MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3))
@@ -103,11 +189,10 @@ class TestDInterval:
             d_interval(m)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_grid_set_names_d_bounds(self, rng, n):
+    def test_quantum_grid_equals_per_set(self, rng, n):
         model = sample_model(rng, 2, n)
-        grid = measure_all(model, np.array([model.times, model.times])).moments
-        with pytest.raises(ValidationError, match="d_interval: needs one moment set, got a grid; d_bounds"):
-            d_interval(grid)
+        times = np.array(model.times) * np.linspace(0.5, 1.5, 7)[:, None]
+        assert len(assert_grid_equals_sets(measure_all(model, times).moments, TOL.verdict)) == 7
 
     def test_four_times_bounds_the_chord(self):
         # every chord row is 1 +- x, and the two uniform triangles glue into the uniform joint
@@ -150,17 +235,11 @@ class TestWeakBoundary:
         st.sampled_from((TOL.verdict, 1e-6)),
     )
     def test_interval_matches_weak_verdict(self, values, scale, epsilon):
-        # every margin is 1 plus a linear form in the moments, so shrinking
-        # the moments by lam moves the smallest margin M to 1 + lam*(M - 1)
-        smallest = min(lg_margins(moment_set3(values)))
-        assume(smallest < 1.0)
         target = scale * epsilon
         # the two routes round differently by ~1e-16 right at the threshold
         assume(abs(target + epsilon) > 1e-14)
-        lam = (1.0 - target) / (1.0 - smallest)
-        scaled = [lam * v for v in values]
-        assume(all(abs(v) <= 1.0 for v in scaled))
-        m = moment_set3(scaled)
+        m = near_weak_boundary3(values, target)
+        assume(m is not None)
         assert abs(min(lg_margins(m)) - target) < 1e-12
         r, weak_calls = interval_and_weak_calls(m, epsilon)
         assert weak_calls == 0
@@ -177,14 +256,10 @@ class TestWeakBoundary:
         assert mr_weak(m).verdict
         r = d_interval(m)
         assert r.feasible
-        assert "(marginal)" in r.certificate
+        assert "(marginal)" in r.to_jsonable()["certificate"]
+        assert r.to_jsonable()["certificate"] == "triple correlator interval [5e-10, -5e-10] (marginal)"
         assert r.witness_table.weights.min() >= 0.0
         assert not d_interval(m, epsilon=1e-10).feasible
-
-
-def lg_margins4(m: MomentSet) -> tuple[list[float], list[float]]:
-    """The LG2 margins of the measured pairs and the LG4 margins."""
-    return [c.margin for pair in m.pairs for c in lg2(m, pair).checks], [c.margin for c in lg4(m).checks]
 
 
 class TestFourTimeBoundary:
@@ -197,18 +272,10 @@ class TestFourTimeBoundary:
         st.sampled_from((TOL.verdict, 1e-6)),
     )
     def test_interval_matches_weak_verdict(self, values, scale, epsilon):
-        # scaling the moments by lam moves an LG2 margin M to 1 + lam*(M - 1)
-        # and an LG4 margin M to 2 + lam*(M - 2); the first to reach the
-        # target as lam grows fixes lam.  Large lam amplifies the rounding
-        # of M - 1, so nearly zero moment sets are skipped.
         target = scale * epsilon
         assume(abs(target + epsilon) > 1e-14)
-        lg2s, lg4s = lg_margins4(MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:])))
-        lams = [(c - target) / (c - v) for c, vs in ((1.0, lg2s), (2.0, lg4s)) for v in vs if v < c]
-        assume(lams and min(lams) <= 10.0)
-        scaled = [min(lams) * v for v in values]
-        assume(all(abs(v) <= 1.0 for v in scaled))
-        m = MomentSet(averages=tuple(scaled[:4]), correlators=tuple(scaled[4:]))
+        m = near_weak_boundary4(values, target)
+        assume(m is not None)
         assert abs(min(min(part) for part in lg_margins4(m)) - target) < 1e-12
         r, weak_calls = interval_and_weak_calls(m, epsilon)
         assert weak_calls == 0
@@ -234,6 +301,47 @@ class TestFourTimeBoundary:
         assert not lp_oracle(m).feasible
 
 
+class TestGrid:
+    """``d_interval`` on a grid of moment sets against each set alone, bit
+    for bit: on random grids, on their all-feasible sub-grids, and on the
+    near-boundary sets of ``TestWeakBoundary`` and ``TestFourTimeBoundary``."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_grid_and_its_feasible_subgrid(self, rng, n):
+        x = rng.uniform(-1.0, 1.0, size=(2 * n, 3000)) * rng.uniform(0.0, 1.0, size=3000)
+        feasible = assert_grid_equals_sets(MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:])), TOL.verdict)
+        assert 0 < sum(feasible) < len(feasible)
+        sub = x[:, feasible]
+        assert all(assert_grid_equals_sets(MomentSet(averages=tuple(sub[:n]), correlators=tuple(sub[n:])), TOL.verdict))
+
+    @pytest.mark.parametrize("epsilon", [TOL.verdict, 1e-6])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_boundary_grid_and_its_feasible_subgrid(self, rng, n, epsilon):
+        near = near_weak_boundary3 if n == 3 else near_weak_boundary4
+        sets = []
+        while len(sets) < 300:
+            m = near(rng.uniform(-1.0, 1.0, 2 * n).tolist(), rng.uniform(-10.0, 10.0) * epsilon)
+            if m is not None:
+                sets.append(m)
+        feasible = assert_grid_equals_sets(stacked(sets), epsilon)
+        assert 0 < sum(feasible) < len(feasible)
+        assert all(assert_grid_equals_sets(stacked([m for m, f in zip(sets, feasible) if f]), epsilon))
+        if n == 3:
+            # an interval empty by at most 2*epsilon is feasible: its witness is clipped and renormalised
+            assert any(f and lo > hi for f, lo, hi in zip(feasible, *d_bounds(stacked(sets))))
+
+    def test_four_time_empty_interval_inside_the_slack(self):
+        # the second set's LG4.4.lo margin is -5e-7: feasible at 1e-6 with a
+        # chord interval empty by 5e-7, so its triangles are clipped
+        sets = [
+            MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4),
+            MomentSet(averages=(0.0,) * 4, correlators=(-0.5, -0.5, -0.5, 0.5000005)),
+        ]
+        assert assert_grid_equals_sets(stacked(sets), 1e-6) == [True, True]
+        lo, hi = d_bounds(stacked(sets))
+        assert lo[1] > hi[1]
+
+
 class TestLpFeasibility:
     def test_four_time_uniform(self):
         r = lp_feasibility(MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4))
@@ -248,7 +356,7 @@ class TestLpFeasibility:
         assert not r.feasible
         # LG3 of (1,2,3) needs C13 >= 2s - 1, LG3 of (1,3,4) needs C13 <= 1 - 2s
         assert r.d_interval == pytest.approx((2 * s - 1, 1 - 2 * s), abs=1e-12)
-        assert "empty interval: chord correlator C13" in r.certificate
+        assert "empty interval: chord correlator C13" in r.to_jsonable()["certificate"]
 
     def test_delegates_to_the_interval(self, rng):
         for _ in range(50):
@@ -365,11 +473,17 @@ class TestExpansionTable:
             t = triple_expansion_table(m, mid)
             assert t.moment((0, 1, 2)) == pytest.approx(mid, abs=1e-12)
 
-    def test_grid_set_names_d_bounds(self, rng):
-        model = sample_model(rng, 2)
-        grid = measure_all(model, np.array([model.times] * 3)).moments
-        with pytest.raises(ValidationError, match="triple_expansion_table: needs one moment set, got a grid; d_bounds"):
-            triple_expansion_table(grid, 0.0)
+    def test_grid_with_array_d_equals_per_point(self, rng):
+        grid = moment_set3(rng.uniform(-1 / 6, 1 / 6, (6, 200)))
+        lo, hi = d_bounds(grid)
+        mid = (lo + hi) / 2
+        tables = triple_expansion_table(grid, mid)
+        for g in range(200):
+            one = triple_expansion_table(point(grid, g), mid[g].item())
+            assert tables.weights[g].tobytes() == one.weights.tobytes()
+        # a float d broadcasts over the grid as well
+        one = triple_expansion_table(point(grid, 7), 0.0)
+        assert triple_expansion_table(grid, 0.0).weights[7].tobytes() == one.weights.tobytes()
 
     def test_rejects_negative_expansion(self):
         m = MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3)
