@@ -10,7 +10,6 @@ via a closed-form interval on the one free correlator.
 import types
 
 from .conditions import (
-    Check,
     ConditionReport,
     lg2,
     lg3,

@@ -9,9 +9,9 @@ value array of shape ``(k,) + batch`` and a per-row equality flag.  A
 |value| <= epsilon (margin = -|value|): when its margin is >= -epsilon.
 Margins, pass flags and verdict are array reductions, Python floats and
 bools for one moment set or arrays over a grid of them from
-``measure_all``; ``Check`` views are built only when asked for.  Modeling
-assumptions (piecewise non-invasiveness, induction) are carried on reports
-as annotations, never as checks.
+``measure_all``; ``to_jsonable`` writes each row of one set from the same
+arrays.  Modeling assumptions (piecewise non-invasiveness, induction) are
+carried on reports as annotations, never as rows.
 """
 
 from __future__ import annotations
@@ -28,26 +28,6 @@ from .tolerances import TOL
 
 ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assumption)"
 ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (modeling assumption)"
-
-
-@dataclass(frozen=True)
-class Check:
-    """One row of a report: a float and a bool, or arrays over a grid."""
-
-    name: str
-    value: float
-    kind: str
-    margin: float
-    passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "kind": self.kind,
-            "margin": self.margin,
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -79,20 +59,6 @@ class ConditionReport:
     def margins(self) -> dict[str, float]:
         return dict(zip(self.names, self._out(self._margins())))
 
-    @property
-    def checks(self) -> tuple[Check, ...]:
-        kinds = ["=0" if eq else ">=0" for eq in self.equality]
-        margins = self._margins()
-        rows = (self._out(self.values), kinds, self._out(margins), self._out(margins >= -self.epsilon))
-        return tuple(map(Check, self.names, *rows))
-
-    def check(self, name: str) -> Check:
-        """The named row alone, built as the one ``Check`` of a one-row report."""
-        if name not in self.names:
-            raise ValidationError(f"no check named {name!r} in this report")
-        k = self.names.index(name)
-        return replace(self, names=(name,), values=self.values[k : k + 1], equality=self.equality[k : k + 1]).checks[0]
-
     def merged_with(self, *others: "ConditionReport") -> "ConditionReport":
         if any(other.epsilon != self.epsilon for other in others):
             raise ValidationError("cannot merge reports with different epsilons")
@@ -106,11 +72,18 @@ class ConditionReport:
         )
 
     def to_jsonable(self) -> dict:
+        """One moment set only: each row's name, value, kind, margin and pass flag."""
+        margins = self._margins()
+        passed = (margins >= -self.epsilon).tolist()
+        rows = zip(self.names, self.values.tolist(), self.equality.tolist(), margins.tolist(), passed)
         return {
             "epsilon": self.epsilon,
             "verdict": self.verdict,
             "assumptions": list(self.assumptions),
-            "checks": [c.to_jsonable() for c in self.checks],
+            "checks": [
+                {"name": name, "value": value, "kind": "=0" if eq else ">=0", "margin": margin, "pass": ok}
+                for name, value, eq, margin, ok in rows
+            ],
         }
 
 
@@ -218,7 +191,7 @@ def lg3(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """The eight four-time bounds -2 <= +-C12 +- C23 +- C34 +- C14 <= 2, the
     k-th with its one minus sign on the k-th pair of {12, 23, 34, 14}, as
-    the ">=0" checks LG4.k.lo = 2 + sum and LG4.k.hi = 2 - sum."""
+    the ">=0" rows LG4.k.lo = 2 + sum and LG4.k.hi = 2 - sum."""
     if m.n_times != 4:
         raise ValidationError(f"lg4: need 4 times, got {m.n_times}")
     return _inequalities(ROWS[4]["LG4"], m, epsilon)
@@ -266,7 +239,7 @@ def nsit(
 
 
 def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
-    """Two-time no-signaling checks for every measured pair: marginalizing
+    """Two-time no-signaling equalities for every measured pair: marginalizing
     the earlier measurement of the pair must reproduce the later single-time
     table.  For three times these are NSIT_(1)2, NSIT_(1)3, NSIT_(2)3."""
     reports = [

@@ -103,9 +103,12 @@ def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
 
 def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
-    z >= -b, slope -1 force z <= b.  Floats, or arrays over the grid of ``m``."""
+    z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
+    arrays over the grid of ``m``."""
     _require_unmeasured_triple(m, "d_bounds")
-    return _bounds(_affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators), m.n_times)
+    values = _affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators)
+    lo, hi = _bounds(values, m.n_times)
+    return (lo.tolist(), hi.tolist()) if values.ndim == 1 else (lo, hi)
 
 
 def _midpoint_weights(e: np.ndarray) -> np.ndarray:

@@ -238,7 +238,7 @@ def sweep_spec_from_jsonable(obj: Mapping) -> SweepSpec:
         raise InputFormatError(f"sweep: outputs must be a list of group names, got {_echo(outputs)}")
     return SweepSpec(
         model=model,
-        parameter=str(obj["parameter"]),
+        parameter=obj["parameter"],
         start=_json_number(obj["from"], "sweep: from"),
         stop=_json_number(obj["to"], "sweep: to"),
         steps=_json_int(obj["steps"], "sweep: steps"),
@@ -285,7 +285,7 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict
     and projectors per point.
     """
     model = spec.model
-    # overflow shows up as non-finite times, which the checks below name
+    # overflow shows up as non-finite times, which the validation below names
     with np.errstate(over="ignore", invalid="ignore"):
         values = spec.grid
         times = np.tile(np.array(model.times), (len(values), 1))

@@ -396,9 +396,11 @@ def measure_all(model: QuantumModel, times=None) -> TableSet:
     ``times`` (shape ``batch + (n,)``) replaces the model's own times with a
     grid of evolution times; every table and moment then carries the grid
     axes ``batch``.  The times are used as given (see
-    ``QuantumModel.spectral``), so a caller passing a grid checks it first.
+    ``QuantumModel.spectral``), so a caller passing a grid validates it first.
     """
     n = model.n_times
+    if n not in (3, 4):
+        raise ValidationError(f"measure_all: tables need a model with 3 or 4 times, got {n}: {model.times}")
     proj = model.spectral(times)[2]
     rho = model.rho
     single = expectation(rho, proj)

@@ -72,7 +72,7 @@ def test_criterion_1_three_time_violation_extremum():
 
     def margin_at(tau: float) -> float:
         mom = measure_all(precession_model(times=(0.0, tau, 2 * tau))).moments
-        return lg3(mom).check("LG3.2").margin
+        return lg3(mom).margins["LG3.2"]
 
     lo, hi = first_attaining_bracket(list(spec.grid), margins)
     tau_star = bisect_minimum(margin_at, lo, hi)
@@ -162,8 +162,8 @@ def test_criterion_3_fine_theorem_equivalence():
         vals = rng.uniform(-1.0, 1.0, 6)
         m = MomentSet(averages=tuple(vals[:3]), correlators=tuple(vals[3:]))
         di = d_interval(m)
-        margins = [c.margin for pair in m.pairs for c in lg2(m, pair).checks]
-        margins += [c.margin for c in lg3(m).checks]
+        margins = [x for pair in m.pairs for x in lg2(m, pair).margins.values()]
+        margins += list(lg3(m).margins.values())
         if di.feasible != all(x >= -1e-12 for x in margins):
             lg_disagreements += 1
         lo, hi = di.d_interval
@@ -241,7 +241,7 @@ def test_criterion_7_fixed_initial_state_reduction():
         r3 = lg3(mom)
         r2 = lg2(mom, (1, 2))
         for k, key in lg3_to_lg2.items():
-            gap = abs(r3.check(f"LG3.{k}").margin - r2.check(f"LG2.23.{key}").margin)
+            gap = abs(r3.margins[f"LG3.{k}"] - r2.margins[f"LG2.23.{key}"])
             worst_margin = max(worst_margin, gap)
     ok = worst_moment < 1e-12 and worst_margin < 1e-12
     _report(
@@ -262,20 +262,20 @@ def test_criterion_8_nsit_special_cases():
         model = sample_model(rng, int(rng.integers(2, 5)), commuting=True)
         report = mr_strong(measure_all(model))
         commuting_verdicts &= report.verdict
-        worst_commuting = max(worst_commuting, max(abs(c.value) for c in report.checks))
+        worst_commuting = max(worst_commuting, max(abs(v) for v in report.values.tolist()))
 
     worst_mixed = 0.0
     for _ in range(40):
         model = sample_model(rng, 2, rho_mode="maximally_mixed")
         report = nsit_pairwise(measure_all(model))
-        worst_mixed = max(worst_mixed, max(abs(c.value) for c in report.checks))
+        worst_mixed = max(worst_mixed, max(abs(v) for v in report.values.tolist()))
 
     worst_diagonal = 0.0
     for _ in range(40):
         tables = measure_all(sample_model(rng, int(rng.integers(2, 5)), rho_mode="q1_diagonal"))
         for j in (1, 2):
             report = nsit(tables.pairs[(0, j)], tables.singles[j], 0, name=f"NSIT(1){j + 1}")
-            worst_diagonal = max(worst_diagonal, max(abs(c.value) for c in report.checks))
+            worst_diagonal = max(worst_diagonal, max(abs(v) for v in report.values.tolist()))
 
     ok = (
         commuting_verdicts

@@ -85,8 +85,7 @@ class TestTwoTimeModel:
         p.write_text(json.dumps(model_to_jsonable(precession_model(times=(0.0, 1.0)))))
         assert main([*argv, "--model", str(p)]) == 2
         err = capsys.readouterr().err
-        assert f"{argv[0]} needs a model with 3 or 4 times" in err
-        assert "has 2: (0.0, 1.0)" in err
+        assert "measure_all: tables need a model with 3 or 4 times, got 2: (0.0, 1.0)" in err
         assert "Traceback" not in err
 
 
@@ -335,6 +334,9 @@ class TestMalformedFiles:
         ("fine", {**_MOMENTS, "n": 10**400}, "moments: n must be 3 or 4, got <401-digit integer>"),
         ("sweep", {**_SPEC, "steps": 10**400}, "sweep: steps must be in [2, 10^6], got <401-digit integer>"),
         ("check", {**_MOMENTS, "avg": [0.0] * 100_000 + ["x"]}, "moments: avg[100000] must be a number, got 'x'"),
+        # the parameter is echoed as given, not as its str()
+        ("sweep", {**_SPEC, "parameter": None}, "sweep: unknown parameter None,"),
+        ("sweep", {**_SPEC, "parameter": 5}, "sweep: unknown parameter 5,"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"

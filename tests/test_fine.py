@@ -30,14 +30,14 @@ def moment_set3(values) -> MomentSet:
 
 
 def lg_margins(m: MomentSet) -> list[float]:
-    out = [c.margin for pair in m.pairs for c in lg2(m, pair).checks]
-    out += [c.margin for c in lg3(m).checks]
+    out = [x for pair in m.pairs for x in lg2(m, pair).margins.values()]
+    out += list(lg3(m).margins.values())
     return out
 
 
 def lg_margins4(m: MomentSet) -> tuple[list[float], list[float]]:
     """The LG2 margins of the measured pairs and the LG4 margins."""
-    return [c.margin for pair in m.pairs for c in lg2(m, pair).checks], [c.margin for c in lg4(m).checks]
+    return [x for pair in m.pairs for x in lg2(m, pair).margins.values()], list(lg4(m).margins.values())
 
 
 def table_moments(result: FeasibilityResult, m: MomentSet):
@@ -142,6 +142,12 @@ class TestFineRows:
         lo, hi = d_bounds(m)
         assert lo.tobytes() == (-b[slope > 0]).max(axis=0).tobytes()
         assert hi.tobytes() == b[slope < 0].min(axis=0).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_set_bounds_are_python_floats(self, n):
+        lo, hi = d_bounds(MomentSet(averages=(0.0,) * n, correlators=(0.5,) * n))
+        assert type(lo) is float and type(hi) is float
+        assert (lo, hi) == d_interval(MomentSet(averages=(0.0,) * n, correlators=(0.5,) * n)).d_interval
 
 
 class TestDInterval:
@@ -292,7 +298,7 @@ class TestFourTimeBoundary:
             averages=(0.2551541681236259, 0.3532378892095624, 0.4599780125191328, 0.1678996368191617),
             correlators=(0.7858576711835944, 0.2359652729552364, -0.2309054258841117, 0.7472716313570577),
         )
-        assert lg4(m).check("LG4.3.hi").margin == pytest.approx(-1.38e-9, abs=1e-11)
+        assert lg4(m).margins["LG4.3.hi"] == pytest.approx(-1.38e-9, abs=1e-11)
         r = d_interval(m, 1e-9)
         lo, hi = r.d_interval
         assert -2e-9 < hi - lo < -1e-9

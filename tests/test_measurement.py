@@ -176,6 +176,13 @@ class TestPiecewiseMoments:
         assert mom.pairs == ((0, 1), (1, 2), (2, 3), (0, 3))
         assert mom.corr(0, 3) == pytest.approx(np.cos(3.0), abs=1e-12)
 
+    def test_two_time_model_error_names_the_times(self, rng):
+        message = "measure_all: tables need a model with 3 or 4 times, got 2: (0.0, 1.0)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            measure_all(precession_model(times=(0.0, 1.0)))
+        with pytest.raises(ValidationError, match=r"measure_all: .* got 2: \("):
+            measure_all(sample_model(rng, 2, n_times=2))
+
 
 class TestSequentialMoments:
     def test_commuting_contextual_equals_base(self):
