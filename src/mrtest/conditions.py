@@ -126,7 +126,7 @@ def _row_table(n: int) -> dict:
         table["LG3"] = block([f"LG3.{k}" for k in range(1, 5)], 1.0, [3, 4, 5], lg3)
         # E(s) = 1 + sum s_i <Q_i> + sum s_i s_j C_ij, and p(s) = (E(s) + s1 s2 s3 D) / 8
         e = [(s1, s2, s3, s1 * s2, s2 * s3, s1 * s3, s1 * s2 * s3) for s1, s2, s3 in outcomes(3)]
-        table["E"] = table["fine"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(7), e)
+        table["fine"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(7), e)
     else:
         lg4 = [[side * (-1 if idx == k else 1) for idx in range(4)] for k in range(4) for side in (1, -1)]
         table["LG4"] = block([f"LG4.{k}.{side}" for k in range(1, 5) for side in ("lo", "hi")], 2.0, [4, 5, 6, 7], lg4)
@@ -143,8 +143,8 @@ def _row_table(n: int) -> dict:
 
 
 #: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3" or
-#: "LG4", "E" at 3 times, "weak", the LG2 blocks then the family, as ``mr_weak`` reads them,
-#: "fine", the rows ``fine.d_bounds`` reads ("E" at 3 times), and "weak+fine", the two stacked
+#: "LG4", "weak", the LG2 blocks then the family, as ``mr_weak`` reads them, "fine", the rows
+#: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two stacked
 ROWS = {n: _row_table(n) for n in (3, 4)}
 
 

@@ -70,18 +70,13 @@ class FeasibilityResult:
         }
 
 
-_EXPANSION = ROWS[3]["E"]
+_EXPANSION = ROWS[3]["fine"]
 _SIDES = {n: (np.flatnonzero(ROWS[n]["fine"].slope > 0), np.flatnonzero(ROWS[n]["fine"].slope < 0)) for n in (3, 4)}
 
 
 def _bounds(b: np.ndarray, n: int):
     up, down = _SIDES[n]
     return (-b[up]).max(axis=0), b[down].min(axis=0)
-
-
-def _require_unmeasured_triple(m: MomentSet, op: str) -> None:
-    if m.triple is not None:
-        raise ValidationError(f"{op}: triple correlator must be unmeasured (None)")
 
 
 def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
@@ -105,7 +100,6 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    _require_unmeasured_triple(m, "d_bounds")
     values = _affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators)
     lo, hi = _bounds(values, m.n_times)
     return (lo.tolist(), hi.tolist()) if values.ndim == 1 else (lo, hi)
@@ -146,7 +140,6 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     feasible is a witness built, at the midpoint of ``d_bounds(m)`` (at four
     times, glued from the two triangle joints), with weights left slightly
     negative inside the slack clipped at 0 and the table renormalised."""
-    _require_unmeasured_triple(m, "d_interval")
     n, k = m.n_times, len(ROWS[m.n_times]["weak"].names)
     values = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
     lo, hi = _bounds(values[k:], n)

@@ -175,18 +175,17 @@ def _unit_values(label: str, values) -> tuple:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Averages <Q_i> and pair correlators C_ij, optional triple correlator.
+    """Averages <Q_i> and pair correlators C_ij, as the piecewise protocol measures them.
 
-    The pair set is fixed by the number of times (3 or 4); the triple
-    correlator is the s1*s2*s3 coefficient and stays ``None`` for piecewise
-    protocols, which never measure it.  The averages and correlators are
-    floats, or arrays over a grid when the set comes from ``measure_all``
-    with a grid of times.
+    The pair set is fixed by the number of times (3 or 4).  The triple
+    correlator is never measured: it is the free parameter of Fine's
+    theorem, so a moments file gives ``D`` as null or not at all.  The
+    averages and correlators are floats, or arrays over a grid when the set
+    comes from ``measure_all`` with a grid of times.
     """
 
     averages: tuple[float, ...]
     correlators: tuple[float, ...]
-    triple: float | None = None
 
     def __post_init__(self) -> None:
         avg = _unit_values("average", self.averages)
@@ -199,11 +198,8 @@ class MomentSet:
         shapes = sorted({getattr(x, "shape", ()) for x in avg + corr})
         if len(shapes) > 1:
             raise ValidationError(f"averages and correlators must share one shape, got {', '.join(map(str, shapes))}")
-        if self.triple is not None and not (-1 - TOL.scalar <= self.triple <= 1 + TOL.scalar):
-            raise ValidationError(f"triple correlator out of [-1, 1]: {self.triple!r}")
         object.__setattr__(self, "averages", avg)
         object.__setattr__(self, "correlators", corr)
-        object.__setattr__(self, "triple", None if self.triple is None else float(self.triple))
 
     @property
     def n_times(self) -> int:
@@ -226,7 +222,7 @@ class MomentSet:
             "avg": list(self.averages),
             "pairs": [[i + 1, j + 1] for i, j in self.pairs],
             "corr": list(self.correlators),
-            "D": self.triple,
+            "D": None,
         }
 
     @classmethod
@@ -253,12 +249,12 @@ class MomentSet:
         corr = [x if type(x) is float else _json_number(x, f"moments: corr[{k}]") for k, x in enumerate(corr)]
         if not (isinstance(pairs, list) and len(pairs) == len(corr)):
             raise InputFormatError(f"moments: pairs must be a list as long as corr ({len(corr)})")
-        triple = obj.get("D")
-        triple = None if triple is None else _json_number(triple, "moments: D")
+        if (d := obj.get("D")) is not None:
+            raise InputFormatError(f"moments: D must be null (the triple correlator is never measured), got {_echo(d)}")
         given = {}
         for k, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
-                raise InputFormatError(f"moments: pairs[{k}] must be two time indices, got {_echo(pair)}")
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int and 1 <= i <= n for i in pair)):
+                raise InputFormatError(f"moments: pairs[{k}] must be two time indices in 1..{n}, got {_echo(pair)}")
             i, j = pair[0] - 1, pair[1] - 1
             key = (i, j) if i < j else (j, i)
             if key in given:
@@ -272,7 +268,7 @@ class MomentSet:
         if extra:
             names = ", ".join(f"C{i + 1}{j + 1}" for i, j in extra)
             raise ValidationError(f"moments: unexpected pairs: {names}")
-        return cls(averages=avg, correlators=tuple(given[p] for p in want), triple=triple)
+        return cls(averages=avg, correlators=tuple(given[p] for p in want))
 
 
 # ---------------------------------------------------------------------------

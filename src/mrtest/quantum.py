@@ -43,10 +43,10 @@ def as_complex_matrix(entries, *, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, *, name: str = "matrix", tol: float = TOL.scalar) -> None:
+def require_hermitian(a: np.ndarray, *, name: str = "matrix") -> None:
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
-        raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    if dev > TOL.scalar:
+        raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL.scalar:.0e})")
 
 
 def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:

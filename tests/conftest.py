@@ -140,8 +140,8 @@ def scan_oracle(m: MomentSet, grid_step: float) -> OracleResult:
     nonnegative (down to 1e-12 slack).  An independent cross-check of the
     closed-form interval; intervals narrower than the step can be missed.
     """
-    if m.n_times != 3 or m.triple is not None:
-        raise ValidationError("scan_oracle: need 3 times and an unmeasured triple correlator")
+    if m.n_times != 3:
+        raise ValidationError("scan_oracle: need 3 times")
     if not (0.0 < grid_step <= 0.1):
         raise ValidationError(f"scan_oracle: grid_step must be in (0, 0.1], got {grid_step!r}")
     (a1, a2, a3), (c12, c23, c13) = m.averages, m.correlators

@@ -208,6 +208,18 @@ class TestFine:
         assert main(["fine", "--moments", str(zero_moments_file), f"--epsilon={value}"]) == 2
         assert "--epsilon must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_given_triple_exits_two_from_check_and_fine(self, tmp_path, capsys, n):
+        p = tmp_path / "m.json"
+        # the zero set, which both commands pass with "D": null
+        pairs = [[1, 2], [2, 3], [1, 3]] if n == 3 else [[1, 2], [2, 3], [3, 4], [1, 4]]
+        p.write_text(json.dumps({"n": n, "avg": [0.0] * n, "pairs": pairs, "corr": [0.0] * n, "D": 0.5}))
+        for command in ("check", "fine"):
+            assert main(_argv(command, p)) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and len(err) < 200
+            assert "moments: D must be null (the triple correlator is never measured), got 0.5" in err
+
     def test_triple_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({
@@ -323,7 +335,8 @@ class TestMalformedFiles:
         # integers beyond the float range, one per field
         ("fine", {**_MOMENTS, "avg": [0, 10**400, 0]}, "moments: avg[1] must be within the float range"),
         ("check", {**_MOMENTS, "corr": [0, 0, -(10**400)]}, "moments: corr[2] must be within the float range"),
-        ("fine", {**_MOMENTS, "D": 10**400}, "moments: D must be within the float range"),
+        ("fine", {**_MOMENTS, "D": 10**400}, "moments: D must be null (the triple correlator is never measured), "
+         "got <401-digit integer>"),
         ("simulate", {**_MODEL, "times": [0, 10**400, 2]}, "model: times[1] must be within the float range"),
         ("simulate", {**_MODEL, "hamiltonian": [[[0, 0], [10**400, 0]], [[0.5, 0], [0, 0]]]},
          "hamiltonian[0][1] must be within the float range"),
@@ -337,6 +350,13 @@ class TestMalformedFiles:
         # the parameter is echoed as given, not as its str()
         ("sweep", {**_SPEC, "parameter": None}, "sweep: unknown parameter None,"),
         ("sweep", {**_SPEC, "parameter": 5}, "sweep: unknown parameter 5,"),
+        # pair indices outside 1..n, a huge one echoed short
+        ("fine", {**_MOMENTS, "pairs": [[1, 2], [2, 3], [1, 3], [1, 10**400]], "corr": [0.0] * 4},
+         "moments: pairs[3] must be two time indices in 1..3, got [1, 1000"),
+        ("check", {**_MOMENTS, "pairs": [[0, 1], [2, 3], [1, 3]]},
+         "moments: pairs[0] must be two time indices in 1..3, got [0, 1]"),
+        ("fine", {**_MOMENTS, "pairs": [[1, 2], [2, 3], [1, 3], [2, 2]], "corr": [0.0] * 4},
+         "moments: unexpected pairs: C22"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"

@@ -612,7 +612,7 @@ class TestRowFormulas:
             else:
                 assert value.hex() == want[name].hex(), name
         if n == 3:
-            expansion = _affine_values(ROWS[3]["E"], a + cs).tolist()
+            expansion = _affine_values(ROWS[3]["fine"], a + cs).tolist()
             for (s1, s2, s3), value in zip(outcomes(3), expansion):
                 e = 1.0 + s1 * a[0] + s2 * a[1] + s3 * a[2] + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
                 assert value.hex() == e.hex()

@@ -189,11 +189,6 @@ class TestDInterval:
         assert r.d_interval == (1.0, 1.0)
         assert r.witness_table.weight((+1, +1, +1)) == pytest.approx(1.0, abs=0)
 
-    def test_rejects_triple_given(self):
-        m = MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3, triple=0.2)
-        with pytest.raises(ValidationError, match="triple"):
-            d_interval(m)
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_quantum_grid_equals_per_set(self, rng, n):
         model = sample_model(rng, 2, n)
