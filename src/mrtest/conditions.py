@@ -3,7 +3,10 @@ macrorealism verdicts composed from them.
 
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` holds each block of rows once, with its check names,
-and ``_affine_values`` evaluates one.  A ``ConditionReport`` holds names, a
+and ``_affine_values`` evaluates one.  A moment set's weak and Fine rows
+are evaluated once, by ``_row_values``, and memoized on the set: ``mr_weak``,
+``lg2``, ``lg3``, ``lg4`` and the ``fine`` functions read row slices of that
+one array.  A ``ConditionReport`` holds names, a
 value array of shape ``(k,) + batch`` and a per-row equality flag.  A
 ">=0" row passes when value >= -epsilon (margin = value), an "=0" row when
 |value| <= epsilon (margin = -|value|): when its margin is >= -epsilon.
@@ -53,7 +56,8 @@ class ConditionReport:
 
     @property
     def verdict(self):
-        return self._out((self._margins() >= -self.epsilon).all(axis=0))
+        """Whether the smallest margin is >= -epsilon; a NaN margin fails."""
+        return self._out(self._margins().min(axis=0) >= -self.epsilon)
 
     @property
     def margins(self) -> dict[str, float]:
@@ -148,23 +152,55 @@ def _row_table(n: int) -> dict:
 ROWS = {n: _row_table(n) for n in (3, 4)}
 
 
+def _row_slices(table: dict) -> dict:
+    """Where each block of the table lies in its "weak+fine" block, which stacks them all in order."""
+    names = table["weak+fine"].names
+    return {key: slice(names.index(b.names[0]), names.index(b.names[0]) + len(b.names)) for key, b in table.items()}
+
+
+_ROW_SLICES = {n: _row_slices(table) for n, table in ROWS.items()}
+
+#: the one "=0" flag array of every report of ">=0" rows (read-only, sliced to length)
+_INEQUALITY = np.zeros(max(len(t["weak+fine"].names) for t in ROWS.values()), bool)
+_INEQUALITY.setflags(write=False)
+
+
 def _affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
-    arrays of one shape over a grid): one product of ``block.a`` with (1, x),
-    then ``np.add.accumulate`` sums each row's terms strictly left to right
-    from b.  The result owns its memory: it keeps no terms array alive."""
+    arrays of one shape over a grid), as the terms of ``block.a`` times
+    (1, x) added strictly left to right from b.  For one moment set that is
+    one product and one ``np.add.accumulate`` along the row; over a grid,
+    where ``accumulate`` would make one inner call per row and point, the
+    columns are added with in-place adds.  The two give bit-equal values,
+    and the result owns its memory."""
     x = np.asarray(x, dtype=float)
-    xp = np.empty((1 + len(x),) + x.shape[1:])
-    xp[0] = 1.0
-    xp[1:] = x
-    terms = block.a.reshape(block.a.shape + (1,) * (xp.ndim - 1)) * xp
-    np.add.accumulate(terms, axis=1, out=terms)
-    return terms[:, -1].copy()
+    if x.ndim == 1:
+        terms = block.a * np.concatenate(([1.0], x))
+        np.add.accumulate(terms, axis=1, out=terms)
+        return terms[:, -1].copy()
+    a = block.a.reshape(block.a.shape + (1,) * (x.ndim - 1))
+    values = a[:, 0] + a[:, 1] * x[0]
+    for j in range(1, len(x)):
+        values += a[:, j + 1] * x[j]
+    return values
 
 
-def _inequalities(block: RowBlock, m: MomentSet, epsilon: float, assumptions=()) -> ConditionReport:
-    values = _affine_values(block, m.averages + m.correlators)
-    return ConditionReport(block.names, values, np.zeros(len(block.names), bool), epsilon, assumptions)
+def _row_values(m: MomentSet) -> np.ndarray:
+    """The rows ``ROWS[n]["weak+fine"]`` on m, shape ``(k,) + batch``: evaluated
+    once per moment set, memoized on it and read-only (the set's own values
+    are read-only too, so the memo cannot go stale)."""
+    values = m._cache.get("rows")
+    if values is None:
+        values = _affine_values(ROWS[m.n_times]["weak+fine"], m.averages + m.correlators)
+        values.setflags(write=False)
+        m._cache["rows"] = values
+    return values
+
+
+def _report(m: MomentSet, key, epsilon: float, assumptions=()) -> ConditionReport:
+    n = m.n_times
+    names = ROWS[n][key].names
+    return ConditionReport(names, _row_values(m)[_ROW_SLICES[n][key]], _INEQUALITY[: len(names)], epsilon, assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +211,16 @@ def lg2(m: MomentSet, pair: tuple[int, int], epsilon: float = TOL.verdict) -> Co
     """Four two-time inequalities for one measured pair (i, j), i < j:
     1 + s_i <Q_i> + s_j <Q_j> + s_i s_j C_ij >= 0.  Each value, divided by
     4, is the moment expansion's candidate probability p(s_i, s_j)."""
-    block = ROWS[m.n_times].get(tuple(pair))
-    if block is None:
+    if tuple(pair) not in m.pairs:
         raise ValidationError(f"pair {tuple(pair)} not in measured pair set {m.pairs}")
-    return _inequalities(block, m, epsilon)
+    return _report(m, tuple(pair), epsilon)
 
 
 def lg3(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """The four three-time inequalities on C12, C23, C13."""
     if m.n_times != 3:
         raise ValidationError(f"lg3: need 3 times, got {m.n_times}")
-    return _inequalities(ROWS[3]["LG3"], m, epsilon)
+    return _report(m, "LG3", epsilon)
 
 
 def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
@@ -194,7 +229,7 @@ def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     the ">=0" rows LG4.k.lo = 2 + sum and LG4.k.hi = 2 - sum."""
     if m.n_times != 4:
         raise ValidationError(f"lg4: need 4 times, got {m.n_times}")
-    return _inequalities(ROWS[4]["LG4"], m, epsilon)
+    return _report(m, "LG4", epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +292,7 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Weak macrorealism: every two-time inequality for the measured pairs
     plus the three-time (or four-time) family, under piecewise
     non-invasiveness and induction."""
-    return _inequalities(ROWS[m.n_times]["weak"], m, epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
+    return _report(m, "weak", epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
 
 
 def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:

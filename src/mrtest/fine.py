@@ -17,10 +17,11 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
   291 (1982); Araujo et al., PRA 88, 022118 (2013)).
 
 ``d_bounds`` is the interval [lo, hi] the rows leave for z.  ``d_interval``
-makes one stacked evaluation of the weak and Fine rows, reads its verdict
-from the smallest weak margin (so it agrees with ``mr_weak`` by
-construction) and builds a witness table at the midpoint of the interval.
-Both broadcast over a grid of moment sets.
+reads its verdict from the smallest weak margin (so it agrees with
+``mr_weak`` by construction) and builds a witness table at the midpoint of
+the interval.  Both read the set's one memoized evaluation of the weak and
+Fine rows (``conditions._row_values``), as ``mr_weak`` does, and both
+broadcast over a grid of moment sets.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, _affine_values
+from .conditions import ROWS, _ROW_SLICES, _affine_values, _row_values
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -71,12 +72,24 @@ class FeasibilityResult:
 
 
 _EXPANSION = ROWS[3]["fine"]
-_SIDES = {n: (np.flatnonzero(ROWS[n]["fine"].slope > 0), np.flatnonzero(ROWS[n]["fine"].slope < 0)) for n in (3, 4)}
+
+
+def _sides(slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Fine rows with slope +1, then those with slope -1, and where each group starts."""
+    up, down = np.flatnonzero(slope > 0), np.flatnonzero(slope < 0)
+    return np.concatenate([up, down]), np.array([0, len(up)])
+
+
+_SIDES = {n: _sides(ROWS[n]["fine"].slope) for n in (3, 4)}
 
 
 def _bounds(b: np.ndarray, n: int):
-    up, down = _SIDES[n]
-    return (-b[up]).max(axis=0), b[down].min(axis=0)
+    """lo = max(-b) over the slope +1 rows and hi = min(b) over the slope -1
+    rows of the Fine values b, from one ``np.minimum.reduceat``; a row value
+    is never -0.0 (each starts from b >= 1), so -min(b) is max(-b) bit for bit."""
+    order, starts = _SIDES[n]
+    lo, hi = np.minimum.reduceat(b[order], starts, axis=0)
+    return -lo, hi
 
 
 def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
@@ -92,7 +105,7 @@ def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
     d, a float or an array over the grid of ``m`` (negative weights fail)."""
     if m.n_times != 3:
         raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
-    w = _expansion_weights(_affine_values(_EXPANSION, m.averages + m.correlators), d)
+    w = _expansion_weights(_row_values(m)[_ROW_SLICES[3]["fine"]], d)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=w.reshape(w.shape[:-1] + (2, 2, 2)))
 
 
@@ -100,9 +113,8 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    values = _affine_values(ROWS[m.n_times]["fine"], m.averages + m.correlators)
-    lo, hi = _bounds(values, m.n_times)
-    return (lo.tolist(), hi.tolist()) if values.ndim == 1 else (lo, hi)
+    lo, hi = _bounds(_row_values(m)[_ROW_SLICES[m.n_times]["fine"]], m.n_times)
+    return (lo.tolist(), hi.tolist()) if lo.ndim == 0 else (lo, hi)
 
 
 def _midpoint_weights(e: np.ndarray) -> np.ndarray:
@@ -140,17 +152,18 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     feasible is a witness built, at the midpoint of ``d_bounds(m)`` (at four
     times, glued from the two triangle joints), with weights left slightly
     negative inside the slack clipped at 0 and the table renormalised."""
-    n, k = m.n_times, len(ROWS[m.n_times]["weak"].names)
-    values = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
-    lo, hi = _bounds(values[k:], n)
-    margin = values[:k].min(axis=0)
+    n, values, rows = m.n_times, _row_values(m), _ROW_SLICES[m.n_times]
+    fine = values[rows["fine"]]
+    lo, hi = _bounds(fine, n)
+    margin = values[rows["weak"]].min(axis=0)
     feasible = margin >= -epsilon
-    witness = None
-    if feasible.all():
-        w = _midpoint_weights(values[k:]) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)
-        witness = ProbabilityTable(kind="joint", time_indices=tuple(range(n)), weights=w)
-    if values.ndim == 1:
+    one_set = values.ndim == 1
+    if one_set:
         lo, hi, margin, feasible = lo.tolist(), hi.tolist(), margin.tolist(), feasible.tolist()
+    witness = None
+    if feasible if one_set else feasible.all():
+        w = _midpoint_weights(fine) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)
+        witness = ProbabilityTable(kind="joint", time_indices=tuple(range(n)), weights=w)
     return FeasibilityResult(n, feasible, (lo, hi), margin, epsilon, witness)
 
 

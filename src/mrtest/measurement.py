@@ -15,7 +15,7 @@ its absolute NSIT residual is the coherence witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -159,18 +159,33 @@ def pair_set(n_times: int) -> tuple[tuple[int, int], ...]:
     raise ValidationError(f"moment sets are defined for 3 or 4 times, got {_echo(n_times)}")
 
 
-def _unit_values(label: str, values) -> tuple:
-    """Python floats, or float arrays over a grid if any value is an array,
-    each checked to lie in [-1, 1] up to TOL.scalar."""
+_UNIT = 1 + TOL.scalar
+
+#: the canonical pair set as a moments file writes it (1-based)
+_JSON_PAIRS = {n: [[i + 1, j + 1] for i, j in pair_set(n)] for n in (3, 4)}
+
+
+def _frozen(x) -> np.ndarray:
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _unit_values(values: tuple, n_averages: int) -> tuple:
+    """The averages then the correlators as Python floats, or as read-only
+    float arrays (copies) over a grid if any value is an array, each checked
+    to lie in [-1, 1] up to TOL.scalar."""
     if any(isinstance(x, np.ndarray) for x in values):
-        vals = tuple(np.asarray(x, dtype=float) for x in values)
-        bad = [float(b[0]) for b in (x[~(np.abs(x) <= 1 + TOL.scalar)] for x in vals) if b.size]
+        values = tuple(map(_frozen, values))
+        outside = [(k, x[~(np.abs(x) <= _UNIT)]) for k, x in enumerate(values)]
+        bad = [(k, float(b[0])) for k, b in outside if b.size]
     else:
-        vals = tuple(float(x) for x in values)
-        bad = [x for x in vals if not (-1 - TOL.scalar <= x <= 1 + TOL.scalar)]
+        values = tuple(map(float, values))
+        bad = [(k, x) for k, x in enumerate(values) if not -_UNIT <= x <= _UNIT]
     if bad:
-        raise ValidationError(f"{label} out of [-1, 1]: {bad[0]!r}")
-    return vals
+        k, x = bad[0]
+        raise ValidationError(f"{'average' if k < n_averages else 'correlator'} out of [-1, 1]: {x!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -180,26 +195,33 @@ class MomentSet:
     The pair set is fixed by the number of times (3 or 4).  The triple
     correlator is never measured: it is the free parameter of Fine's
     theorem, so a moments file gives ``D`` as null or not at all.  The
-    averages and correlators are floats, or arrays over a grid when the set
-    comes from ``measure_all`` with a grid of times.
+    averages and correlators are stored as tuples of Python floats, or of
+    read-only float arrays (copies of the caller's) over a grid when the set
+    comes from ``measure_all`` with a grid of times.  ``conditions`` memoizes
+    the set's one evaluation of its weak and Fine rows in ``_cache``.
     """
 
     averages: tuple[float, ...]
     correlators: tuple[float, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        avg = _unit_values("average", self.averages)
-        corr = _unit_values("correlator", self.correlators)
-        pairs = pair_set(len(avg))
-        if len(corr) != len(pairs):
-            raise ValidationError(
-                f"need {len(pairs)} correlators for {len(avg)} times, got {len(corr)}"
-            )
-        shapes = sorted({getattr(x, "shape", ()) for x in avg + corr})
-        if len(shapes) > 1:
-            raise ValidationError(f"averages and correlators must share one shape, got {', '.join(map(str, shapes))}")
-        object.__setattr__(self, "averages", avg)
-        object.__setattr__(self, "correlators", corr)
+        n = len(self.averages)
+        values = (*self.averages, *self.correlators)
+        # one pass for the common case, one set of Python floats in range
+        if [x for x in values if type(x) is not float or not -_UNIT <= x <= _UNIT]:
+            values = _unit_values(values, n)
+        pairs = pair_set(n)
+        if len(values) - n != len(pairs):
+            raise ValidationError(f"need {len(pairs)} correlators for {n} times, got {len(values) - n}")
+        if isinstance(values[0], np.ndarray):
+            shapes = sorted({x.shape for x in values})
+            if len(shapes) > 1:
+                raise ValidationError(
+                    f"averages and correlators must share one shape, got {', '.join(map(str, shapes))}"
+                )
+        object.__setattr__(self, "averages", values[:n])
+        object.__setattr__(self, "correlators", values[n:])
 
     @property
     def n_times(self) -> int:
@@ -237,6 +259,13 @@ class MomentSet:
             ) from None
         if type(n) is not int or n not in (3, 4):
             raise InputFormatError(f"moments: n must be 3 or 4, got {_echo(n)}")
+        # the canonical pair order, JSON floats and no D: no per-pair work
+        if (
+            type(avg) is list and type(corr) is list and type(pairs) is list
+            and len(avg) == len(corr) == n and pairs == _JSON_PAIRS[n] and obj.get("D") is None
+            and {type(i) for pair in pairs for i in pair} == {int} and {type(x) for x in avg + corr} == {float}
+        ):
+            return cls(averages=tuple(avg), correlators=tuple(corr))
         want = pair_set(n)
         if not isinstance(avg, list):
             raise InputFormatError(f"moments: avg must be a list of numbers, got {_echo(avg)}")

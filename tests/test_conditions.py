@@ -81,6 +81,16 @@ class TestCheckSemantics:
         )
         assert grid.verdict.tolist() == [False, True]
 
+    def test_nan_margin_fails(self):
+        # the verdict is the smallest margin >= -epsilon, and a NaN smallest margin fails
+        for equality in (False, True):
+            r = ConditionReport(names=("a", "b"), values=np.array([1.0, np.nan]), equality=np.array([False, equality]), epsilon=1e-9)
+            assert r.verdict is False
+        grid = ConditionReport(
+            names=("a", "b"), values=np.array([[0.0, np.nan], [np.nan, 0.0]]), equality=np.array([False, True]), epsilon=1e-9
+        )
+        assert grid.verdict.tolist() == [False, False]
+
 
 class TestLg2:
     def test_boundary_anticorrelated(self):

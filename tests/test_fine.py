@@ -20,7 +20,7 @@ from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, measure_all
 from mrtest.tolerances import TOL
 
-from conftest import lp_oracle, moment_rows, scan_oracle, triangle_fine_rows
+from conftest import column_sums, lp_oracle, moment_rows, scan_oracle, triangle_fine_rows
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -148,6 +148,84 @@ class TestFineRows:
         lo, hi = d_bounds(MomentSet(averages=(0.0,) * n, correlators=(0.5,) * n))
         assert type(lo) is float and type(hi) is float
         assert (lo, hi) == d_interval(MomentSet(averages=(0.0,) * n, correlators=(0.5,) * n)).d_interval
+
+
+#: moment values with exact zeros of both signs and values that cancel exactly
+edgy = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | unit
+
+
+def family_values(m: MomentSet) -> dict:
+    """Every block of ``ROWS[n]`` as the public functions and the memo give it."""
+    n = m.n_times
+    values = {pair: lg2(m, pair).values for pair in m.pairs}
+    values["LG3" if n == 3 else "LG4"] = (lg3(m) if n == 3 else lg4(m)).values
+    values["weak"] = mr_weak(m).values
+    memo = conditions._row_values(m)
+    values["fine"] = memo[conditions._ROW_SLICES[n]["fine"]]
+    values["weak+fine"] = memo
+    return values
+
+
+def reference_bounds(m: MomentSet):
+    """The interval the Fine rows leave, as max(-b) over the slope +1 rows and
+    min(b) over the slope -1 rows of the column sums."""
+    block = ROWS[m.n_times]["fine"]
+    b = column_sums(block, m.averages + m.correlators)
+    return (-b[block.slope > 0]).max(axis=0), b[block.slope < 0].min(axis=0)
+
+
+class TestOneRowEvaluation:
+    """A moment set's weak and Fine rows are evaluated once and memoized;
+    every family reads row slices of that one array, bit-equal to the
+    column sums, and ``d_interval`` reads its bounds from it."""
+
+    @pytest.mark.parametrize(
+        "n, corr", [(3, (0.0,) * 3), (3, (0.5, 0.5, -0.5)), (4, (0.0,) * 4), (4, (0.7, 0.7, 0.7, -0.7))]
+    )
+    def test_one_evaluation_per_set(self, n, corr):
+        m = MomentSet(averages=(0.0,) * n, correlators=corr)
+        calls = []
+
+        def counted(block, x):
+            calls.append(block.names)
+            return _affine_values(block, x)
+
+        with mock.patch.object(conditions, "_affine_values", counted), mock.patch.object(fine, "_affine_values", counted):
+            assert mr_weak(m).verdict == (corr[0] == 0.0)
+            for pair in m.pairs:
+                lg2(m, pair)
+            lg3(m) if n == 3 else lg4(m)
+            d_bounds(m)
+            result = d_interval(m)
+            d_interval(m, 1e-6)
+            if n == 3 and result.feasible:
+                triple_expansion_table(m, 0.0)
+        # each witness of a feasible four-time set evaluates the expansion rows of its two triangles
+        glued = [ROWS[3]["fine"].names] * 2 if n == 4 and result.feasible else []
+        assert calls == [ROWS[n]["weak+fine"].names] + glued
+
+    @given(st.lists(edgy, min_size=8, max_size=8), st.sampled_from([3, 4]))
+    def test_slices_bit_equal_to_column_sums(self, x, n):
+        m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n : 2 * n]))
+        for key, values in family_values(m).items():
+            assert values.tobytes() == column_sums(ROWS[n][key], x[: 2 * n]).tobytes(), key
+        lo, hi = reference_bounds(m)
+        got = d_interval(m).d_interval
+        assert np.array(got).tobytes() == np.array([lo, hi]).tobytes()
+        assert np.array(d_bounds(m)).tobytes() == np.array([lo, hi]).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grid_slices_bit_equal_to_column_sums(self, rng, n):
+        x = rng.uniform(-1.0, 1.0, size=(2 * n, 2000))
+        # exact zeros of both signs and moments at +-1, so that rows cancel to zero
+        x[:, ::7] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=x[:, ::7].shape)
+        m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:]))
+        for key, values in family_values(m).items():
+            assert values.tobytes() == column_sums(ROWS[n][key], x).tobytes(), key
+        lo, hi = reference_bounds(m)
+        got_lo, got_hi = d_interval(m).d_interval
+        assert (got_lo.tobytes(), got_hi.tobytes()) == (lo.tobytes(), hi.tobytes())
+        assert [a.tobytes() for a in d_bounds(m)] == [lo.tobytes(), hi.tobytes()]
 
 
 class TestDInterval:

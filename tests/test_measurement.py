@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mrtest.conditions import lg2
+from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.harness import sample_model
 from mrtest.measurement import (
@@ -391,6 +391,67 @@ class TestMomentSet:
         # before the check, mr_weak and d_bounds failed on these with a numpy ValueError
         with pytest.raises(ValidationError, match=rf"must share one shape, got {re.escape(shapes)}$"):
             MomentSet(averages=averages, correlators=correlators)
+
+    @pytest.mark.parametrize(
+        "averages, correlators",
+        [
+            ([0, 1, -1], [0.5, 0, 0]),
+            ((np.float64(0.1), np.float64(-0.2), 0), [np.float64(0.3)] * 3),
+            (np.array([0.1, 0.2, 0.3]), (1, 0.0, -1)),
+            ([0.0] * 4, [0.25, -0.25, 0, 1]),
+        ],
+    )
+    def test_one_set_stores_tuples_of_python_floats(self, averages, correlators):
+        m = MomentSet(averages=averages, correlators=correlators)
+        assert type(m.averages) is tuple and type(m.correlators) is tuple
+        assert all(type(x) is float for x in m.averages + m.correlators)
+        assert m.averages + m.correlators == tuple(float(x) for x in [*averages, *correlators])
+
+    @pytest.mark.parametrize(
+        "value, text", [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"), (1 + 2e-12, "1.000000000002")]
+    )
+    def test_out_of_range_named_alike_for_floats_and_grids(self, value, text):
+        for grid in (False, True):
+            def at(x):
+                return np.full(2, x) if grid else x
+
+            with pytest.raises(ValidationError, match=rf"^average out of \[-1, 1\]: {re.escape(text)}$"):
+                MomentSet(averages=(at(0.0), at(value), at(0.0)), correlators=(at(value),) + (at(0.0),) * 2)
+            with pytest.raises(ValidationError, match=rf"^correlator out of \[-1, 1\]: {re.escape(text)}$"):
+                MomentSet(averages=(at(0.0),) * 4, correlators=(at(0.0),) * 3 + (at(value),))
+        # a moments file, its pairs in canonical order or not
+        for pairs, corr in (([[1, 2], [2, 3], [1, 3]], [value, 0.0, 0.0]), ([[1, 3], [2, 3], [2, 1]], [0.0, 0.0, value])):
+            obj = {"n": 3, "avg": [0.0] * 3, "pairs": pairs, "corr": corr}
+            with pytest.raises(ValidationError, match=rf"^correlator out of \[-1, 1\]: {re.escape(text)}$"):
+                MomentSet.from_jsonable(obj)
+
+    def test_grid_values_are_copied_read_only(self, rng):
+        x = rng.uniform(-0.5, 0.5, size=(6, 5))
+        columns = list(x.copy())
+        m = MomentSet(averages=tuple(columns[:3]), correlators=tuple(columns[3:]))
+        before = mr_weak(m).values.copy()
+        for column in columns:
+            column[:] = 1.0  # writes the caller's arrays, not the set's
+        assert mr_weak(m).values.tobytes() == before.tobytes()
+        assert mr_weak(MomentSet(averages=tuple(x[:3]), correlators=tuple(x[3:]))).values.tobytes() == before.tobytes()
+        for value in m.averages + m.correlators + (mr_weak(m).values,):
+            assert not value.flags.writeable
+
+    def test_file_order_of_pairs_does_not_matter(self):
+        canonical = {"n": 4, "avg": [0.1, 0.2, 0.3, 0.4], "pairs": [[1, 2], [2, 3], [3, 4], [1, 4]], "corr": [0.5, 0.6, 0.7, 0.8]}
+        shuffled = {"n": 4, "avg": [0.1, 0.2, 0.3, 0.4], "pairs": [[4, 1], [3, 2], [2, 1], [4, 3]], "corr": [0.8, 0.6, 0.5, 0.7]}
+        m = MomentSet.from_jsonable(canonical)
+        assert MomentSet.from_jsonable(shuffled) == m
+        assert m.correlators == (0.5, 0.6, 0.7, 0.8)
+        # JSON integers are numbers in either order
+        ints = {"n": 3, "avg": [0, 1, -1], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0, 1, -1]}
+        assert MomentSet.from_jsonable(ints).averages == (0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("pair", [[True, 2], [1.0, 2], [1, 2.0]])
+    def test_canonical_pairs_must_be_integers(self, pair):
+        obj = {"n": 3, "avg": [0.0] * 3, "pairs": [pair, [2, 3], [1, 3]], "corr": [0.0] * 3}
+        with pytest.raises(InputFormatError, match=re.escape(f"pairs[0] must be two time indices in 1..3, got {pair!r}")):
+            MomentSet.from_jsonable(obj)
 
     def test_json_round_trip_writes_null_triple(self):
         m = MomentSet(averages=(0.1, -0.2, 0.3), correlators=(0.0, 0.25, -0.5))
