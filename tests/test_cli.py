@@ -220,6 +220,15 @@ class TestFine:
             assert err.count("\n") == 1 and len(err) < 200
             assert "moments: D must be null (the triple correlator is never measured), got 0.5" in err
 
+    def test_triple_rejected(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({
+            "n": 3, "avg": [0.0] * 3,
+            "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0.0] * 3, "D": 0.5,
+        }))
+        assert main(["fine", "--moments", str(p)]) == 2
+        assert "triple" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_to_csv(self, tmp_path, capsys):
