@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fine import FeasibilityResult, d_bounds, d_interval, lp_feasibility, triple_expansion_table
 from .harness import (
-    CampaignSummary,
     SweepSpec,
     default_model_path,
     haar_unitary,

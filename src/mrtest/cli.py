@@ -88,8 +88,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         dim_max=args.dim_max,
         epsilon=_epsilon(args),
     )
-    print(json.dumps(summary.to_jsonable(), indent=2))
-    return EXIT_PASS if summary.passed else EXIT_FAIL
+    print(json.dumps(summary, indent=2))
+    return EXIT_PASS if summary["passed"] else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -82,7 +82,7 @@ class ConditionReport:
         rows = zip(self.names, self.values.tolist(), self.equality.tolist(), margins.tolist(), passed)
         return {
             "epsilon": self.epsilon,
-            "verdict": self.verdict,
+            "verdict": bool(margins.min() >= -self.epsilon),
             "assumptions": list(self.assumptions),
             "checks": [
                 {"name": name, "value": value, "kind": "=0" if eq else ">=0", "margin": margin, "pass": ok}

@@ -6,15 +6,17 @@ reproducible random-model sampling used by the property campaign.  A
 sweep is a lazy sequence of blocks, each an ordered map from CSV column
 name to an array over the block's points; ``OUTPUT_GROUPS`` maps each
 output group to its columns, and the CSV writer only formats the maps.
-Everything is deterministic: identical inputs, including the seed, produce
-byte-identical outputs.
+One campaign sample yields each of its checks as (name, residual,
+tolerance), and ``run_campaign`` folds them into the JSON-ready summary
+that ``mrtest campaign`` prints.  Everything is deterministic: identical
+inputs, including the seed, produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -397,80 +399,22 @@ def sample_model(
 # property campaign
 
 
-@dataclass
-class CheckStats:
-    samples: int = 0
-    violations: int = 0
-    max_residual: float = 0.0
-
-    def record(self, residual: float, tol: float) -> bool:
-        self.samples += 1
-        self.max_residual = max(self.max_residual, residual)
-        ok = residual <= tol
-        if not ok:
-            self.violations += 1
-        return ok
-
-
-@dataclass
-class CampaignSummary:
-    seed: int
-    count: int
-    dim_min: int
-    dim_max: int
-    checks: dict[str, CheckStats] = field(default_factory=dict)
-    reproducers: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.reproducers
-
-    def stats(self, name: str) -> CheckStats:
-        return self.checks.setdefault(name, CheckStats())
-
-    def record(self, name: str, index: int, dim: int, residual: float, tol: float) -> None:
-        if not self.stats(name).record(residual, tol):
-            self.reproducers.append(
-                {"check": name, "seed": self.seed, "index": index, "dim": dim, "residual": residual}
-            )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "dim_range": [self.dim_min, self.dim_max],
-            "passed": self.passed,
-            "checks": {
-                name: {
-                    "samples": st.samples,
-                    "violations": st.violations,
-                    "max_residual": st.max_residual,
-                }
-                for name, st in sorted(self.checks.items())
-            },
-            "violations": self.reproducers,
-        }
-
-
-def _campaign_sample(
-    summary: CampaignSummary, index: int, rng: np.random.Generator, dim: int, epsilon: float
-) -> None:
+def _campaign_sample(rng: np.random.Generator, dim: int, epsilon: float) -> Iterator[tuple[str, float, float]]:
+    """Each check on one random model as ``(name, residual, tolerance)``;
+    the check holds when residual <= tolerance."""
     model = sample_model(rng, dim)
     tables = measure_all(model)
     moments = tables.moments
 
-    def rec(name: str, residual: float, tol: float) -> None:
-        summary.record(name, index, dim, float(residual), tol)
-
     # dichotomy and expectation range of evolved observables
     q = model.spectral()[1]
-    rec("dichotomy_preserved", np.linalg.norm(q @ q - np.eye(dim), axis=(-2, -1)).max(), TOL.structural)
-    rec("expectation_range", max(abs(a) for a in moments.averages) - 1.0, TOL.structural)
+    yield "dichotomy_preserved", np.linalg.norm(q @ q - np.eye(dim), axis=(-2, -1)).max(), TOL.structural
+    yield "expectation_range", max(abs(a) for a in moments.averages) - 1.0, TOL.structural
 
     # unitary group property on a random time pair
     ta, tb = rng.uniform(-10.0, 10.0, size=2)
     ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig(), [ta, tb, ta + tb])
-    rec("unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9)
+    yield "unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9
 
     # p - q = T*s2, witness identities, bounded interference, quasi marginals
     for (i, j), quasi in tables.quasi.items():
@@ -479,39 +423,39 @@ def _campaign_sample(
         # commutator form <[Q_i, Q_j] Q_i> = <Q_i Q_j Q_i - Q_j>, traced once for T and W
         commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
         t_op = commutator / 8.0
-        rec("p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar)
+        yield "p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar
 
         w_res = witness(p, tables.singles[j])
         w_op = abs(commutator) / 4.0
-        rec("witness_formula_agreement", abs(w_res - w_op), TOL.scalar)
-        rec("witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar)
+        yield "witness_formula_agreement", abs(w_res - w_op), TOL.scalar
+        yield "witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar
 
         if 0.5 * w_op <= p.weights.min():
-            rec("bounded_interference_nonneg", -quasi.weights.min(), TOL.scalar)
+            yield "bounded_interference_nonneg", -quasi.weights.min(), TOL.scalar
 
         marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max() for a, b in ((i, j), (j, i))]
-        rec("quasi_marginals", max(marg), TOL.scalar)
+        yield "quasi_marginals", max(marg), TOL.scalar
 
-        rec("piecewise_equals_quasi_correlator", abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar)
+        yield "piecewise_equals_quasi_correlator", abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar
 
     # marginalizing the last measured time reproduces the shorter run
     last = tables.chain.time_indices[-1]
     shorter = tables.pairs.get(tuple(tables.chain.time_indices[:-1]))
     if shorter is not None:
         resid = np.abs(tables.chain.marginal(last).weights - shorter.weights).max()
-        rec("sequential_last_marginal", resid, TOL.scalar)
+        yield "sequential_last_marginal", resid, TOL.scalar
 
     # contextual values stay in [-1, 1]
-    rec("contextual_in_range", max(abs(v) for v in sequential_moments(tables).values()) - 1.0, TOL.scalar)
+    yield "contextual_in_range", max(abs(v) for v in sequential_moments(tables).values()) - 1.0, TOL.scalar
 
     # implication chain; weak verdict must match joint feasibility end to end
     weak = mr_weak(moments, epsilon)
     mint = mr_int(tables, epsilon)
     strong = mr_strong(tables, epsilon)
     chain_ok = (not strong.verdict or mint.verdict) and (not mint.verdict or weak.verdict)
-    rec("implication_chain", 0.0 if chain_ok else 1.0, 0.5)
+    yield "implication_chain", 0.0 if chain_ok else 1.0, 0.5
     fine_ok = d_interval(moments, epsilon).feasible == weak.verdict
-    rec("fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5)
+    yield "fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5
 
 
 def run_campaign(
@@ -520,10 +464,14 @@ def run_campaign(
     dim_min: int = 2,
     dim_max: int = 4,
     epsilon: float = TOL.verdict,
-) -> CampaignSummary:
+) -> dict:
     """Sample ``count`` random models and assert every module-level identity
     on each.  Deterministic under the seed; sample k draws from its own
-    spawned stream, so a reproducer is fully described by (seed, index)."""
+    spawned stream, so a reproducer is fully described by (seed, index).
+
+    Returns the JSON-ready summary that ``mrtest campaign`` prints: the
+    arguments, ``passed``, each check's sample count, violation count and
+    largest residual, and one reproducer per violation."""
     if seed < 0:
         raise ValidationError(f"campaign: seed must be nonnegative, got {seed}")
     if count > 10**5:
@@ -532,12 +480,25 @@ def run_campaign(
         raise ValidationError(f"campaign: count must be nonnegative, got {count}")
     if not (2 <= dim_min <= dim_max <= 16):
         raise ValidationError(f"campaign: need 2 <= dim_min <= dim_max <= 16, got [{dim_min}, {dim_max}]")
-    summary = CampaignSummary(seed=seed, count=count, dim_min=dim_min, dim_max=dim_max)
-    if count == 0:
-        return summary
-    streams = np.random.SeedSequence(seed).spawn(count)
-    for index, stream in enumerate(streams):
+    checks: dict[str, dict] = {}
+    violations = []
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(stream)
         dim = int(rng.integers(dim_min, dim_max + 1))
-        _campaign_sample(summary, index, rng, dim, epsilon)
-    return summary
+        for name, residual, tol in _campaign_sample(rng, dim, epsilon):
+            residual = float(residual)
+            stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
+            stats["samples"] += 1
+            stats["max_residual"] = max(stats["max_residual"], residual)
+            # a NaN residual is a violation
+            if not residual <= tol:
+                stats["violations"] += 1
+                violations.append({"check": name, "seed": seed, "index": index, "dim": dim, "residual": residual})
+    return {
+        "seed": seed,
+        "count": count,
+        "dim_range": [dim_min, dim_max],
+        "passed": not violations,
+        "checks": dict(sorted(checks.items())),
+        "violations": violations,
+    }

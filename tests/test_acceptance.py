@@ -185,43 +185,43 @@ def test_criterion_3_fine_theorem_equivalence():
 
 
 def test_criterion_4_p_minus_q_commutator_relation(campaign_1000):
-    stats = campaign_1000.checks["p_minus_q_identity"]
-    ok = stats.violations == 0 and stats.max_residual < 1e-12
+    stats = campaign_1000["checks"]["p_minus_q_identity"]
+    ok = stats["violations"] == 0 and stats["max_residual"] < 1e-12
     _report(
         4,
         ok,
         f"1000 random models (dim 2-4): max outcome-wise |p - q - T*s2| = "
-        f"{stats.max_residual:.3e} < 1e-12 over {stats.samples} pair tables",
+        f"{stats['max_residual']:.3e} < 1e-12 over {stats['samples']} pair tables",
     )
 
 
 def test_criterion_5_witness_identities(campaign_1000):
-    agree = campaign_1000.checks["witness_formula_agreement"]
-    bounded = campaign_1000.checks["bounded_interference_nonneg"]
+    agree = campaign_1000["checks"]["witness_formula_agreement"]
+    bounded = campaign_1000["checks"]["bounded_interference_nonneg"]
     ok = (
-        agree.violations == 0
-        and agree.max_residual < 1e-12
-        and bounded.violations == 0
-        and bounded.samples > 0
+        agree["violations"] == 0
+        and agree["max_residual"] < 1e-12
+        and bounded["violations"] == 0
+        and bounded["samples"] > 0
     )
     _report(
         5,
         ok,
-        f"witness residual-vs-commutator max gap {agree.max_residual:.3e} < 1e-12; "
-        f"all {bounded.samples} bounded-interference cases have quasi weights "
-        f">= -1e-12 (worst {bounded.max_residual:.3e})",
+        f"witness residual-vs-commutator max gap {agree['max_residual']:.3e} < 1e-12; "
+        f"all {bounded['samples']} bounded-interference cases have quasi weights "
+        f">= -1e-12 (worst {bounded['max_residual']:.3e})",
     )
 
 
 def test_criterion_6_implication_chain():
     summary = run_campaign(seed=SEED_CHAIN, count=500, dim_min=2, dim_max=4)
-    stats = summary.checks["implication_chain"]
-    ok = stats.samples == 500 and stats.violations == 0
+    stats = summary["checks"]["implication_chain"]
+    ok = stats["samples"] == 500 and stats["violations"] == 0
     _report(
         6,
         ok,
         f"500 random models at epsilon 1e-9: strong=>int and int=>weak "
-        f"violations {stats.violations}",
+        f"violations {stats['violations']}",
     )
 
 
@@ -294,12 +294,12 @@ def test_criterion_8_nsit_special_cases():
 
 
 def test_criterion_9_quasi_probability_marginals(campaign_1000):
-    stats = campaign_1000.checks["quasi_marginals"]
-    ok = stats.violations == 0 and stats.max_residual < 1e-12
+    stats = campaign_1000["checks"]["quasi_marginals"]
+    ok = stats["violations"] == 0 and stats["max_residual"] < 1e-12
     _report(
         9,
         ok,
         f"quasi-probability marginals match single-time tables on the random "
-        f"campaign: max residual {stats.max_residual:.3e} < 1e-12 over "
-        f"{stats.samples} pair tables",
+        f"campaign: max residual {stats['max_residual']:.3e} < 1e-12 over "
+        f"{stats['samples']} pair tables",
     )

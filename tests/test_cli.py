@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from mrtest import harness
 from mrtest.cli import main
-from mrtest.harness import default_model_path, model_to_jsonable
+from mrtest.harness import default_model_path, model_to_jsonable, run_campaign
 
 from conftest import precession_model
 
@@ -275,6 +276,17 @@ class TestCampaign:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["checks"]["p_minus_q_identity"]["violations"] == 0
+
+    @pytest.mark.parametrize("violating", [False, True])
+    def test_prints_the_library_summary(self, capsys, monkeypatch, violating):
+        if violating:
+            # a contextual value past one, as in the harness campaign tests
+            monkeypatch.setattr(harness, "sequential_moments", lambda tables: {("Q2", "1"): 0.5, ("Q3", "2"): -1.25})
+        code = main(["campaign", "--seed", "1", "--count", "2", "--dim-min", "2", "--dim-max", "3"])
+        summary = run_campaign(seed=1, count=2, dim_min=2, dim_max=3)
+        assert capsys.readouterr().out == json.dumps(summary, indent=2) + "\n"
+        assert bool(summary["violations"]) is violating
+        assert code == (1 if summary["violations"] else 0)
 
     def test_zero_count(self, capsys):
         assert main(["campaign", "--seed", "5", "--count", "0"]) == 0

@@ -86,6 +86,7 @@ class TestCheckSemantics:
         for equality in (False, True):
             r = ConditionReport(names=("a", "b"), values=np.array([1.0, np.nan]), equality=np.array([False, equality]), epsilon=1e-9)
             assert r.verdict is False
+            assert r.to_jsonable()["verdict"] is False
         grid = ConditionReport(
             names=("a", "b"), values=np.array([[0.0, np.nan], [np.nan, 0.0]]), equality=np.array([False, True]), epsilon=1e-9
         )
@@ -580,6 +581,14 @@ class TestSerialization:
         third = MomentSet(averages=(0.0, 0.0, 0.0), correlators=(0.5, 0.5, -0.5))
         r = nsit(a, b, 0, name="NSIT(1)23").merged_with(lg3(third))
         assert json.dumps(r.to_jsonable(), indent=2) == NSIT_LG3_JSON
+
+    def test_to_jsonable_builds_margins_once(self, monkeypatch):
+        calls = []
+        margins = ConditionReport._margins
+        monkeypatch.setattr(ConditionReport, "_margins", lambda self: calls.append(self) or margins(self))
+        r = mr_weak(MomentSet(averages=(0.0, 0.0, 0.0), correlators=(0.5, 0.5, -0.5)))
+        assert r.to_jsonable()["verdict"] is False
+        assert len(calls) == 1
 
     def test_merge_rejects_mixed_epsilon(self):
         a = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-9)

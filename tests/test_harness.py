@@ -470,34 +470,63 @@ class TestSamplers:
 class TestCampaign:
     def test_empty_campaign(self):
         summary = run_campaign(seed=1, count=0)
-        assert summary.passed
-        assert summary.checks == {}
+        assert summary["passed"]
+        assert summary["checks"] == {}
 
     def test_deterministic_under_seed(self):
         a = run_campaign(seed=7, count=20)
         b = run_campaign(seed=7, count=20)
-        assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
+        assert json.dumps(a) == json.dumps(b)
 
     def test_small_campaign_clean(self):
         summary = run_campaign(seed=3, count=40, dim_min=2, dim_max=4)
-        assert summary.passed, summary.reproducers
-        stats = summary.checks["p_minus_q_identity"]
-        assert stats.samples == 120  # three pairs per model
-        assert stats.max_residual < 1e-12
+        assert summary["passed"], summary["violations"]
+        stats = summary["checks"]["p_minus_q_identity"]
+        assert stats["samples"] == 120  # three pairs per model
+        assert stats["max_residual"] < 1e-12
 
     def test_dim16_campaign_clean_and_deterministic(self):
         a = run_campaign(seed=11, count=20, dim_min=16, dim_max=16)
-        assert a.passed, a.reproducers
-        assert a.checks["p_minus_q_identity"].samples == 60
+        assert a["passed"], a["violations"]
+        assert a["checks"]["p_minus_q_identity"]["samples"] == 60
         b = run_campaign(seed=11, count=20, dim_min=16, dim_max=16)
-        assert json.dumps(a.to_jsonable()) == json.dumps(b.to_jsonable())
+        assert json.dumps(a) == json.dumps(b)
+
+    def test_summary_shape_and_per_model_sample_counts(self):
+        # per model: one sample per check, three for each per-pair check
+        # (three pairs at three times), and at most three for the one
+        # check that runs only when its premise holds
+        per_model = dict.fromkeys(
+            ("contextual_in_range", "dichotomy_preserved", "expectation_range", "fine_matches_mr_weak",
+             "implication_chain", "sequential_last_marginal", "unitary_group_property"), 1
+        )
+        per_model.update(dict.fromkeys(
+            ("p_minus_q_identity", "piecewise_equals_quasi_correlator", "quasi_marginals",
+             "witness_formula_agreement", "witness_s2_independence"), 3
+        ))
+        count = 6
+        summary = run_campaign(seed=2, count=count)
+        assert list(summary) == ["seed", "count", "dim_range", "passed", "checks", "violations"]
+        assert list(summary["checks"]) == sorted(summary["checks"])
+        for stats in summary["checks"].values():
+            assert list(stats) == ["samples", "violations", "max_residual"]
+        bounded = summary["checks"].pop("bounded_interference_nonneg", {"samples": 0})
+        assert {name: stats["samples"] for name, stats in summary["checks"].items()} == {
+            name: count * k for name, k in per_model.items()
+        }
+        assert bounded["samples"] <= 3 * count
+        for index, stream in enumerate(np.random.SeedSequence(2).spawn(count)):
+            rng = np.random.default_rng(stream)
+            names = [name for name, _, _ in harness._campaign_sample(rng, int(rng.integers(2, 5)), 1e-9)]
+            assert {name: names.count(name) for name in per_model} == per_model
+            assert names.count("bounded_interference_nonneg") <= 3
 
     def test_contextual_value_past_one_is_a_violation(self, monkeypatch):
         # contextual_in_range reads the contextual dict and is a real range check
         monkeypatch.setattr(harness, "sequential_moments", lambda tables: {("Q2", "1"): 0.5, ("Q3", "2"): -1.25})
         summary = run_campaign(seed=1, count=2)
-        assert [(v["check"], v["index"]) for v in summary.reproducers] == [("contextual_in_range", 0), ("contextual_in_range", 1)]
-        assert summary.checks["contextual_in_range"].max_residual == 0.25
+        assert [(v["check"], v["index"]) for v in summary["violations"]] == [("contextual_in_range", 0), ("contextual_in_range", 1)]
+        assert summary["checks"]["contextual_in_range"]["max_residual"] == 0.25
 
     def test_count_cap(self):
         with pytest.raises(ValidationError, match="10\\^5"):
