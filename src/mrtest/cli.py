@@ -144,10 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MrtestError as exc:
-        print(f"mrtest: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (MrtestError, OSError) as exc:
         print(f"mrtest: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

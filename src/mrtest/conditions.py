@@ -2,11 +2,11 @@
 macrorealism verdicts composed from them.
 
 Every inequality is a row b + G x of the moments x = (averages,
-correlators); ``ROWS`` holds each block of rows once, with its check names,
-and ``_affine_values`` evaluates one.  A moment set's weak and Fine rows
-are evaluated once, by ``_row_values``, and memoized on the set: ``mr_weak``,
-``lg2``, ``lg3``, ``lg4`` and the ``fine`` functions read row slices of that
-one array.  A ``ConditionReport`` holds names, a
+correlators); ``ROWS`` stores each row once, with its check name, and
+``_affine_values`` evaluates a block of them.  ``_rows(m, key)`` evaluates a
+moment set's weak and Fine rows once, memoized on the set, and returns the
+key's rows; every family, here and in ``fine``, reads its rows through it,
+so only this module knows where each lies.  A ``ConditionReport`` holds names, a
 value array of shape ``(k,) + batch`` and a per-row equality flag.  A
 ">=0" row passes when value >= -epsilon (margin = value), an "=0" row when
 |value| <= epsilon (margin = -|value|): when its margin is >= -epsilon.
@@ -77,6 +77,8 @@ class ConditionReport:
 
     def to_jsonable(self) -> dict:
         """One moment set only: each row's name, value, kind, margin and pass flag."""
+        if self.values.ndim != 1:
+            raise ValidationError(f"to_jsonable: one moment set only, got a grid of shape {self.values.shape[1:]}")
         margins = self._margins()
         passed = (margins >= -self.epsilon).tolist()
         rows = zip(self.names, self.values.tolist(), self.equality.tolist(), margins.tolist(), passed)
@@ -105,60 +107,55 @@ class RowBlock(NamedTuple):
     slope: np.ndarray
 
 
-def _stacked(blocks) -> RowBlock:
-    names, a, slope = zip(*blocks)
-    return RowBlock(sum(names, ()), np.vstack(a), np.concatenate(slope))
-
-
-def _row_table(n: int) -> dict:
+def _row_table(n: int) -> tuple[dict, dict]:
+    """``ROWS[n]``, every row written once into one coefficient array and one
+    slope vector, each key a block of views into them; and each key's slice."""
     pairs = pair_set(n)
+    names, rows, slices = [], [], {}
 
-    def block(names, b, columns, coefficients) -> RowBlock:
+    def add(key, blocks) -> None:
         # columns: b, the moments x, then z; a coefficient on z goes to slope
-        a = np.zeros((len(names), 2 + n + len(pairs)))
-        a[:, 0] = b
-        a[:, [1 + c for c in columns]] = coefficients
-        return RowBlock(tuple(names), a[:, :-1], a[:, -1])
+        start = len(names)
+        for block_names, b, columns, coefficients in blocks:
+            a = np.zeros((len(block_names), 2 + n + len(pairs)))
+            a[:, 0] = b
+            a[:, [1 + c for c in columns]] = coefficients
+            names.extend(block_names)
+            rows.append(a)
+        slices[key] = slice(start, len(names))
 
     lg2 = [(s1, s2, s1 * s2) for s1, s2 in outcomes(2)]
     lg3 = [(1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1)]
-    table = {
-        (i, j): block([f"LG2.{i + 1}{j + 1}.{outcome_key(s)}" for s in outcomes(2)], 1.0, [i, j, n + k], lg2)
-        for k, (i, j) in enumerate(pairs)
-    }
+    for k, (i, j) in enumerate(pairs):
+        add((i, j), [([f"LG2.{i + 1}{j + 1}.{outcome_key(s)}" for s in outcomes(2)], 1.0, [i, j, n + k], lg2)])
     if n == 3:
-        table["LG3"] = block([f"LG3.{k}" for k in range(1, 5)], 1.0, [3, 4, 5], lg3)
+        add("LG3", [([f"LG3.{k}" for k in range(1, 5)], 1.0, [3, 4, 5], lg3)])
         # E(s) = 1 + sum s_i <Q_i> + sum s_i s_j C_ij, and p(s) = (E(s) + s1 s2 s3 D) / 8
         e = [(s1, s2, s3, s1 * s2, s2 * s3, s1 * s3, s1 * s2 * s3) for s1, s2, s3 in outcomes(3)]
-        table["fine"] = block([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(7), e)
+        add("fine", [([f"E.{outcome_key(s)}" for s in outcomes(3)], 1.0, range(7), e)])
     else:
         lg4 = [[side * (-1 if idx == k else 1) for idx in range(4)] for k in range(4) for side in (1, -1)]
-        table["LG4"] = block([f"LG4.{k}.{side}" for k in range(1, 5) for side in ("lo", "hi")], 2.0, [4, 5, 6, 7], lg4)
+        add("LG4", [([f"LG4.{k}.{side}" for k in range(1, 5) for side in ("lo", "hi")], 2.0, [4, 5, 6, 7], lg4)])
         # z = C13: the chord's LG2 rows and the LG3 rows of the triangles (1,2,3),
         # on (C12, C23, C13), and (1,3,4), on (C13, C34, C14)
-        table["fine"] = _stacked([
-            block([f"LG2.13.{outcome_key(s)}" for s in outcomes(2)], 1.0, [0, 2, 8], lg2),
-            block([f"LG3(123).{k}" for k in range(1, 5)], 1.0, [4, 5, 8], lg3),
-            block([f"LG3(134).{k}" for k in range(1, 5)], 1.0, [8, 6, 7], lg3),
+        add("fine", [
+            ([f"LG2.13.{outcome_key(s)}" for s in outcomes(2)], 1.0, [0, 2, 8], lg2),
+            ([f"LG3(123).{k}" for k in range(1, 5)], 1.0, [4, 5, 8], lg3),
+            ([f"LG3(134).{k}" for k in range(1, 5)], 1.0, [8, 6, 7], lg3),
         ])
-    table["weak"] = _stacked([table[p] for p in pairs] + [table["LG3" if n == 3 else "LG4"]])
-    table["weak+fine"] = _stacked([table["weak"], table["fine"]])
-    return table
+    slices["weak"], slices["weak+fine"] = slice(0, slices["fine"].start), slice(0, len(names))
+    table = np.vstack(rows)
+    a, slope = table[:, :-1].copy(), table[:, -1].copy()
+    return {key: RowBlock(tuple(names[s]), a[s], slope[s]) for key, s in slices.items()}, slices
 
 
 #: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3" or
 #: "LG4", "weak", the LG2 blocks then the family, as ``mr_weak`` reads them, "fine", the rows
-#: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two stacked
-ROWS = {n: _row_table(n) for n in (3, 4)}
-
-
-def _row_slices(table: dict) -> dict:
-    """Where each block of the table lies in its "weak+fine" block, which stacks them all in order."""
-    names = table["weak+fine"].names
-    return {key: slice(names.index(b.names[0]), names.index(b.names[0]) + len(b.names)) for key, b in table.items()}
-
-
-_ROW_SLICES = {n: _row_slices(table) for n, table in ROWS.items()}
+#: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two in
+#: turn; every block is a view of the "weak+fine" rows at ``_ROW_SLICES[n][key]``
+ROWS, _ROW_SLICES = {}, {}
+for _n in (3, 4):
+    ROWS[_n], _ROW_SLICES[_n] = _row_table(_n)
 
 #: the one "=0" flag array of every report of ">=0" rows (read-only, sliced to length)
 _INEQUALITY = np.zeros(max(len(t["weak+fine"].names) for t in ROWS.values()), bool)
@@ -185,22 +182,21 @@ def _affine_values(block: RowBlock, x) -> np.ndarray:
     return values
 
 
-def _row_values(m: MomentSet) -> np.ndarray:
-    """The rows ``ROWS[n]["weak+fine"]`` on m, shape ``(k,) + batch``: evaluated
-    once per moment set, memoized on it and read-only (the set's own values
-    are read-only too, so the memo cannot go stale)."""
+def _rows(m: MomentSet, key) -> np.ndarray:
+    """The rows ``ROWS[n][key]`` on m, shape ``(k,) + batch``: a slice of the
+    set's one evaluation of "weak+fine", memoized on it and read-only (the
+    set's own values are read-only too, so the memo cannot go stale)."""
     values = m._cache.get("rows")
     if values is None:
         values = _affine_values(ROWS[m.n_times]["weak+fine"], m.averages + m.correlators)
         values.setflags(write=False)
         m._cache["rows"] = values
-    return values
+    return values[_ROW_SLICES[m.n_times][key]]
 
 
 def _report(m: MomentSet, key, epsilon: float, assumptions=()) -> ConditionReport:
-    n = m.n_times
-    names = ROWS[n][key].names
-    return ConditionReport(names, _row_values(m)[_ROW_SLICES[n][key]], _INEQUALITY[: len(names)], epsilon, assumptions)
+    names = ROWS[m.n_times][key].names
+    return ConditionReport(names, _rows(m, key), _INEQUALITY[: len(names)], epsilon, assumptions)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
 ``d_bounds`` is the interval [lo, hi] the rows leave for z.  ``d_interval``
 reads its verdict from the smallest weak margin (so it agrees with
 ``mr_weak`` by construction) and builds a witness table at the midpoint of
-the interval.  Both read the set's one memoized evaluation of the weak and
-Fine rows (``conditions._row_values``), as ``mr_weak`` does, and both
-broadcast over a grid of moment sets.
+the interval.  Both read their rows through ``conditions._rows``, which
+evaluates a set's weak and Fine rows once and memoizes them, as ``mr_weak``
+does, and both broadcast over a grid of moment sets.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, _ROW_SLICES, _affine_values, _row_values
+from .conditions import ROWS, _affine_values, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -55,6 +55,8 @@ class FeasibilityResult:
     def to_jsonable(self) -> dict:
         """One moment set only; the certificate says why no joint exists, or
         flags a smallest margin within epsilon of zero as marginal."""
+        if np.ndim(self.margin):
+            raise ValidationError(f"to_jsonable: one moment set only, got a grid of shape {np.shape(self.margin)}")
         lo, hi = self.d_interval
         name = "triple correlator" if self.n_times == 3 else "chord correlator C13"
         if self.feasible:
@@ -105,7 +107,7 @@ def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
     d, a float or an array over the grid of ``m`` (negative weights fail)."""
     if m.n_times != 3:
         raise ValidationError(f"triple_expansion_table: need 3 times, got {m.n_times}")
-    w = _expansion_weights(_row_values(m)[_ROW_SLICES[3]["fine"]], d)
+    w = _expansion_weights(_rows(m, "fine"), d)
     return ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=w.reshape(w.shape[:-1] + (2, 2, 2)))
 
 
@@ -113,7 +115,7 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    lo, hi = _bounds(_row_values(m)[_ROW_SLICES[m.n_times]["fine"]], m.n_times)
+    lo, hi = _bounds(_rows(m, "fine"), m.n_times)
     return (lo.tolist(), hi.tolist()) if lo.ndim == 0 else (lo, hi)
 
 
@@ -152,12 +154,11 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     feasible is a witness built, at the midpoint of ``d_bounds(m)`` (at four
     times, glued from the two triangle joints), with weights left slightly
     negative inside the slack clipped at 0 and the table renormalised."""
-    n, values, rows = m.n_times, _row_values(m), _ROW_SLICES[m.n_times]
-    fine = values[rows["fine"]]
+    n, fine = m.n_times, _rows(m, "fine")
     lo, hi = _bounds(fine, n)
-    margin = values[rows["weak"]].min(axis=0)
+    margin = _rows(m, "weak").min(axis=0)
     feasible = margin >= -epsilon
-    one_set = values.ndim == 1
+    one_set = fine.ndim == 1
     if one_set:
         lo, hi, margin, feasible = lo.tolist(), hi.tolist(), margin.tolist(), feasible.tolist()
     witness = None

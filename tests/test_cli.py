@@ -231,6 +231,22 @@ class TestFine:
         assert "triple" in capsys.readouterr().err
 
 
+class TestModelAndMomentsRoutes:
+    """A model file and the moments ``simulate`` prints for it give the same
+    weak report, byte for byte, and ``fine`` on those moments exits alike."""
+
+    @pytest.mark.parametrize("model", ["qubit_precession.json", "qubit_precession_4t.json", "commuting"])
+    def test_check_and_fine_agree_across_routes(self, model, commuting_model_file, tmp_path, capsys):
+        path = commuting_model_file if model == "commuting" else default_model_path().with_name(model)
+        assert main(["simulate", "--model", str(path)]) == 0
+        moments = tmp_path / "moments.json"
+        moments.write_text(json.dumps(json.loads(capsys.readouterr().out)["moments"]))
+        by_model = main(["check", "--which", "weak", "--model", str(path)]), capsys.readouterr().out
+        by_moments = main(["check", "--which", "weak", "--moments", str(moments)]), capsys.readouterr().out
+        assert by_moments == by_model
+        assert main(["fine", "--moments", str(moments)]) == by_model[0]
+
+
 class TestSweep:
     def test_sweep_to_csv(self, tmp_path, capsys):
         spec = {

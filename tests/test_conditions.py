@@ -590,6 +590,12 @@ class TestSerialization:
         assert r.to_jsonable()["verdict"] is False
         assert len(calls) == 1
 
+    def test_to_jsonable_rejects_a_grid(self):
+        times = np.linspace(0.0, 1.0, 15).reshape(5, 3)
+        report = mr_weak(measure_all(precession_model(), times).moments)
+        with pytest.raises(ValidationError, match=r"one moment set only, got a grid of shape \(5,\)"):
+            report.to_jsonable()
+
     def test_merge_rejects_mixed_epsilon(self):
         a = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-9)
         b = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-6)
@@ -656,6 +662,27 @@ class TestAffineValues:
                     assert values.base is None, key
                     assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
                     assert values.tobytes() == column_sums(block, x).tobytes(), key
+
+
+def address(a: np.ndarray) -> int:
+    """Where an array's first element lies in memory."""
+    return a.__array_interface__["data"][0]
+
+
+class TestRowTable:
+    """Each weak and Fine row is stored once: every block of ``ROWS[n]`` is a
+    view into "weak+fine", whose "weak" rows come first, then its "fine" rows."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_row_stored_once(self, n):
+        whole = ROWS[n]["weak+fine"]
+        for key, block in ROWS[n].items():
+            assert np.shares_memory(block.a, whole.a) and np.shares_memory(block.slope, whole.slope), key
+        weak, fine = ROWS[n]["weak"], ROWS[n]["fine"]
+        assert weak.names + fine.names == whole.names
+        k = len(weak.names)
+        for part, rows in ((weak, slice(0, k)), (fine, slice(k, None))):
+            assert address(part.a) == address(whole.a[rows]) and address(part.slope) == address(whole.slope[rows])
 
 
 class TestGridMatchesPoints:

@@ -29,3 +29,10 @@ def test_every_exported_name_resolves():
     missing = [name for name in mrtest.__all__ if not hasattr(mrtest, name)]
     assert missing == []
     assert len(set(mrtest.__all__)) == len(mrtest.__all__)
+
+
+def test_readme_campaign_section_names_every_check():
+    section = README.read_text().split("## Campaign", 1)[1].split("\n## ", 1)[0]
+    checks = mrtest.run_campaign(1, 10)["checks"]
+    assert len(checks) == 13
+    assert [name for name in checks if f"`{name}`" not in section] == []

@@ -20,7 +20,7 @@ from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, measure_all
 from mrtest.tolerances import TOL
 
-from conftest import column_sums, lp_oracle, moment_rows, scan_oracle, triangle_fine_rows
+from conftest import column_sums, lp_oracle, moment_rows, precession_model, scan_oracle, triangle_fine_rows
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -160,9 +160,8 @@ def family_values(m: MomentSet) -> dict:
     values = {pair: lg2(m, pair).values for pair in m.pairs}
     values["LG3" if n == 3 else "LG4"] = (lg3(m) if n == 3 else lg4(m)).values
     values["weak"] = mr_weak(m).values
-    memo = conditions._row_values(m)
-    values["fine"] = memo[conditions._ROW_SLICES[n]["fine"]]
-    values["weak+fine"] = memo
+    values["fine"] = conditions._rows(m, "fine")
+    values["weak+fine"] = conditions._rows(m, "weak+fine")
     return values
 
 
@@ -419,6 +418,13 @@ class TestGrid:
         assert assert_grid_equals_sets(stacked(sets), 1e-6) == [True, True]
         lo, hi = d_bounds(stacked(sets))
         assert lo[1] > hi[1]
+
+
+    def test_to_jsonable_rejects_a_grid(self):
+        times = np.linspace(0.0, 1.0, 15).reshape(5, 3)
+        result = d_interval(measure_all(precession_model(), times).moments)
+        with pytest.raises(ValidationError, match=r"one moment set only, got a grid of shape \(5,\)"):
+            result.to_jsonable()
 
 
 class TestLpFeasibility:
