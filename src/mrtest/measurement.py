@@ -10,6 +10,11 @@ Three ways of extracting two-time statistics from a model:
 
 The gap between the sequential and quasi tables is the interference term;
 its absolute NSIT residual is the coherence witness.
+
+``measure_all`` builds every table from two shared stacks, P rho (one BLAS
+call) and P rho P: each sequential run starts from P rho P and ends in the
+trace pairing Tr(P state), and each quasi table is Re Tr(P_j P_i rho), the
+symmetrized form, since Tr(P_i P_j rho) is its complex conjugate.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .quantum import QuantumModel, expectation
+from .quantum import QuantumModel, _real_trace, _times_matrix, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
@@ -304,28 +309,30 @@ class MomentSet:
 # measurement operations
 
 
-def _sequential_weights(proj: np.ndarray, rho: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+def _sequential_weights(proj: np.ndarray, prp: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     """Weights of chained projective measurements at the time indices idx,
-    for projector pairs ``proj`` of shape ``batch + (n, 2, d, d)``: the
-    state update per outcome is rho -> P rho P, one outcome axis per
-    measurement, and each weight is the trace of the final state,
-    Tr(P rho P) = Tr(P rho) for the last projector."""
-    state = rho
-    for depth, i in enumerate(idx):
+    for projector pairs ``proj`` of shape ``batch + (n, 2, d, d)`` and the
+    matching stack ``prp`` of first-run states P rho P: the state update per
+    outcome is rho -> P rho P, one outcome axis per measurement, and the last
+    projector enters as the trace pairing Tr(P state P) = Tr(P state)."""
+    state = prp[..., idx[0], :, :, :]
+    for depth, i in enumerate(idx[1:], 1):
         p = proj[..., i, :, :, :]
         p = p.reshape(p.shape[:-3] + (1,) * depth + p.shape[-3:])
         if depth == len(idx) - 1:
-            return np.einsum("...ij,...ji->...", p, state[..., None, :, :]).real
+            return np.einsum("...ab,...ba->...", p, state[..., None, :, :]).real
         state = p @ state[..., None, :, :] @ p
 
 
-def _quasi_weights(proj: np.ndarray, rho: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Symmetrized quasi-probability of the time indices i < j,
-    q(s1, s2) = Re Tr((P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho) / 2:
-    its marginals are the single-time tables, but entries may be negative."""
-    p1 = proj[..., i, :, None, :, :]
-    p2 = proj[..., j, None, :, :, :]
-    return 0.5 * expectation(rho, p2 @ p1 + p1 @ p2)
+def _quasi_weights(proj: np.ndarray, p_rho: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Symmetrized quasi-probability of the time indices i < j, from the stack
+    ``p_rho`` of P rho: q(s1, s2) = Re Tr((P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho) / 2
+    = Re Tr(P_{s2}(t_j) P_{s1}(t_i) rho), and the sum's imaginary residue is checked as ``expectation``
+    checks it.  Its marginals are the single-time tables, but entries may be negative."""
+    ji = np.einsum("...Bab,...Aba->...AB", proj[..., j, :, :, :], p_rho[..., i, :, :, :])
+    ij = np.einsum("...Aab,...Bba->...AB", proj[..., i, :, :, :], p_rho[..., j, :, :, :])
+    _real_trace(ji + ij)
+    return ji.real
 
 
 def sequential_moments(tables: TableSet) -> dict[tuple[str, str], float]:
@@ -427,19 +434,20 @@ def measure_all(model: QuantumModel, times=None) -> TableSet:
     if n not in (3, 4):
         raise ValidationError(f"measure_all: tables need a model with 3 or 4 times, got {n}: {model.times}")
     proj = model.spectral(times)[2]
-    rho = model.rho
-    single = expectation(rho, proj)
+    p_rho = _times_matrix(proj, model.rho)
+    prp = p_rho @ proj
+    single = expectation(model.rho, proj)
     singles = tuple(
         ProbabilityTable(kind="single", time_indices=(i,), weights=single[..., i, :]) for i in range(n)
     )
     pairs = {
-        p: ProbabilityTable(kind="sequential", time_indices=p, weights=_sequential_weights(proj, rho, p))
+        p: ProbabilityTable(kind="sequential", time_indices=p, weights=_sequential_weights(proj, prp, p))
         for p in pair_set(n)
     }
     every = tuple(range(n))
-    chain = ProbabilityTable(kind="sequential", time_indices=every, weights=_sequential_weights(proj, rho, every))
+    chain = ProbabilityTable(kind="sequential", time_indices=every, weights=_sequential_weights(proj, prp, every))
     quasi = {
-        p: ProbabilityTable(kind="quasi", time_indices=p, weights=_quasi_weights(proj, rho, *p))
+        p: ProbabilityTable(kind="quasi", time_indices=p, weights=_quasi_weights(proj, p_rho, *p))
         for p in pair_set(n)
     }
     moments = MomentSet(

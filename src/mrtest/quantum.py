@@ -53,7 +53,7 @@ def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
     """Observable must square to the identity (eigenvalues +1/-1); a stack
     of observables is checked matrix by matrix."""
     dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
-    if dev > TOL.structural:
+    if not dev <= TOL.structural:
         raise InvalidObservableError(
             f"{name}: not dichotomic, ||Q^2 - I|| = {dev:.3e} > {TOL.structural:.0e}"
         )
@@ -87,7 +87,8 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_complex_matrix(a, name="eig_hermitian input")
     require_hermitian(a, name="eig_hermitian input")
-    lam, vec = np.linalg.eigh((a + a.conj().T) / 2.0)
+    # halving first cannot overflow, and is exact for normal floats
+    lam, vec = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
     return lam, vec
 
 
@@ -95,12 +96,20 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 # operations
 
 
+def _times_matrix(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``stack @ m`` for one fixed matrix m, as one BLAS call over all rows of the stack."""
+    return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(stack.shape[:-1] + m.shape[-1:])
+
+
 def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
     """exp(-i H t) from the eigendecomposition of H, for a time or an array
     of times (shape ``t.shape + (d, d)``); t = 0 gives the exact identity."""
     t = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * lam * t[..., None])
-    u = (vec * phases[..., None, :]) @ vec.conj().T
+    with np.errstate(over="ignore"):
+        angles = lam * t[..., None]
+    if not np.isfinite(angles).all():
+        raise ValidationError("evolution: H eigenvalue times t overflows the float range")
+    u = _times_matrix(vec * np.exp(-1j * angles)[..., None, :], vec.conj().T)
     u[t == 0.0] = np.eye(vec.shape[0])
     return u
 
@@ -113,12 +122,14 @@ def expectation(rho, a):
     a = np.asarray(a, dtype=complex)
     if rho.ndim != 2 or a.shape[-2:] != rho.shape:
         raise ValidationError(f"expectation: shape mismatch {a.shape} vs {rho.shape}")
-    val = np.einsum("...ij,ji->...", a, rho)
+    return _real_trace(np.einsum("...ij,ji->...", a, rho))
+
+
+def _real_trace(val: np.ndarray):
+    """The real part of traces that must be real; every imaginary residue must be negligible."""
     worst = np.abs(val.imag).max()
     if worst > TOL.scalar:
-        raise ValidationError(
-            f"expectation: imaginary residue {worst:.3e} exceeds {TOL.scalar:.0e}"
-        )
+        raise ValidationError(f"expectation: imaginary residue {worst:.3e} exceeds {TOL.scalar:.0e}")
     return float(val.real) if val.ndim == 0 else val.real
 
 
@@ -202,7 +213,7 @@ class QuantumModel:
                 self._cache["spectral"] = self.spectral(np.array(self.times))
             return self._cache["spectral"]
         u = _evolve_from_eig(*self.hamiltonian_eig(), times)
-        q = np.swapaxes(u.conj(), -1, -2) @ self.observable @ u
+        q = _times_matrix(np.swapaxes(u.conj(), -1, -2), self.observable) @ u
         require_dichotomic(q, name="evolved observable")
         eye = np.eye(self.dim, dtype=complex)
         plus = 0.5 * (eye + q)

@@ -79,6 +79,19 @@ class TestSimulate:
         assert "non-decreasing" in capsys.readouterr().err
 
 
+class TestNonFiniteEvolution:
+    @pytest.mark.parametrize("argv", [["simulate"], ["check", "--which", "strong"]])
+    def test_huge_hamiltonian_exits_two_naming_the_evolution(self, tmp_path, capsys, argv):
+        obj = json.loads(default_model_path().read_text())
+        obj["hamiltonian"][0][1], obj["hamiltonian"][1][0] = [1e308, 1e308], [1e308, -1e308]
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(obj))
+        assert main([*argv, "--model", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "evolution: H eigenvalue times t overflows the float range" in err
+        assert "Traceback" not in err
+
+
 class TestTwoTimeModel:
     @pytest.mark.parametrize("argv", [["simulate"], *(["check", "--which", w] for w in ("weak", "int", "strong"))])
     def test_exit_two_names_the_times(self, tmp_path, capsys, argv):

@@ -17,6 +17,7 @@ from mrtest.measurement import (
     sequential_moments,
     witness,
 )
+from mrtest.measurement import _quasi_weights
 from mrtest.quantum import QuantumModel, expectation
 
 from conftest import SZ, point_tables, precession_model
@@ -568,24 +569,29 @@ def loop_tables(model):
 
 class TestArrayTablesAgainstLoops:
     """measure_all's whole-array tables, moments and marginals against the
-    per-outcome loops they replaced, within 1e-12."""
+    per-outcome loops they replaced, within 1e-12: for one model at a time,
+    and point by point over a grid of times."""
 
     @staticmethod
-    def assert_table(table, weights):
-        assert max(abs(table.weight(o) - w) for o, w in weights.items()) < 1e-12
+    def assert_table(table, weights, point=()):
+        assert max(abs(np.asarray(table.weight(o))[point] - w) for o, w in weights.items()) < 1e-12
+
+    def assert_tables(self, tables, model, point=()):
+        singles, pairs, chain, quasi = loop_tables(model)
+        for table, weights in zip(tables.singles, singles):
+            self.assert_table(table, weights, point)
+        for p in pair_set(model.n_times):
+            self.assert_table(tables.pairs[p], pairs[p], point)
+            self.assert_table(tables.quasi[p], quasi[p], point)
+        self.assert_table(tables.chain, chain, point)
+        return chain
 
     @pytest.mark.parametrize("n_times", [3, 4])
     def test_random_models(self, rng, n_times):
         for _ in range(15):
             model = sample_model(rng, int(rng.integers(2, 6)), n_times)
             tables = measure_all(model)
-            singles, pairs, chain, quasi = loop_tables(model)
-            for table, weights in zip(tables.singles, singles):
-                self.assert_table(table, weights)
-            for p in pair_set(n_times):
-                self.assert_table(tables.pairs[p], pairs[p])
-                self.assert_table(tables.quasi[p], quasi[p])
-            self.assert_table(tables.chain, chain)
+            chain = self.assert_tables(tables, model)
             for positions in [(0,), (1,), (0, 1), (0, 2), (0, 1, 2), tuple(range(n_times))]:
                 want = sum(w * np.prod([o[k] for k in positions]) for o, w in chain.items())
                 assert abs(tables.chain.moment(positions) - want) < 1e-12
@@ -595,3 +601,48 @@ class TestArrayTablesAgainstLoops:
                     key = o[:drop] + o[drop + 1:]
                     marg[key] = marg.get(key, 0.0) + w
                 self.assert_table(tables.chain.marginal(drop), marg)
+
+    @pytest.mark.parametrize("n_times", [3, 4])
+    def test_dim16_models(self, rng, n_times):
+        for _ in range(3):
+            model = sample_model(rng, 16, n_times)
+            self.assert_tables(measure_all(model), model)
+
+    @pytest.mark.parametrize("n_times", [3, 4])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_grid_of_times_point_by_point(self, rng, dim, n_times):
+        model = sample_model(rng, dim, n_times)
+        times = np.sort(rng.uniform(-3.0, 3.0, size=(2, 3, n_times)), axis=-1)
+        times[0, 0] = times[0, 0, :1]  # one point of back-to-back measurements at a single time
+        tables = measure_all(model, times)
+        for point in np.ndindex(times.shape[:-1]):
+            at = QuantumModel(hamiltonian=model.hamiltonian, rho=model.rho, observable=model.observable,
+                              times=tuple(times[point]))
+            self.assert_tables(tables, at, point)
+
+
+class TestQuasiResidueCheck:
+    """The quasi kernel pairs P_i with P_j rho as well as P_j with P_i rho and
+    checks the imaginary residue of the symmetrized sum as ``expectation``
+    does, with the same tolerance and message."""
+
+    @staticmethod
+    def perturbed_projectors(delta):
+        model = precession_model(times=(0.3, 1.1, 2.0), rho=np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        proj = model.spectral()[2].copy()
+        proj[1] += delta * 1j * SZ  # i sigma_z is anti-Hermitian
+        return model.rho, proj
+
+    def test_unperturbed_stack_gives_the_tables(self):
+        rho, proj = self.perturbed_projectors(0.0)
+        q = _quasi_weights(proj, proj @ rho, 0, 1)
+        sym = 0.5 * expectation(rho, proj[1][None, :] @ proj[0][:, None] + proj[0][:, None] @ proj[1][None, :])
+        assert np.abs(q - sym).max() < 1e-15
+
+    def test_anti_hermitian_perturbation_fires(self):
+        rho, proj = self.perturbed_projectors(1e-9)
+        with pytest.raises(ValidationError, match=r"expectation: imaginary residue \d\.\d{3}e-\d\d exceeds 1e-12") as kernel:
+            _quasi_weights(proj, proj @ rho, 0, 1)
+        with pytest.raises(ValidationError) as operator:
+            expectation(rho, proj[1][None, :] @ proj[0][:, None] + proj[0][:, None] @ proj[1][None, :])
+        assert str(kernel.value) == str(operator.value)

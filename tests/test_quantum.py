@@ -3,7 +3,7 @@ import pytest
 
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary
-from mrtest.quantum import QuantumModel, eig_hermitian, expectation
+from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic
 
 from conftest import I2, SX, SY, SZ, precession_model, random_hermitian
 
@@ -51,6 +51,10 @@ class TestProjector:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValidationError):
             model_at(0.0).projector_at(0, 0)
+
+    def test_nan_deviation_is_not_dichotomic(self):
+        with pytest.raises(InvalidObservableError, match=r"not dichotomic, \|\|Q\^2 - I\|\| = nan"):
+            require_dichotomic(np.full((2, 2), np.nan, dtype=complex))
 
 
 class TestEigHermitian:
@@ -138,6 +142,27 @@ class TestEvolveOperator:
             lhs = model_at(t1 + t2, h, q).unitary_at(0)
             rhs = model_at(t1, h, q).unitary_at(0) @ model_at(t2, h, q).unitary_at(0)
             assert np.abs(lhs - rhs).max() < 1e-9
+
+
+class TestNonFiniteEvolution:
+    """An H whose entries are near the float limit: diagonalising it stays
+    finite, and an evolution whose phases leave the float range is named."""
+
+    H = np.array([[0.0, 1e308 + 1e308j], [1e308 - 1e308j, 0.0]])
+
+    def test_eig_hermitian_does_not_overflow(self):
+        lam, v = eig_hermitian(self.H)
+        assert np.isfinite(lam).all() and np.isfinite(v).all()
+        assert lam[1] == pytest.approx(np.sqrt(2) * 1e308, rel=1e-12)
+
+    def test_overflowing_phases_name_the_evolution(self):
+        m = QuantumModel(hamiltonian=self.H, rho=I2 / 2, observable=SZ, times=(0.0, 1.0, 2.0))
+        with pytest.raises(ValidationError, match=r"evolution: H eigenvalue times t overflows the float range"):
+            m.spectral()
+
+    def test_time_zero_alone_stays_exact(self):
+        m = QuantumModel(hamiltonian=self.H, rho=I2 / 2, observable=SZ, times=(0.0, 0.0))
+        assert np.array_equal(m.unitary_at(1), I2)
 
 
 class TestHeisenberg:
