@@ -20,7 +20,6 @@ carried on reports as annotations, never as rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -232,11 +231,6 @@ def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 # no-signaling-in-time equalities
 
 
-@lru_cache(maxsize=64)
-def _nsit_names(name: str, arity: int) -> tuple[str, ...]:
-    return tuple(f"{name}.{outcome_key(o)}" for o in outcomes(arity))
-
-
 _PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pair_set(n)) for n in (3, 4)}
 
 
@@ -266,7 +260,7 @@ def nsit(
     k = len(kept)
     # outcomes first, in serialization order, then the grid axes
     values = diff.reshape(-1, 2**k).T.reshape((2**k,) + diff.shape[: diff.ndim - k])
-    return ConditionReport(_nsit_names(name, k), values, np.ones(2**k, bool), epsilon)
+    return ConditionReport(tuple(f"{name}.{outcome_key(o)}" for o in outcomes(k)), values, np.ones(2**k, bool), epsilon)
 
 
 def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:

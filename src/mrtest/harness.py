@@ -413,7 +413,7 @@ def _campaign_sample(rng: np.random.Generator, dim: int, epsilon: float) -> Iter
 
     # unitary group property on a random time pair
     ta, tb = rng.uniform(-10.0, 10.0, size=2)
-    ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig(), [ta, tb, ta + tb])
+    ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig, [ta, tb, ta + tb])
     yield "unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9
 
     # p - q = T*s2, witness identities, bounded interference, quasi marginals

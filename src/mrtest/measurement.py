@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .quantum import QuantumModel, _real_trace, _times_matrix, expectation
+from .quantum import QuantumModel, _frozen, _real_trace, _times_matrix, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
@@ -84,6 +85,7 @@ class ProbabilityTable:
     validation class: "single"/"sequential"/"joint" weights must be
     nonnegative (down to -1e-12 rounding slack), "quasi" weights may be
     negative but stay within [-1, 1] up to slack.  Every table must sum to 1.
+    The weights are a read-only copy of the caller's.
     """
 
     kind: str
@@ -97,7 +99,7 @@ class ProbabilityTable:
         k = len(idx)
         if not (1 <= k <= 4):
             raise ValidationError(f"table arity must be 1-4, got {k}")
-        w = np.asarray(self.weights, dtype=float)
+        w = _frozen(self.weights)
         if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
         total = w.sum(axis=tuple(range(-k, 0)))
@@ -168,12 +170,6 @@ _UNIT = 1 + TOL.scalar
 
 #: the canonical pair set as a moments file writes it (1-based)
 _JSON_PAIRS = {n: [[i + 1, j + 1] for i, j in pair_set(n)] for n in (3, 4)}
-
-
-def _frozen(x) -> np.ndarray:
-    a = np.array(x, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _unit_values(values: tuple, n_averages: int) -> tuple:
@@ -403,27 +399,33 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
 
 @dataclass(frozen=True)
 class TableSet:
-    """All measurement tables of one model, computed once and shared.
-
-    ``moments`` holds the piecewise averages and pair correlators read off
-    ``singles`` and ``pairs``: every average from a single-time run, every
-    correlator C_ij from the two-time sequential run over {i, j} alone.
-    """
+    """All measurement tables of one model, computed once and shared, and
+    the piecewise moments derived from them."""
 
     singles: tuple[ProbabilityTable, ...]
     pairs: Mapping[tuple[int, int], ProbabilityTable]
     chain: ProbabilityTable
     quasi: Mapping[tuple[int, int], ProbabilityTable]
-    moments: MomentSet
 
     @property
     def n_times(self) -> int:
         return len(self.singles)
 
+    @cached_property
+    def moments(self) -> MomentSet:
+        """The piecewise averages and pair correlators read off ``singles`` and
+        ``pairs``: every average from a single-time run, every correlator C_ij
+        from the two-time sequential run over {i, j} alone."""
+        return MomentSet(
+            averages=tuple(t.moment((0,)) for t in self.singles),
+            correlators=tuple(self.pairs[p].moment((0, 1)) for p in pair_set(self.n_times)),
+        )
+
 
 def measure_all(model: QuantumModel, times=None) -> TableSet:
     """Every table of a 3- or 4-time model: single-time, sequential pair,
-    full sequential chain and quasi-probability, plus the piecewise moments.
+    full sequential chain and quasi-probability; the piecewise moments
+    derive from them (``TableSet.moments``).
 
     ``times`` (shape ``batch + (n,)``) replaces the model's own times with a
     grid of evolution times; every table and moment then carries the grid
@@ -450,8 +452,4 @@ def measure_all(model: QuantumModel, times=None) -> TableSet:
         p: ProbabilityTable(kind="quasi", time_indices=p, weights=_quasi_weights(proj, p_rho, *p))
         for p in pair_set(n)
     }
-    moments = MomentSet(
-        averages=tuple(t.moment((0,)) for t in singles),
-        correlators=tuple(pairs[p].moment((0, 1)) for p in pair_set(n)),
-    )
-    return TableSet(singles=singles, pairs=pairs, chain=chain, quasi=quasi, moments=moments)
+    return TableSet(singles=singles, pairs=pairs, chain=chain, quasi=quasi)

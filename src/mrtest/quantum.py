@@ -7,18 +7,19 @@ them stays unitary up to rounding.
 
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
-construction, and memoizes the spectral data the measurement layer needs:
-the unitary evolution U(t) generated by H (hbar = 1), the
-Heisenberg-picture observable Q(t) and its two spectral projectors.  H is
-diagonalised once per model; ``spectral`` then evaluates all three for a
-whole array of times, so a sweep over a grid of times, or over a scale
-omega of H (exp(-i omega H t) = V exp(-i omega lambda t) V^dag), reuses
-that one eigendecomposition.
+construction, and derives the spectral data the measurement layer needs as
+cached read-only properties: the unitary evolution U(t) generated by H
+(hbar = 1), the Heisenberg-picture observable Q(t) and its two spectral
+projectors.  H is diagonalised once per model; ``spectral`` then evaluates
+all three for a whole array of times, so a sweep over a grid of times, or
+over a scale omega of H (exp(-i omega H t) = V exp(-i omega lambda t) V^dag),
+reuses that one eigendecomposition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import InvalidObservableError, ValidationError
@@ -29,6 +30,13 @@ MAX_DIM = 16
 
 # ---------------------------------------------------------------------------
 # validation helpers
+
+
+def _frozen(x, dtype=float) -> np.ndarray:
+    """A read-only copy of x as a ``dtype`` array (None keeps x's dtype)."""
+    a = np.array(x, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 def as_complex_matrix(entries, *, name: str = "matrix") -> np.ndarray:
@@ -44,15 +52,17 @@ def as_complex_matrix(entries, *, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, *, name: str = "matrix") -> None:
-    dev = np.abs(a - a.conj().T).max()
-    if dev > TOL.scalar:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(a - a.conj().T).max()
+    if not dev <= TOL.scalar:
         raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL.scalar:.0e})")
 
 
 def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
     """Observable must square to the identity (eigenvalues +1/-1); a stack
     of observables is checked matrix by matrix."""
-    dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
     if not dev <= TOL.structural:
         raise InvalidObservableError(
             f"{name}: not dichotomic, ||Q^2 - I|| = {dev:.3e} > {TOL.structural:.0e}"
@@ -149,14 +159,14 @@ class QuantumModel:
     * times are non-decreasing (repeated times model back-to-back
       measurements, the tau -> 0 limit of a vanishing gap).
 
-    Arrays are copied and frozen read-only; instances are safe to share.
+    Arrays are copied and frozen read-only, and what derives from them is a
+    cached read-only property; instances are safe to share.
     """
 
     hamiltonian: np.ndarray
     rho: np.ndarray
     observable: np.ndarray
     times: tuple[float, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h = as_complex_matrix(self.hamiltonian, name="hamiltonian")
@@ -176,13 +186,9 @@ class QuantumModel:
         lam, _ = eig_hermitian(r)
         if lam[0] < -TOL.psd:
             raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam[0]:.3e})")
-        times = tuple(check_times(self.times).tolist())
-        for arr in (h, r, q):
-            arr.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "rho", r)
-        object.__setattr__(self, "observable", q)
-        object.__setattr__(self, "times", times)
+        for key, a in (("hamiltonian", h), ("rho", r), ("observable", q)):
+            object.__setattr__(self, key, _frozen(a, complex))
+        object.__setattr__(self, "times", tuple(check_times(self.times).tolist()))
 
     @property
     def dim(self) -> int:
@@ -197,22 +203,24 @@ class QuantumModel:
             raise ValidationError(f"time index {i} out of range for {self.n_times} times")
         return i
 
+    @cached_property
     def hamiltonian_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if "heig" not in self._cache:
-            self._cache["heig"] = eig_hermitian(self.hamiltonian)
-        return self._cache["heig"]
+        """H's ``eig_hermitian`` eigenvalues and eigenvectors, read-only."""
+        return tuple(_frozen(a, None) for a in eig_hermitian(self.hamiltonian))
+
+    @cached_property
+    def _own_spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(_frozen(a, None) for a in self.spectral(np.array(self.times)))
 
     def spectral(self, times=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U(t), Q(t) and the projector pairs P_s(t) (s = -1, +1) for an array
         of times, with shapes ``times.shape + (d, d)`` and ``+ (2, d, d)``;
-        ``times=None`` means the model's own times, memoized.  The times are
-        not checked for order (an omega sweep passes omega * t); every Q(t)
-        must stay dichotomic."""
+        ``times=None`` means the model's own times, cached and read-only.  The
+        times are not checked for order (an omega sweep passes omega * t);
+        every Q(t) must stay dichotomic."""
         if times is None:
-            if "spectral" not in self._cache:
-                self._cache["spectral"] = self.spectral(np.array(self.times))
-            return self._cache["spectral"]
-        u = _evolve_from_eig(*self.hamiltonian_eig(), times)
+            return self._own_spectral
+        u = _evolve_from_eig(*self.hamiltonian_eig, times)
         q = _times_matrix(np.swapaxes(u.conj(), -1, -2), self.observable) @ u
         require_dichotomic(q, name="evolved observable")
         eye = np.eye(self.dim, dtype=complex)

@@ -33,18 +33,17 @@ def pauli():
 
 def point_tables(tables: TableSet, g: int) -> TableSet:
     """Point g of a grid ``TableSet`` as a one-point TableSet: the same
-    weights and moments, as floats instead of arrays over the grid."""
+    weights, and moments derived from them, as floats instead of arrays
+    over the grid."""
 
     def at(t: ProbabilityTable) -> ProbabilityTable:
         return ProbabilityTable(kind=t.kind, time_indices=t.time_indices, weights=t.weights[g])
 
-    m = tables.moments
     return TableSet(
         singles=tuple(map(at, tables.singles)),
         pairs={p: at(t) for p, t in tables.pairs.items()},
         chain=at(tables.chain),
         quasi={p: at(t) for p, t in tables.quasi.items()},
-        moments=MomentSet(averages=tuple(a[g] for a in m.averages), correlators=tuple(c[g] for c in m.correlators)),
     )
 
 

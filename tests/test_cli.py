@@ -92,6 +92,26 @@ class TestNonFiniteEvolution:
         assert "Traceback" not in err
 
 
+class TestHugeEntries:
+    """The shipped qubit model with matrix entries near the float limit fails its
+    invariant, and no numpy warning precedes the error line."""
+
+    @pytest.mark.parametrize("field, entries, named", [
+        ("hamiltonian", ([1e308, 0.0], [-1e308, 0.0]), "hamiltonian: not Hermitian"),
+        ("observable", ([1e308, 0.0], [1e308, 0.0]), "observable: not dichotomic"),
+    ])
+    def test_simulate_exits_two_naming_the_invariant(self, tmp_path, capsys, field, entries, named):
+        obj = json.loads(default_model_path().read_text())
+        obj[field][0][1], obj[field][1][0] = entries
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--model", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mrtest: error: {named}") and err.count("\n") == 1
+
+
 class TestTwoTimeModel:
     @pytest.mark.parametrize("argv", [["simulate"], *(["check", "--which", w] for w in ("weak", "int", "strong"))])
     def test_exit_two_names_the_times(self, tmp_path, capsys, argv):
@@ -326,6 +346,12 @@ class TestCampaign:
         assert main(["campaign", "--seed", "5", "--count", "1", "--dim-min", "9",
                      "--dim-max", "2"]) == 2
 
+    def test_negative_count(self, capsys):
+        assert main(["campaign", "--seed", "1", "--count", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mrtest: error:") and "count must be nonnegative" in err
+        assert "Traceback" not in err
+
     def test_negative_seed(self, capsys):
         assert main(["campaign", "--seed", "-1", "--count", "1"]) == 2
         err = capsys.readouterr().err
@@ -398,6 +424,25 @@ class TestMalformedFiles:
          "moments: pairs[0] must be two time indices in 1..3, got [0, 1]"),
         ("fine", {**_MOMENTS, "pairs": [[1, 2], [2, 3], [1, 3], [2, 2]], "corr": [0.0] * 4},
          "moments: unexpected pairs: C22"),
+        # model invariants and shapes
+        ("simulate", {**_MODEL, "dim": 17, **dict.fromkeys(("hamiltonian", "rho", "observable"), [[[0.0, 0.0]] * 17] * 17)},
+         "hamiltonian: dimension must be in [2, 16], got 17"),
+        ("simulate", {**_MODEL, "hamiltonian": [[[0.0, 0.0], [float("inf"), 0.0]], [[0.5, 0.0], [0.0, 0.0]]]},
+         "hamiltonian: entries must be finite"),
+        ("simulate", {**_MODEL, "hamiltonian": [[[0.0, 0.0], [0.5, 0.0]], [[0.5, 0.0]]]},
+         "hamiltonian: row 1 must have 2 entries"),
+        ("simulate", [_MODEL], "model: expected a JSON object"),
+        ("simulate", {**_MODEL, "times": 5}, "model: times must be a list of numbers"),
+        # sweep spec shapes, and a 2-time template
+        ("sweep", [_SPEC], "sweep: expected a JSON object"),
+        ("sweep", {k: v for k, v in _SPEC.items() if k != "steps"}, "sweep: missing fields: steps"),
+        ("sweep", {**_SPEC, "parameter": "t3", "model": {**_MODEL, "times": [0.0, 1.0]}},
+         "sweep: parameter t3 needs at least 3 times"),
+        ("sweep", {**_SPEC, "parameter": "tau", "model": {**_MODEL, "times": [0.0, 1.0]}},
+         "sweep: template must have 3 or 4 times, got 2"),
+        # moments averages
+        ("check", {**_MOMENTS, "avg": 5}, "moments: avg must be a list of numbers, got 5"),
+        ("fine", {**_MOMENTS, "avg": [0.0, 0.0]}, "moments: expected 3 averages, got 2"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"

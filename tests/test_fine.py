@@ -574,3 +574,8 @@ class TestExpansionTable:
         m = MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3)
         with pytest.raises(ValidationError, match="negative"):
             triple_expansion_table(m, -1.0)
+
+    def test_rejects_four_times(self):
+        m = MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4)
+        with pytest.raises(ValidationError, match="triple_expansion_table: need 3 times, got 4"):
+            triple_expansion_table(m, 0.0)

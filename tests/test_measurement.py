@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
-from mrtest.harness import sample_model
+from mrtest.harness import default_model_path, load_model, sample_model
 from mrtest.measurement import (
     MomentSet,
     ProbabilityTable,
+    TableSet,
     interference_term,
     measure_all,
     outcome_key,
@@ -20,7 +22,7 @@ from mrtest.measurement import (
 from mrtest.measurement import _quasi_weights
 from mrtest.quantum import QuantumModel, expectation
 
-from conftest import SZ, point_tables, precession_model
+from conftest import SX, SZ, point_tables, precession_model
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -45,6 +47,20 @@ class TestProbabilityTable:
             ProbabilityTable(kind="single", time_indices=(0,), weights=np.array([1.0]))
         with pytest.raises(ValidationError, match="cover"):
             ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full(4, 0.25))
+
+    @pytest.mark.parametrize("kind, indices, weights, named", [
+        ("classical", (0,), [0.5, 0.5], "table kind must be one of"),
+        ("single", (), 1.0, "table arity must be 1-4, got 0"),
+        ("joint", tuple(range(5)), np.full((2,) * 5, 1 / 32), "table arity must be 1-4, got 5"),
+    ])
+    def test_rejects_kind_and_arity(self, kind, indices, weights, named):
+        with pytest.raises(ValidationError, match=named):
+            ProbabilityTable(kind=kind, time_indices=indices, weights=weights)
+
+    def test_marginal_of_an_unmeasured_time(self):
+        t = ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full((2, 2), 0.25))
+        with pytest.raises(ValidationError, match=r"time index 2 not in table \(0, 1\)"):
+            t.marginal(2)
 
     def test_outcome_keys(self):
         assert outcome_key((-1, +1, -1)) == "-+-"
@@ -379,6 +395,10 @@ class TestMomentSet:
         with pytest.raises(ValidationError, match="out of"):
             MomentSet(averages=(1.5, 0.0, 0.0), correlators=(0.0, 0.0, 0.0))
 
+    def test_correlator_count(self):
+        with pytest.raises(ValidationError, match="need 3 correlators for 3 times, got 2"):
+            MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 2)
+
     @pytest.mark.parametrize(
         "averages, correlators, shapes",
         [
@@ -472,6 +492,61 @@ class TestMomentSet:
             MomentSet.from_jsonable({"n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]]})
         with pytest.raises(InputFormatError, match="expected a JSON object"):
             MomentSet.from_jsonable([])
+
+
+def assert_same_tables(a: TableSet, b: TableSet) -> None:
+    """Every table of a and b bit for bit, and their moments equal."""
+    for x, y in zip((*a.singles, *a.pairs.values(), a.chain, *a.quasi.values()),
+                    (*b.singles, *b.pairs.values(), b.chain, *b.quasi.values()), strict=True):
+        assert (x.kind, x.time_indices) == (y.kind, y.time_indices)
+        assert x.weights.tobytes() == y.weights.tobytes()
+    assert a.moments == b.moments
+
+
+MODEL_FIELDS = ("hamiltonian", "rho", "observable", "times")
+
+
+class TestDerivedValues:
+    """Models and tables copy their inputs read-only and derive the rest, so a
+    model made by ``dataclasses.replace`` measures as a freshly built one."""
+
+    @pytest.mark.parametrize("field, value", [("times", (0.0, 2.0, 4.0)), ("hamiltonian", SX / 4 + SZ / 3)])
+    @pytest.mark.parametrize("replaced_first", [False, True])
+    def test_replace_measures_as_a_fresh_model(self, field, value, replaced_first):
+        m = load_model(default_model_path())
+        replaced = dataclasses.replace(m, **{field: value})
+        measured = {id(x): measure_all(x) for x in ((replaced, m) if replaced_first else (m, replaced))}
+        fresh = QuantumModel(**{**{f: getattr(m, f) for f in MODEL_FIELDS}, field: value})
+        assert_same_tables(measured[id(replaced)], measure_all(fresh))
+        assert_same_tables(measured[id(m)], measure_all(load_model(default_model_path())))
+        assert measured[id(replaced)].moments != measured[id(m)].moments
+
+    def test_derived_arrays_are_read_only(self):
+        m = load_model(default_model_path())
+        tables = measure_all(m)
+        for a in (*m.spectral(), *m.hamiltonian_eig, m.projector_at(1, +1), tables.chain.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # two copies of diag(1, 0) would make the next tables sum to 2
+        with pytest.raises(ValueError, match="read-only"):
+            m.spectral()[2][1] = np.diag([1.0, 0.0])
+        assert_same_tables(measure_all(m), tables)
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        h, w = SX / 2, np.array([0.25, 0.75])
+        m = QuantumModel(hamiltonian=h, rho=np.eye(2) / 2, observable=SZ.copy(), times=(0.0, 1.0, 2.0))
+        t = ProbabilityTable(kind="single", time_indices=(0,), weights=w)
+        for given, stored in ((h, m.hamiltonian), (w, t.weights)):
+            assert given.flags.writeable and not stored.flags.writeable
+            assert stored is not given and not np.shares_memory(stored, given)
+
+    def test_derived_values_are_not_constructor_fields(self):
+        m = load_model(default_model_path())
+        with pytest.raises(TypeError, match="_cache"):
+            QuantumModel(**{f: getattr(m, f) for f in MODEL_FIELDS}, _cache={})
+        t = measure_all(m)
+        with pytest.raises(TypeError, match="moments"):
+            TableSet(singles=t.singles, pairs=t.pairs, chain=t.chain, quasi=t.quasi, moments=t.moments)
 
 
 class TestExpansionTable:

@@ -3,7 +3,7 @@ import pytest
 
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary
-from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic
+from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
 
 from conftest import I2, SX, SY, SZ, precession_model, random_hermitian
 
@@ -165,6 +165,25 @@ class TestNonFiniteEvolution:
         assert np.array_equal(m.unitary_at(1), I2)
 
 
+class TestHugeEntries:
+    """Entries near the float limit fail their invariant with its message and
+    no numpy warning (pyproject raises RuntimeWarnings as errors)."""
+
+    def test_hamiltonian_is_not_hermitian(self):
+        h = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"hamiltonian: not Hermitian \(max deviation inf > 1e-12\)"):
+            QuantumModel(hamiltonian=h, rho=I2 / 2, observable=SZ.copy(), times=(0.0, 1.0))
+
+    def test_observable_is_not_dichotomic(self):
+        q = np.array([[1.0, 1e308], [1e308, -1.0]], dtype=complex)
+        with pytest.raises(InvalidObservableError, match=r"observable: not dichotomic, \|\|Q\^2 - I\|\| = nan"):
+            QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=q, times=(0.0, 1.0))
+
+    def test_nan_deviation_is_not_hermitian(self):
+        with pytest.raises(ValidationError, match=r"not Hermitian \(max deviation nan"):
+            require_hermitian(np.full((2, 2), np.nan, dtype=complex))
+
+
 class TestHeisenberg:
     """Q(t_i) = U(t_i)^dag Q U(t_i) through ``QuantumModel.observable_at``."""
 
@@ -281,6 +300,10 @@ class TestQuantumModel:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             QuantumModel(hamiltonian=np.zeros((3, 3)), rho=I2 / 2, observable=SZ, times=(0.0, 1.0))
+
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValidationError, match=r"hamiltonian: expected a square matrix, got shape \(2, 3\)"):
+            QuantumModel(hamiltonian=np.zeros((2, 3)), rho=I2 / 2, observable=SZ.copy(), times=(0.0, 1.0))
 
     def test_arrays_frozen(self, mixed_qubit):
         with pytest.raises(ValueError):
