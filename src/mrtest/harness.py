@@ -6,9 +6,11 @@ reproducible random-model sampling used by the property campaign.  A
 sweep is a lazy sequence of blocks, each an ordered map from CSV column
 name to an array over the block's points; ``OUTPUT_GROUPS`` maps each
 output group to its columns, and the CSV writer only formats the maps.
-One campaign sample yields each of its checks as (name, residual,
-tolerance), and ``run_campaign`` folds them into the JSON-ready summary
-that ``mrtest campaign`` prints.  Everything is deterministic: identical
+The campaign samples each model from its own stream, then checks models of
+one dimension in blocks, with the same byte budget as a sweep block: a
+block yields each check as (name, residuals over its models, tolerance),
+and ``run_campaign`` folds the blocks into the JSON-ready summary that
+``mrtest campaign`` prints.  Everything is deterministic: identical
 inputs, including the seed, produce byte-identical outputs.
 """
 
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .fine import d_bounds, d_interval
 from .measurement import (
     _echo,
     _json_number,
+    _tables,
     SIGNS,
     MomentSet,
     measure_all,
@@ -36,7 +39,7 @@ from .measurement import (
     sequential_moments,
     witness,
 )
-from .quantum import QuantumModel, check_times, eig_hermitian, _evolve_from_eig
+from .quantum import QuantumModel, check_times, eig_hermitian, expectation, _evolve_from_eig, _spectral
 from .tolerances import TOL
 
 SWEEP_PARAMETERS = ("tau", "t2", "t3", "omega")
@@ -252,9 +255,16 @@ def load_sweep_spec(path) -> SweepSpec:
     return sweep_spec_from_jsonable(_load_json(path))
 
 
-#: bytes of complex work arrays one sweep block may use; fixes the block
-#: size, so a sweep's memory stays bounded whatever its number of steps
-SWEEP_BLOCK_BYTES = 1 << 24
+#: bytes of complex work arrays one block of sweep points or campaign models
+#: may use; fixes the block size, so memory stays bounded whatever the count
+BLOCK_BYTES = 1 << 21
+
+
+def _block_size(dim: int, n_times: int) -> int:
+    """Sweep points or campaign models per block: as many as fit
+    ``BLOCK_BYTES`` at about 32 d^2 (2^n + 4n) bytes of states and
+    projectors each."""
+    return max(1, BLOCK_BYTES // (32 * dim**2 * (2**n_times + 4 * n_times)))
 
 
 def _block_columns(spec: SweepSpec, values: np.ndarray, times: np.ndarray, epsilon: float) -> dict[str, np.ndarray]:
@@ -282,9 +292,8 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict
     The evolution times of the whole grid are built and checked once, up
     front; an omega sweep scales the model's times instead of H.  Each block
     then measures the one template model at its slice of the grid, so the
-    sweep shares one eigendecomposition of H.  A block holds as many points
-    as fit ``SWEEP_BLOCK_BYTES`` at about 32 d^2 (2^n + 4n) bytes of states
-    and projectors per point.
+    sweep shares one eigendecomposition of H.  A block holds ``_block_size``
+    points.
     """
     model = spec.model
     # overflow shows up as non-finite times, which the validation below names
@@ -302,7 +311,7 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict
     if not np.isfinite(times).all():
         name, value = max((("from", spec.start), ("to", spec.stop)), key=lambda item: abs(item[1]))
         raise InputFormatError(f"sweep: omega {name} = {value!r} scales the times {model.times} past the float range")
-    size = max(1, SWEEP_BLOCK_BYTES // (32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)))
+    size = _block_size(model.dim, model.n_times)
     # a lazy map, not a generator, which bench/tracer.py would count once per block
     return map(
         lambda k: _block_columns(spec, values[k : k + size], times[k : k + size], epsilon),
@@ -399,63 +408,65 @@ def sample_model(
 # property campaign
 
 
-def _campaign_sample(rng: np.random.Generator, dim: int, epsilon: float) -> Iterator[tuple[str, float, float]]:
-    """Each check on one random model as ``(name, residual, tolerance)``;
-    the check holds when residual <= tolerance."""
-    model = sample_model(rng, dim)
-    tables = measure_all(model)
+def _campaign_block(models: Sequence[QuantumModel], shifts: np.ndarray, epsilon: float) -> Iterator[tuple]:
+    """Each check on random 3-time models of one dimension, with random time
+    pairs ``shifts`` (ta, tb), as ``(name, residual over the models, tolerance)``
+    in one model's check order; it holds where residual <= tolerance.  A check
+    that runs only where its premise holds adds that mask as a fourth item."""
+    lam, vec = (np.stack(a) for a in zip(*(m.hamiltonian_eig for m in models)))
+    rho = np.stack([m.rho for m in models])
+    _, q, proj = _spectral(lam, vec, np.stack([m.observable for m in models]), np.array([m.times for m in models]))
+    tables = _tables(proj, rho)
     moments = tables.moments
 
     # dichotomy and expectation range of evolved observables
-    q = model.spectral()[1]
-    yield "dichotomy_preserved", np.linalg.norm(q @ q - np.eye(dim), axis=(-2, -1)).max(), TOL.structural
-    yield "expectation_range", max(abs(a) for a in moments.averages) - 1.0, TOL.structural
+    yield "dichotomy_preserved", np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max(axis=-1), TOL.structural
+    yield "expectation_range", np.abs(moments.averages).max(axis=0) - 1.0, TOL.structural
 
     # unitary group property on a random time pair
-    ta, tb = rng.uniform(-10.0, 10.0, size=2)
-    ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig, [ta, tb, ta + tb])
-    yield "unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9
+    ta, tb = shifts.T
+    ua, ub, uab = np.moveaxis(_evolve_from_eig(lam, vec, np.stack([ta, tb, ta + tb], axis=-1)), -3, 0)
+    yield "unitary_group_property", np.linalg.norm(uab - ua @ ub, axis=(-2, -1)), 1e-9
 
     # p - q = T*s2, witness identities, bounded interference, quasi marginals
     for (i, j), quasi in tables.quasi.items():
         p = tables.pairs[(i, j)]
-        qi, qj = model.observable_at(i), model.observable_at(j)
+        qi, qj = q[:, i], q[:, j]
         # commutator form <[Q_i, Q_j] Q_i> = <Q_i Q_j Q_i - Q_j>, traced once for T and W
-        commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
-        t_op = commutator / 8.0
-        yield "p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar
+        commutator = expectation(rho, qi @ qj @ qi - qj)
+        t_s2 = (commutator / 8.0)[:, None, None] * np.array(SIGNS)
+        yield "p_minus_q_identity", np.abs(p.weights - quasi.weights - t_s2).max(axis=(-2, -1)), TOL.scalar
 
         w_res = witness(p, tables.singles[j])
-        w_op = abs(commutator) / 4.0
-        yield "witness_formula_agreement", abs(w_res - w_op), TOL.scalar
-        yield "witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar
+        w_op = np.abs(commutator) / 4.0
+        yield "witness_formula_agreement", np.abs(w_res - w_op), TOL.scalar
+        yield "witness_s2_independence", np.abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar
 
-        if 0.5 * w_op <= p.weights.min():
-            yield "bounded_interference_nonneg", -quasi.weights.min(), TOL.scalar
+        premise = 0.5 * w_op <= p.weights.min(axis=(-2, -1))
+        yield "bounded_interference_nonneg", -quasi.weights.min(axis=(-2, -1)), TOL.scalar, premise
 
-        marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max() for a, b in ((i, j), (j, i))]
-        yield "quasi_marginals", max(marg), TOL.scalar
+        marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max(axis=-1) for a, b in ((i, j), (j, i))]
+        yield "quasi_marginals", np.maximum(*marg), TOL.scalar
 
-        yield "piecewise_equals_quasi_correlator", abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar
+        yield "piecewise_equals_quasi_correlator", np.abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar
 
     # marginalizing the last measured time reproduces the shorter run
-    last = tables.chain.time_indices[-1]
-    shorter = tables.pairs.get(tuple(tables.chain.time_indices[:-1]))
-    if shorter is not None:
-        resid = np.abs(tables.chain.marginal(last).weights - shorter.weights).max()
-        yield "sequential_last_marginal", resid, TOL.scalar
+    chain = tables.chain
+    resid = np.abs(chain.marginal(chain.time_indices[-1]).weights - tables.pairs[chain.time_indices[:-1]].weights)
+    yield "sequential_last_marginal", resid.max(axis=(-2, -1)), TOL.scalar
 
     # contextual values stay in [-1, 1]
-    yield "contextual_in_range", max(abs(v) for v in sequential_moments(tables).values()) - 1.0, TOL.scalar
+    yield "contextual_in_range", np.abs(list(sequential_moments(tables).values())).max(axis=0) - 1.0, TOL.scalar
 
-    # implication chain; weak verdict must match joint feasibility end to end
-    weak = mr_weak(moments, epsilon)
-    mint = mr_int(tables, epsilon)
-    strong = mr_strong(tables, epsilon)
-    chain_ok = (not strong.verdict or mint.verdict) and (not mint.verdict or weak.verdict)
-    yield "implication_chain", 0.0 if chain_ok else 1.0, 0.5
-    fine_ok = d_interval(moments, epsilon).feasible == weak.verdict
-    yield "fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5
+    # implication chain; weak verdict must match joint feasibility end to end,
+    # each model's feasibility from its own moment set
+    weak = mr_weak(moments, epsilon).verdict
+    mint = mr_int(tables, epsilon).verdict
+    strong = mr_strong(tables, epsilon).verdict
+    yield "implication_chain", np.where((~strong | mint) & (~mint | weak), 0.0, 1.0), 0.5
+    points = zip(np.transpose(moments.averages).tolist(), np.transpose(moments.correlators).tolist())
+    fine = [d_interval(MomentSet(tuple(a), tuple(c)), epsilon).feasible for a, c in points]
+    yield "fine_matches_mr_weak", np.where(np.array(fine) == weak, 0.0, 1.0), 0.5
 
 
 def run_campaign(
@@ -466,12 +477,14 @@ def run_campaign(
     epsilon: float = TOL.verdict,
 ) -> dict:
     """Sample ``count`` random models and assert every module-level identity
-    on each.  Deterministic under the seed; sample k draws from its own
-    spawned stream, so a reproducer is fully described by (seed, index).
+    on each, in blocks of ``_block_size`` models of one dimension.
+    Deterministic under the seed; sample k draws from its own spawned
+    stream, so a reproducer is fully described by (seed, index).
 
     Returns the JSON-ready summary that ``mrtest campaign`` prints: the
     arguments, ``passed``, each check's sample count, violation count and
-    largest residual, and one reproducer per violation."""
+    largest residual, and one reproducer per violation, by index and then
+    in each model's check order."""
     if seed < 0:
         raise ValidationError(f"campaign: seed must be nonnegative, got {seed}")
     if count > 10**5:
@@ -482,23 +495,40 @@ def run_campaign(
         raise ValidationError(f"campaign: need 2 <= dim_min <= dim_max <= 16, got [{dim_min}, {dim_max}]")
     checks: dict[str, dict] = {}
     violations = []
+
+    def fold(block: list) -> None:
+        indices, models, shifts = zip(*block)
+        indices, dim = np.array(indices), models[0].dim
+        for order, (name, residual, tol, *premise) in enumerate(_campaign_block(models, np.array(shifts), epsilon)):
+            ran = premise[0] if premise else slice(None)
+            values, where = np.broadcast_to(residual, indices.shape)[ran].astype(float), indices[ran]
+            if values.size:
+                stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
+                # a NaN residual is a violation, and never the largest
+                bad, numbers = ~(values <= tol), values[~np.isnan(values)]
+                stats["samples"] += values.size
+                stats["violations"] += int(bad.sum())
+                stats["max_residual"] = max(stats["max_residual"], float(numbers.max(initial=-np.inf)))
+                violations.extend(
+                    (index, order, {"check": name, "seed": seed, "index": index, "dim": dim, "residual": value})
+                    for index, value in zip(where[bad].tolist(), values[bad].tolist())
+                )
+
+    pending: dict[int, list] = {}
     for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(stream)
         dim = int(rng.integers(dim_min, dim_max + 1))
-        for name, residual, tol in _campaign_sample(rng, dim, epsilon):
-            residual = float(residual)
-            stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
-            stats["samples"] += 1
-            stats["max_residual"] = max(stats["max_residual"], residual)
-            # a NaN residual is a violation
-            if not residual <= tol:
-                stats["violations"] += 1
-                violations.append({"check": name, "seed": seed, "index": index, "dim": dim, "residual": residual})
+        model = sample_model(rng, dim)
+        pending.setdefault(dim, []).append((index, model, rng.uniform(-10.0, 10.0, size=2)))
+        if len(pending[dim]) == _block_size(dim, model.n_times):
+            fold(pending.pop(dim))
+    for block in pending.values():
+        fold(block)
     return {
         "seed": seed,
         "count": count,
         "dim_range": [dim_min, dim_max],
         "passed": not violations,
         "checks": dict(sorted(checks.items())),
-        "violations": violations,
+        "violations": [v for _, _, v in sorted(violations, key=lambda v: v[:2])],
     }

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -407,6 +408,11 @@ class TableSet:
     chain: ProbabilityTable
     quasi: Mapping[tuple[int, int], ProbabilityTable]
 
+    def __post_init__(self) -> None:
+        # read-only copies, so the cached moments cannot go stale
+        for name in ("pairs", "quasi"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
     @property
     def n_times(self) -> int:
         return len(self.singles)
@@ -435,10 +441,16 @@ def measure_all(model: QuantumModel, times=None) -> TableSet:
     n = model.n_times
     if n not in (3, 4):
         raise ValidationError(f"measure_all: tables need a model with 3 or 4 times, got {n}: {model.times}")
-    proj = model.spectral(times)[2]
-    p_rho = _times_matrix(proj, model.rho)
+    return _tables(model.spectral(times)[2], model.rho)
+
+
+def _tables(proj: np.ndarray, rho: np.ndarray) -> TableSet:
+    """The tables of ``measure_all`` from projector pairs, shape ``batch + (n, 2, d, d)``,
+    and one state, or one per leading index of ``batch`` (models of one dimension)."""
+    n = proj.shape[-4]
+    p_rho = _times_matrix(proj, rho)
     prp = p_rho @ proj
-    single = expectation(model.rho, proj)
+    single = expectation(rho, proj)
     singles = tuple(
         ProbabilityTable(kind="single", time_indices=(i,), weights=single[..., i, :]) for i in range(n)
     )

@@ -107,32 +107,47 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _times_matrix(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``stack @ m`` for one fixed matrix m, as one BLAS call over all rows of the stack."""
-    return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(stack.shape[:-1] + m.shape[-1:])
+    """``stack @ m``: one BLAS call over all rows of the stack for one fixed
+    matrix m, or one m per leading index of the stack (models of one dimension)."""
+    if m.ndim == 2:
+        return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(stack.shape[:-1] + m.shape[-1:])
+    return stack @ m.reshape(m.shape[:-2] + (1,) * (stack.ndim - m.ndim) + m.shape[-2:])
 
 
 def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) from the eigendecomposition of H, for a time or an array
-    of times (shape ``t.shape + (d, d)``); t = 0 gives the exact identity."""
+    """exp(-i H t), shape ``t.shape + (d, d)``, from the eigendecomposition of
+    H, or of one H per leading index of t; t = 0 gives the exact identity."""
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        angles = lam * t[..., None]
+        angles = lam[..., None, :] * t[..., None]
     if not np.isfinite(angles).all():
         raise ValidationError("evolution: H eigenvalue times t overflows the float range")
-    u = _times_matrix(vec * np.exp(-1j * angles)[..., None, :], vec.conj().T)
-    u[t == 0.0] = np.eye(vec.shape[0])
+    u = _times_matrix(vec[..., None, :, :] * np.exp(-1j * angles)[..., None, :], np.swapaxes(vec.conj(), -1, -2))
+    u[t == 0.0] = np.eye(vec.shape[-1])
     return u
+
+
+def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``QuantumModel.spectral`` from the eigendecomposition (lam, vec) of H and
+    the observable q of one model, or of one model per leading index of t."""
+    u = _evolve_from_eig(lam, vec, t)
+    q = _times_matrix(np.swapaxes(u.conj(), -1, -2), q) @ u
+    require_dichotomic(q, name="evolved observable")
+    eye = np.eye(q.shape[-1], dtype=complex)
+    plus = 0.5 * (eye + q)
+    return u, q, np.stack([eye - plus, plus], axis=-3)
 
 
 def expectation(rho, a):
     """Real part of Tr(A rho), for one operator A or a stack of them (a float
-    or an array over the leading axes); every imaginary residue must be
-    negligible."""
+    or an array over the leading axes) and one state, or one per leading index
+    of the stack; every imaginary residue must be negligible."""
     rho = np.asarray(rho, dtype=complex)
     a = np.asarray(a, dtype=complex)
-    if rho.ndim != 2 or a.shape[-2:] != rho.shape:
+    if not 2 <= rho.ndim <= a.ndim or rho.shape != a.shape[: rho.ndim - 2] + a.shape[-2:]:
         raise ValidationError(f"expectation: shape mismatch {a.shape} vs {rho.shape}")
-    return _real_trace(np.einsum("...ij,ji->...", a, rho))
+    rho = rho.reshape(rho.shape[:-2] + (1,) * (a.ndim - rho.ndim) + rho.shape[-2:])
+    return _real_trace(np.einsum("...ij,...ji->...", a, rho))
 
 
 def _real_trace(val: np.ndarray):
@@ -220,12 +235,7 @@ class QuantumModel:
         every Q(t) must stay dichotomic."""
         if times is None:
             return self._own_spectral
-        u = _evolve_from_eig(*self.hamiltonian_eig, times)
-        q = _times_matrix(np.swapaxes(u.conj(), -1, -2), self.observable) @ u
-        require_dichotomic(q, name="evolved observable")
-        eye = np.eye(self.dim, dtype=complex)
-        plus = 0.5 * (eye + q)
-        return u, q, np.stack([eye - plus, plus], axis=-3)
+        return _spectral(*self.hamiltonian_eig, self.observable, times)
 
     def unitary_at(self, i: int) -> np.ndarray:
         """U(t_i) = exp(-i H t_i)."""

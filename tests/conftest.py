@@ -5,10 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mrtest.conditions import ROWS, RowBlock
+from mrtest.conditions import ROWS, RowBlock, mr_int, mr_strong, mr_weak
 from mrtest.errors import ValidationError
-from mrtest.measurement import MomentSet, Outcome, ProbabilityTable, TableSet, outcomes, pair_set
-from mrtest.quantum import QuantumModel
+from mrtest.fine import d_interval
+from mrtest.harness import sample_model
+from mrtest.measurement import (
+    SIGNS,
+    MomentSet,
+    Outcome,
+    ProbabilityTable,
+    TableSet,
+    measure_all,
+    outcomes,
+    pair_set,
+    sequential_moments,
+    witness,
+)
+from mrtest.quantum import QuantumModel, _evolve_from_eig
 from mrtest.tolerances import TOL
 
 settings.register_profile(
@@ -262,3 +275,103 @@ def lp_oracle(m: MomentSet) -> OracleResult:
     x /= x.sum()
     table = ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=x.reshape((2,) * m.n_times))
     return OracleResult(feasible=True, witness_table=table)
+
+
+# ---------------------------------------------------------------------------
+# per-model campaign reference
+
+
+def reference_sample(rng: np.random.Generator, dim: int, epsilon: float):
+    """Each check on one random model as ``(name, residual, tolerance)``,
+    model by model: its own ``measure_all`` tables, its own operators and
+    scalar conditions.  The reference that the stacked campaign is checked
+    against; it draws the model and then its time pair from ``rng``."""
+    model = sample_model(rng, dim)
+    tables = measure_all(model)
+    moments = tables.moments
+
+    q = model.spectral()[1]
+    yield "dichotomy_preserved", np.linalg.norm(q @ q - np.eye(dim), axis=(-2, -1)).max(), TOL.structural
+    yield "expectation_range", max(abs(a) for a in moments.averages) - 1.0, TOL.structural
+
+    ta, tb = rng.uniform(-10.0, 10.0, size=2)
+    ua, ub, uab = _evolve_from_eig(*model.hamiltonian_eig, [ta, tb, ta + tb])
+    yield "unitary_group_property", float(np.linalg.norm(uab - ua @ ub)), 1e-9
+
+    for (i, j), quasi in tables.quasi.items():
+        p = tables.pairs[(i, j)]
+        qi, qj = model.observable_at(i), model.observable_at(j)
+        commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
+        t_op = commutator / 8.0
+        yield "p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar
+
+        w_res = witness(p, tables.singles[j])
+        w_op = abs(commutator) / 4.0
+        yield "witness_formula_agreement", abs(w_res - w_op), TOL.scalar
+        yield "witness_s2_independence", abs(w_res - witness(p, tables.singles[j], -1)), TOL.scalar
+
+        if 0.5 * w_op <= p.weights.min():
+            yield "bounded_interference_nonneg", -quasi.weights.min(), TOL.scalar
+
+        marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max() for a, b in ((i, j), (j, i))]
+        yield "quasi_marginals", max(marg), TOL.scalar
+
+        yield "piecewise_equals_quasi_correlator", abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar
+
+    last = tables.chain.time_indices[-1]
+    shorter = tables.pairs.get(tuple(tables.chain.time_indices[:-1]))
+    if shorter is not None:
+        resid = np.abs(tables.chain.marginal(last).weights - shorter.weights).max()
+        yield "sequential_last_marginal", resid, TOL.scalar
+
+    yield "contextual_in_range", max(abs(v) for v in sequential_moments(tables).values()) - 1.0, TOL.scalar
+
+    weak = mr_weak(moments, epsilon)
+    mint = mr_int(tables, epsilon)
+    strong = mr_strong(tables, epsilon)
+    chain_ok = (not strong.verdict or mint.verdict) and (not mint.verdict or weak.verdict)
+    yield "implication_chain", 0.0 if chain_ok else 1.0, 0.5
+    fine_ok = d_interval(moments, epsilon).feasible == weak.verdict
+    yield "fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5
+
+
+def reference_campaign(seed: int, count: int, dim_min: int = 2, dim_max: int = 4, epsilon: float = TOL.verdict) -> dict:
+    """``run_campaign``'s summary folded one model at a time, in index order."""
+    checks: dict[str, dict] = {}
+    violations = []
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        rng = np.random.default_rng(stream)
+        dim = int(rng.integers(dim_min, dim_max + 1))
+        for name, residual, tol in reference_sample(rng, dim, epsilon):
+            residual = float(residual)
+            stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
+            stats["samples"] += 1
+            stats["max_residual"] = max(stats["max_residual"], residual)
+            if not residual <= tol:
+                stats["violations"] += 1
+                violations.append({"check": name, "seed": seed, "index": index, "dim": dim, "residual": residual})
+    return {
+        "seed": seed,
+        "count": count,
+        "dim_range": [dim_min, dim_max],
+        "passed": not violations,
+        "checks": dict(sorted(checks.items())),
+        "violations": violations,
+    }
+
+
+def assert_same_summary(got: dict, want: dict, tol: float = 1e-12) -> None:
+    """Two campaign summaries alike: every field equal but the residuals (the
+    largest of each check, and each violation's), which agree within tol."""
+
+    def without_residuals(summary: dict) -> dict:
+        return {
+            **summary,
+            "checks": {name: {**stats, "max_residual": None} for name, stats in summary["checks"].items()},
+            "violations": [{**v, "residual": None} for v in summary["violations"]],
+        }
+
+    assert without_residuals(got) == without_residuals(want)
+    pairs = [(got["checks"][name]["max_residual"], stats["max_residual"]) for name, stats in want["checks"].items()]
+    pairs += [(a["residual"], b["residual"]) for a, b in zip(got["violations"], want["violations"])]
+    assert all(abs(a - b) <= tol for a, b in pairs), pairs

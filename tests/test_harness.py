@@ -27,7 +27,8 @@ from mrtest.harness import (
 from mrtest.measurement import measure_all, outcomes, pair_set, witness
 from mrtest.quantum import QuantumModel
 
-from conftest import apply_parameter, precession_model
+import conftest
+from conftest import apply_parameter, assert_same_summary, precession_model, reference_campaign
 
 
 class TestModelJson:
@@ -357,7 +358,7 @@ class TestBatchedSweep:
         spec = SWEEP_CASES[case]
         model = spec.model
         per_point = 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times)
-        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * per_point)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 7 * per_point)
         blocks = list(sweep_blocks(spec))
         assert [len(b[spec.parameter]) for b in blocks] == ([7, 7, 7, 2] if spec.steps == 23 else [7, 4])
         self.assert_matches_points(spec)
@@ -366,7 +367,7 @@ class TestBatchedSweep:
         spec = SWEEP_CASES["qubit3-tau"]
         model = spec.model
         # 7-point blocks: rows 7 and 8, 14 and 15, 21 and 22 sit across block boundaries
-        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 7 * 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times))
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 7 * 32 * model.dim**2 * (2**model.n_times + 4 * model.n_times))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(sweep_blocks(spec), path)
         header, *rows = [line.split(",") for line in path.read_text().splitlines()]
@@ -391,7 +392,7 @@ class TestBatchedSweep:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
         # blocks of 64 points: the 500-step sweeps span 8 blocks, the 50-step one a single block
-        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 64 * 32 * 2**2 * (2**3 + 4 * 3))
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 64 * 32 * 2**2 * (2**3 + 4 * 3))
         counts = {}
         for parameter, start, steps in (("tau", 0.0, 50), ("tau", 0.0, 500), ("omega", -1.0, 500)):
             spec = {
@@ -417,7 +418,7 @@ class TestSweepColumns:
                              ids=["every-group", "subset-reordered"])
     def test_every_block_has_the_header_columns(self, n, outputs, tmp_path, monkeypatch):
         model = precession_model(times=(0.0, 1.0, 2.0, 3.0)[:n])
-        monkeypatch.setattr(harness, "SWEEP_BLOCK_BYTES", 5 * 32 * model.dim**2 * (2**n + 4 * n))
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 5 * 32 * model.dim**2 * (2**n + 4 * n))
         spec = SweepSpec(model=model, parameter="tau", start=0.0, stop=np.pi, steps=13, outputs=outputs)
         blocks = list(sweep_blocks(spec))
         assert [len(b["tau"]) for b in blocks] == [5, 5, 3]
@@ -517,13 +518,19 @@ class TestCampaign:
         assert bounded["samples"] <= 3 * count
         for index, stream in enumerate(np.random.SeedSequence(2).spawn(count)):
             rng = np.random.default_rng(stream)
-            names = [name for name, _, _ in harness._campaign_sample(rng, int(rng.integers(2, 5)), 1e-9)]
+            model = sample_model(rng, int(rng.integers(2, 5)))
+            block = harness._campaign_block([model], rng.uniform(-10.0, 10.0, size=(1, 2)), 1e-9)
+            # a block of one model: a check with a premise ran where its mask is set
+            names = [name for name, _, _, *premise in block if not premise or premise[0][0]]
             assert {name: names.count(name) for name in per_model} == per_model
             assert names.count("bounded_interference_nonneg") <= 3
 
     def test_contextual_value_past_one_is_a_violation(self, monkeypatch):
-        # contextual_in_range reads the contextual dict and is a real range check
-        monkeypatch.setattr(harness, "sequential_moments", lambda tables: {("Q2", "1"): 0.5, ("Q3", "2"): -1.25})
+        # contextual_in_range reads the contextual dict and is a real range check;
+        # here every model of a block has one contextual value past one
+        monkeypatch.setattr(harness, "sequential_moments", lambda tables: {
+            ("Q2", "1"): np.full(len(tables.chain.weights), 0.5), ("Q3", "2"): np.full(len(tables.chain.weights), -1.25)
+        })
         summary = run_campaign(seed=1, count=2)
         assert [(v["check"], v["index"]) for v in summary["violations"]] == [("contextual_in_range", 0), ("contextual_in_range", 1)]
         assert summary["checks"]["contextual_in_range"]["max_residual"] == 0.25
@@ -535,3 +542,76 @@ class TestCampaign:
     def test_dim_range_validation(self):
         with pytest.raises(ValidationError, match="dim_min"):
             run_campaign(seed=1, count=1, dim_min=5, dim_max=2)
+
+
+class TestStackedCampaign:
+    """``run_campaign`` samples each model from its own stream and checks the
+    models in blocks of one dimension; its summary is the per-model
+    reference's, folded one model at a time in index order."""
+
+    @pytest.mark.parametrize("seed, count, dim_min, dim_max", [(3, 300, 2, 4), (1, 50, 16, 16), (5, 13, 16, 16)])
+    def test_matches_the_per_model_reference(self, seed, count, dim_min, dim_max):
+        if count == 13:
+            # a last block shorter than the others
+            assert count % harness._block_size(16, 3) != 0
+        args = (seed, count, dim_min, dim_max)
+        assert_same_summary(run_campaign(*args), reference_campaign(*args))
+
+    def test_violations_in_the_reference_order(self, monkeypatch):
+        # a witness read 0.1 too high at s2 = +1 fails both witness checks on every pair
+        exact = harness.witness
+
+        def off(pair, single, s2=+1):
+            return exact(pair, single, s2) + (0.1 if s2 == +1 else 0.0)
+
+        monkeypatch.setattr(harness, "witness", off)
+        monkeypatch.setattr(conftest, "witness", off)
+        summary = run_campaign(4, 30)
+        assert len(summary["violations"]) == 30 * 3 * 2
+        assert_same_summary(summary, reference_campaign(4, 30))
+
+    def test_block_size_does_not_change_the_summary(self, monkeypatch):
+        default = run_campaign(6, 40)
+        sizes, block = [], harness._campaign_block
+
+        def recorded(models, *args):
+            sizes.append(len(models))
+            return block(models, *args)
+
+        monkeypatch.setattr(harness, "_campaign_block", recorded)
+        # blocks of three models at dim 2 and of one at dims 3 and 4
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 32 * 2**2 * (2**3 + 4 * 3))
+        assert [harness._block_size(dim, 3) for dim in (2, 3, 4)] == [3, 1, 1]
+        assert_same_summary(run_campaign(6, 40), default)
+        assert sum(sizes) == 40 and set(sizes) == {1, 2, 3}
+
+    def test_nan_residual_is_a_violation_and_never_the_largest(self, monkeypatch):
+        block = harness._campaign_block
+
+        def with_nans(models, shifts, epsilon):
+            for name, residual, tol, *premise in block(models, shifts, epsilon):
+                if name == "quasi_marginals":
+                    # the first model of each block, on every pair
+                    residual = np.where(np.arange(len(models)) == 0, np.nan, residual)
+                elif name == "contextual_in_range":
+                    residual = np.full(len(models), np.nan)
+                yield (name, residual, tol, *premise)
+
+        count = 20
+        default = run_campaign(1, count)
+        monkeypatch.setattr(harness, "_campaign_block", with_nans)
+        summary = run_campaign(1, count)
+        # one block per dimension: the first model of each dimension has NaN quasi marginals
+        dims = [int(np.random.default_rng(s).integers(2, 5)) for s in np.random.SeedSequence(1).spawn(count)]
+        firsts = {dims.index(dim) for dim in dims}
+        assert [(v["index"], v["check"]) for v in summary["violations"]] == [
+            (index, check)
+            for index in range(count)
+            for check in ["quasi_marginals"] * 3 * (index in firsts) + ["contextual_in_range"]
+        ]
+        assert all(np.isnan(v["residual"]) for v in summary["violations"])
+        stats = summary["checks"]["contextual_in_range"]
+        assert stats == {"samples": count, "violations": count, "max_residual": 0.0}
+        stats = summary["checks"]["quasi_marginals"]
+        assert stats["violations"] == 3 * len(firsts) and stats["samples"] == 3 * count
+        assert 0.0 < stats["max_residual"] <= default["checks"]["quasi_marginals"]["max_residual"]

@@ -532,6 +532,19 @@ class TestDerivedValues:
             m.spectral()[2][1] = np.diag([1.0, 0.0])
         assert_same_tables(measure_all(m), tables)
 
+    def test_table_maps_are_read_only_copies(self):
+        tables = measure_all(load_model(default_model_path()))
+        c12 = tables.moments.corr(0, 1)
+        # once the moments are cached, swapping a table would leave them stale
+        for tables_map in (tables.pairs, tables.quasi):
+            with pytest.raises(TypeError):
+                tables_map[(0, 1)] = tables_map[(0, 2)]
+        given = dict(tables.pairs)
+        copied = TableSet(singles=tables.singles, pairs=given, chain=tables.chain, quasi=tables.quasi)
+        given[(0, 1)] = given[(0, 2)]
+        assert copied.pairs[(0, 1)] is tables.pairs[(0, 1)]
+        assert tables.moments.corr(0, 1) == copied.moments.corr(0, 1) == c12
+
     def test_caller_arrays_stay_writable_and_unshared(self):
         h, w = SX / 2, np.array([0.25, 0.75])
         m = QuantumModel(hamiltonian=h, rho=np.eye(2) / 2, observable=SZ.copy(), times=(0.0, 1.0, 2.0))

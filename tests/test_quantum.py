@@ -223,6 +223,17 @@ class TestExpectation:
         with pytest.raises(ValidationError):
             expectation(np.eye(2), np.eye(3))
 
+    def test_one_state_per_leading_index(self, rng):
+        # a stack of two states against a (2, 3) stack of operators: state k
+        # pairs with the operators in row k, as one state does with each alone
+        rho = np.stack([np.diag([0.25, 0.75]), I2 / 2]).astype(complex)
+        ops = np.stack([random_hermitian(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
+        want = [[expectation(rho[k], op) for op in ops[k]] for k in range(2)]
+        assert np.abs(expectation(rho, ops) - want).max() <= 1e-15
+        for bad in (np.stack([rho, rho]), rho[:1].repeat(3, axis=0)):
+            with pytest.raises(ValidationError, match="shape mismatch"):
+                expectation(bad, ops)
+
     def test_observable_expectation_in_unit_interval(self, rng):
         for _ in range(20):
             z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
