@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .measurement import MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
+from .measurement import PAIR_SETS, MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
 from .tolerances import TOL
 
 ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assumption)"
@@ -153,7 +153,7 @@ def _row_table(n: int) -> tuple[dict, dict]:
 #: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two in
 #: turn; every block is a view of the "weak+fine" rows at ``_ROW_SLICES[n][key]``
 ROWS, _ROW_SLICES = {}, {}
-for _n in (3, 4):
+for _n in PAIR_SETS:
     ROWS[_n], _ROW_SLICES[_n] = _row_table(_n)
 
 #: the one "=0" flag array of every report of ">=0" rows (read-only, sliced to length)
@@ -231,7 +231,7 @@ def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 # no-signaling-in-time equalities
 
 
-_PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pair_set(n)) for n in (3, 4)}
+_PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pairs) for n, pairs in PAIR_SETS.items()}
 
 
 def nsit(

@@ -82,7 +82,7 @@ def _sides(slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([up, down]), np.array([0, len(up)])
 
 
-_SIDES = {n: _sides(ROWS[n]["fine"].slope) for n in (3, 4)}
+_SIDES = {n: _sides(rows["fine"].slope) for n, rows in ROWS.items()}
 
 
 def _bounds(b: np.ndarray, n: int):

@@ -32,6 +32,7 @@ from .measurement import (
     _echo,
     _json_number,
     _tables,
+    PAIR_SETS,
     SIGNS,
     MomentSet,
     measure_all,
@@ -39,7 +40,8 @@ from .measurement import (
     sequential_moments,
     witness,
 )
-from .quantum import QuantumModel, check_times, eig_hermitian, expectation, _evolve_from_eig, _spectral
+from .quantum import MAX_DIM, QuantumModel, check_times, eig_hermitian, expectation
+from .quantum import _evolve_from_eig, _hermitian_part, _spectral
 from .tolerances import TOL
 
 SWEEP_PARAMETERS = ("tau", "t2", "t3", "omega")
@@ -221,7 +223,7 @@ class SweepSpec:
             raise InputFormatError("sweep: tau must start at 0 or above")
         if self.parameter == "t3" and n < 3:
             raise InputFormatError("sweep: parameter t3 needs at least 3 times")
-        if n not in (3, 4):
+        if n not in PAIR_SETS:
             raise InputFormatError(f"sweep: template must have 3 or 4 times, got {n}")
 
     @property
@@ -349,14 +351,6 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _dichotomic_pattern(dim: int) -> np.ndarray:
-    return np.array([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
-
-
 def sample_model(
     rng: np.random.Generator,
     dim: int,
@@ -376,8 +370,8 @@ def sample_model(
     """
     u_h = haar_unitary(rng, dim)
     u_q = u_h if commuting else haar_unitary(rng, dim)
-    h = _hermitize(u_h @ np.diag(np.arange(dim, dtype=float)) @ u_h.conj().T)
-    q = _hermitize(u_q @ np.diag(_dichotomic_pattern(dim)) @ u_q.conj().T)
+    h = _hermitian_part(u_h @ np.diag(np.arange(dim, dtype=float)) @ u_h.conj().T)
+    q = _hermitian_part(u_q @ np.diag(np.resize([1.0, -1.0], dim)) @ u_q.conj().T)
 
     gaps = rng.uniform(0.3, 1.2, size=n_times - 1)
     times = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
@@ -386,18 +380,18 @@ def sample_model(
         rho = np.eye(dim, dtype=complex) / dim
     else:
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = _hermitize(z @ z.conj().T)
+        rho = _hermitian_part(z @ z.conj().T)
         rho /= np.trace(rho).real
         # t1 = 0, so Q(t1) = Q
         if rho_mode == "plus_eigenspace":
             p_plus = 0.5 * (np.eye(dim) + q)
-            rho = _hermitize(p_plus @ rho @ p_plus)
+            rho = _hermitian_part(p_plus @ rho @ p_plus)
             rho /= np.trace(rho).real
         elif rho_mode == "q1_diagonal":
             _, v = eig_hermitian(q)
             w = rng.uniform(0.05, 1.0, size=dim)
             w /= w.sum()
-            rho = _hermitize(v @ np.diag(w) @ v.conj().T)
+            rho = _hermitian_part(v @ np.diag(w) @ v.conj().T)
         elif rho_mode != "generic":
             raise ValidationError(f"unknown rho_mode {rho_mode!r}")
 
@@ -491,8 +485,8 @@ def run_campaign(
         raise ValidationError(f"campaign: count must be <= 10^5, got {count}")
     if count < 0:
         raise ValidationError(f"campaign: count must be nonnegative, got {count}")
-    if not (2 <= dim_min <= dim_max <= 16):
-        raise ValidationError(f"campaign: need 2 <= dim_min <= dim_max <= 16, got [{dim_min}, {dim_max}]")
+    if not (2 <= dim_min <= dim_max <= MAX_DIM):
+        raise ValidationError(f"campaign: need 2 <= dim_min <= dim_max <= {MAX_DIM}, got [{dim_min}, {dim_max}]")
     checks: dict[str, dict] = {}
     violations = []
 

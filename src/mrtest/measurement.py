@@ -15,6 +15,7 @@ its absolute NSIT residual is the coherence witness.
 call) and P rho P: each sequential run starts from P rho P and ends in the
 trace pairing Tr(P state), and each quasi table is Re Tr(P_j P_i rho), the
 symmetrized form, since Tr(P_i P_j rho) is its complex conjugate.
+``PAIR_SETS`` is the one table of the supported time counts and their pairs.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ SIGNS = (-1, +1)
 
 #: position of each sign on a table's outcome axis
 _SIGN_INDEX = {-1: 0, +1: 1}
+
+#: the supported numbers of times, each with its canonical measured pair set (0-based)
+PAIR_SETS = {3: ((0, 1), (1, 2), (0, 2)), 4: ((0, 1), (1, 2), (2, 3), (0, 3))}
 
 
 def outcomes(arity: int) -> list[Outcome]:
@@ -160,17 +164,16 @@ class ProbabilityTable:
 
 def pair_set(n_times: int) -> tuple[tuple[int, int], ...]:
     """Canonical measured pair set (0-based): {12,23,13} resp. {12,23,34,14}."""
-    if n_times == 3:
-        return ((0, 1), (1, 2), (0, 2))
-    if n_times == 4:
-        return ((0, 1), (1, 2), (2, 3), (0, 3))
-    raise ValidationError(f"moment sets are defined for 3 or 4 times, got {_echo(n_times)}")
+    try:
+        return PAIR_SETS[n_times]
+    except (KeyError, TypeError):
+        raise ValidationError(f"moment sets are defined for 3 or 4 times, got {_echo(n_times)}") from None
 
 
 _UNIT = 1 + TOL.scalar
 
 #: the canonical pair set as a moments file writes it (1-based)
-_JSON_PAIRS = {n: [[i + 1, j + 1] for i, j in pair_set(n)] for n in (3, 4)}
+_JSON_PAIRS = {n: [[i + 1, j + 1] for i, j in pairs] for n, pairs in PAIR_SETS.items()}
 
 
 def _unit_values(values: tuple, n_averages: int) -> tuple:
@@ -259,7 +262,7 @@ class MomentSet:
             raise InputFormatError(
                 f"moments: expected a JSON object with fields n, avg, pairs, corr, got {type(obj).__name__}"
             ) from None
-        if type(n) is not int or n not in (3, 4):
+        if type(n) is not int or n not in PAIR_SETS:
             raise InputFormatError(f"moments: n must be 3 or 4, got {_echo(n)}")
         # the canonical pair order, JSON floats and no D: no per-pair work
         if (
@@ -439,7 +442,7 @@ def measure_all(model: QuantumModel, times=None) -> TableSet:
     ``QuantumModel.spectral``), so a caller passing a grid validates it first.
     """
     n = model.n_times
-    if n not in (3, 4):
+    if n not in PAIR_SETS:
         raise ValidationError(f"measure_all: tables need a model with 3 or 4 times, got {n}: {model.times}")
     return _tables(model.spectral(times)[2], model.rho)
 

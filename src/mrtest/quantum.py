@@ -87,6 +87,11 @@ def check_times(times) -> np.ndarray:
 # eigensolver
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^dag) / 2 as a / 2 + a^dag / 2: halving first cannot overflow, and is exact for normal floats."""
+    return a / 2.0 + a.conj().T / 2.0
+
+
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
 
@@ -97,9 +102,7 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_complex_matrix(a, name="eig_hermitian input")
     require_hermitian(a, name="eig_hermitian input")
-    # halving first cannot overflow, and is exact for normal floats
-    lam, vec = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
-    return lam, vec
+    return tuple(np.linalg.eigh(_hermitian_part(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +110,11 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _times_matrix(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``stack @ m``: one BLAS call over all rows of the stack for one fixed
-    matrix m, or one m per leading index of the stack (models of one dimension)."""
-    if m.ndim == 2:
-        return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(stack.shape[:-1] + m.shape[-1:])
-    return stack @ m.reshape(m.shape[:-2] + (1,) * (stack.ndim - m.ndim) + m.shape[-2:])
+    """``stack @ m`` for one fixed d x d matrix m, or one m per leading index of
+    the stack (models of one dimension): one BLAS call per factor, over its rows."""
+    d = m.shape[-1]
+    m = m.reshape(-1, d, d)
+    return (stack.reshape(len(m), -1, d) @ m).reshape(stack.shape[:-1] + (d,))
 
 
 def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
@@ -198,7 +201,7 @@ class QuantumModel:
         tr = np.trace(r).real
         if abs(tr - 1.0) > TOL.scalar:
             raise ValidationError(f"rho: trace must be 1, got {tr!r}")
-        lam, _ = eig_hermitian(r)
+        lam = np.linalg.eigvalsh(r)
         if lam[0] < -TOL.psd:
             raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam[0]:.3e})")
         for key, a in (("hamiltonian", h), ("rho", r), ("observable", q)):

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,7 @@ from mrtest.measurement import (
     ProbabilityTable,
     TableSet,
     measure_all,
+    outcome_key,
     outcomes,
     pair_set,
     sequential_moments,
@@ -275,6 +277,88 @@ def lp_oracle(m: MomentSet) -> OracleResult:
     x /= x.sum()
     table = ProbabilityTable(kind="joint", time_indices=tuple(range(m.n_times)), weights=x.reshape((2,) * m.n_times))
     return OracleResult(feasible=True, witness_table=table)
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic row oracle
+
+#: the unit roundoff of a float64
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+#: (C12, C23, C13) sign patterns of LG3.1..LG3.4: 1 + s1 s2 C12 + s2 s3 C23 + s1 s3 C13 >= 0
+LG3_SIGNS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+
+
+class ExactRow(NamedTuple):
+    """One row b + sum_j coefficients[j] x_j (+ slope z), written from its
+    definition: x = (averages, correlators in canonical pair order), z the
+    free correlator of Fine's rows.  ``block`` is "weak" or "fine"."""
+
+    block: str
+    name: str
+    b: int
+    coefficients: dict
+    slope: int = 0
+
+
+@functools.cache
+def exact_rows(n: int) -> tuple[ExactRow, ...]:
+    """Every weak row, then every Fine row, at n times, as the README and the
+    docstrings define them, with no use of the row table ``ROWS``: each
+    measured pair's four LG2 rows; LG3.1..4 (n = 3) or LG4.k.lo/hi = 2 +- the
+    k-th signed sum (n = 4); the expansion values E(s) with slope s1 s2 s3
+    (n = 3), or the chord's LG2 rows and the LG3 rows of the triangles
+    (1,2,3) and (1,3,4) at C13 = 0 with their C13 coefficient as slope (n = 4)."""
+    col = {p: n + k for k, p in enumerate(pair_set(n))}
+    rows = []
+    for i, j in pair_set(n):
+        for s in outcomes(2):
+            coefficients = {i: s[0], j: s[1], col[(i, j)]: s[0] * s[1]}
+            rows.append(ExactRow("weak", f"LG2.{i + 1}{j + 1}.{outcome_key(s)}", 1, coefficients))
+    if n == 3:
+        c12, c23, c13 = col[(0, 1)], col[(1, 2)], col[(0, 2)]
+        for k, (x, y, z) in enumerate(LG3_SIGNS, 1):
+            rows.append(ExactRow("weak", f"LG3.{k}", 1, {c12: x, c23: y, c13: z}))
+        for s1, s2, s3 in outcomes(3):
+            coefficients = {0: s1, 1: s2, 2: s3, c12: s1 * s2, c23: s2 * s3, c13: s1 * s3}
+            rows.append(ExactRow("fine", f"E.{outcome_key((s1, s2, s3))}", 1, coefficients, s1 * s2 * s3))
+        return tuple(rows)
+    cycle = [col[p] for p in ((0, 1), (1, 2), (2, 3), (0, 3))]
+    for k in range(4):
+        signs = [-1 if idx == k else 1 for idx in range(4)]
+        for side, sigma in (("lo", 1), ("hi", -1)):
+            rows.append(ExactRow("weak", f"LG4.{k + 1}.{side}", 2, {c: sigma * s for c, s in zip(cycle, signs)}))
+    c12, c23, c34, c14 = cycle
+    for s1, s3 in outcomes(2):
+        rows.append(ExactRow("fine", f"LG2.13.{outcome_key((s1, s3))}", 1, {0: s1, 2: s3}, s1 * s3))
+    for k, (x, y, z) in enumerate(LG3_SIGNS, 1):
+        # triangle (1,2,3) on (C12, C23, C13), triangle (1,3,4) on (C13, C34, C14)
+        rows.append(ExactRow("fine", f"LG3(123).{k}", 1, {c12: x, c23: y}, z))
+        rows.append(ExactRow("fine", f"LG3(134).{k}", 1, {c34: y, c14: z}, x))
+    return tuple(rows)
+
+
+def exact_row_values(m: MomentSet) -> dict[str, tuple[ExactRow, Fraction, Fraction]]:
+    """Each row of ``exact_rows`` on one moment set of floats, by name, as
+    (row, exact value, rounding bound): the value in ``Fraction``s, and
+    (k - 1) 2^-53 sum |terms| for its k nonzero terms (b included), which
+    bounds the rounding of any left-to-right float sum of them, since every
+    coefficient is +-1 and every product is exact."""
+    x = [Fraction(v) for v in (*m.averages, *m.correlators)]
+    out = {}
+    for row in exact_rows(m.n_times):
+        terms = [Fraction(row.b)] + [c * x[j] for j, c in row.coefficients.items() if x[j]]
+        out[row.name] = (row, sum(terms), (len(terms) - 1) * UNIT_ROUNDOFF * sum(map(abs, terms)))
+    return out
+
+
+def times_matrix_reference(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``stack @ m`` one d x d matrix at a time with ``np.matmul``: each matrix
+    of the stack times m, or times the m of its leading index."""
+    out = np.empty(stack.shape, dtype=np.result_type(stack, m))
+    for idx in np.ndindex(stack.shape[:-2]):
+        out[idx] = np.matmul(stack[idx], m if m.ndim == 2 else m[idx[0]])
+    return out
 
 
 # ---------------------------------------------------------------------------

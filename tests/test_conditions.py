@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrtest import conditions, fine, measurement
 from mrtest.conditions import (
     ROWS,
     ConditionReport,
@@ -22,6 +23,7 @@ from mrtest.errors import ValidationError
 from mrtest.fine import triple_expansion_table
 from mrtest.harness import sample_model
 from mrtest.measurement import (
+    PAIR_SETS,
     MomentSet,
     ProbabilityTable,
     measure_all,
@@ -683,6 +685,14 @@ class TestRowTable:
         k = len(weak.names)
         for part, rows in ((weak, slice(0, k)), (fine, slice(k, None))):
             assert address(part.a) == address(whole.a[rows]) and address(part.slope) == address(whole.slope[rows])
+
+    def test_every_time_count_table_is_keyed_by_pair_sets(self):
+        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, fine._SIDES):
+            assert table.keys() == PAIR_SETS.keys()
+        for n, pairs in PAIR_SETS.items():
+            assert measurement._JSON_PAIRS[n] == [[i + 1, j + 1] for i, j in pairs]
+            assert [(i, j) for i, j, _ in conditions._PAIRWISE_NSIT[n]] == list(pairs)
+            assert ROWS[n]["weak"].names[: 4 * len(pairs)] == sum((ROWS[n][p].names for p in pairs), ())
 
 
 class TestGridMatchesPoints:

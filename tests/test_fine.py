@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,16 @@ from mrtest.harness import sample_model
 from mrtest.measurement import MomentSet, measure_all
 from mrtest.tolerances import TOL
 
-from conftest import column_sums, lp_oracle, moment_rows, precession_model, scan_oracle, triangle_fine_rows
+from conftest import (
+    column_sums,
+    exact_row_values,
+    exact_rows,
+    lp_oracle,
+    moment_rows,
+    precession_model,
+    scan_oracle,
+    triangle_fine_rows,
+)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -579,3 +589,80 @@ class TestExpansionTable:
         m = MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4)
         with pytest.raises(ValidationError, match="triple_expansion_table: need 3 times, got 4"):
             triple_expansion_table(m, 0.0)
+
+
+def dyadic_set(rng, n: int, target: Fraction) -> MomentSet | None:
+    """An n-time moment set on the 2^-8 grid with one correlator moved so that
+    its exact smallest weak margin is the dyadic ``target``, or None when the
+    move leaves [-1, 1] or drops another row below the target.  Its every
+    row is a float sum without rounding."""
+    x = [Fraction(int(v), 256) for v in rng.integers(-100, 101, 2 * n)]
+    rows = [r for r in exact_rows(n) if r.block == "weak"]
+
+    def value(row) -> Fraction:
+        return row.b + sum(c * x[j] for j, c in row.coefficients.items())
+
+    low = min(rows, key=value)
+    j = max(low.coefficients)  # a correlator's column
+    x[j] += (target - value(low)) / low.coefficients[j]
+    if abs(x[j]) > 1 or min(map(value, rows)) != target:
+        return None
+    return MomentSet(averages=tuple(map(float, x[:n])), correlators=tuple(map(float, x[n:])))
+
+
+class TestExactOracle:
+    """Every weak and Fine row against its exact value in ``Fraction``s, built
+    from the definitions and not from ``ROWS`` (``conftest.exact_rows``): each
+    float row lies within (k - 1) 2^-53 sum |terms| of it, and the verdicts
+    and the interval agree with the exact ones wherever that bound cannot
+    decide them."""
+
+    def check(self, m: MomentSet, epsilons) -> tuple[Fraction, bool]:
+        """Checks the rows, the verdict at each epsilon and ``d_bounds``;
+        returns the largest row error and the exact verdict at epsilon 0."""
+        exact = exact_row_values(m)
+        weak, fine_names = mr_weak(m, 0.0), ROWS[m.n_times]["fine"].names
+        floats = dict(zip(weak.names + fine_names, weak.values.tolist() + conditions._rows(m, "fine").tolist()))
+        assert len(weak.names) + len(fine_names) == len(floats) and floats.keys() == exact.keys()
+        err = Fraction(0)
+        for name, (_, value, bound) in exact.items():
+            assert abs(Fraction(floats[name]) - value) <= bound, name
+            err = max(err, abs(Fraction(floats[name]) - value))
+        weak = [(value, bound) for row, value, bound in exact.values() if row.block == "weak"]
+        margin, weak_bound = min(v for v, _ in weak), max(b for _, b in weak)
+        for epsilon in epsilons:
+            # the float margin is within err <= weak_bound of the exact one
+            if err == 0 or abs(margin + Fraction(epsilon)) > weak_bound:
+                passes = margin >= -Fraction(epsilon)
+                assert mr_weak(m, epsilon).verdict == passes
+                assert d_interval(m, epsilon).feasible == passes
+        # lo = max(-b) over the slope +1 rows, hi = min(b) over the slope -1 rows
+        fine = [(row.slope, value, bound) for row, value, bound in exact.values() if row.block == "fine"]
+        lo = max(-value for slope, value, _ in fine if slope > 0)
+        hi = min(value for slope, value, _ in fine if slope < 0)
+        fine_bound = max(bound for _, _, bound in fine)
+        for got, want in zip(d_bounds(m), (lo, hi)):
+            assert abs(Fraction(got) - want) <= fine_bound
+        return err, margin >= 0
+
+    def test_near_boundary_sets(self):
+        rng = np.random.default_rng(10)
+        for n, near in ((3, near_weak_boundary3), (4, near_weak_boundary4)):
+            verdicts = []
+            for k in range(200):
+                target = 0.0 if k % 10 == 0 else float(rng.uniform(-10.0, 10.0)) * (TOL.verdict, 1e-6)[k % 2]
+                m = near(rng.uniform(-1.0, 1.0, 2 * n).tolist(), target)
+                if m is not None:
+                    verdicts.append(self.check(m, (0.0, TOL.verdict, 1e-6))[1])
+            assert len(verdicts) >= 100 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dyadic_margins_decide_exactly(self, n):
+        rng = np.random.default_rng(11)
+        for k in (1, 9, 20, 30, 40):
+            for target in (Fraction(0), Fraction(1, 2**k), -Fraction(1, 2**k)):
+                m = next(m for m in (dyadic_set(rng, n, target) for _ in range(100)) if m is not None)
+                # epsilon 2^-k lets the margin -2^-k pass, epsilon 0 does not
+                err, passes = self.check(m, (0.0, 2.0**-k, TOL.verdict, 1e-6))
+                assert err == 0 and passes == (target >= 0)
+                assert mr_weak(m, 2.0**-k).verdict and d_interval(m, 2.0**-k).feasible

@@ -8,6 +8,7 @@ from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.harness import default_model_path, load_model, sample_model
 from mrtest.measurement import (
+    PAIR_SETS,
     MomentSet,
     ProbabilityTable,
     TableSet,
@@ -381,6 +382,17 @@ class TestWitness:
 
 
 class TestMomentSet:
+    @pytest.mark.parametrize(
+        "n, want", [(3.0, ((0, 1), (1, 2), (0, 2))), (np.int64(4), ((0, 1), (1, 2), (2, 3), (0, 3)))]
+    )
+    def test_pair_set_of_a_number_equal_to_3_or_4(self, n, want):
+        assert pair_set(n) == want == PAIR_SETS[int(n)]
+
+    @pytest.mark.parametrize("n", [2, True, [3]])
+    def test_pair_set_rejects_other_counts(self, n):
+        with pytest.raises(ValidationError, match=re.escape(f"moment sets are defined for 3 or 4 times, got {n!r}")):
+            pair_set(n)
+
     def test_pair_lookup_and_symmetry(self):
         m = MomentSet(averages=(0.1, 0.2, 0.3), correlators=(0.4, 0.5, 0.6))
         assert m.corr(1, 0) == 0.4

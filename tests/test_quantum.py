@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from mrtest import quantum
 from mrtest.errors import InvalidObservableError, ValidationError
-from mrtest.harness import haar_unitary
+from mrtest.harness import haar_unitary, sample_model
 from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
+from mrtest.quantum import _hermitian_part, _times_matrix
 
-from conftest import I2, SX, SY, SZ, precession_model, random_hermitian
+from conftest import I2, SX, SY, SZ, precession_model, random_hermitian, times_matrix_reference
 
 
 def model_at(t, hamiltonian=None, observable=SZ) -> QuantumModel:
@@ -109,6 +113,41 @@ class TestEigHermitian:
         assert np.abs(lam - np.repeat([-1.0, 1.0], 8)).max() < 1e-12
         assert np.abs(v @ np.diag(lam) @ v.conj().T - q).max() < 1e-12
         assert np.abs(v.conj().T @ v - np.eye(16)).max() < 1e-12
+
+
+class TestHermitianPart:
+    def test_bit_equal_to_the_halved_sum(self, rng):
+        for scale in 10.0 ** np.arange(-5, 6):
+            for dim in (2, 5, 16):
+                for _ in range(10):
+                    a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * scale
+                    assert _hermitian_part(a).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+
+
+class TestTimesMatrix:
+    """``_times_matrix`` against ``np.matmul`` one matrix at a time, bit for
+    bit, for one shared factor and for one factor per model, on stacks
+    shaped as ``_evolve_from_eig``, ``_spectral`` and ``_tables`` pass them."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bit_equal_to_per_matrix_matmul(self, rng, dim, shared):
+        models, n = 5, 4
+
+        def matrices(*shape):
+            return rng.standard_normal(shape + (dim, dim)) + 1j * rng.standard_normal(shape + (dim, dim))
+
+        m = matrices() if shared else matrices(models)
+        stacks = {
+            "V times phases": matrices(models, n),
+            "U^dag, a strided view": np.swapaxes(matrices(models, n).conj(), -1, -2),
+            "projector pairs": matrices(models, n, 2),
+        }
+        if shared:
+            stacks["one model's projector pairs"] = matrices(n, 2)
+        for name, stack in stacks.items():
+            got = _times_matrix(stack, m)
+            assert got.shape == stack.shape and got.tobytes() == times_matrix_reference(stack, m).tobytes(), name
 
 
 class TestEvolveOperator:
@@ -266,8 +305,17 @@ class TestQuantumModel:
 
     def test_rejects_non_psd_rho(self):
         rho = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValidationError, match="positive semidefinite"):
+        with pytest.raises(ValidationError, match=r"^rho: not positive semidefinite \(min eigenvalue -5\.000e-01\)$"):
             QuantumModel(hamiltonian=SX, rho=rho, observable=SZ, times=(0.0, 1.0))
+
+    def test_one_eigendecomposition_per_model(self, rng):
+        # validating rho needs its eigenvalues only; H is diagonalized once, on first use
+        with mock.patch.object(quantum, "eig_hermitian", side_effect=eig_hermitian) as counted:
+            model = sample_model(rng, 16)
+            assert counted.call_count == 0
+            model.hamiltonian_eig
+            model.spectral()
+            assert counted.call_count == 1
 
     def test_rejects_non_dichotomic_observable(self):
         with pytest.raises(InvalidObservableError):
