@@ -6,12 +6,12 @@ reproducible random-model sampling used by the property campaign.  A
 sweep is a lazy sequence of blocks, each an ordered map from CSV column
 name to an array over the block's points; ``OUTPUT_GROUPS`` maps each
 output group to its columns, and the CSV writer only formats the maps.
-The campaign samples each model from its own stream, then checks models of
-one dimension in blocks, with the same byte budget as a sweep block: a
-block yields each check as (name, residuals over its models, tolerance),
-and ``run_campaign`` folds the blocks into the JSON-ready summary that
-``mrtest campaign`` prints.  Everything is deterministic: identical
-inputs, including the seed, produce byte-identical outputs.
+The campaign draws each model from its own stream, then builds, validates
+(with ``quantum._validate``, as ``QuantumModel`` does) and checks models of
+one dimension in blocks of a sweep block's byte budget: a block yields each
+check as (name, residuals over its models, tolerance), and ``run_campaign``
+folds them into the JSON-ready summary that ``mrtest campaign`` prints.  All
+is deterministic: identical inputs, including the seed, give identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .measurement import (
     sequential_moments,
     witness,
 )
-from .quantum import MAX_DIM, QuantumModel, check_times, eig_hermitian, expectation
-from .quantum import _evolve_from_eig, _hermitian_part, _spectral
+from .quantum import MAX_DIM, QuantumModel, check_times, expectation
+from .quantum import _dagger, _evolve_from_eig, _hermitian_part, _spectral, _validate
 from .tolerances import TOL
 
 SWEEP_PARAMETERS = ("tau", "t2", "t3", "omega")
@@ -342,23 +342,47 @@ def write_sweep_csv(blocks: Iterable[Mapping[str, np.ndarray]], path) -> None:
 # random model sampling
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-like random unitary: QR of a complex Gaussian matrix with the
-    standard phase fix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Haar-like random unitaries: QR of a complex Gaussian matrix, or of each
+    matrix of a stack, with the standard phase fix."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_model(
-    rng: np.random.Generator,
-    dim: int,
-    n_times: int = 3,
-    *,
-    commuting: bool = False,
-    rho_mode: str = "generic",
-) -> QuantumModel:
+def _model_block(rngs, dim: int, n_times: int = 3, commuting: bool = False, rho_mode: str = "generic") -> tuple:
+    """H, rho, Q and times of models of one dimension, each drawn from its own
+    stream as ``sample_model`` draws one, and built on a leading model axis."""
+    gauss = np.stack([rng.standard_normal((1 if commuting else 2, 2, dim, dim)) for rng in rngs])
+    u = haar_unitary(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    u_h, u_q = u[:, 0], u[:, -1]
+    h = _hermitian_part(u_h @ np.diag(np.arange(dim, dtype=float)) @ _dagger(u_h))
+    q = _hermitian_part(u_q @ np.diag(np.resize([1.0, -1.0], dim)) @ _dagger(u_q))
+    gaps = np.stack([rng.uniform(0.3, 1.2, size=n_times - 1) for rng in rngs])
+    times = np.concatenate([np.zeros((len(rngs), 1)), np.cumsum(gaps, axis=-1)], axis=-1)
+    if rho_mode == "maximally_mixed":
+        return h, np.broadcast_to(np.eye(dim, dtype=complex) / dim, h.shape), q, times
+    z = np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])
+    z = z[:, 0] + 1j * z[:, 1]
+    rho = _hermitian_part(z @ _dagger(z))
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    # t1 = 0, so Q(t1) = Q
+    if rho_mode == "plus_eigenspace":
+        p_plus = 0.5 * (np.eye(dim) + q)
+        rho = _hermitian_part(p_plus @ rho @ p_plus)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    elif rho_mode == "q1_diagonal":
+        v = np.linalg.eigh(q)[1]
+        w = np.stack([rng.uniform(0.05, 1.0, size=dim) for rng in rngs])
+        w /= w.sum(axis=-1, keepdims=True)
+        rho = _hermitian_part(v @ (w[..., None] * np.eye(dim)) @ _dagger(v))
+    elif rho_mode != "generic":
+        raise ValidationError(f"unknown rho_mode {rho_mode!r}")
+    return h, rho, q, times
+
+
+def sample_model(rng: np.random.Generator, dim: int, n_times: int = 3, *, commuting: bool = False,
+                 rho_mode: str = "generic") -> QuantumModel:
     """Random model: Haar-like unitaries conjugating fixed diagonal patterns
     (energies 0..dim-1 for H, alternating +1/-1 for Q), a random full-rank
     mixed state, and mildly random measurement gaps.
@@ -367,34 +391,8 @@ def sample_model(
     ``rho_mode`` picks the state family: "generic" (A A^dag normalized),
     "maximally_mixed", "plus_eigenspace" (supported on the Q(t1) = +1
     eigenspace) or "q1_diagonal" (diagonal in the Q(t1) eigenbasis).
-    """
-    u_h = haar_unitary(rng, dim)
-    u_q = u_h if commuting else haar_unitary(rng, dim)
-    h = _hermitian_part(u_h @ np.diag(np.arange(dim, dtype=float)) @ u_h.conj().T)
-    q = _hermitian_part(u_q @ np.diag(np.resize([1.0, -1.0], dim)) @ u_q.conj().T)
-
-    gaps = rng.uniform(0.3, 1.2, size=n_times - 1)
-    times = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
-
-    if rho_mode == "maximally_mixed":
-        rho = np.eye(dim, dtype=complex) / dim
-    else:
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = _hermitian_part(z @ z.conj().T)
-        rho /= np.trace(rho).real
-        # t1 = 0, so Q(t1) = Q
-        if rho_mode == "plus_eigenspace":
-            p_plus = 0.5 * (np.eye(dim) + q)
-            rho = _hermitian_part(p_plus @ rho @ p_plus)
-            rho /= np.trace(rho).real
-        elif rho_mode == "q1_diagonal":
-            _, v = eig_hermitian(q)
-            w = rng.uniform(0.05, 1.0, size=dim)
-            w /= w.sum()
-            rho = _hermitian_part(v @ np.diag(w) @ v.conj().T)
-        elif rho_mode != "generic":
-            raise ValidationError(f"unknown rho_mode {rho_mode!r}")
-
+    The campaign's block sampler on one stream."""
+    h, rho, q, times = (a[0] for a in _model_block([rng], dim, n_times, commuting, rho_mode))
     return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
 
 
@@ -402,14 +400,12 @@ def sample_model(
 # property campaign
 
 
-def _campaign_block(models: Sequence[QuantumModel], shifts: np.ndarray, epsilon: float) -> Iterator[tuple]:
-    """Each check on random 3-time models of one dimension, with random time
-    pairs ``shifts`` (ta, tb), as ``(name, residual over the models, tolerance)``
-    in one model's check order; it holds where residual <= tolerance.  A check
-    that runs only where its premise holds adds that mask as a fourth item."""
-    lam, vec = (np.stack(a) for a in zip(*(m.hamiltonian_eig for m in models)))
-    rho = np.stack([m.rho for m in models])
-    _, q, proj = _spectral(lam, vec, np.stack([m.observable for m in models]), np.array([m.times for m in models]))
+def _campaign_block(lam, vec, rho, q, times, shifts: np.ndarray, epsilon: float) -> Iterator[tuple]:
+    """Each check on validated 3-time models of one dimension, given by H's eigenpairs, rho,
+    Q and times on a leading axis, with random time pairs ``shifts`` (ta, tb), as ``(name,
+    residual over the models, tolerance)`` in one model's check order; it holds where
+    residual <= tolerance.  A check run only where its premise holds adds that mask."""
+    _, q, proj = _spectral(lam, vec, q, times)
     tables = _tables(proj, rho)
     moments = tables.moments
 
@@ -490,10 +486,12 @@ def run_campaign(
     checks: dict[str, dict] = {}
     violations = []
 
-    def fold(block: list) -> None:
-        indices, models, shifts = zip(*block)
-        indices, dim = np.array(indices), models[0].dim
-        for order, (name, residual, tol, *premise) in enumerate(_campaign_block(models, np.array(shifts), epsilon)):
+    def fold(dim: int, block: list) -> None:
+        indices, rngs = np.array([index for index, _ in block]), [rng for _, rng in block]
+        h, rho, q, times = _model_block(rngs, dim)
+        models = (*np.linalg.eigh(h), rho, q, _validate(h, rho, q, times))
+        shifts = np.array([rng.uniform(-10.0, 10.0, size=2) for rng in rngs])
+        for order, (name, residual, tol, *premise) in enumerate(_campaign_block(*models, shifts, epsilon)):
             ran = premise[0] if premise else slice(None)
             values, where = np.broadcast_to(residual, indices.shape)[ran].astype(float), indices[ran]
             if values.size:
@@ -512,12 +510,11 @@ def run_campaign(
     for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
         rng = np.random.default_rng(stream)
         dim = int(rng.integers(dim_min, dim_max + 1))
-        model = sample_model(rng, dim)
-        pending.setdefault(dim, []).append((index, model, rng.uniform(-10.0, 10.0, size=2)))
-        if len(pending[dim]) == _block_size(dim, model.n_times):
-            fold(pending.pop(dim))
-    for block in pending.values():
-        fold(block)
+        pending.setdefault(dim, []).append((index, rng))
+        if len(pending[dim]) == _block_size(dim, 3):
+            fold(dim, pending.pop(dim))
+    for dim, block in pending.items():
+        fold(dim, block)
     return {
         "seed": seed,
         "count": count,

@@ -7,13 +7,14 @@ them stays unitary up to rounding.
 
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
-construction, and derives the spectral data the measurement layer needs as
-cached read-only properties: the unitary evolution U(t) generated by H
-(hbar = 1), the Heisenberg-picture observable Q(t) and its two spectral
-projectors.  H is diagonalised once per model; ``spectral`` then evaluates
-all three for a whole array of times, so a sweep over a grid of times, or
-over a scale omega of H (exp(-i omega H t) = V exp(-i omega lambda t) V^dag),
-reuses that one eigendecomposition.
+construction with ``_validate`` (which the property campaign runs on whole
+blocks of sampled models), and derives the spectral data the measurement
+layer needs as cached read-only properties: the unitary evolution U(t)
+generated by H (hbar = 1), the Heisenberg-picture observable Q(t) and its
+two spectral projectors.  H is diagonalised once per model; ``spectral``
+then evaluates all three for a whole array of times, so a sweep over a grid
+of times, or over a scale omega of H (exp(-i omega H t) = V exp(-i omega
+lambda t) V^dag), reuses that one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def as_complex_matrix(entries, *, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, *, name: str = "matrix") -> None:
+    """a = a^dag up to rounding; a stack is checked matrix by matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(a - a.conj().T).max()
+        dev = np.abs(a - _dagger(a)).max()
     if not dev <= TOL.scalar:
         raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL.scalar:.0e})")
 
@@ -71,7 +73,7 @@ def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
 
 def check_times(times) -> np.ndarray:
     """Times as a float array: a row of 2-4 finite, non-decreasing times
-    per grid point, or one row for one model."""
+    per grid point or model, or one row for one model."""
     t = np.asarray(times, dtype=float)
     if not (2 <= t.shape[-1] <= 4):
         raise ValidationError(f"times: need 2-4 measurement times, got {t.shape[-1]}")
@@ -83,13 +85,43 @@ def check_times(times) -> np.ndarray:
     return t
 
 
+def _validate(h: np.ndarray, rho: np.ndarray, q: np.ndarray, times) -> np.ndarray:
+    """Check ``QuantumModel``'s invariants in its order, on one model or on models
+    of one dimension along a leading axis, where the first model failing alone
+    names its index; returns the times as ``check_times`` gives them."""
+    try:
+        require_hermitian(h, name="hamiltonian")
+        require_hermitian(rho, name="rho")
+        require_hermitian(q, name="observable")
+        require_dichotomic(q)
+        tr = np.trace(rho, axis1=-2, axis2=-1).real
+        if (abs(tr - 1.0) > TOL.scalar).any():
+            raise ValidationError(f"rho: trace must be 1, got {tr!r}")
+        lam = np.linalg.eigvalsh(rho)[..., 0].min()
+        if lam < -TOL.psd:
+            raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam:.3e})")
+        return check_times(times)
+    except ValidationError:
+        for k in range(len(h) if h.ndim > 2 else 0):
+            try:
+                _validate(h[k], rho[k], q[k], times[k])
+            except ValidationError as one:
+                raise type(one)(f"index {k}: {one}") from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a^dag) / 2 as a / 2 + a^dag / 2: halving first cannot overflow, and is exact for normal floats."""
-    return a / 2.0 + a.conj().T / 2.0
+    return a / 2.0 + _dagger(a) / 2.0
 
 
 def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +157,7 @@ def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
         angles = lam[..., None, :] * t[..., None]
     if not np.isfinite(angles).all():
         raise ValidationError("evolution: H eigenvalue times t overflows the float range")
-    u = _times_matrix(vec[..., None, :, :] * np.exp(-1j * angles)[..., None, :], np.swapaxes(vec.conj(), -1, -2))
+    u = _times_matrix(vec[..., None, :, :] * np.exp(-1j * angles)[..., None, :], _dagger(vec))
     u[t == 0.0] = np.eye(vec.shape[-1])
     return u
 
@@ -134,7 +166,7 @@ def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.nd
     """``QuantumModel.spectral`` from the eigendecomposition (lam, vec) of H and
     the observable q of one model, or of one model per leading index of t."""
     u = _evolve_from_eig(lam, vec, t)
-    q = _times_matrix(np.swapaxes(u.conj(), -1, -2), q) @ u
+    q = _times_matrix(_dagger(u), q) @ u
     require_dichotomic(q, name="evolved observable")
     eye = np.eye(q.shape[-1], dtype=complex)
     plus = 0.5 * (eye + q)
@@ -169,7 +201,7 @@ def _real_trace(val: np.ndarray):
 class QuantumModel:
     """A dichotomic-variable experiment: (H, rho, Q) plus 2-4 measurement times.
 
-    Invariants checked on construction:
+    Invariants checked on construction by ``_validate``, as on campaign blocks:
 
     * hamiltonian, rho, observable are dim x dim Hermitian, 2 <= dim <= 16;
     * rho has unit trace and no eigenvalue below -1e-10;
@@ -194,19 +226,9 @@ class QuantumModel:
             raise ValidationError(
                 f"dimension mismatch: hamiltonian {h.shape}, rho {r.shape}, observable {q.shape}"
             )
-        require_hermitian(h, name="hamiltonian")
-        require_hermitian(r, name="rho")
-        require_hermitian(q, name="observable")
-        require_dichotomic(q)
-        tr = np.trace(r).real
-        if abs(tr - 1.0) > TOL.scalar:
-            raise ValidationError(f"rho: trace must be 1, got {tr!r}")
-        lam = np.linalg.eigvalsh(r)
-        if lam[0] < -TOL.psd:
-            raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam[0]:.3e})")
+        object.__setattr__(self, "times", tuple(_validate(h, r, q, self.times).tolist()))
         for key, a in (("hamiltonian", h), ("rho", r), ("observable", q)):
             object.__setattr__(self, key, _frozen(a, complex))
-        object.__setattr__(self, "times", tuple(check_times(self.times).tolist()))
 
     @property
     def dim(self) -> int:
@@ -215,11 +237,6 @@ class QuantumModel:
     @property
     def n_times(self) -> int:
         return len(self.times)
-
-    def check_time_index(self, i: int) -> int:
-        if not (0 <= i < self.n_times):
-            raise ValidationError(f"time index {i} out of range for {self.n_times} times")
-        return i
 
     @cached_property
     def hamiltonian_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,17 +256,3 @@ class QuantumModel:
         if times is None:
             return self._own_spectral
         return _spectral(*self.hamiltonian_eig, self.observable, times)
-
-    def unitary_at(self, i: int) -> np.ndarray:
-        """U(t_i) = exp(-i H t_i)."""
-        return self.spectral()[0][self.check_time_index(i)]
-
-    def observable_at(self, i: int) -> np.ndarray:
-        """Heisenberg observable Q(t_i) = U(t_i)^dag Q U(t_i)."""
-        return self.spectral()[1][self.check_time_index(i)]
-
-    def projector_at(self, i: int, s: int) -> np.ndarray:
-        """Projector onto outcome s of a measurement at time t_i."""
-        if s not in (+1, -1):
-            raise ValidationError(f"sign must be +1 or -1, got {s!r}")
-        return self.spectral()[2][self.check_time_index(i), (s + 1) // 2]

@@ -23,7 +23,7 @@ from mrtest.measurement import (
     sequential_moments,
     witness,
 )
-from mrtest.quantum import QuantumModel, _evolve_from_eig
+from mrtest.quantum import QuantumModel, _evolve_from_eig, eig_hermitian
 from mrtest.tolerances import TOL
 
 settings.register_profile(
@@ -84,8 +84,35 @@ def rng():
     return np.random.default_rng(20260808)
 
 
+class TimeSlice(NamedTuple):
+    """U(t_i), Q(t_i) and the projector pair (P_-(t_i), P_+(t_i)) at one time
+    index of a model's own times."""
+
+    unitary: np.ndarray
+    observable: np.ndarray
+    projectors: np.ndarray
+
+    def projector(self, s: int) -> np.ndarray:
+        """The projector onto outcome s = +1 or -1."""
+        if s not in (+1, -1):
+            raise ValidationError(f"sign must be +1 or -1, got {s!r}")
+        return self.projectors[(s + 1) // 2]
+
+
+def at_time(model: QuantumModel, i: int) -> TimeSlice:
+    """Time index i of ``model.spectral()``: the per-matrix route that tests
+    compare with the stacked arrays."""
+    if not (0 <= i < model.n_times):
+        raise ValidationError(f"time index {i} out of range for {model.n_times} times")
+    return TimeSlice(*(a[i] for a in model.spectral()))
+
+
+def complex_gaussian(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def random_hermitian(rng, dim, scale=1.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = complex_gaussian(rng, dim)
     return scale * (z + z.conj().T) / 2
 
 
@@ -362,7 +389,53 @@ def times_matrix_reference(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-model campaign reference
+# per-model sampler and campaign references
+
+
+def reference_model(rng: np.random.Generator, dim: int, n_times: int, commuting: bool, rho_mode: str):
+    """One random model drawn and built matrix by matrix, as ``sample_model``
+    did before it became the one-model case of the stacked campaign sampler,
+    with its Hamiltonian's ``eig_hermitian``: ``(model, (lam, vec))``.  The
+    per-model reference that the stacked sampler must match bit for bit."""
+
+    def haar_unitary(rng, dim):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    def hermitian_part(a):
+        return a / 2.0 + a.conj().T / 2.0
+
+    u_h = haar_unitary(rng, dim)
+    u_q = u_h if commuting else haar_unitary(rng, dim)
+    h = hermitian_part(u_h @ np.diag(np.arange(dim, dtype=float)) @ u_h.conj().T)
+    q = hermitian_part(u_q @ np.diag(np.resize([1.0, -1.0], dim)) @ u_q.conj().T)
+
+    gaps = rng.uniform(0.3, 1.2, size=n_times - 1)
+    times = tuple(np.concatenate([[0.0], np.cumsum(gaps)]))
+
+    if rho_mode == "maximally_mixed":
+        rho = np.eye(dim, dtype=complex) / dim
+    else:
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = hermitian_part(z @ z.conj().T)
+        rho /= np.trace(rho).real
+        # t1 = 0, so Q(t1) = Q
+        if rho_mode == "plus_eigenspace":
+            p_plus = 0.5 * (np.eye(dim) + q)
+            rho = hermitian_part(p_plus @ rho @ p_plus)
+            rho /= np.trace(rho).real
+        elif rho_mode == "q1_diagonal":
+            _, v = eig_hermitian(q)
+            w = rng.uniform(0.05, 1.0, size=dim)
+            w /= w.sum()
+            rho = hermitian_part(v @ np.diag(w) @ v.conj().T)
+        elif rho_mode != "generic":
+            raise ValidationError(f"unknown rho_mode {rho_mode!r}")
+
+    model = QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
+    return model, model.hamiltonian_eig
 
 
 def reference_sample(rng: np.random.Generator, dim: int, epsilon: float):
@@ -384,7 +457,7 @@ def reference_sample(rng: np.random.Generator, dim: int, epsilon: float):
 
     for (i, j), quasi in tables.quasi.items():
         p = tables.pairs[(i, j)]
-        qi, qj = model.observable_at(i), model.observable_at(j)
+        qi, qj = at_time(model, i).observable, at_time(model, j).observable
         commutator = float(np.trace((qi @ qj @ qi - qj) @ model.rho).real)
         t_op = commutator / 8.0
         yield "p_minus_q_identity", np.abs(p.weights - quasi.weights - t_op * np.array(SIGNS)).max(), TOL.scalar

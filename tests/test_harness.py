@@ -25,10 +25,12 @@ from mrtest.harness import (
     write_sweep_csv,
 )
 from mrtest.measurement import measure_all, outcomes, pair_set, witness
-from mrtest.quantum import QuantumModel
+from mrtest.quantum import QuantumModel, _validate
 
 import conftest
-from conftest import apply_parameter, assert_same_summary, precession_model, reference_campaign
+from conftest import (
+    apply_parameter, assert_same_summary, at_time, complex_gaussian, precession_model, reference_campaign, reference_model
+)
 
 
 class TestModelJson:
@@ -439,7 +441,7 @@ class TestSweepColumns:
 class TestSamplers:
     def test_haar_unitary_is_unitary(self, rng):
         for dim in (2, 3, 5):
-            u = haar_unitary(rng, dim)
+            u = haar_unitary(complex_gaussian(rng, dim))
             assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
 
     def test_generic_model_valid(self, rng):
@@ -455,17 +457,47 @@ class TestSamplers:
 
     def test_plus_eigenspace_mode(self, rng):
         m = sample_model(rng, 4, rho_mode="plus_eigenspace")
-        p_plus = m.projector_at(0, +1)
+        p_plus = at_time(m, 0).projector(+1)
         assert np.abs(p_plus @ m.rho @ p_plus - m.rho).max() < 1e-12
 
     def test_q1_diagonal_mode(self, rng):
         m = sample_model(rng, 3, rho_mode="q1_diagonal")
-        q1 = m.observable_at(0)
+        q1 = at_time(m, 0).observable
         assert np.abs(q1 @ m.rho - m.rho @ q1).max() < 1e-12
 
     def test_unknown_mode(self, rng):
         with pytest.raises(ValidationError, match="rho_mode"):
             sample_model(rng, 2, rho_mode="nope")
+
+
+class TestBlockSampler:
+    """The campaign's stacked sampler, and ``sample_model`` (its one-model
+    case), against ``reference_model``, the per-model route, bit for bit: the
+    same draws from each model's stream, and the same H, rho, Q, times and
+    eigendecomposition of H."""
+
+    @pytest.mark.parametrize("rho_mode", ["generic", "maximally_mixed", "plus_eigenspace", "q1_diagonal"])
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_matches_the_per_model_reference(self, rho_mode, commuting):
+        for dim in (2, 3, 4, 7, 16):
+            for n_times in (3, 4):
+                streams = np.random.SeedSequence([dim, n_times]).spawn(3)
+                rngs = [np.random.default_rng(s) for s in streams]
+                h, rho, q, times = harness._model_block(rngs, dim, n_times, commuting, rho_mode)
+                times = _validate(h, rho, q, times)
+                lam, vec = np.linalg.eigh(h)
+                for k, stream in enumerate(streams):
+                    ref_rng, one_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+                    want, want_eig = reference_model(ref_rng, dim, n_times, commuting, rho_mode)
+                    one = sample_model(one_rng, dim, n_times, commuting=commuting, rho_mode=rho_mode)
+                    fields = [(a, getattr(want, f), getattr(one, f)) for a, f in (
+                        (h, "hamiltonian"), (rho, "rho"), (q, "observable"), (times, "times")
+                    )]
+                    fields += [(a, w, o) for a, w, o in zip((lam, vec), want_eig, one.hamiltonian_eig)]
+                    for block, ref, alone in fields:
+                        assert np.array_equal(block[k], ref) and np.array_equal(alone, ref)
+                    # every route leaves its stream where the campaign draws the time pair
+                    assert rngs[k].uniform() == ref_rng.uniform() == one_rng.uniform()
 
 
 class TestCampaign:
@@ -519,7 +551,9 @@ class TestCampaign:
         for index, stream in enumerate(np.random.SeedSequence(2).spawn(count)):
             rng = np.random.default_rng(stream)
             model = sample_model(rng, int(rng.integers(2, 5)))
-            block = harness._campaign_block([model], rng.uniform(-10.0, 10.0, size=(1, 2)), 1e-9)
+            lam, vec = model.hamiltonian_eig
+            arrays = lam[None], vec[None], model.rho[None], model.observable[None], np.array([model.times])
+            block = harness._campaign_block(*arrays, rng.uniform(-10.0, 10.0, size=(1, 2)), 1e-9)
             # a block of one model: a check with a premise ran where its mask is set
             names = [name for name, _, _, *premise in block if not premise or premise[0][0]]
             assert {name: names.count(name) for name in per_model} == per_model
@@ -574,9 +608,9 @@ class TestStackedCampaign:
         default = run_campaign(6, 40)
         sizes, block = [], harness._campaign_block
 
-        def recorded(models, *args):
-            sizes.append(len(models))
-            return block(models, *args)
+        def recorded(lam, *args):
+            sizes.append(len(lam))
+            return block(lam, *args)
 
         monkeypatch.setattr(harness, "_campaign_block", recorded)
         # blocks of three models at dim 2 and of one at dims 3 and 4
@@ -588,13 +622,13 @@ class TestStackedCampaign:
     def test_nan_residual_is_a_violation_and_never_the_largest(self, monkeypatch):
         block = harness._campaign_block
 
-        def with_nans(models, shifts, epsilon):
-            for name, residual, tol, *premise in block(models, shifts, epsilon):
+        def with_nans(lam, *args):
+            for name, residual, tol, *premise in block(lam, *args):
                 if name == "quasi_marginals":
                     # the first model of each block, on every pair
-                    residual = np.where(np.arange(len(models)) == 0, np.nan, residual)
+                    residual = np.where(np.arange(len(lam)) == 0, np.nan, residual)
                 elif name == "contextual_in_range":
-                    residual = np.full(len(models), np.nan)
+                    residual = np.full(len(lam), np.nan)
                 yield (name, residual, tol, *premise)
 
         count = 20

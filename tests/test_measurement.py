@@ -23,7 +23,7 @@ from mrtest.measurement import (
 from mrtest.measurement import _quasi_weights
 from mrtest.quantum import QuantumModel, expectation
 
-from conftest import SX, SZ, point_tables, precession_model
+from conftest import SX, SZ, at_time, point_tables, precession_model
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -296,7 +296,7 @@ class TestInterference:
             model = sample_model(rng, int(rng.integers(2, 5)))
             tables = measure_all(model)
             for i, j in pair_set(3):
-                qi, qj = model.observable_at(i), model.observable_at(j)
+                qi, qj = at_time(model, i).observable, at_time(model, j).observable
                 t_op = expectation(model.rho, qi @ qj @ qi - qj) / 8.0
                 t = interference_term(tables.pairs[(i, j)], tables.quasi[(i, j)])
                 assert abs(t - t_op) < 1e-12
@@ -368,7 +368,7 @@ class TestWitness:
             model = sample_model(rng, int(rng.integers(2, 5)))
             tables = measure_all(model)
             for i, j in pair_set(3):
-                qi, qj = model.observable_at(i), model.observable_at(j)
+                qi, qj = at_time(model, i).observable, at_time(model, j).observable
                 w_op = abs(expectation(model.rho, qi @ qj @ qi - qj)) / 4.0
                 for s2 in (-1, +1):
                     assert abs(witness(tables.pairs[(i, j)], tables.singles[j], s2) - w_op) < 1e-12
@@ -536,7 +536,7 @@ class TestDerivedValues:
     def test_derived_arrays_are_read_only(self):
         m = load_model(default_model_path())
         tables = measure_all(m)
-        for a in (*m.spectral(), *m.hamiltonian_eig, m.projector_at(1, +1), tables.chain.weights):
+        for a in (*m.spectral(), *m.hamiltonian_eig, at_time(m, 1).projector(+1), tables.chain.weights):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
         # two copies of diag(1, 0) would make the next tables sum to 2

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,9 +8,9 @@ from mrtest import quantum
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary, sample_model
 from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
-from mrtest.quantum import _hermitian_part, _times_matrix
+from mrtest.quantum import _hermitian_part, _times_matrix, _validate
 
-from conftest import I2, SX, SY, SZ, precession_model, random_hermitian, times_matrix_reference
+from conftest import I2, SX, SY, SZ, at_time, complex_gaussian, precession_model, random_hermitian, times_matrix_reference
 
 
 def model_at(t, hamiltonian=None, observable=SZ) -> QuantumModel:
@@ -30,21 +31,21 @@ def random_dichotomic(rng, dim):
 class TestProjector:
     def test_diagonal_observable(self):
         m = model_at(0.0)
-        assert np.array_equal(m.projector_at(0, +1), np.diag([1.0, 0.0]).astype(complex))
-        assert np.array_equal(m.projector_at(0, -1), np.diag([0.0, 1.0]).astype(complex))
+        assert np.array_equal(at_time(m, 0).projector(+1), np.diag([1.0, 0.0]).astype(complex))
+        assert np.array_equal(at_time(m, 0).projector(-1), np.diag([0.0, 1.0]).astype(complex))
 
     def test_sigma_x_gives_half_entries(self):
-        assert np.allclose(model_at(0.0, observable=SX).projector_at(0, +1), np.full((2, 2), 0.5), atol=0)
+        assert np.allclose(at_time(model_at(0.0, observable=SX), 0).projector(+1), np.full((2, 2), 0.5), atol=0)
 
     def test_pair_sums_to_identity_bitwise(self, rng):
         for dim in (2, 3, 4, 5):
             for t in (0.0, float(rng.uniform(-5, 5))):
                 m = model_at(t, random_hermitian(rng, dim), random_dichotomic(rng, dim))
-                total = m.projector_at(0, +1) + m.projector_at(0, -1)
+                total = at_time(m, 0).projector(+1) + at_time(m, 0).projector(-1)
                 assert np.array_equal(total, np.eye(dim, dtype=complex))
 
     def test_idempotent_and_hermitian(self, rng):
-        p = model_at(0.0, observable=SX.copy()).projector_at(0, -1)
+        p = at_time(model_at(0.0, observable=SX.copy()), 0).projector(-1)
         assert np.abs(p @ p - p).max() < 1e-10
         assert np.abs(p - p.conj().T).max() < 1e-12
 
@@ -54,7 +55,7 @@ class TestProjector:
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValidationError):
-            model_at(0.0).projector_at(0, 0)
+            at_time(model_at(0.0), 0).projector(0)
 
     def test_nan_deviation_is_not_dichotomic(self):
         with pytest.raises(InvalidObservableError, match=r"not dichotomic, \|\|Q\^2 - I\|\| = nan"):
@@ -106,7 +107,7 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_dim16_dichotomic_eightfold_degenerate(self, rng):
-        u = haar_unitary(rng, 16)
+        u = haar_unitary(complex_gaussian(rng, 16))
         q = u @ np.diag([1.0, -1.0] * 8) @ u.conj().T
         q = (q + q.conj().T) / 2
         lam, v = eig_hermitian(q)
@@ -122,6 +123,30 @@ class TestHermitianPart:
                 for _ in range(10):
                     a = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) * scale
                     assert _hermitian_part(a).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("length", [4, 3, 6])
+    def test_stack_matrix_by_matrix(self, rng, length):
+        # a stack as long as the matrix dimension (4), and shorter and longer ones
+        a = rng.standard_normal((length, 4, 4)) + 1j * rng.standard_normal((length, 4, 4))
+        got = _hermitian_part(a)
+        assert [got[k].tobytes() for k in range(length)] == [_hermitian_part(a[k]).tobytes() for k in range(length)]
+
+
+class TestRequireHermitianOnStacks:
+    """A stack is checked matrix by matrix, whether or not its length equals
+    the matrix dimension (4): the one non-Hermitian matrix is caught."""
+
+    @pytest.mark.parametrize("length", [4, 3, 6])
+    def test_passes_a_hermitian_stack(self, rng, length):
+        require_hermitian(np.stack([random_hermitian(rng, 4) for _ in range(length)]))
+
+    @pytest.mark.parametrize("length", [4, 3, 6])
+    def test_catches_the_one_non_hermitian_matrix(self, rng, length):
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(length)])
+        bad = length - 2
+        stack[bad, 0, 1] += 0.5
+        with pytest.raises(ValidationError, match=r"^rho: not Hermitian \(max deviation 5\.000e-01 > 1e-12\)$"):
+            require_hermitian(stack, name="rho")
 
 
 class TestTimesMatrix:
@@ -151,25 +176,25 @@ class TestTimesMatrix:
 
 
 class TestEvolveOperator:
-    """U(t_i) = exp(-iHt_i) through ``QuantumModel.unitary_at``."""
+    """U(t_i) = exp(-iHt_i) through ``at_time``."""
 
     def test_zero_hamiltonian(self):
-        assert np.array_equal(model_at(3.7).unitary_at(0), np.eye(2, dtype=complex))
+        assert np.array_equal(at_time(model_at(3.7), 0).unitary, np.eye(2, dtype=complex))
 
     def test_zero_time_exact_identity(self, rng):
         m = model_at(0.0, random_hermitian(rng, 4), np.diag([1.0, -1.0, 1.0, -1.0]))
-        assert np.array_equal(m.unitary_at(0), np.eye(4, dtype=complex))
+        assert np.array_equal(at_time(m, 0).unitary, np.eye(4, dtype=complex))
 
     def test_pi_pulse_flips_population(self):
         # omega * t = pi about x maps |0><0| to |1><1| under conjugation
-        u = model_at(np.pi, SX / 2).unitary_at(0)
+        u = at_time(model_at(np.pi, SX / 2), 0).unitary
         rho = np.diag([1.0, 0.0]).astype(complex)
         assert np.abs(u @ rho @ u.conj().T - np.diag([0.0, 1.0])).max() < 1e-12
 
     def test_inverse(self, rng):
         m = QuantumModel(hamiltonian=random_hermitian(rng, 3), rho=np.eye(3) / 3,
                          observable=np.diag([1.0, -1.0, 1.0]), times=(-1.3, 1.3))
-        u = m.unitary_at(1) @ m.unitary_at(0)
+        u = at_time(m, 1).unitary @ at_time(m, 0).unitary
         assert np.abs(u - np.eye(3)).max() < 1e-10
 
     def test_group_property(self, rng):
@@ -178,8 +203,8 @@ class TestEvolveOperator:
             h = random_hermitian(rng, dim)
             q = np.diag([1.0 if k % 2 == 0 else -1.0 for k in range(dim)])
             t1, t2 = rng.uniform(-10, 10, 2)
-            lhs = model_at(t1 + t2, h, q).unitary_at(0)
-            rhs = model_at(t1, h, q).unitary_at(0) @ model_at(t2, h, q).unitary_at(0)
+            lhs = at_time(model_at(t1 + t2, h, q), 0).unitary
+            rhs = at_time(model_at(t1, h, q), 0).unitary @ at_time(model_at(t2, h, q), 0).unitary
             assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -201,7 +226,7 @@ class TestNonFiniteEvolution:
 
     def test_time_zero_alone_stays_exact(self):
         m = QuantumModel(hamiltonian=self.H, rho=I2 / 2, observable=SZ, times=(0.0, 0.0))
-        assert np.array_equal(m.unitary_at(1), I2)
+        assert np.array_equal(at_time(m, 1).unitary, I2)
 
 
 class TestHugeEntries:
@@ -210,12 +235,12 @@ class TestHugeEntries:
 
     def test_hamiltonian_is_not_hermitian(self):
         h = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
-        with pytest.raises(ValidationError, match=r"hamiltonian: not Hermitian \(max deviation inf > 1e-12\)"):
+        with pytest.raises(ValidationError, match=r"^hamiltonian: not Hermitian \(max deviation inf > 1e-12\)$"):
             QuantumModel(hamiltonian=h, rho=I2 / 2, observable=SZ.copy(), times=(0.0, 1.0))
 
     def test_observable_is_not_dichotomic(self):
         q = np.array([[1.0, 1e308], [1e308, -1.0]], dtype=complex)
-        with pytest.raises(InvalidObservableError, match=r"observable: not dichotomic, \|\|Q\^2 - I\|\| = nan"):
+        with pytest.raises(InvalidObservableError, match=r"^observable: not dichotomic, \|\|Q\^2 - I\|\| = nan > 1e-10$"):
             QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=q, times=(0.0, 1.0))
 
     def test_nan_deviation_is_not_hermitian(self):
@@ -224,27 +249,27 @@ class TestHugeEntries:
 
 
 class TestHeisenberg:
-    """Q(t_i) = U(t_i)^dag Q U(t_i) through ``QuantumModel.observable_at``."""
+    """Q(t_i) = U(t_i)^dag Q U(t_i) through ``at_time``."""
 
     def test_commuting_hamiltonian_leaves_observable(self):
-        qt = model_at(1.7, 2.5 * SZ).observable_at(0)
+        qt = at_time(model_at(1.7, 2.5 * SZ), 0).observable
         assert np.abs(qt - SZ).max() < 1e-12
 
     def test_zero_time(self, rng):
-        qt = model_at(0.0, random_hermitian(rng, 2), SX).observable_at(0)
+        qt = at_time(model_at(0.0, random_hermitian(rng, 2), SX), 0).observable
         assert np.abs(qt - SX).max() == 0.0
 
     @pytest.mark.parametrize("theta", [0.3, np.pi / 3, 2.1])
     def test_precession_closed_form(self, theta):
         # Q(t) = cos(wt) sigma_z + sin(wt) sigma_y, checked entrywise
-        qt = model_at(theta, SX / 2).observable_at(0)
+        qt = at_time(model_at(theta, SX / 2), 0).observable
         assert np.abs(qt - (np.cos(theta) * SZ + np.sin(theta) * SY)).max() < 1e-12
 
     def test_stays_dichotomic(self, rng):
         for _ in range(25):
             dim = int(rng.integers(2, 5))
             q = random_dichotomic(rng, dim)
-            qt = model_at(float(rng.uniform(-5, 5)), random_hermitian(rng, dim), q).observable_at(0)
+            qt = at_time(model_at(float(rng.uniform(-5, 5)), random_hermitian(rng, dim), q), 0).observable
             assert np.linalg.norm(qt @ qt - np.eye(dim)) < 1e-10
 
 
@@ -278,12 +303,44 @@ class TestExpectation:
             z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            q = model_at(
-                float(rng.uniform(0, 4)),
-                random_hermitian(rng, 3),
-                np.diag([1.0, -1.0, 1.0]).astype(complex),
-            ).observable_at(0)
+            m = model_at(float(rng.uniform(0, 4)), random_hermitian(rng, 3), np.diag([1.0, -1.0, 1.0]).astype(complex))
+            q = at_time(m, 0).observable
             assert abs(expectation(rho, q)) <= 1 + 1e-10
+
+
+class TestBlockValidation:
+    """``_validate`` on a block of five models where model 3 alone breaks one
+    invariant: the error that model raises alone, naming index 3."""
+
+    @pytest.mark.parametrize("case, error, text", [
+        ("non-Hermitian H", ValidationError, "hamiltonian: not Hermitian"),
+        ("non-dichotomic Q", InvalidObservableError, "observable: not dichotomic"),
+        ("trace 1.1", ValidationError, "rho: trace must be 1"),
+        ("negative eigenvalue", ValidationError, "rho: not positive semidefinite"),
+        ("decreasing times", ValidationError, "times: must be non-decreasing"),
+    ])
+    def test_names_the_failing_model(self, rng, case, error, text):
+        models = [sample_model(rng, 3) for _ in range(5)]
+        h, rho, q = (np.stack([getattr(m, f) for m in models]) for f in ("hamiltonian", "rho", "observable"))
+        times = np.array([m.times for m in models])
+        _validate(h, rho, q, times)
+        if case == "non-Hermitian H":
+            h[3, 0, 1] += 0.5
+        elif case == "non-dichotomic Q":
+            q[3] *= 2.0
+        elif case == "trace 1.1":
+            rho[3] *= 1.1
+        elif case == "negative eigenvalue":
+            rho[3] = np.diag([1.5, -0.5, 0.0])
+        else:
+            times[3] = times[3][::-1]
+        with pytest.raises(error) as alone:
+            QuantumModel(hamiltonian=h[3], rho=rho[3], observable=q[3], times=tuple(times[3]))
+        with pytest.raises(error) as block:
+            _validate(h, rho, q, times)
+        assert type(block.value) is type(alone.value)
+        assert str(alone.value).startswith(text)
+        assert str(block.value) == f"index 3: {alone.value}"
 
 
 class TestQuantumModel:
@@ -292,15 +349,16 @@ class TestQuantumModel:
         assert mixed_qubit.n_times == 3
 
     def test_cached_observable_matches_direct(self, mixed_qubit):
-        direct = model_at(mixed_qubit.times[1], SX / 2).observable_at(0)
-        assert np.abs(mixed_qubit.observable_at(1) - direct).max() < 1e-14
+        direct = at_time(model_at(mixed_qubit.times[1], SX / 2), 0).observable
+        assert np.abs(at_time(mixed_qubit, 1).observable - direct).max() < 1e-14
 
     def test_projector_cache_sums_to_identity(self, mixed_qubit):
-        total = mixed_qubit.projector_at(2, +1) + mixed_qubit.projector_at(2, -1)
+        total = at_time(mixed_qubit, 2).projector(+1) + at_time(mixed_qubit, 2).projector(-1)
         assert np.array_equal(total, np.eye(2, dtype=complex))
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValidationError, match="trace"):
+        # the trace as numpy prints a float64 scalar
+        with pytest.raises(ValidationError, match=f"^rho: trace must be 1, got {re.escape(repr(np.float64(2.0)))}$"):
             QuantumModel(hamiltonian=SX, rho=I2, observable=SZ, times=(0.0, 1.0))
 
     def test_rejects_non_psd_rho(self):
@@ -327,7 +385,7 @@ class TestQuantumModel:
         w = np.zeros(16)
         w[8:] = (1.0 - floor) / 8
         w[0] = floor
-        u = haar_unitary(rng, 16)
+        u = haar_unitary(complex_gaussian(rng, 16))
         rho = u @ np.diag(w) @ u.conj().T
         rho = (rho + rho.conj().T) / 2
         args = dict(
@@ -370,4 +428,4 @@ class TestQuantumModel:
 
     def test_time_index_range(self, mixed_qubit):
         with pytest.raises(ValidationError, match="out of range"):
-            mixed_qubit.check_time_index(3)
+            at_time(mixed_qubit, 3)
