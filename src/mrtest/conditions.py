@@ -35,7 +35,9 @@ ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (mode
 @dataclass(frozen=True)
 class ConditionReport:
     """Named rows: ``values``, a float array of shape ``(k,) + batch``, has
-    one row per name, and the bool array ``equality`` flags the "=0" rows."""
+    one row per name, and the bool array ``equality`` flags the "=0" rows.
+    Flags sliced from the shared all-">=0" ``_INEQUALITY`` (every family of
+    moment rows) tell a report, with no scan, that its margins are its values."""
 
     names: tuple[str, ...]
     values: np.ndarray
@@ -48,7 +50,7 @@ class ConditionReport:
         return a.tolist() if self.values.ndim == 1 else a
 
     def _margins(self) -> np.ndarray:
-        if not self.equality.any():
+        if self.equality.base is _INEQUALITY:
             return self.values
         eq = self.equality.reshape((-1,) + (1,) * (self.values.ndim - 1))
         return np.where(eq, -np.abs(self.values), self.values)
@@ -165,16 +167,15 @@ def _affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
     arrays of one shape over a grid), as the terms of ``block.a`` times
     (1, x) added strictly left to right from b.  For one moment set that is
-    one product and one ``np.add.accumulate`` along the row; over a grid,
-    where ``accumulate`` would make one inner call per row and point, the
-    columns are added with in-place adds.  The two give bit-equal values,
-    and the result owns its memory."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        terms = block.a * np.concatenate(([1.0], x))
+    (1, x) built as one array, one product and one ``np.add.accumulate``
+    along the row; over a grid, where ``accumulate`` would make one inner
+    call per row and point, the columns are added with in-place adds.  The
+    two give bit-equal values, and the result owns its memory."""
+    if not isinstance(x[0], np.ndarray):
+        terms = block.a * np.array((1.0, *x))
         np.add.accumulate(terms, axis=1, out=terms)
         return terms[:, -1].copy()
-    a = block.a.reshape(block.a.shape + (1,) * (x.ndim - 1))
+    a = block.a.reshape(block.a.shape + (1,) * x[0].ndim)
     values = a[:, 0] + a[:, 1] * x[0]
     for j in range(1, len(x)):
         values += a[:, j + 1] * x[j]

@@ -19,9 +19,10 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
 ``d_bounds`` is the interval [lo, hi] the rows leave for z.  ``d_interval``
 reads its verdict from the smallest weak margin (so it agrees with
 ``mr_weak`` by construction) and builds a witness table at the midpoint of
-the interval.  Both read their rows through ``conditions._rows``, which
-evaluates a set's weak and Fine rows once and memoizes them, as ``mr_weak``
-does, and both broadcast over a grid of moment sets.
+the interval.  Both read the rows ``conditions._rows`` evaluates once and
+memoizes, as ``mr_weak`` does, in one order per n (weak, slope +1, slope -1),
+so one ``np.minimum.reduceat`` gives the margin, -lo and hi, and one
+``tolist`` their Python floats for one set; both broadcast over a grid.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, _affine_values, _rows
+from .conditions import ROWS, RowBlock, _affine_values, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -43,7 +44,8 @@ class FeasibilityResult:
     bounds (lo, hi) the free parameter: the triple correlator at three
     times, the chord correlator C13 at four.  ``margin`` is the smallest
     weak margin; ``feasible`` is margin >= -epsilon.  ``witness_table``, a
-    joint reproducing the moments, is None unless every set is feasible."""
+    joint reproducing the moments (only to about the margin when that is
+    negative), is None unless every set is feasible."""
 
     n_times: int
     feasible: bool
@@ -75,23 +77,30 @@ class FeasibilityResult:
 
 _EXPANSION = ROWS[3]["fine"]
 
+#: per n and key, the rows in group order and where each group starts: "fine", its rows with
+#: slope +1, then those with slope -1; "weak+fine", the weak rows, then those two groups
+_GROUPS = {}
+for _n, _table in ROWS.items():
+    _slope, _w = _table["fine"].slope, len(_table["weak"].names)
+    _order = np.concatenate([np.flatnonzero(_slope > 0), np.flatnonzero(_slope < 0)])
+    _starts = np.array([0, np.count_nonzero(_slope > 0)])
+    _GROUPS[_n] = {"fine": (_order, _starts), "weak+fine": (np.r_[:_w, _w + _order], np.r_[0, _w + _starts])}
 
-def _sides(slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Fine rows with slope +1, then those with slope -1, and where each group starts."""
-    up, down = np.flatnonzero(slope > 0), np.flatnonzero(slope < 0)
-    return np.concatenate([up, down]), np.array([0, len(up)])
+#: the expansion rows E(s) of the triangles (1,2,3) and (1,3,4), row by row in turn, as one
+#: block on (<Q_1>, ..., <Q_4>, C12, C23, C13, C34, C14): a triangle's columns in the three-time
+#: order and 0 on the others, whose terms leave each value bit-equal (a sum starts at 1)
+_TRIANGLES = RowBlock(tuple(k.replace("E.", f"E({t}).") for k in _EXPANSION.names for t in ("123", "134")),
+                      np.zeros((16, 10)), np.repeat(_EXPANSION.slope, 2))
+_TRIANGLES.a[0::2, [0, 1, 2, 3, 5, 6, 7]] = _TRIANGLES.a[1::2, [0, 1, 3, 4, 7, 8, 9]] = _EXPANSION.a
 
 
-_SIDES = {n: _sides(rows["fine"].slope) for n, rows in ROWS.items()}
-
-
-def _bounds(b: np.ndarray, n: int):
-    """lo = max(-b) over the slope +1 rows and hi = min(b) over the slope -1
-    rows of the Fine values b, from one ``np.minimum.reduceat``; a row value
-    is never -0.0 (each starts from b >= 1), so -min(b) is max(-b) bit for bit."""
-    order, starts = _SIDES[n]
-    lo, hi = np.minimum.reduceat(b[order], starts, axis=0)
-    return -lo, hi
+def _minima(values: np.ndarray, n: int, key):
+    """The smallest value in each row group ``_GROUPS[n][key]`` of ``values``, from one
+    ``np.minimum.reduceat``: Python floats for one set, arrays over a grid.  No Fine row
+    is -0.0 (each starts from b >= 1), so minus a group's minimum is its max(-b)."""
+    order, starts = _GROUPS[n][key]
+    minima = np.minimum.reduceat(values[order], starts, axis=0)
+    return minima.tolist() if minima.ndim == 1 else minima
 
 
 def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
@@ -99,7 +108,7 @@ def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
     ``(8,) + batch``, as ``batch + (8,)``: the outcome axis last and
     contiguous, so a sum over it adds in the same order as for one set."""
     slope = _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1))
-    return np.ascontiguousarray(np.moveaxis((e + slope * d) / 8.0, 0, -1))
+    return ((e + slope * d) / 8.0).transpose((*range(1, e.ndim), 0)).copy()
 
 
 def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
@@ -115,20 +124,18 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    lo, hi = _bounds(_rows(m, "fine"), m.n_times)
-    return (lo.tolist(), hi.tolist()) if lo.ndim == 0 else (lo, hi)
+    neg_lo, hi = _minima(_rows(m, "fine"), m.n_times, "fine")
+    return -neg_lo, hi
 
 
-def _midpoint_weights(e: np.ndarray) -> np.ndarray:
-    """Three-time joint weights, shape ``batch + (2, 2, 2)``, from the
-    expansion values e at the midpoint of their triple-correlator interval;
+def _midpoint_weights(e: np.ndarray, lo, hi) -> np.ndarray:
+    """Three-time joint weights, shape ``batch + (2, 2, 2)``, from the expansion
+    values e at the midpoint of their triple-correlator interval [lo, hi];
     on an empty interval, clipped at 0 and renormalised."""
-    lo, hi = _bounds(e, 3)
     w = _expansion_weights(e, (lo + hi) / 2.0)
-    empty = np.expand_dims(hi < lo, -1)
-    if empty.any():
+    if (empty := np.less(hi, lo)).any():
         clipped = np.maximum(w, 0.0)
-        w = np.where(empty, clipped / clipped.sum(axis=-1, keepdims=True), w)
+        w = np.where(empty[..., None], clipped / clipped.sum(axis=-1, keepdims=True), w)
     return w.reshape(w.shape[:-1] + (2, 2, 2))
 
 
@@ -136,12 +143,12 @@ def _glued_weights(m: MomentSet, x) -> np.ndarray:
     """Four-time joint weights at chord value x: the triangle joints p123
     and p134 (one batch axis ahead of the grid's), each at its own interval
     midpoint, glued as p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
-    a1, a2, a3, a4 = m.averages
     c12, c23, c34, c14 = m.correlators
-    e = _affine_values(_EXPANSION, [(a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)])
-    p123, p134 = _midpoint_weights(e)
+    e = _affine_values(_TRIANGLES, m.averages + (c12, c23, x, c34, c14)).reshape((8, 2) + np.shape(x))
+    neg_lo, hi = _minima(e, 3, "fine")
+    p123, p134 = _midpoint_weights(e, -neg_lo, hi)
     p13 = p134.sum(axis=-1, keepdims=True)
-    cond = np.divide(p134, p13, out=np.zeros_like(p134), where=p13 > 0.0)
+    cond = np.divide(p134, p13, out=np.zeros(p134.shape), where=p13 > 0.0)
     w = (p123[..., None] * cond[..., None, :, :]).reshape(p123.shape[:-3] + (16,))
     return (w / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2, 2, 2))
 
@@ -150,20 +157,17 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility at three or four times, for one moment set
     or a grid of them.  A joint exists iff every margin ``mr_weak`` reads is
     nonnegative, so a set is feasible, as ``mr_weak(m, epsilon).verdict``,
-    when its smallest weak margin is >= -epsilon.  Only when every set is
-    feasible is a witness built, at the midpoint of ``d_bounds(m)`` (at four
-    times, glued from the two triangle joints), with weights left slightly
-    negative inside the slack clipped at 0 and the table renormalised."""
-    n, fine = m.n_times, _rows(m, "fine")
-    lo, hi = _bounds(fine, n)
-    margin = _rows(m, "weak").min(axis=0)
-    feasible = margin >= -epsilon
-    one_set = fine.ndim == 1
-    if one_set:
-        lo, hi, margin, feasible = lo.tolist(), hi.tolist(), margin.tolist(), feasible.tolist()
+    when its smallest weak margin, read with the bounds ``d_bounds(m)`` in
+    one reduction, is >= -epsilon.  Only when every set is feasible is a
+    witness built, at the midpoint of the bounds (at four times, glued from
+    the two triangle joints), with weights left slightly negative inside the
+    slack clipped at 0 and the table renormalised."""
+    n = m.n_times
+    margin, neg_lo, hi = _minima(_rows(m, "weak+fine"), n, "weak+fine")
+    lo, feasible, one_set = -neg_lo, margin >= -float(epsilon), type(margin) is float
     witness = None
     if feasible if one_set else feasible.all():
-        w = _midpoint_weights(fine) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)
+        w = _midpoint_weights(_rows(m, "fine"), lo, hi) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)
         witness = ProbabilityTable(kind="joint", time_indices=tuple(range(n)), weights=w)
     return FeasibilityResult(n, feasible, (lo, hi), margin, epsilon, witness)
 

@@ -62,9 +62,6 @@ TABLE_KINDS = ("single", "sequential", "quasi", "joint")
 #: signs of a dichotomic outcome, in serialization order (-1 before +1)
 SIGNS = (-1, +1)
 
-#: position of each sign on a table's outcome axis
-_SIGN_INDEX = {-1: 0, +1: 1}
-
 #: the supported numbers of times, each with its canonical measured pair set (0-based)
 PAIR_SETS = {3: ((0, 1), (1, 2), (0, 2)), 4: ((0, 1), (1, 2), (2, 3), (0, 3))}
 
@@ -123,11 +120,6 @@ class ProbabilityTable:
     @property
     def arity(self) -> int:
         return len(self.time_indices)
-
-    def weight(self, outcome: Outcome):
-        """The weight of one outcome: a float, or an array over the grid."""
-        w = self.weights[(...,) + tuple(_SIGN_INDEX[s] for s in outcome)]
-        return w if w.ndim else float(w)
 
     def moment(self, positions: Iterable[int]):
         """Expectation of the product of outcome signs at the given
@@ -394,7 +386,9 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
             f"witness: need a two-time table and the single-time table of its "
             f"later time, got {pair.time_indices} and {single.time_indices}"
         )
-    return abs(sum(pair.weight((s1, s2)) for s1 in SIGNS) - single.weight((s2,)))
+    k = SIGNS.index(s2)
+    w = np.abs(pair.weights[..., 0, k] + pair.weights[..., 1, k] - single.weights[..., k])
+    return w if w.ndim else float(w)
 
 
 # ---------------------------------------------------------------------------

@@ -60,15 +60,16 @@ def require_hermitian(a: np.ndarray, *, name: str = "matrix") -> None:
         raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL.scalar:.0e})")
 
 
-def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
+def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> np.ndarray:
     """Observable must square to the identity (eigenvalues +1/-1); a stack
-    of observables is checked matrix by matrix."""
+    of observables is checked matrix by matrix.  Returns ||Q^2 - I|| per matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
+        dev = (norms := np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1))).max()
     if not dev <= TOL.structural:
         raise InvalidObservableError(
             f"{name}: not dichotomic, ||Q^2 - I|| = {dev:.3e} > {TOL.structural:.0e}"
         )
+    return norms
 
 
 def check_times(times) -> np.ndarray:
@@ -96,7 +97,7 @@ def _validate(h: np.ndarray, rho: np.ndarray, q: np.ndarray, times) -> np.ndarra
         require_dichotomic(q)
         tr = np.trace(rho, axis1=-2, axis2=-1).real
         if (abs(tr - 1.0) > TOL.scalar).any():
-            raise ValidationError(f"rho: trace must be 1, got {tr!r}")
+            raise ValidationError(f"rho: trace must be 1, got {tr.tolist()!r}")
         lam = np.linalg.eigvalsh(rho)[..., 0].min()
         if lam < -TOL.psd:
             raise ValidationError(f"rho: not positive semidefinite (min eigenvalue {lam:.3e})")
@@ -162,15 +163,15 @@ def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
     return u
 
 
-def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``QuantumModel.spectral`` from the eigendecomposition (lam, vec) of H and
-    the observable q of one model, or of one model per leading index of t."""
+def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, ...]:
+    """``QuantumModel.spectral``, then ||Q(t)^2 - I|| per time as checked, from the eigendecomposition
+    (lam, vec) of H and the observable q of one model, or of one model per leading index of t."""
     u = _evolve_from_eig(lam, vec, t)
     q = _times_matrix(_dagger(u), q) @ u
-    require_dichotomic(q, name="evolved observable")
+    norms = require_dichotomic(q, name="evolved observable")
     eye = np.eye(q.shape[-1], dtype=complex)
     plus = 0.5 * (eye + q)
-    return u, q, np.stack([eye - plus, plus], axis=-3)
+    return u, q, np.stack([eye - plus, plus], axis=-3), norms
 
 
 def expectation(rho, a):
@@ -255,4 +256,4 @@ class QuantumModel:
         every Q(t) must stay dichotomic."""
         if times is None:
             return self._own_spectral
-        return _spectral(*self.hamiltonian_eig, self.observable, times)
+        return _spectral(*self.hamiltonian_eig, self.observable, times)[:3]

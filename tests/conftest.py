@@ -107,6 +107,13 @@ def at_time(model: QuantumModel, i: int) -> TimeSlice:
     return TimeSlice(*(a[i] for a in model.spectral()))
 
 
+def weight(table: ProbabilityTable, outcome: Outcome):
+    """The weight of one outcome of ``table.weights``: a float, or an array
+    over the grid."""
+    w = table.weights[(...,) + tuple(SIGNS.index(s) for s in outcome)]
+    return w if w.ndim else float(w)
+
+
 def complex_gaussian(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from mrtest.measurement import (
 )
 from mrtest.quantum import QuantumModel
 
-from conftest import SZ, column_sums, point_tables, precession_model
+from conftest import SZ, column_sums, point_tables, precession_model, weight
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -95,6 +96,63 @@ class TestCheckSemantics:
         assert grid.verdict.tolist() == [False, False]
 
 
+class TestEqualityRowsSigned:
+    """Only a report whose flags are a slice of the shared all-">=0" array
+    reads its values as margins; every report with "=0" rows gives them
+    -|value| margins, a NaN row included (whose margin is NaN and fails)."""
+
+    @staticmethod
+    def assert_signed(r: ConditionReport) -> None:
+        assert r.equality.base is not conditions._INEQUALITY
+        want = np.where(r.equality, -np.abs(r.values), r.values)
+        assert np.array(list(r.margins.values())).tobytes() == want.tobytes()
+        assert [row["margin"] for row in r.to_jsonable()["checks"]] == pytest.approx(want.tolist(), nan_ok=True)
+        assert r.verdict is bool(want.min() >= -r.epsilon)
+
+    @staticmethod
+    def with_nan_row(r: ConditionReport) -> ConditionReport:
+        """r with its first "=0" row NaN and its second 0.25, so that only
+        the sign rule makes that row's margin negative."""
+        first, second = np.flatnonzero(r.equality)[:2]
+        values = r.values.copy()
+        values[first], values[second] = np.nan, 0.25
+        return replace(r, values=values)
+
+    @pytest.mark.parametrize("family", [mr_int, mr_strong])
+    def test_nsit_composites(self, family):
+        tables = measure_all(precession_model(times=(0.7, 1.4, 2.1), rho=RHO_UP))
+        r = family(tables)
+        assert r.equality.any()
+        self.assert_signed(r)
+        nan_row = self.with_nan_row(r)
+        self.assert_signed(nan_row)
+        second = np.flatnonzero(r.equality)[1]
+        assert nan_row.margins[r.names[second]] == -0.25
+        assert nan_row.verdict is False
+
+    def test_nsit_merged_with_lg3(self, mixed_qubit):
+        tables = measure_all(mixed_qubit)
+        merged = self.with_nan_row(nsit_pairwise(tables)).merged_with(lg3(tables.moments))
+        self.assert_signed(merged)
+        assert np.isnan(merged.margins[merged.names[0]]) and merged.margins[merged.names[1]] == -0.25
+        assert merged.verdict is False
+
+    def test_hand_built_flags(self):
+        values = np.array([0.5, 0.25, np.nan])
+        for equality in ([False, True, True], [True, False, False], [False, False, False]):
+            r = ConditionReport(("a", "b", "c"), values, np.array(equality), 1e-9)
+            self.assert_signed(r)
+        # a grid, with the "=0" row's points of both signs
+        r = ConditionReport(("a", "b"), np.array([[1.0, 1.0], [0.5, -0.5]]), np.array([False, True]), 1e-9)
+        assert r.margins["b"].tolist() == [-0.5, -0.5]
+
+    def test_shared_flags_read_values(self):
+        m = MomentSet(averages=(0.0,) * 3, correlators=(0.5, 0.5, -0.5))
+        for r in (mr_weak(m), lg3(m), lg2(m, (0, 1))):
+            assert r.equality.base is conditions._INEQUALITY and not r.equality.any()
+            assert np.array(list(r.margins.values())).tobytes() == r.values.tobytes()
+
+
 class TestLg2:
     def test_boundary_anticorrelated(self):
         m = MomentSet(averages=(0.0, 0.0, 0.0), correlators=(-1.0, 0.0, 0.0))
@@ -124,7 +182,7 @@ class TestLg2:
         r = lg2(tables.moments, (0, 2))
         q = tables.quasi[(0, 2)]
         for (s1, s2), margin in zip(outcomes(2), r.margins.values()):
-            assert margin / 4 == pytest.approx(q.weight((s1, s2)), abs=1e-12)
+            assert margin / 4 == pytest.approx(weight(q, (s1, s2)), abs=1e-12)
 
     def test_unknown_pair(self):
         m = MomentSet(averages=(0.0,) * 4, correlators=(0.0,) * 4)
@@ -310,7 +368,7 @@ class TestMrStrong:
         assert mr_strong(tables).verdict
         ctx = sequential_moments(tables)
         reconstructed = triple_expansion_table(tables.moments, ctx[("D", "123")])
-        assert max(abs(reconstructed.weight(o) - tables.chain.weight(o)) for o in outcomes(3)) < 1e-12
+        assert max(abs(weight(reconstructed, o) - weight(tables.chain, o)) for o in outcomes(3)) < 1e-12
 
     def test_needs_three_times(self):
         with pytest.raises(ValidationError, match="3 times"):
@@ -687,7 +745,7 @@ class TestRowTable:
             assert address(part.a) == address(whole.a[rows]) and address(part.slope) == address(whole.slope[rows])
 
     def test_every_time_count_table_is_keyed_by_pair_sets(self):
-        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, fine._SIDES):
+        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, fine._GROUPS):
             assert table.keys() == PAIR_SETS.keys()
         for n, pairs in PAIR_SETS.items():
             assert measurement._JSON_PAIRS[n] == [[i + 1, j + 1] for i, j in pairs]

@@ -30,6 +30,7 @@ from conftest import (
     precession_model,
     scan_oracle,
     triangle_fine_rows,
+    weight,
 )
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -74,14 +75,21 @@ def point(grid: MomentSet, g: int) -> MomentSet:
 
 
 def assert_grid_equals_sets(grid: MomentSet, epsilon: float) -> list[bool]:
-    """``d_interval`` on the grid against each set alone: flags, bounds and
-    margins bit-equal, and a witness only when every set is feasible, its
-    weights then bit-equal to each set's table.  Returns the flags."""
+    """``d_interval`` and ``d_bounds`` on the grid against each set alone:
+    flags, bounds and margins bit-equal, each set's a Python bool and Python
+    floats, and a witness only when every set is feasible, its weights then
+    bit-equal to each set's table.  Returns the flags."""
     r = d_interval(grid, epsilon)
-    sets = [d_interval(point(grid, g), epsilon) for g in range(len(grid.averages[0]))]
+    points = [point(grid, g) for g in range(len(grid.averages[0]))]
+    sets = [d_interval(m, epsilon) for m in points]
     assert r.n_times == grid.n_times and r.epsilon == epsilon
     assert r.feasible.tolist() == [s.feasible for s in sets]
+    assert all(type(s.feasible) is bool and {type(s.margin), *map(type, s.d_interval)} == {float} for s in sets)
     for got, want in zip((*r.d_interval, r.margin), zip(*((*s.d_interval, s.margin) for s in sets))):
+        assert got.tobytes() == np.array(want).tobytes()
+    bounds = [d_bounds(m) for m in points]
+    assert all({type(lo), type(hi)} == {float} for lo, hi in bounds)
+    for got, want in zip(d_bounds(grid), zip(*bounds)):
         assert got.tobytes() == np.array(want).tobytes()
     if all(s.feasible for s in sets):
         assert r.witness_table.weights.tobytes() == np.stack([s.witness_table.weights for s in sets]).tobytes()
@@ -210,8 +218,24 @@ class TestOneRowEvaluation:
             if n == 3 and result.feasible:
                 triple_expansion_table(m, 0.0)
         # each witness of a feasible four-time set evaluates the expansion rows of its two triangles
-        glued = [ROWS[3]["fine"].names] * 2 if n == 4 and result.feasible else []
+        glued = [fine._TRIANGLES.names] * 2 if n == 4 and result.feasible else []
         assert calls == [ROWS[n]["weak+fine"].names] + glued
+
+    @given(st.lists(edgy, min_size=9, max_size=9))
+    def test_triangle_rows_bit_equal_to_three_time_rows(self, x):
+        # the four-time witness evaluates both triangles as one block with zero coefficients
+        a1, a2, a3, a4, c12, c23, c34, c14, chord = x
+        want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
+        got = _affine_values(fine._TRIANGLES, [a1, a2, a3, a4, c12, c23, chord, c34, c14])
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+
+    def test_triangle_rows_on_a_grid(self, rng):
+        x = rng.uniform(-1.0, 1.0, size=(9, 2000))
+        x[:, ::5] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=x[:, ::5].shape)
+        a1, a2, a3, a4, c12, c23, c34, c14, chord = x
+        want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
+        got = _affine_values(fine._TRIANGLES, (a1, a2, a3, a4, c12, c23, chord, c34, c14))
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
 
     @given(st.lists(edgy, min_size=8, max_size=8), st.sampled_from([3, 4]))
     def test_slices_bit_equal_to_column_sums(self, x, n):
@@ -274,7 +298,7 @@ class TestDInterval:
         r = d_interval(MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3))
         assert r.feasible
         assert r.d_interval == (1.0, 1.0)
-        assert r.witness_table.weight((+1, +1, +1)) == pytest.approx(1.0, abs=0)
+        assert weight(r.witness_table, (+1, +1, +1)) == pytest.approx(1.0, abs=0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_quantum_grid_equals_per_set(self, rng, n):
@@ -538,7 +562,7 @@ class TestScanOracle:
     def test_boundary_point_mass(self):
         r = scan_oracle(MomentSet(averages=(1.0,) * 3, correlators=(1.0,) * 3), 1e-3)
         assert r.feasible
-        assert r.witness_table.weight((+1, +1, +1)) == pytest.approx(1.0, abs=1e-12)
+        assert weight(r.witness_table, (+1, +1, +1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_validation(self):
         m = MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3)

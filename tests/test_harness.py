@@ -29,7 +29,8 @@ from mrtest.quantum import QuantumModel, _validate
 
 import conftest
 from conftest import (
-    apply_parameter, assert_same_summary, at_time, complex_gaussian, precession_model, reference_campaign, reference_model
+    apply_parameter, assert_same_summary, at_time, complex_gaussian, precession_model, reference_campaign, reference_model,
+    weight,
 )
 
 
@@ -47,7 +48,7 @@ class TestModelJson:
         assert model.times == (0.0, 1.0, 2.0)
         # maximally mixed: both single-time outcomes even
         t = measure_all(model).singles[1]
-        assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-14)
+        assert weight(t, (+1,)) == pytest.approx(0.5, abs=1e-14)
 
     def test_missing_field(self, tmp_path):
         p = tmp_path / "m.json"
@@ -183,8 +184,8 @@ class TestApplyParameter:
         assert m.times == (0.0, 0.0, 0.0)
         # repeated-measurement limit: chain concentrates on equal outcomes
         t = measure_all(m).chain
-        assert t.weight((+1, +1, +1)) == pytest.approx(0.5, abs=1e-14)
-        assert t.weight((-1, -1, -1)) == pytest.approx(0.5, abs=1e-14)
+        assert weight(t, (+1, +1, +1)) == pytest.approx(0.5, abs=1e-14)
+        assert weight(t, (-1, -1, -1)) == pytest.approx(0.5, abs=1e-14)
 
     def test_t2_and_t3(self, mixed_qubit):
         assert apply_parameter(mixed_qubit, "t2", 1.5).times == (0.0, 1.5, 2.0)

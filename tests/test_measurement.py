@@ -6,7 +6,7 @@ import pytest
 
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
-from mrtest.harness import default_model_path, load_model, sample_model
+from mrtest.harness import _model_block, default_model_path, load_model, sample_model
 from mrtest.measurement import (
     PAIR_SETS,
     MomentSet,
@@ -20,10 +20,10 @@ from mrtest.measurement import (
     sequential_moments,
     witness,
 )
-from mrtest.measurement import _quasi_weights
-from mrtest.quantum import QuantumModel, expectation
+from mrtest.measurement import SIGNS, _quasi_weights, _tables
+from mrtest.quantum import QuantumModel, _spectral, expectation
 
-from conftest import SX, SZ, at_time, point_tables, precession_model
+from conftest import SX, SZ, at_time, point_tables, precession_model, weight
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -39,7 +39,7 @@ class TestProbabilityTable:
 
     def test_quasi_may_be_negative(self):
         t = ProbabilityTable(kind="quasi", time_indices=(0, 1), weights=np.array([[0.6, 0.6], [-0.1, -0.1]]))
-        assert t.weight((+1, +1)) == -0.1
+        assert weight(t, (+1, +1)) == -0.1
         with pytest.raises(ValidationError, match=r"quasi weight out of \[-1, 1\]: 1.5"):
             ProbabilityTable(kind="quasi", time_indices=(0, 1), weights=np.array([[1.5, -0.5], [0.0, 0.0]]))
 
@@ -74,24 +74,24 @@ class TestSingleTime:
     def test_eigenstate_is_deterministic(self):
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0, 2.0))
         t = measure_all(m).singles[0]
-        assert t.weight((+1,)) == pytest.approx(1.0, abs=1e-14)
-        assert t.weight((-1,)) == pytest.approx(0.0, abs=1e-14)
+        assert weight(t, (+1,)) == pytest.approx(1.0, abs=1e-14)
+        assert weight(t, (-1,)) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_is_even(self, mixed_qubit):
         for t in measure_all(mixed_qubit).singles:
-            assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-14)
+            assert weight(t, (+1,)) == pytest.approx(0.5, abs=1e-14)
 
     def test_quarter_turn(self):
         # <Q(t)> = cos(wt) for rho = |0><0|; at wt = pi/2 both outcomes even
         m = precession_model(times=(np.pi / 2, np.pi, 3 * np.pi / 2), rho=RHO_UP)
         t = measure_all(m).singles[0]
-        assert t.weight((+1,)) == pytest.approx(0.5, abs=1e-12)
+        assert weight(t, (+1,)) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_moment_expansion(self, mixed_qubit):
         for t in measure_all(mixed_qubit).singles:
             avg = t.moment((0,))
             for s in (-1, +1):
-                assert t.weight((s,)) == pytest.approx((1 + s * avg) / 2, abs=1e-12)
+                assert weight(t, (s,)) == pytest.approx((1 + s * avg) / 2, abs=1e-12)
 
 
 class TestSequential:
@@ -99,57 +99,57 @@ class TestSequential:
         tables = measure_all(precession_model(times=(0.5, 0.5, 1.0)))
         t, single = tables.pairs[(0, 1)], tables.singles[0]
         for s in (-1, +1):
-            assert t.weight((s, s)) == pytest.approx(single.weight((s,)), abs=1e-14)
-            assert t.weight((s, -s)) == pytest.approx(0.0, abs=1e-14)
+            assert weight(t, (s, s)) == pytest.approx(weight(single, (s,)), abs=1e-14)
+            assert weight(t, (s, -s)) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("tau", [0.4, np.pi / 3, 2.0])
     def test_maximally_mixed_closed_form(self, tau):
         # p(s1, s2) = (1 + s1 s2 cos(w tau)) / 4 for rho = I/2
         t = measure_all(precession_model(times=(0.0, tau, 2 * tau))).pairs[(0, 1)]
         for s1, s2 in outcomes(2):
-            assert t.weight((s1, s2)) == pytest.approx((1 + s1 * s2 * np.cos(tau)) / 4, abs=1e-12)
+            assert weight(t, (s1, s2)) == pytest.approx((1 + s1 * s2 * np.cos(tau)) / 4, abs=1e-12)
 
     def test_frozen_hamiltonian_chain(self):
         m = QuantumModel(hamiltonian=np.zeros((2, 2)), rho=RHO_UP, observable=SZ, times=(0.0, 1.0, 2.0))
         t = measure_all(m).chain
-        assert t.weight((+1, +1, +1)) == pytest.approx(1.0, abs=1e-14)
-        assert sum(abs(t.weight(o)) for o in outcomes(3) if o != (1, 1, 1)) < 1e-14
+        assert weight(t, (+1, +1, +1)) == pytest.approx(1.0, abs=1e-14)
+        assert sum(abs(weight(t, o)) for o in outcomes(3) if o != (1, 1, 1)) < 1e-14
 
     def test_marginalizing_last_time_drops_measurement(self, rng):
         for k in range(20):
             tables = measure_all(sample_model(rng, int(rng.integers(2, 5))))
             marg, pair = tables.chain.marginal(2), tables.pairs[(0, 1)]
-            assert max(abs(marg.weight(o) - pair.weight(o)) for o in outcomes(2)) < 1e-12
+            assert max(abs(weight(marg, o) - weight(pair, o)) for o in outcomes(2)) < 1e-12
 
 
 class TestQuasi:
     def test_equals_sequential_for_maximally_mixed(self, mixed_qubit):
         tables = measure_all(mixed_qubit)
         p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
-        assert max(abs(q.weight(o) - p.weight(o)) for o in outcomes(2)) < 1e-12
+        assert max(abs(weight(q, o) - weight(p, o)) for o in outcomes(2)) < 1e-12
 
     def test_equals_sequential_for_commuting(self):
         m = QuantumModel(hamiltonian=1.3 * SZ, rho=np.diag([0.7, 0.3]).astype(complex),
                          observable=SZ, times=(0.0, 1.0, 2.0))
         tables = measure_all(m)
         p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
-        assert max(abs(q.weight(o) - p.weight(o)) for o in outcomes(2)) < 1e-14
+        assert max(abs(weight(q, o) - weight(p, o)) for o in outcomes(2)) < 1e-14
 
     def test_eigenstate_kills_minus_branch(self):
         # rho in the Q(t1)=+1 eigenspace: q(-1, s2) = 0 from the expansion
         m = precession_model(times=(0.0, np.pi / 3, 2 * np.pi / 3), rho=RHO_UP)
         q = measure_all(m).quasi[(0, 1)]
-        assert q.weight((-1, -1)) == pytest.approx(0.0, abs=1e-12)
-        assert q.weight((-1, +1)) == pytest.approx(0.0, abs=1e-12)
+        assert weight(q, (-1, -1)) == pytest.approx(0.0, abs=1e-12)
+        assert weight(q, (-1, +1)) == pytest.approx(0.0, abs=1e-12)
         # and the +1 branch matches 1/4 (2 + s2) at c = 1/2
-        assert q.weight((+1, +1)) == pytest.approx(0.75, abs=1e-12)
-        assert q.weight((+1, -1)) == pytest.approx(0.25, abs=1e-12)
+        assert weight(q, (+1, +1)) == pytest.approx(0.75, abs=1e-12)
+        assert weight(q, (+1, -1)) == pytest.approx(0.25, abs=1e-12)
 
     def test_negative_entry_case(self):
         # frozen: rho = |0><0|, times (2pi/3, 4pi/3) -> q(+,+) = -1/8
         m = precession_model(times=(2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi), rho=RHO_UP)
         q = measure_all(m).quasi[(0, 1)]
-        assert q.weight((+1, +1)) == pytest.approx(-0.125, abs=1e-12)
+        assert weight(q, (+1, +1)) == pytest.approx(-0.125, abs=1e-12)
 
     def test_marginals_match_single_time(self, rng):
         for _ in range(25):
@@ -158,8 +158,8 @@ class TestQuasi:
                 q = tables.quasi[(i, j)]
                 si, sj = tables.singles[i], tables.singles[j]
                 for s in (-1, +1):
-                    assert q.marginal(j).weight((s,)) == pytest.approx(si.weight((s,)), abs=1e-12)
-                    assert q.marginal(i).weight((s,)) == pytest.approx(sj.weight((s,)), abs=1e-12)
+                    assert weight(q.marginal(j), (s,)) == pytest.approx(weight(si, (s,)), abs=1e-12)
+                    assert weight(q.marginal(i), (s,)) == pytest.approx(weight(sj, (s,)), abs=1e-12)
 
 
 class TestPiecewiseMoments:
@@ -225,7 +225,7 @@ class TestSequentialMoments:
         assert shift > 1e-3
         # per-outcome residual of the (2,3) run against p3 equals the witness
         p23, p3 = tables.pairs[(1, 2)], tables.singles[2]
-        residual = abs(sum(p23.weight((s2, +1)) for s2 in (-1, +1)) - p3.weight((+1,)))
+        residual = abs(sum(weight(p23, (s2, +1)) for s2 in (-1, +1)) - weight(p3, (+1,)))
         assert residual == pytest.approx(witness(p23, p3), abs=1e-12)
 
     def test_triple_correlator_recorded(self, mixed_qubit):
@@ -279,7 +279,7 @@ class TestInterference:
         p, q = tables.pairs[(0, 1)], tables.quasi[(0, 1)]
         t = interference_term(p, q)
         for s1, s2 in outcomes(2):
-            assert p.weight((s1, s2)) - q.weight((s1, s2)) == pytest.approx(t * s2, abs=1e-12)
+            assert weight(p, (s1, s2)) - weight(q, (s1, s2)) == pytest.approx(t * s2, abs=1e-12)
 
     def test_residue_identity_on_random_models(self, rng):
         for _ in range(50):
@@ -287,7 +287,7 @@ class TestInterference:
             for i, j in pair_set(3):
                 p, q = tables.pairs[(i, j)], tables.quasi[(i, j)]
                 t = interference_term(p, q)
-                resid = max(abs(p.weight(o) - q.weight(o) - t * o[1]) for o in outcomes(2))
+                resid = max(abs(weight(p, o) - weight(q, o) - t * o[1]) for o in outcomes(2))
                 assert resid < 1e-12
 
     def test_matches_operator_form(self, rng):
@@ -372,6 +372,27 @@ class TestWitness:
                 w_op = abs(expectation(model.rho, qi @ qj @ qi - qj)) / 4.0
                 for s2 in (-1, +1):
                     assert abs(witness(tables.pairs[(i, j)], tables.singles[j], s2) - w_op) < 1e-12
+
+    def test_bit_equal_to_the_outcome_sum(self, rng):
+        """One array sum over the first outcome axis, against the per-outcome
+        Python sum, on one model, a sweep grid and a campaign block."""
+        model = precession_model(times=(0.3, 1.1, 2.9), rho=RHO_UP)
+        h, rho, q, times = _model_block([np.random.default_rng(k) for k in range(12)], 4)
+        lam, vec = np.linalg.eigh(h)
+        shapes = [
+            measure_all(model),
+            measure_all(model, np.linspace(0.0, 2 * np.pi, 600).reshape(200, 3)),
+            measure_all(sample_model(rng, 3), rng.uniform(0.0, 5.0, size=(4, 6, 3))),
+            _tables(_spectral(lam, vec, q, times)[2], rho),
+        ]
+        for tables in shapes:
+            for i, j in pair_set(3):
+                pair, single = tables.pairs[(i, j)], tables.singles[j]
+                for s2 in SIGNS:
+                    want = abs(sum(weight(pair, (s1, s2)) for s1 in SIGNS) - weight(single, (s2,)))
+                    got = witness(pair, single, s2)
+                    assert type(got) is type(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_rejects_single_table_of_wrong_time(self, mixed_qubit):
         tables = measure_all(mixed_qubit)
@@ -585,7 +606,7 @@ class TestExpansionTable:
             for pair in pair_set(3):
                 expanded = lg2(tables.moments, pair).values / 4
                 q = tables.quasi[pair]
-                assert max(abs(expanded[k] - q.weight(o)) for k, o in enumerate(outcomes(2))) < 1e-12
+                assert max(abs(expanded[k] - weight(q, o)) for k, o in enumerate(outcomes(2))) < 1e-12
 
     def test_compatibility_with_single_time_marginals(self, rng):
         # moment-expansion pair tables obey every marginal compatibility relation
@@ -674,7 +695,7 @@ class TestArrayTablesAgainstLoops:
 
     @staticmethod
     def assert_table(table, weights, point=()):
-        assert max(abs(np.asarray(table.weight(o))[point] - w) for o, w in weights.items()) < 1e-12
+        assert max(abs(np.asarray(weight(table, o))[point] - w) for o, w in weights.items()) < 1e-12
 
     def assert_tables(self, tables, model, point=()):
         singles, pairs, chain, quasi = loop_tables(model)
