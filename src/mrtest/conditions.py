@@ -167,14 +167,14 @@ def _affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
     arrays of one shape over a grid), as the terms of ``block.a`` times
     (1, x) added strictly left to right from b.  For one moment set that is
-    (1, x) built as one array, one product and one ``np.add.accumulate``
-    along the row; over a grid, where ``accumulate`` would make one inner
-    call per row and point, the columns are added with in-place adds.  The
-    two give bit-equal values, and the result owns its memory."""
+    (1, x) built as one array, one product with ``block.a.T`` into a
+    C-ordered array of terms, one column per row, and one ``np.add.reduce``
+    along its axis 0, which adds whole rows of terms in turn (C order keeps
+    the reduction axis outer, so numpy does not sum it pairwise); over a
+    grid the columns are added with in-place adds.  The two give bit-equal
+    values, and the result owns its memory."""
     if not isinstance(x[0], np.ndarray):
-        terms = block.a * np.array((1.0, *x))
-        np.add.accumulate(terms, axis=1, out=terms)
-        return terms[:, -1].copy()
+        return np.add.reduce(np.multiply(block.a.T, np.array((1.0, *x))[:, None], order="C"), axis=0)
     a = block.a.reshape(block.a.shape + (1,) * x[0].ndim)
     values = a[:, 0] + a[:, 1] * x[0]
     for j in range(1, len(x)):

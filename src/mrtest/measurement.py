@@ -14,7 +14,10 @@ its absolute NSIT residual is the coherence witness.
 ``measure_all`` builds every table from two shared stacks, P rho (one BLAS
 call) and P rho P: each sequential run starts from P rho P and ends in the
 trace pairing Tr(P state), and each quasi table is Re Tr(P_j P_i rho), the
-symmetrized form, since Tr(P_i P_j rho) is its complex conjugate.
+symmetrized form, since Tr(P_i P_j rho) is its complex conjugate.  Stack
+products and pairings go through ``quantum._product`` and
+``quantum._pairing``: broadcast multiply-adds for a qubit or qutrit, BLAS
+and ``np.einsum`` from d = 4.
 ``PAIR_SETS`` is the one table of the supported time counts and their pairs.
 """
 
@@ -29,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .quantum import QuantumModel, _frozen, _real_trace, _times_matrix, expectation
+from .quantum import QuantumModel, _frozen, _pairing, _product, _real_trace, _times_matrix, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
@@ -104,7 +107,10 @@ class ProbabilityTable:
         w = _frozen(self.weights)
         if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
-        total = w.sum(axis=tuple(range(-k, 0)))
+        # the outcome axes summed as slice adds, not as numpy reductions over length-2 axes
+        total = w
+        for _ in range(k):
+            total = total[..., 0] + total[..., 1]
         off = ~(np.abs(total - 1.0) <= TOL.scalar)
         if off.any():
             raise ValidationError(f"table weights must sum to 1, got {float(total[off].flat[0])!r}")
@@ -137,9 +143,9 @@ class ProbabilityTable:
             raise ValidationError(f"time index {time_index} not in table {self.time_indices}")
         pos = self.time_indices.index(time_index)
         kept = tuple(i for i in self.time_indices if i != time_index)
-        return ProbabilityTable(
-            kind=self.kind, time_indices=kept, weights=self.weights.sum(axis=pos - self.arity)
-        )
+        rest = (slice(None),) * (self.arity - 1 - pos)
+        weights = self.weights[(..., 0, *rest)] + self.weights[(..., 1, *rest)]
+        return ProbabilityTable(kind=self.kind, time_indices=kept, weights=weights)
 
     def to_jsonable(self) -> dict:
         return {
@@ -312,8 +318,8 @@ def _sequential_weights(proj: np.ndarray, prp: np.ndarray, idx: tuple[int, ...])
         p = proj[..., i, :, :, :]
         p = p.reshape(p.shape[:-3] + (1,) * depth + p.shape[-3:])
         if depth == len(idx) - 1:
-            return np.einsum("...ab,...ba->...", p, state[..., None, :, :]).real
-        state = p @ state[..., None, :, :] @ p
+            return _pairing(p, state[..., None, :, :]).real
+        state = _product(_product(p, state[..., None, :, :]), p)
 
 
 def _quasi_weights(proj: np.ndarray, p_rho: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -321,8 +327,8 @@ def _quasi_weights(proj: np.ndarray, p_rho: np.ndarray, i: int, j: int) -> np.nd
     ``p_rho`` of P rho: q(s1, s2) = Re Tr((P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho) / 2
     = Re Tr(P_{s2}(t_j) P_{s1}(t_i) rho), and the sum's imaginary residue is checked as ``expectation``
     checks it.  Its marginals are the single-time tables, but entries may be negative."""
-    ji = np.einsum("...Bab,...Aba->...AB", proj[..., j, :, :, :], p_rho[..., i, :, :, :])
-    ij = np.einsum("...Aab,...Bba->...AB", proj[..., i, :, :, :], p_rho[..., j, :, :, :])
+    ji = _pairing(proj[..., j, None, :, :, :], p_rho[..., i, :, None, :, :])
+    ij = _pairing(proj[..., i, :, None, :, :], p_rho[..., j, None, :, :, :])
     _real_trace(ji + ij)
     return ji.real
 
@@ -446,7 +452,7 @@ def _tables(proj: np.ndarray, rho: np.ndarray) -> TableSet:
     and one state, or one per leading index of ``batch`` (models of one dimension)."""
     n = proj.shape[-4]
     p_rho = _times_matrix(proj, rho)
-    prp = p_rho @ proj
+    prp = _product(p_rho, proj)
     single = expectation(rho, proj)
     singles = tuple(
         ProbabilityTable(kind="single", time_indices=(i,), weights=single[..., i, :]) for i in range(n)

@@ -15,6 +15,12 @@ two spectral projectors.  H is diagonalised once per model; ``spectral``
 then evaluates all three for a whole array of times, so a sweep over a grid
 of times, or over a scale omega of H (exp(-i omega H t) = V exp(-i omega
 lambda t) V^dag), reuses that one eigendecomposition.
+
+Products of two stacks of matrices (``_product``) and trace pairings
+Tr(A B) (``_pairing``) are, for d <= ``_UNROLL_MAX_DIM``, broadcast
+multiply-adds of entry slices over the whole stack, and ``@`` or
+``np.einsum`` above it; a product with one fixed factor is one BLAS call
+(``_times_matrix``).  The input model's own checks in ``_validate`` use ``@``.
 """
 
 from __future__ import annotations
@@ -150,6 +156,47 @@ def _times_matrix(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (stack.reshape(len(m), -1, d) @ m).reshape(stack.shape[:-1] + (d,))
 
 
+#: the largest matrix size d whose stack products and trace pairings are
+#: multiply-adds of entry slices over the whole stack; above it ``@`` (one BLAS
+#: call per matrix) and ``np.einsum`` are faster (measured crossover between d = 3 and 4)
+_UNROLL_MAX_DIM = 3
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two stacks of d x d matrices with broadcast leading axes.
+    For d <= ``_UNROLL_MAX_DIM``, where ``@`` would make one BLAS call per
+    matrix, each entry (i, k) is d multiply-adds of the entry slices a_ij and
+    b_jk over the whole stack, through one term buffer; ``@`` above it."""
+    d = a.shape[-1]
+    if d > _UNROLL_MAX_DIM:
+        return a @ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    term = np.empty(out.shape[:-2], out.dtype)
+    for i, k in np.ndindex(d, d):
+        entry = out[..., i, k]
+        np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
+        for j in range(1, d):
+            entry += np.multiply(a[..., i, j], b[..., j, k], out=term)
+    return out
+
+
+def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(A B) over the last two axes of two stacks of d x d matrices with
+    broadcast leading axes: for d <= ``_UNROLL_MAX_DIM``, the d^2 products of
+    entry slices a_ij b_ji over the whole stack, added through one term
+    buffer; ``np.einsum`` above it.  Like ``np.einsum``, it gives no overflow
+    warning: a non-finite trace is the caller's to judge."""
+    d = a.shape[-1]
+    if d > _UNROLL_MAX_DIM:
+        return np.einsum("...ij,...ji->...", a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(a[..., 0, 0], b[..., 0, 0])
+        term = np.empty_like(out)
+        for i, j in list(np.ndindex(d, d))[1:]:
+            out += np.multiply(a[..., i, j], b[..., j, i], out=term)
+    return out
+
+
 def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
     """exp(-i H t), shape ``t.shape + (d, d)``, from the eigendecomposition of
     H, or of one H per leading index of t; t = 0 gives the exact identity."""
@@ -167,7 +214,7 @@ def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.nd
     """``QuantumModel.spectral``, then ||Q(t)^2 - I|| per time as checked, from the eigendecomposition
     (lam, vec) of H and the observable q of one model, or of one model per leading index of t."""
     u = _evolve_from_eig(lam, vec, t)
-    q = _times_matrix(_dagger(u), q) @ u
+    q = _product(_times_matrix(_dagger(u), q), u)
     norms = require_dichotomic(q, name="evolved observable")
     eye = np.eye(q.shape[-1], dtype=complex)
     plus = 0.5 * (eye + q)
@@ -183,7 +230,7 @@ def expectation(rho, a):
     if not 2 <= rho.ndim <= a.ndim or rho.shape != a.shape[: rho.ndim - 2] + a.shape[-2:]:
         raise ValidationError(f"expectation: shape mismatch {a.shape} vs {rho.shape}")
     rho = rho.reshape(rho.shape[:-2] + (1,) * (a.ndim - rho.ndim) + rho.shape[-2:])
-    return _real_trace(np.einsum("...ij,...ji->...", a, rho))
+    return _real_trace(_pairing(a, rho))
 
 
 def _real_trace(val: np.ndarray):

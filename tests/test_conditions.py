@@ -711,6 +711,9 @@ class TestAffineValues:
         for key, block in ROWS[n].items():
             width = block.a.shape[1] - 1
             assert _affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
+            # whatever the coefficients' memory layout (fine's triangle block builds its own)
+            by_columns = block._replace(a=np.asfortranarray(block.a))
+            assert _affine_values(by_columns, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
 
     def test_grid_bit_equal_and_owns_its_memory(self, rng):
         # a view of the terms array would keep it alive inside every report

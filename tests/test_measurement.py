@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
-from mrtest.harness import _model_block, default_model_path, load_model, sample_model
+from mrtest.harness import _model_block, default_model_path, load_model, model_from_jsonable, sample_model
 from mrtest.measurement import (
     PAIR_SETS,
     MomentSet,
@@ -57,6 +58,28 @@ class TestProbabilityTable:
     def test_rejects_kind_and_arity(self, kind, indices, weights, named):
         with pytest.raises(ValidationError, match=named):
             ProbabilityTable(kind=kind, time_indices=indices, weights=weights)
+
+    def test_unnormalized_grid_names_its_first_total(self):
+        w = np.full((4, 2, 2, 2), 0.125)
+        w[1, 0, 1, 1] = w[2, 1, 1, 0] = 0.5
+        with pytest.raises(ValidationError, match=r"^table weights must sum to 1, got 1\.375$"):
+            ProbabilityTable(kind="sequential", time_indices=(0, 1, 2), weights=w)
+
+    def test_marginal_bit_equal_to_the_axis_sum(self):
+        """Adding the two slices of the summed-out axis, against numpy's sum
+        over it, on a sweep block of the shipped tau spec, a 12-model dim-16
+        campaign block, and every sequential and quasi table of both."""
+        spec = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+        model = model_from_jsonable(spec["model"])
+        taus = np.linspace(spec["from"], spec["to"], 819)
+        h, rho, q, times = _model_block([np.random.default_rng(k) for k in range(12)], 16)
+        lam, vec = np.linalg.eigh(h)
+        for tables in (measure_all(model, model.times[0] + np.arange(3) * taus[:, None]),
+                       _tables(_spectral(lam, vec, q, times)[2], rho)):
+            for table in (*tables.pairs.values(), tables.chain, *tables.quasi.values()):
+                for pos, i in enumerate(table.time_indices):
+                    want = table.weights.sum(axis=pos - table.arity)
+                    assert table.marginal(i).weights.tobytes() == want.tobytes(), (table.kind, i)
 
     def test_marginal_of_an_unmeasured_time(self):
         t = ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full((2, 2), 0.25))
@@ -709,8 +732,9 @@ class TestArrayTablesAgainstLoops:
 
     @pytest.mark.parametrize("n_times", [3, 4])
     def test_random_models(self, rng, n_times):
-        for _ in range(15):
-            model = sample_model(rng, int(rng.integers(2, 6)), n_times)
+        # d = 2 and 3 take the unrolled stack contractions, d = 4 and 5 the BLAS ones
+        for dim in [2, 3, 4, 5] * 4:
+            model = sample_model(rng, dim, n_times)
             tables = measure_all(model)
             chain = self.assert_tables(tables, model)
             for positions in [(0,), (1,), (0, 1), (0, 2), (0, 1, 2), tuple(range(n_times))]:

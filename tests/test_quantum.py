@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from mrtest import quantum
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary, sample_model
 from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
-from mrtest.quantum import _hermitian_part, _times_matrix, _validate
+from mrtest.quantum import _UNROLL_MAX_DIM, _hermitian_part, _pairing, _product, _times_matrix, _validate
 
 from conftest import I2, SX, SY, SZ, at_time, complex_gaussian, precession_model, random_hermitian, times_matrix_reference
 
@@ -226,6 +227,56 @@ class TestNonFiniteEvolution:
     def test_time_zero_alone_stays_exact(self):
         m = QuantumModel(hamiltonian=self.H, rho=I2 / 2, observable=SZ, times=(0.0, 0.0))
         assert np.array_equal(at_time(m, 1).unitary, I2)
+
+
+class TestStackContractions:
+    """``_product`` and ``_pairing`` against ``@`` and ``np.einsum`` on both sides
+    of their dispatch: within 1e-14 where d <= ``_UNROLL_MAX_DIM`` (broadcast
+    multiply-adds), bit for bit above it (the same calls), on complex stacks
+    shaped as ``_sequential_weights`` and ``_quasi_weights`` pass them."""
+
+    @staticmethod
+    def operand_pairs(rng, dim):
+        def matrices(*shape):
+            shape += (dim, dim)
+            return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+        return {
+            "one matrix each": (matrices(), matrices()),
+            "same-shape stacks": (matrices(5, 3, 2), matrices(5, 3, 2)),
+            "projector against first-run states, P_j against P_i rho": (matrices(5, 1, 2), matrices(5, 2, 1)),
+            "projector against two-outcome states": (matrices(5, 1, 1, 2), matrices(5, 2, 2, 1)),
+            "P_i against P_j rho": (matrices(5, 2, 1), matrices(5, 1, 2)),
+            "one state against a stack": (matrices(5, 4, 2), matrices(5, 1, 1)),
+        }
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    def test_matches_matmul_and_einsum(self, rng, dim):
+        for name, (a, b) in self.operand_pairs(rng, dim).items():
+            for got, want in ((_product(a, b), a @ b), (_pairing(a, b), np.einsum("...ij,...ji->...", a, b))):
+                assert np.shape(got) == np.shape(want), name
+                if dim > _UNROLL_MAX_DIM:
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+                else:
+                    assert np.abs(got - want).max() <= 1e-14, name
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-310])
+    def test_finite_inputs_raise_no_warning(self, rng, dim, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in self.operand_pairs(rng, dim).values():
+                _product(scale * a, b)
+                _pairing(scale * a, scale * b)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairing_overflows_silently_as_einsum_does(self, rng, dim):
+        a, b = self.operand_pairs(rng, dim)["same-shape stacks"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = np.einsum("...ij,...ji->...", 1e200 * a, 1e200 * b)
+            got = _pairing(1e200 * a, 1e200 * b)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
 
 
 class TestHugeEntries:
