@@ -81,14 +81,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    summary = run_campaign(
-        seed=args.seed,
-        count=args.count,
-        dim_min=args.dim_min,
-        dim_max=args.dim_max,
-        epsilon=_epsilon(args),
-    )
-    print(json.dumps(summary, indent=2))
+    summary = run_campaign(args.seed, args.count, args.dim_min, args.dim_max, _epsilon(args))
+    _emit(summary, None)
     return EXIT_PASS if summary["passed"] else EXIT_FAIL
 
 

@@ -31,6 +31,7 @@ from .fine import d_bounds, d_interval
 from .measurement import (
     _echo,
     _json_number,
+    _json_numbers,
     _tables,
     PAIR_SETS,
     SIGNS,
@@ -103,14 +104,11 @@ def model_from_jsonable(obj: Mapping) -> QuantumModel:
     if missing:
         raise InputFormatError(f"model: missing fields: {', '.join(missing)}")
     dim = _json_int(obj["dim"], "model: dim")
-    times = obj["times"]
-    if not isinstance(times, list):
-        raise InputFormatError("model: times must be a list of numbers")
     return QuantumModel(
         hamiltonian=_matrix_from_jsonable(obj["hamiltonian"], dim, "hamiltonian"),
         rho=_matrix_from_jsonable(obj["rho"], dim, "rho"),
         observable=_matrix_from_jsonable(obj["observable"], dim, "observable"),
-        times=tuple(_json_number(t, f"model: times[{k}]") for k, t in enumerate(times)),
+        times=_json_numbers(obj["times"], "model: times"),
     )
 
 

@@ -60,6 +60,16 @@ def _json_number(value, where: str) -> float:
         raise InputFormatError(f"{where} must be within the float range, got {_echo(value)}") from None
 
 
+def _json_numbers(value, where: str) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats: a list of JSON floats as it
+    is, else each entry read by ``_json_number`` under its name ``where[k]``."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{where} must be a list of numbers, got {_echo(value)}")
+    if set(map(type, value)) <= {float}:
+        return tuple(value)
+    return tuple(_json_number(x, f"{where}[{k}]") for k, x in enumerate(value))
+
+
 TABLE_KINDS = ("single", "sequential", "quasi", "joint")
 
 #: signs of a dichotomic outcome, in serialization order (-1 before +1)
@@ -148,6 +158,8 @@ class ProbabilityTable:
         return ProbabilityTable(kind=self.kind, time_indices=kept, weights=weights)
 
     def to_jsonable(self) -> dict:
+        if grid := self.weights.shape[: -self.arity]:
+            raise ValidationError(f"to_jsonable: one table only, got a grid of shape {grid}")
         return {
             "arity": self.arity,
             "times": [i + 1 for i in self.time_indices],
@@ -242,6 +254,8 @@ class MomentSet:
             raise ValidationError(f"pair {pair} not in measured pair set {self.pairs}") from None
 
     def to_jsonable(self) -> dict:
+        if isinstance(self.averages[0], np.ndarray):
+            raise ValidationError(f"to_jsonable: one moment set only, got a grid of shape {self.averages[0].shape}")
         return {
             "n": self.n_times,
             "avg": list(self.averages),
@@ -262,27 +276,17 @@ class MomentSet:
             ) from None
         if type(n) is not int or n not in PAIR_SETS:
             raise InputFormatError(f"moments: n must be 3 or 4, got {_echo(n)}")
-        # the canonical pair order, JSON floats and no D: no per-pair work
-        if (
-            type(avg) is list and type(corr) is list and type(pairs) is list
-            and len(avg) == len(corr) == n and pairs == _JSON_PAIRS[n] and obj.get("D") is None
-            and {type(i) for pair in pairs for i in pair} == {int} and {type(x) for x in avg + corr} == {float}
-        ):
-            return cls(averages=tuple(avg), correlators=tuple(corr))
-        want = pair_set(n)
-        if not isinstance(avg, list):
-            raise InputFormatError(f"moments: avg must be a list of numbers, got {_echo(avg)}")
-        # a JSON float is a float already; anything else is typed under its indexed name
-        avg = tuple(x if type(x) is float else _json_number(x, f"moments: avg[{k}]") for k, x in enumerate(avg))
+        avg = _json_numbers(avg, "moments: avg")
         if len(avg) != n:
             raise ValidationError(f"moments: expected {n} averages, got {len(avg)}")
-        if not isinstance(corr, list):
-            raise InputFormatError(f"moments: corr must be a list of numbers, got {_echo(corr)}")
-        corr = [x if type(x) is float else _json_number(x, f"moments: corr[{k}]") for k, x in enumerate(corr)]
+        corr = _json_numbers(corr, "moments: corr")
         if not (isinstance(pairs, list) and len(pairs) == len(corr)):
             raise InputFormatError(f"moments: pairs must be a list as long as corr ({len(corr)})")
         if (d := obj.get("D")) is not None:
             raise InputFormatError(f"moments: D must be null (the triple correlator is never measured), got {_echo(d)}")
+        # pairs in the canonical order, as integers, give the correlators in that order already
+        if pairs == _JSON_PAIRS[n] and {type(i) for pair in pairs for i in pair} == {int}:
+            return cls(averages=avg, correlators=corr)
         given = {}
         for k, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2 and all(type(i) is int and 1 <= i <= n for i in pair)):
@@ -292,14 +296,11 @@ class MomentSet:
             if key in given:
                 raise InputFormatError(f"moments: pairs[{k}] repeats C{key[0] + 1}{key[1] + 1}")
             given[key] = corr[k]
-        missing = [p for p in want if p not in given]
-        if missing:
-            names = ", ".join(f"C{i + 1}{j + 1}" for i, j in missing)
-            raise ValidationError(f"moments: missing correlators for pairs: {names}")
-        extra = [p for p in given if p not in want]
-        if extra:
-            names = ", ".join(f"C{i + 1}{j + 1}" for i, j in extra)
-            raise ValidationError(f"moments: unexpected pairs: {names}")
+        want = PAIR_SETS[n]
+        for problem, keys in (("missing correlators for pairs", [p for p in want if p not in given]),
+                              ("unexpected pairs", [p for p in given if p not in want])):
+            if keys:
+                raise ValidationError(f"moments: {problem}: " + ", ".join(f"C{i + 1}{j + 1}" for i, j in keys))
         return cls(averages=avg, correlators=tuple(given[p] for p in want))
 
 

@@ -93,9 +93,13 @@ def check_times(times) -> np.ndarray:
 
 
 def _validate(h: np.ndarray, rho: np.ndarray, q: np.ndarray, times) -> np.ndarray:
-    """Check ``QuantumModel``'s invariants in its order, on one model or on models
-    of one dimension along a leading axis, where the first model failing alone
-    names its index; returns the times as ``check_times`` gives them."""
+    """Check one row of times per model, then ``QuantumModel``'s invariants in its
+    order, on one model or on models of one dimension along a leading axis, where
+    the first model failing alone names its index; returns ``check_times``'s times."""
+    rows, times = h.shape[:-2], np.asarray(times, dtype=float)
+    if times.ndim != len(rows) + 1 or times.shape[:-1] != rows:
+        want = str(rows + ("n",)).replace("'", "")
+        raise ValidationError(f"times: need one row of times per model, of shape {want}, got shape {times.shape}")
     try:
         require_hermitian(h, name="hamiltonian")
         require_hermitian(rho, name="rho")
@@ -254,8 +258,9 @@ class QuantumModel:
     * hamiltonian, rho, observable are dim x dim Hermitian, 2 <= dim <= 16;
     * rho has unit trace and no eigenvalue below -1e-10;
     * the observable squares to the identity;
-    * times are non-decreasing (repeated times model back-to-back
-      measurements, the tau -> 0 limit of a vanishing gap).
+    * times are one row of 2-4 finite, non-decreasing times (repeated
+      times model back-to-back measurements, the tau -> 0 limit of a
+      vanishing gap).
 
     Arrays are copied and frozen read-only, and what derives from them is a
     cached read-only property; instances are safe to share.

@@ -443,6 +443,9 @@ class TestMalformedFiles:
         # moments averages
         ("check", {**_MOMENTS, "avg": 5}, "moments: avg must be a list of numbers, got 5"),
         ("fine", {**_MOMENTS, "avg": [0.0, 0.0]}, "moments: expected 3 averages, got 2"),
+        # model times read as the moments lists are
+        ("simulate", {**_MODEL, "times": {"t": 0}}, "model: times must be a list of numbers, got {'t': 0}"),
+        ("simulate", {**_MODEL, "times": [[0.0, 1.0, 2.0]]}, "model: times[0] must be a number, got [0.0, 1.0, 2.0]"),
     ])
     def test_exit_two_names_field(self, tmp_path, capsys, command, obj, named):
         p = tmp_path / "input.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -80,6 +81,14 @@ class TestProbabilityTable:
                 for pos, i in enumerate(table.time_indices):
                     want = table.weights.sum(axis=pos - table.arity)
                     assert table.marginal(i).weights.tobytes() == want.tobytes(), (table.kind, i)
+
+    def test_to_jsonable_refuses_a_grid(self):
+        # before the check, a grid table wrote its first point's weights as if it were one table
+        model = precession_model()
+        tables = measure_all(model, np.array([model.times, (0.0, 0.5, 1.0)]))
+        with pytest.raises(ValidationError, match=r"^to_jsonable: one table only, got a grid of shape \(2,\)$"):
+            tables.chain.to_jsonable()
+        assert measure_all(model).chain.to_jsonable()["arity"] == 3
 
     def test_marginal_of_an_unmeasured_time(self):
         t = ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full((2, 2), 0.25))
@@ -523,12 +532,36 @@ class TestMomentSet:
         # JSON integers are numbers in either order
         ints = {"n": 3, "avg": [0, 1, -1], "pairs": [[1, 2], [2, 3], [1, 3]], "corr": [0, 1, -1]}
         assert MomentSet.from_jsonable(ints).averages == (0.0, 1.0, -1.0)
+        # every order of the pairs, each pair in either orientation, D absent or null, floats or integers
+        files = {3: [([0.1, -0.2, 0.3], [0.5, -0.25, 0.125]), ([0, 1, -1], [1, -1, 0])],
+                 4: [([0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]), ([0, 1, -1, 0], [1, 0, -1, 1])]}
+        for n, values in files.items():
+            pairs = [[i + 1, j + 1] for i, j in PAIR_SETS[n]]
+            for avg, corr in values:
+                want = MomentSet.from_jsonable({"n": n, "avg": avg, "pairs": pairs, "corr": corr})
+                assert want == MomentSet(averages=tuple(avg), correlators=tuple(corr))
+                assert {type(x) for x in want.averages + want.correlators} == {float}
+                for order in itertools.permutations(range(len(pairs))):
+                    for flips in itertools.product((False, True), repeat=len(pairs)):
+                        obj = {"n": n, "avg": avg, "corr": [corr[k] for k in order],
+                               "pairs": [pairs[k][::-1] if flip else pairs[k] for k, flip in zip(order, flips)]}
+                        for d in ({}, {"D": None}):
+                            got = MomentSet.from_jsonable({**obj, **d})
+                            assert got == want and {type(x) for x in got.averages + got.correlators} == {float}
 
     @pytest.mark.parametrize("pair", [[True, 2], [1.0, 2], [1, 2.0]])
     def test_canonical_pairs_must_be_integers(self, pair):
         obj = {"n": 3, "avg": [0.0] * 3, "pairs": [pair, [2, 3], [1, 3]], "corr": [0.0] * 3}
         with pytest.raises(InputFormatError, match=re.escape(f"pairs[0] must be two time indices in 1..3, got {pair!r}")):
             MomentSet.from_jsonable(obj)
+
+    def test_to_jsonable_refuses_a_grid(self):
+        # before the check, a grid moment set returned arrays, which json.dumps rejects
+        model = precession_model()
+        moments = measure_all(model, np.array([model.times, (0.0, 0.5, 1.0)])).moments
+        with pytest.raises(ValidationError, match=r"^to_jsonable: one moment set only, got a grid of shape \(2,\)$"):
+            moments.to_jsonable()
+        assert measure_all(model).moments.to_jsonable()["n"] == 3
 
     def test_json_round_trip_writes_null_triple(self):
         m = MomentSet(averages=(0.1, -0.2, 0.3), correlators=(0.0, 0.25, -0.5))

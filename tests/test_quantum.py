@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -392,6 +393,14 @@ class TestBlockValidation:
         assert str(alone.value).startswith(text)
         assert str(block.value) == f"index 3: {alone.value}"
 
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (5, 1, 3)])
+    def test_needs_one_row_of_times_per_model(self, rng, shape):
+        models = [sample_model(rng, 3) for _ in range(5)]
+        h, rho, q = (np.stack([getattr(m, f) for m in models]) for f in ("hamiltonian", "rho", "observable"))
+        text = f"times: need one row of times per model, of shape (5, n), got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            _validate(h, rho, q, np.zeros(shape))
+
 
 class TestQuantumModel:
     def test_valid_model(self, mixed_qubit):
@@ -463,6 +472,17 @@ class TestQuantumModel:
             precession_model(times=(0.0,))
         with pytest.raises(ValidationError, match="2-4"):
             precession_model(times=(0.0, 1.0, 2.0, 3.0, 4.0))
+
+    @pytest.mark.parametrize("times, shape", [
+        (1.0, "()"),
+        ([[0.0, 1.0, 2.0]], "(1, 3)"),
+        ([[0, 1], [0, 2], [1, 3]], "(3, 2)"),
+    ])
+    def test_rejects_anything_but_one_row_of_times(self, times, shape):
+        # before the check: a bare IndexError, a one-time model, and a three-time model of pairs
+        text = f"times: need one row of times per model, of shape (n,), got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=SZ, times=times)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
