@@ -16,13 +16,11 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
   four times (the chordal extension behind Fine's theorem: Fine, PRL 48,
   291 (1982); Araujo et al., PRA 88, 022118 (2013)).
 
-``d_bounds`` is the interval [lo, hi] the rows leave for z.  ``d_interval``
-reads its verdict from the smallest weak margin (so it agrees with
-``mr_weak`` by construction) and builds a witness table at the midpoint of
-the interval.  Both read the rows ``conditions._rows`` evaluates once and
-memoizes, as ``mr_weak`` does, in one order per n (weak, slope +1, slope -1),
-so one ``np.minimum.reduceat`` gives the margin, -lo and hi, and one
-``tolist`` their Python floats for one set; both broadcast over a grid.
+``d_bounds`` is the interval [lo, hi] the rows leave for z; ``d_interval``
+reads its verdict from the smallest weak margin, so it agrees with ``mr_weak``
+by construction, and builds a witness at the interval's midpoint.  For one set
+both read the margin, -lo and hi that ``conditions._rows`` memoizes with the
+rows; over a grid, one ``np.minimum.reduceat`` gives them.  A zero bound is 0.0.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, RowBlock, _affine_values, _rows
+from .conditions import ROWS, RowBlock, _affine_values, _group_minima, _minima, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -77,15 +75,6 @@ class FeasibilityResult:
 
 _EXPANSION = ROWS[3]["fine"]
 
-#: per n and key, the rows in group order and where each group starts: "fine", its rows with
-#: slope +1, then those with slope -1; "weak+fine", the weak rows, then those two groups
-_GROUPS = {}
-for _n, _table in ROWS.items():
-    _slope, _w = _table["fine"].slope, len(_table["weak"].names)
-    _order = np.concatenate([np.flatnonzero(_slope > 0), np.flatnonzero(_slope < 0)])
-    _starts = np.array([0, np.count_nonzero(_slope > 0)])
-    _GROUPS[_n] = {"fine": (_order, _starts), "weak+fine": (np.r_[:_w, _w + _order], np.r_[0, _w + _starts])}
-
 #: the expansion rows E(s) of the triangles (1,2,3) and (1,3,4), row by row in turn, as one
 #: block on (<Q_1>, ..., <Q_4>, C12, C23, C13, C34, C14): a triangle's columns in the three-time
 #: order and 0 on the others, whose terms leave each value bit-equal (a sum starts at 1)
@@ -94,21 +83,12 @@ _TRIANGLES = RowBlock(tuple(k.replace("E.", f"E({t}).") for k in _EXPANSION.name
 _TRIANGLES.a[0::2, [0, 1, 2, 3, 5, 6, 7]] = _TRIANGLES.a[1::2, [0, 1, 3, 4, 7, 8, 9]] = _EXPANSION.a
 
 
-def _minima(values: np.ndarray, n: int, key):
-    """The smallest value in each row group ``_GROUPS[n][key]`` of ``values``, from one
-    ``np.minimum.reduceat``: Python floats for one set, arrays over a grid.  No Fine row
-    is -0.0 (each starts from b >= 1), so minus a group's minimum is its max(-b)."""
-    order, starts = _GROUPS[n][key]
-    minima = np.minimum.reduceat(values[order], starts, axis=0)
-    return minima.tolist() if minima.ndim == 1 else minima
-
-
 def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
     """p(s) = (E(s) + s1 s2 s3 d) / 8 from the expansion values e, shape
     ``(8,) + batch``, as ``batch + (8,)``: the outcome axis last and
     contiguous, so a sum over it adds in the same order as for one set."""
-    slope = _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1))
-    return ((e + slope * d) / 8.0).transpose((*range(1, e.ndim), 0)).copy()
+    w = (e + _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1)) * d) / 8.0
+    return w if e.ndim == 1 else w.transpose((*range(1, e.ndim), 0)).copy()
 
 
 def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
@@ -124,8 +104,8 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    neg_lo, hi = _minima(_rows(m, "fine"), m.n_times, "fine")
-    return -neg_lo, hi
+    neg_lo, hi = _group_minima(m, "fine")
+    return 0.0 - neg_lo, hi
 
 
 def _midpoint_weights(e: np.ndarray, lo, hi) -> np.ndarray:
@@ -133,9 +113,9 @@ def _midpoint_weights(e: np.ndarray, lo, hi) -> np.ndarray:
     values e at the midpoint of their triple-correlator interval [lo, hi];
     on an empty interval, clipped at 0 and renormalised."""
     w = _expansion_weights(e, (lo + hi) / 2.0)
-    if (empty := np.less(hi, lo)).any():
+    if empty if type(empty := hi < lo) is bool else empty.any():
         clipped = np.maximum(w, 0.0)
-        w = np.where(empty[..., None], clipped / clipped.sum(axis=-1, keepdims=True), w)
+        w = np.where(np.expand_dims(empty, -1), clipped / clipped.sum(axis=-1, keepdims=True), w)
     return w.reshape(w.shape[:-1] + (2, 2, 2))
 
 
@@ -157,14 +137,13 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     """Closed-form feasibility at three or four times, for one moment set
     or a grid of them.  A joint exists iff every margin ``mr_weak`` reads is
     nonnegative, so a set is feasible, as ``mr_weak(m, epsilon).verdict``,
-    when its smallest weak margin, read with the bounds ``d_bounds(m)`` in
-    one reduction, is >= -epsilon.  Only when every set is feasible is a
-    witness built, at the midpoint of the bounds (at four times, glued from
-    the two triangle joints), with weights left slightly negative inside the
-    slack clipped at 0 and the table renormalised."""
+    when its smallest weak margin is >= -epsilon.  Only when every set is
+    feasible is a witness built, at the midpoint of the bounds (at four
+    times, glued from the two triangle joints), with weights left slightly
+    negative inside the slack clipped at 0 and the table renormalised."""
     n = m.n_times
-    margin, neg_lo, hi = _minima(_rows(m, "weak+fine"), n, "weak+fine")
-    lo, feasible, one_set = -neg_lo, margin >= -float(epsilon), type(margin) is float
+    margin, neg_lo, hi = _group_minima(m, "weak+fine")
+    lo, feasible, one_set = 0.0 - neg_lo, margin >= -float(epsilon), type(margin) is float
     witness = None
     if feasible if one_set else feasible.all():
         w = _midpoint_weights(_rows(m, "fine"), lo, hi) if n == 3 else _glued_weights(m, (lo + hi) / 2.0)

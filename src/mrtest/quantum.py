@@ -96,7 +96,10 @@ def _validate(h: np.ndarray, rho: np.ndarray, q: np.ndarray, times) -> np.ndarra
     """Check one row of times per model, then ``QuantumModel``'s invariants in its
     order, on one model or on models of one dimension along a leading axis, where
     the first model failing alone names its index; returns ``check_times``'s times."""
-    rows, times = h.shape[:-2], np.asarray(times, dtype=float)
+    try:
+        rows, times = h.shape[:-2], np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("times: need real numbers, in one row of times per model") from None
     if times.ndim != len(rows) + 1 or times.shape[:-1] != rows:
         want = str(rows + ("n",)).replace("'", "")
         raise ValidationError(f"times: need one row of times per model, of shape {want}, got shape {times.shape}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtest import conditions, fine, measurement
+from mrtest import conditions, measurement
 from mrtest.conditions import (
     ROWS,
     ConditionReport,
@@ -748,7 +748,7 @@ class TestRowTable:
             assert address(part.a) == address(whole.a[rows]) and address(part.slope) == address(whole.slope[rows])
 
     def test_every_time_count_table_is_keyed_by_pair_sets(self):
-        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, fine._GROUPS):
+        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, conditions._GROUPS):
             assert table.keys() == PAIR_SETS.keys()
         for n, pairs in PAIR_SETS.items():
             assert measurement._JSON_PAIRS[n] == [[i + 1, j + 1] for i, j in pairs]

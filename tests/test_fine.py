@@ -1,3 +1,5 @@
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -185,10 +187,11 @@ def family_values(m: MomentSet) -> dict:
 
 def reference_bounds(m: MomentSet):
     """The interval the Fine rows leave, as max(-b) over the slope +1 rows and
-    min(b) over the slope -1 rows of the column sums."""
+    min(b) over the slope -1 rows of the column sums; a zero lower bound is
+    0.0, not -0.0 (adding 0.0 leaves every other value bit-equal)."""
     block = ROWS[m.n_times]["fine"]
     b = column_sums(block, m.averages + m.correlators)
-    return (-b[block.slope > 0]).max(axis=0), b[block.slope < 0].min(axis=0)
+    return (-b[block.slope > 0]).max(axis=0) + 0.0, b[block.slope < 0].min(axis=0)
 
 
 class TestOneRowEvaluation:
@@ -259,6 +262,71 @@ class TestOneRowEvaluation:
         got_lo, got_hi = d_interval(m).d_interval
         assert (got_lo.tobytes(), got_hi.tobytes()) == (lo.tobytes(), hi.tobytes())
         assert [a.tobytes() for a in d_bounds(m)] == [lo.tobytes(), hi.tobytes()]
+
+
+def one_set_outputs(m: MomentSet, epsilon: float, order) -> dict:
+    """The one-set outputs that read the memoized minima, computed in ``order``
+    and keyed in the order of ``calls``."""
+    calls = {
+        "verdict": lambda: mr_weak(m, epsilon).verdict,
+        "weak": lambda: mr_weak(m, epsilon).to_jsonable(),
+        "fine": lambda: d_interval(m, epsilon).to_jsonable(),
+        "bounds": lambda: d_bounds(m),
+    }
+    got = {name: calls[name]() for name in order}
+    return {name: got[name] for name in calls if name in got}
+
+
+class TestMemoizedMinima:
+    """For one set, the first evaluation of its rows memoizes the smallest weak
+    margin, -lo and hi; every reader gives what it gives on a fresh set, in
+    whichever order they run, as Python bools and floats."""
+
+    @settings(max_examples=60)
+    @given(st.lists(edgy, min_size=8, max_size=8), st.sampled_from([3, 4]), st.sampled_from([1e-9, 1e-6]))
+    def test_outputs_independent_of_call_order(self, x, n, epsilon):
+        averages, correlators = tuple(x[:n]), tuple(x[n : 2 * n])
+        names = ("verdict", "weak", "fine", "bounds")
+        fresh = {name: one_set_outputs(MomentSet(averages, correlators), epsilon, [name])[name] for name in names}
+        for order in itertools.permutations(names):
+            got = one_set_outputs(MomentSet(averages, correlators), epsilon, order)
+            assert repr(got) == repr(fresh), order
+        assert type(fresh["verdict"]) is bool and fresh["verdict"] == fresh["weak"]["verdict"]
+        assert all(type(v) is float for v in fresh["bounds"]) and fresh["bounds"][0] == fresh["fine"]["d_interval"][0]
+        assert fresh["verdict"] is (min(c["margin"] for c in fresh["weak"]["checks"]) >= -epsilon)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-6])
+    def test_near_boundary_sets_independent_of_call_order(self, n, epsilon):
+        # smallest weak margins of -5e-7 (fail at 1e-9, pass at 1e-6) and exactly 0
+        avg = (0.0,) * n
+        corrs = [(0.5, 0.5, -5e-7), (1.0, 1.0, 1.0)] if n == 3 else [(-0.5, -0.5, -0.5, 0.5000005), (1.0,) * 4]
+        for corr in corrs:
+            fresh = one_set_outputs(MomentSet(avg, corr), epsilon, ("verdict", "weak", "fine", "bounds"))
+            late = one_set_outputs(MomentSet(avg, corr), epsilon, ("bounds", "fine", "weak", "verdict"))
+            assert repr(fresh) == repr(late)
+            assert fresh["verdict"] is (corr[0] == 1.0 or epsilon == 1e-6)
+
+    def test_zero_lower_bound_is_positive_zero(self):
+        # avg 0, every correlator 1: the interval is [0, 0] at three times
+        m = MomentSet((0.0,) * 3, (1.0,) * 3)
+        assert repr(d_bounds(m)) == repr(d_interval(m).d_interval) == "(0.0, 0.0)"
+        assert d_interval(m).to_jsonable()["certificate"] == "triple correlator interval [0.0, 0.0] (marginal)"
+
+    def test_replace_and_merge_rederive_the_verdict(self):
+        m = MomentSet((0.0,) * 3, (0.0,) * 3)
+        report = mr_weak(m)
+        assert report.verdict is True
+        failing = replace(report, values=report.values - 2.0)
+        assert failing.verdict is False and failing._margin is None
+        assert replace(failing, values=report.values).verdict is True
+        merged = report.merged_with(lg3(MomentSet((0.0,) * 3, (0.5, 0.5, -0.5))))
+        assert merged.verdict is False and merged._margin is None
+
+    def test_nan_margin_fails(self):
+        report = mr_weak(MomentSet((0.0,) * 3, (0.0,) * 3))
+        object.__setattr__(report, "_margin", float("nan"))
+        assert report.verdict is False
 
 
 class TestDInterval:

@@ -484,6 +484,14 @@ class TestQuantumModel:
         with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
             QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=SZ, times=times)
 
+    @pytest.mark.parametrize("times", [[[0, 1], [0, 1, 2]], "abc", [0, 1j, 2], [0, 1, 10**400]],
+                             ids=["ragged", "text", "complex", "huge-int"])
+    def test_rejects_times_that_are_not_real_numbers(self, times):
+        # before the check: numpy's bare ValueError, TypeError or OverflowError
+        text = "times: need real numbers, in one row of times per model"
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=SZ, times=times)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="mismatch"):
             QuantumModel(hamiltonian=np.zeros((3, 3)), rho=I2 / 2, observable=SZ, times=(0.0, 1.0))
