@@ -4,17 +4,17 @@ macrorealism verdicts composed from them.
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` stores each row once, with its check name, and
 ``_affine_values`` evaluates a block of them.  ``_rows(m, key)`` evaluates a
-moment set's weak and Fine rows once, memoized on the set with a single set's
-group minima, and returns the key's rows; every family, here and in ``fine``,
-reads them through it, so only this module knows where each lies.  A
-``ConditionReport`` holds names, a value array of shape ``(k,) + batch`` and a
-per-row equality flag.  A ">=0" row passes when value >= -epsilon (margin =
-value), an "=0" row when |value| <= epsilon (margin = -|value|): when its
-margin is >= -epsilon.  Margins, pass flags and verdict are array reductions,
-Python floats and bools for one moment set or arrays over a grid of them from
-``measure_all``; ``to_jsonable`` writes each row of one set from the same
-arrays.  Modeling assumptions (piecewise non-invasiveness, induction) are
-carried on reports as annotations, never as rows.
+moment set's weak and Fine rows once, memoized on the set, and returns the
+key's rows (``_group_minima`` memoizes one set's group minima beside them);
+every family, here and in ``fine``, reads its rows through it, so only this
+module knows where each lies.  A ``ConditionReport`` holds names, a value
+array of shape ``(k,) + batch`` and a per-row equality flag.  A ">=0" row
+passes when value >= -epsilon (margin = value), an "=0" row when |value| <=
+epsilon (margin = -|value|): when its margin is >= -epsilon.  Margins, pass
+flags and verdict are array reductions, Python floats and bools for one
+moment set or arrays over a grid of them from ``measure_all``;
+``to_jsonable`` writes each row of one set from the same arrays.  Modeling
+assumptions (piecewise non-invasiveness, induction) are annotations on reports, never rows.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (mode
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Named rows: ``values``, a float array of shape ``(k,) + batch``, has
-    one row per name, and the bool array ``equality`` flags the "=0" rows.
-    Flags sliced from the shared all-">=0" ``_INEQUALITY`` (every family of
-    moment rows) tell a report, with no scan, that its margins are its values."""
+    """Named rows: ``values``, a float array of shape ``(k,) + batch``, has one row per name, and the
+    bool array ``equality`` flags the "=0" rows.  Flags sliced from the shared all-">=0" ``_INEQUALITY``
+    tell a report, with no scan, that its margins are its values, and ``_margin``, one set's smallest
+    margin memoized by ``mr_weak``, gives its verdict (``replace`` and ``merged_with`` reset it)."""
 
     names: tuple[str, ...]
     values: np.ndarray
     equality: np.ndarray
     epsilon: float
     assumptions: tuple[str, ...] = ()
-    #: a one-set "weak" report's smallest margin (``_report``); ``replace`` and ``merged_with`` reset it
     _margin: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def _out(self, a: np.ndarray):
@@ -59,7 +58,7 @@ class ConditionReport:
 
     @property
     def verdict(self):
-        """Whether the smallest margin (memoized for one set's ``mr_weak``) is >= -epsilon; a NaN margin fails."""
+        """Whether the smallest margin is >= -epsilon; a NaN margin fails."""
         if self._margin is not None:
             return self._margin >= -float(self.epsilon)
         return self._out(self._margins().min(axis=0) >= -self.epsilon)
@@ -157,14 +156,14 @@ def _row_table(n: int) -> tuple[dict, dict]:
 #: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3" or
 #: "LG4", "weak", the LG2 blocks then the family, as ``mr_weak`` reads them, "fine", the rows
 #: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two in
-#: turn; every block is a view of the "weak+fine" rows at ``_ROW_SLICES[n][key]``.  ``_GROUPS``
-#: holds, per n and key, the rows in group order and where each group starts: "fine", its rows
-#: with slope +1, then those with slope -1; "weak+fine", the weak rows, then those two groups
+#: turn; every block is a view of the "weak+fine" rows at ``_ROW_SLICES[n][key]``.  ``_GROUPS[n][key]``:
+#: the rows in group order and each group's start, "fine" as slope +1 then -1, "weak+fine" as weak then those
 ROWS, _ROW_SLICES, _GROUPS = {}, {}, {}
 for _n in PAIR_SETS:
     ROWS[_n], _ROW_SLICES[_n] = _row_table(_n)
-    _slope, _w = ROWS[_n]["fine"].slope, _ROW_SLICES[_n]["fine"].start
-    _order, _starts = np.argsort(-_slope, kind="stable"), np.r_[0, np.count_nonzero(_slope > 0)]
+    _slope, _w = ROWS[_n]["fine"].slope, len(ROWS[_n]["weak"].names)
+    _order = np.concatenate([np.flatnonzero(_slope > 0), np.flatnonzero(_slope < 0)])
+    _starts = np.array([0, np.count_nonzero(_slope > 0)])
     _GROUPS[_n] = {"fine": (_order, _starts), "weak+fine": (np.r_[:_w, _w + _order], np.r_[0, _w + _starts])}
 
 #: the one "=0" flag array of every report of ">=0" rows (read-only, sliced to length)
@@ -201,32 +200,28 @@ def _minima(values: np.ndarray, n: int, key):
 
 def _rows(m: MomentSet, key) -> np.ndarray:
     """The rows ``ROWS[n][key]`` on m, shape ``(k,) + batch``: a slice of the
-    set's one evaluation of "weak+fine", memoized on it read-only with, for one
-    set, its ``_minima`` (the set's values are read-only, so neither goes stale)."""
+    set's one evaluation of "weak+fine", memoized on it and read-only (the
+    set's own values are read-only too, so the memo cannot go stale)."""
     values = m._cache.get("rows")
     if values is None:
         values = _affine_values(ROWS[m.n_times]["weak+fine"], m.averages + m.correlators)
         values.setflags(write=False)
         m._cache["rows"] = values
-        if values.ndim == 1:
-            m._cache["minima"] = _minima(values, m.n_times, "weak+fine")
     return values[_ROW_SLICES[m.n_times][key]]
 
 
 def _group_minima(m: MomentSet, key) -> list | np.ndarray:
-    """``_minima`` of m's "weak+fine" or "fine" rows: the memo for one set, one reduction over a grid."""
-    if "minima" not in m._cache and (values := _rows(m, key)).ndim > 1:
-        return _minima(values, m.n_times, key)
-    minima = m._cache["minima"]
+    """``_minima`` of m's "weak+fine" or "fine" rows; for one set, all three floats, memoized with the rows."""
+    if (minima := m._cache.get("minima")) is None:
+        if (values := _rows(m, key)).ndim > 1:
+            return _minima(values, m.n_times, key)
+        minima = m._cache["minima"] = _minima(_rows(m, "weak+fine"), m.n_times, "weak+fine")
     return minima[1:] if key == "fine" else minima
 
 
 def _report(m: MomentSet, key, epsilon: float, assumptions=()) -> ConditionReport:
     names = ROWS[m.n_times][key].names
-    report = ConditionReport(names, _rows(m, key), _INEQUALITY[: len(names)], epsilon, assumptions)
-    if key == "weak" and (minima := m._cache.get("minima")) is not None:
-        object.__setattr__(report, "_margin", minima[0])
-    return report
+    return ConditionReport(names, _rows(m, key), _INEQUALITY[: len(names)], epsilon, assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,10 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Weak macrorealism: every two-time inequality for the measured pairs
     plus the three-time (or four-time) family, under piecewise
     non-invasiveness and induction."""
-    return _report(m, "weak", epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
+    report = _report(m, "weak", epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
+    if report.values.ndim == 1:
+        object.__setattr__(report, "_margin", _group_minima(m, "weak+fine")[0])
+    return report
 
 
 def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:

@@ -19,8 +19,8 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
 ``d_bounds`` is the interval [lo, hi] the rows leave for z; ``d_interval``
 reads its verdict from the smallest weak margin, so it agrees with ``mr_weak``
 by construction, and builds a witness at the interval's midpoint.  For one set
-both read the margin, -lo and hi that ``conditions._rows`` memoizes with the
-rows; over a grid, one ``np.minimum.reduceat`` gives them.  A zero bound is 0.0.
+both read the margin, -lo and hi that ``conditions._group_minima`` memoizes with
+the rows; over a grid, one ``np.minimum.reduceat`` gives them.  A zero bound is 0.0.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
     ``(8,) + batch``, as ``batch + (8,)``: the outcome axis last and
     contiguous, so a sum over it adds in the same order as for one set."""
     w = (e + _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1)) * d) / 8.0
-    return w if e.ndim == 1 else w.transpose((*range(1, e.ndim), 0)).copy()
+    return np.ascontiguousarray(w.transpose((*range(1, e.ndim), 0)))
 
 
 def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
@@ -113,9 +113,9 @@ def _midpoint_weights(e: np.ndarray, lo, hi) -> np.ndarray:
     values e at the midpoint of their triple-correlator interval [lo, hi];
     on an empty interval, clipped at 0 and renormalised."""
     w = _expansion_weights(e, (lo + hi) / 2.0)
-    if empty if type(empty := hi < lo) is bool else empty.any():
+    if (empty := np.less(hi, lo)).any():
         clipped = np.maximum(w, 0.0)
-        w = np.where(np.expand_dims(empty, -1), clipped / clipped.sum(axis=-1, keepdims=True), w)
+        w = np.where(empty[..., None], clipped / clipped.sum(axis=-1, keepdims=True), w)
     return w.reshape(w.shape[:-1] + (2, 2, 2))
 
 

@@ -278,7 +278,7 @@ def one_set_outputs(m: MomentSet, epsilon: float, order) -> dict:
 
 
 class TestMemoizedMinima:
-    """For one set, the first evaluation of its rows memoizes the smallest weak
+    """For one set, the first reader of its minima memoizes the smallest weak
     margin, -lo and hi; every reader gives what it gives on a fresh set, in
     whichever order they run, as Python bools and floats."""
 
@@ -327,6 +327,14 @@ class TestMemoizedMinima:
         report = mr_weak(MomentSet((0.0,) * 3, (0.0,) * 3))
         object.__setattr__(report, "_margin", float("nan"))
         assert report.verdict is False
+
+    def test_row_families_alone_do_not_reduce(self):
+        # lg2, lg3 and lg4 read only the rows; the minima wait for their first reader
+        m3, m4 = MomentSet((0.0,) * 3, (0.5,) * 3), MomentSet((0.0,) * 4, (0.5,) * 4)
+        reports = [lg2(m3, (0, 1)), lg3(m3), lg2(m4, (2, 3)), lg4(m4)]
+        assert all(r._margin is None for r in reports)
+        assert "rows" in m3._cache and "minima" not in m3._cache and "minima" not in m4._cache
+        assert mr_weak(m3).verdict is True and m3._cache["minima"][0] == mr_weak(m3)._margin
 
 
 class TestDInterval:
