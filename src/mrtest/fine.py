@@ -87,8 +87,8 @@ def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
     """p(s) = (E(s) + s1 s2 s3 d) / 8 from the expansion values e, shape
     ``(8,) + batch``, as ``batch + (8,)``: the outcome axis last and
     contiguous, so a sum over it adds in the same order as for one set."""
-    w = (e + _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1)) * d) / 8.0
-    return np.ascontiguousarray(w.transpose((*range(1, e.ndim), 0)))
+    slope = _EXPANSION.slope.reshape((8,) + (1,) * (e.ndim - 1))
+    return np.ascontiguousarray(((e + slope * d) / 8.0).transpose((*range(1, e.ndim), 0)))
 
 
 def triple_expansion_table(m: MomentSet, d) -> ProbabilityTable:
