@@ -3,18 +3,20 @@ macrorealism verdicts composed from them.
 
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` stores each row once, with its check name, and
-``_affine_values`` evaluates a block of them.  ``_rows(m, key)`` evaluates a
-moment set's weak and Fine rows once, memoized on the set, and returns the
-key's rows (``_group_minima`` memoizes one set's group minima beside them);
-every family, here and in ``fine``, reads its rows through it, so only this
-module knows where each lies.  A ``ConditionReport`` holds names, a value
-array of shape ``(k,) + batch`` and a per-row equality flag.  A ">=0" row
-passes when value >= -epsilon (margin = value), an "=0" row when |value| <=
-epsilon (margin = -|value|): when its margin is >= -epsilon.  Margins, pass
-flags and verdict are array reductions, Python floats and bools for one
-moment set or arrays over a grid of them from ``measure_all``;
-``to_jsonable`` writes each row of one set from the same arrays.  Modeling
-assumptions (piecewise non-invasiveness, induction) are annotations on reports, never rows.
+``_affine_values`` evaluates a block of them, on one set or a grid, as one
+product and one reduction.  ``_rows(m, key)`` evaluates a moment set's weak
+and Fine rows once, memoized on the set, and returns the key's rows, and
+``_group_minima(m)`` memoizes beside them the set's smallest weak margin and
+Fine bounds, for one set or a grid alike; every family, here and in ``fine``,
+reads its rows through them, so only this module knows where each lies.
+A ``ConditionReport`` holds names, a value array of shape ``(k,) + batch``
+and a per-row equality flag.  A ">=0" row passes when value >= -epsilon
+(margin = value), an "=0" row when |value| <= epsilon (margin = -|value|):
+when its margin is >= -epsilon.  Margins, pass flags and verdict are array
+reductions, Python floats and bools for one moment set or arrays over a grid
+of them from ``measure_all``; ``to_jsonable`` writes each row of one set from
+the same arrays.  Modeling assumptions (piecewise non-invasiveness,
+induction) are annotations on reports, never rows.
 """
 
 from __future__ import annotations
@@ -172,22 +174,16 @@ _INEQUALITY.setflags(write=False)
 
 
 def _affine_values(block: RowBlock, x) -> np.ndarray:
-    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats, or
-    arrays of one shape over a grid), as the terms of ``block.a`` times
-    (1, x) added strictly left to right from b.  For one moment set that is
-    (1, x) built as one array, one product with ``block.a.T`` into a
-    C-ordered array of terms, one column per row, and one ``np.add.reduce``
-    along its axis 0, which adds whole rows of terms in turn (C order keeps
-    the reduction axis outer, so numpy does not sum it pairwise); over a
-    grid the columns are added with in-place adds.  The two give bit-equal
-    values, and the result owns its memory."""
-    if not isinstance(x[0], np.ndarray):
-        return np.add.reduce(np.multiply(block.a.T, np.array((1.0, *x))[:, None], order="C"), axis=0)
-    a = block.a.reshape(block.a.shape + (1,) * x[0].ndim)
-    values = a[:, 0] + a[:, 1] * x[0]
-    for j in range(1, len(x)):
-        values += a[:, j + 1] * x[j]
-    return values
+    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats for one
+    set; arrays of one shape, or one array, over a batch), as the terms of
+    ``block.a`` times (1, x) added strictly left to right from b: one product
+    of ``block.a.T`` with (1, x) into a C-ordered array of terms, one row per
+    column, and one ``np.add.reduce`` along its axis 0, which adds whole rows
+    in turn (C order keeps the reduction axis outer, so numpy does not sum it
+    pairwise).  The result owns its memory."""
+    columns = np.array((np.ones(x[0].shape), *x)) if isinstance(x[0], np.ndarray) else np.array((1.0, *x))
+    a = block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
+    return np.add.reduce(np.multiply(a, columns[:, None], order="C"), axis=0)
 
 
 def _minima(values: np.ndarray, n: int, key):
@@ -202,21 +198,22 @@ def _rows(m: MomentSet, key) -> np.ndarray:
     """The rows ``ROWS[n][key]`` on m, shape ``(k,) + batch``: a slice of the
     set's one evaluation of "weak+fine", memoized on it and read-only (the
     set's own values are read-only too, so the memo cannot go stale)."""
-    values = m._cache.get("rows")
-    if values is None:
-        values = _affine_values(ROWS[m.n_times]["weak+fine"], m.averages + m.correlators)
+    n = m.n_times
+    if (values := m._cache.get("rows")) is None:
+        values = m._cache["rows"] = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
         values.setflags(write=False)
-        m._cache["rows"] = values
-    return values[_ROW_SLICES[m.n_times][key]]
+    return values[_ROW_SLICES[n][key]]
 
 
-def _group_minima(m: MomentSet, key) -> list | np.ndarray:
-    """``_minima`` of m's "weak+fine" or "fine" rows; for one set, all three floats, memoized with the rows."""
+def _group_minima(m: MomentSet) -> list | np.ndarray:
+    """The smallest weak margin, -lo and hi: ``_minima`` of m's "weak+fine" rows, as
+    Python floats for one set or read-only arrays over a grid, memoized beside the
+    rows by the first reader."""
     if (minima := m._cache.get("minima")) is None:
-        if (values := _rows(m, key)).ndim > 1:
-            return _minima(values, m.n_times, key)
         minima = m._cache["minima"] = _minima(_rows(m, "weak+fine"), m.n_times, "weak+fine")
-    return minima[1:] if key == "fine" else minima
+        if isinstance(minima, np.ndarray):
+            minima.setflags(write=False)
+    return minima
 
 
 def _report(m: MomentSet, key, epsilon: float, assumptions=()) -> ConditionReport:
@@ -310,7 +307,7 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     non-invasiveness and induction."""
     report = _report(m, "weak", epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
     if report.values.ndim == 1:
-        object.__setattr__(report, "_margin", _group_minima(m, "weak+fine")[0])
+        object.__setattr__(report, "_margin", _group_minima(m)[0])
     return report
 
 

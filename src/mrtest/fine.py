@@ -14,13 +14,14 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
   rows, each lifted onto the four-time columns at x = 0 with its C13
   coefficient as slope; a joint of the two triangles glues into one of all
   four times (the chordal extension behind Fine's theorem: Fine, PRL 48,
-  291 (1982); Araujo et al., PRA 88, 022118 (2013)).
+  291 (1982); Araujo et al., PRA 88, 022118 (2013)).  The witness evaluates
+  the three-time expansion rows on both triangles' columns at once.
 
 ``d_bounds`` is the interval [lo, hi] the rows leave for z; ``d_interval``
 reads its verdict from the smallest weak margin, so it agrees with ``mr_weak``
-by construction, and builds a witness at the interval's midpoint.  For one set
-both read the margin, -lo and hi that ``conditions._group_minima`` memoizes with
-the rows; over a grid, one ``np.minimum.reduceat`` gives them.  A zero bound is 0.0.
+by construction, and builds a witness at the interval's midpoint.  Both read
+the margin, -lo and hi that ``conditions._group_minima`` memoizes with the
+rows, from one ``np.minimum.reduceat``, for one set or a grid.  A zero bound is 0.0.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, RowBlock, _affine_values, _group_minima, _minima, _rows
+from .conditions import ROWS, _affine_values, _group_minima, _minima, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -75,13 +76,6 @@ class FeasibilityResult:
 
 _EXPANSION = ROWS[3]["fine"]
 
-#: the expansion rows E(s) of the triangles (1,2,3) and (1,3,4), row by row in turn, as one
-#: block on (<Q_1>, ..., <Q_4>, C12, C23, C13, C34, C14): a triangle's columns in the three-time
-#: order and 0 on the others, whose terms leave each value bit-equal (a sum starts at 1)
-_TRIANGLES = RowBlock(tuple(k.replace("E.", f"E({t}).") for k in _EXPANSION.names for t in ("123", "134")),
-                      np.zeros((16, 10)), np.repeat(_EXPANSION.slope, 2))
-_TRIANGLES.a[0::2, [0, 1, 2, 3, 5, 6, 7]] = _TRIANGLES.a[1::2, [0, 1, 3, 4, 7, 8, 9]] = _EXPANSION.a
-
 
 def _expansion_weights(e: np.ndarray, d) -> np.ndarray:
     """p(s) = (E(s) + s1 s2 s3 d) / 8 from the expansion values e, shape
@@ -104,7 +98,7 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    neg_lo, hi = _group_minima(m, "fine")
+    neg_lo, hi = _group_minima(m)[1:]
     return 0.0 - neg_lo, hi
 
 
@@ -123,8 +117,9 @@ def _glued_weights(m: MomentSet, x) -> np.ndarray:
     """Four-time joint weights at chord value x: the triangle joints p123
     and p134 (one batch axis ahead of the grid's), each at its own interval
     midpoint, glued as p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
-    c12, c23, c34, c14 = m.correlators
-    e = _affine_values(_TRIANGLES, m.averages + (c12, c23, x, c34, c14)).reshape((8, 2) + np.shape(x))
+    (a1, a2, a3, a4), (c12, c23, c34, c14) = m.averages, m.correlators
+    # the expansion rows on each triangle's columns, in the three-time order, side by side
+    e = _affine_values(_EXPANSION, np.array([(a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)]))
     neg_lo, hi = _minima(e, 3, "fine")
     p123, p134 = _midpoint_weights(e, -neg_lo, hi)
     p13 = p134.sum(axis=-1, keepdims=True)
@@ -142,7 +137,7 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     times, glued from the two triangle joints), with weights left slightly
     negative inside the slack clipped at 0 and the table renormalised."""
     n = m.n_times
-    margin, neg_lo, hi = _group_minima(m, "weak+fine")
+    margin, neg_lo, hi = _group_minima(m)
     lo, feasible, one_set = 0.0 - neg_lo, margin >= -float(epsilon), type(margin) is float
     witness = None
     if feasible if one_set else feasible.all():

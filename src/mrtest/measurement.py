@@ -213,7 +213,7 @@ class MomentSet:
     averages and correlators are stored as tuples of Python floats, or of
     read-only float arrays (copies of the caller's) over a grid when the set
     comes from ``measure_all`` with a grid of times.  ``conditions`` memoizes
-    the set's weak and Fine rows, and for one set their minima, in ``_cache``.
+    the set's weak and Fine rows, and their minima, in ``_cache``.
     """
 
     averages: tuple[float, ...]

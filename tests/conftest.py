@@ -172,6 +172,31 @@ def triangle_fine_rows(m: MomentSet) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(b), np.concatenate([chord.a[:, 6], lg3.a[:, 6], lg3.a[:, 4]])
 
 
+def glued_weights(m: MomentSet, x) -> np.ndarray:
+    """The four-time witness weights at chord value x, glued from the two
+    triangles (1,2,3) and (1,3,4): each triangle's expansion rows as column
+    sums on its own three-time columns, its joint p(s) = (E(s) + s1 s2 s3 z) / 8
+    at the midpoint z of its own interval (clipped at 0 and renormalised when
+    that is empty), then p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3),
+    renormalised.  The reference for ``fine``'s four-time witness."""
+    block = ROWS[3]["fine"]
+    (a1, a2, a3, a4), (c12, c23, c34, c14) = m.averages, m.correlators
+    joints = []
+    for columns in ([a1, a2, a3, c12, c23, x], [a1, a3, a4, x, c34, c14]):
+        # the outcome axis last and contiguous, so each sum over it adds as fine's does
+        e = np.ascontiguousarray(np.moveaxis(column_sums(block, columns), 0, -1))
+        lo, hi = -e[..., block.slope > 0].min(axis=-1), e[..., block.slope < 0].min(axis=-1)
+        p = (e + block.slope * ((lo + hi) / 2.0)[..., None]) / 8.0
+        clipped = np.maximum(p, 0.0)
+        p = np.where((hi < lo)[..., None], clipped / clipped.sum(axis=-1, keepdims=True), p)
+        joints.append(p.reshape(p.shape[:-1] + (2, 2, 2)))
+    p123, p134 = joints
+    p13 = p134.sum(axis=-1, keepdims=True)
+    conditional = np.divide(p134, p13, out=np.zeros(p134.shape), where=p13 > 0.0)
+    w = np.einsum("...abc,...acd->...abcd", p123, conditional).reshape(p123.shape[:-3] + (16,))
+    return (w / w.sum(axis=-1, keepdims=True)).reshape(w.shape[:-1] + (2, 2, 2, 2))
+
+
 class OracleResult(NamedTuple):
     """An oracle's verdict, its witness table when it found one, and why it
     found none otherwise."""

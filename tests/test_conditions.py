@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from mrtest import conditions, measurement
 from mrtest.conditions import (
@@ -711,7 +712,7 @@ class TestAffineValues:
         for key, block in ROWS[n].items():
             width = block.a.shape[1] - 1
             assert _affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
-            # whatever the coefficients' memory layout (fine's triangle block builds its own)
+            # whatever the coefficients' memory layout
             by_columns = block._replace(a=np.asfortranarray(block.a))
             assert _affine_values(by_columns, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
 
@@ -754,6 +755,46 @@ class TestRowTable:
             assert measurement._JSON_PAIRS[n] == [[i + 1, j + 1] for i, j in pairs]
             assert [(i, j) for i, j, _ in conditions._PAIRWISE_NSIT[n]] == list(pairs)
             assert ROWS[n]["weak"].names[: 4 * len(pairs)] == sum((ROWS[n][p].names for p in pairs), ())
+
+
+def deterministic_points(n: int) -> np.ndarray:
+    """The 2^n deterministic moment points at n times, as integers: s_i, then
+    s_i s_j over the measured pairs."""
+    s = np.array(outcomes(n))
+    return np.hstack([s, np.stack([s[:, i] * s[:, j] for i, j in pair_set(n)], axis=1)])
+
+
+def integer_row(a: np.ndarray) -> tuple[int, ...]:
+    """a scaled so that its smallest nonzero entry is +-1, which must leave integers."""
+    scaled = a / np.abs(a[np.abs(a) > 1e-9]).min()
+    assert np.allclose(scaled, np.round(scaled), rtol=0.0, atol=1e-9)
+    return tuple(np.round(scaled).astype(int).tolist())
+
+
+class TestWeakFacets:
+    """The weak rows are exactly the facets of the convex hull of the
+    deterministic moment points, so a set passes them all iff it is a mixture
+    of those points, a joint: Fine's theorem made concrete."""
+
+    @pytest.mark.parametrize("n, count", [(3, 16), (4, 24)])
+    def test_hull_facets_are_the_weak_rows(self, n, count):
+        # qhull's facets are e . v + c <= 0 inside (one per simplex of a facet), so c + e . v <= 0 is a row -(c, e)
+        hull = ConvexHull(deterministic_points(n))
+        facets = {integer_row(-np.roll(e, 1)) for e in hull.equations}
+        assert len(facets) == count
+        assert facets == {integer_row(a) for a in ROWS[n]["weak"].a}
+
+    @pytest.mark.parametrize("n, rank", [(3, 6), (4, 8)])
+    def test_every_weak_row_is_a_facet_in_integers(self, n, rank):
+        # a row >= 0 on every vertex, zero on vertices of an affine rank one below the moment space's
+        homogenized = np.hstack([np.ones((2**n, 1), dtype=int), deterministic_points(n)])
+        assert homogenized.shape[1] == rank + 1
+        for name, a in zip(ROWS[n]["weak"].names, ROWS[n]["weak"].a):
+            row = a.astype(int)
+            assert (row == a).all(), name
+            values = homogenized @ row
+            assert (values >= 0).all(), name
+            assert np.linalg.matrix_rank(homogenized[values == 0]) == rank, name
 
 
 class TestGridMatchesPoints:

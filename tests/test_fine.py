@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mrtest import conditions, fine
-from mrtest.conditions import ROWS, _affine_values, lg2, lg3, lg4, mr_weak
+from mrtest.conditions import ROWS, _affine_values, _minima, lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
@@ -20,13 +20,14 @@ from mrtest.fine import (
     triple_expansion_table,
 )
 from mrtest.harness import sample_model
-from mrtest.measurement import MomentSet, measure_all
+from mrtest.measurement import MomentSet, measure_all, outcomes, pair_set
 from mrtest.tolerances import TOL
 
 from conftest import (
     column_sums,
     exact_row_values,
     exact_rows,
+    glued_weights,
     lp_oracle,
     moment_rows,
     precession_model,
@@ -194,6 +195,18 @@ def reference_bounds(m: MomentSet):
     return (-b[block.slope > 0]).max(axis=0) + 0.0, b[block.slope < 0].min(axis=0)
 
 
+def feasible_grid(rng: np.random.Generator, n: int, size: int) -> MomentSet:
+    """A grid of the moments of random joints at n times: every fifth set a
+    deterministic point (entries +-1) and every tenth all zeros of both signs,
+    so every set is feasible."""
+    s = np.array(outcomes(n), dtype=float)
+    vertices = np.hstack([s, np.stack([s[:, i] * s[:, j] for i, j in pair_set(n)], axis=1)])
+    x = rng.dirichlet(np.ones(len(s)), size=size) @ vertices
+    x[::5] = vertices[rng.integers(len(s), size=len(x[::5]))]
+    x[2::10] = rng.choice([-0.0, 0.0], size=x[2::10].shape)
+    return MomentSet(averages=tuple(x.T[:n]), correlators=tuple(x.T[n:]))
+
+
 class TestOneRowEvaluation:
     """A moment set's weak and Fine rows are evaluated once and memoized;
     every family reads row slices of that one array, bit-equal to the
@@ -220,25 +233,39 @@ class TestOneRowEvaluation:
             d_interval(m, 1e-6)
             if n == 3 and result.feasible:
                 triple_expansion_table(m, 0.0)
-        # each witness of a feasible four-time set evaluates the expansion rows of its two triangles
-        glued = [fine._TRIANGLES.names] * 2 if n == 4 and result.feasible else []
+        # each witness of a feasible four-time set evaluates the expansion rows on its two triangles' columns
+        glued = [ROWS[3]["fine"].names] * 2 if n == 4 and result.feasible else []
         assert calls == [ROWS[n]["weak+fine"].names] + glued
 
     @given(st.lists(edgy, min_size=9, max_size=9))
     def test_triangle_rows_bit_equal_to_three_time_rows(self, x):
-        # the four-time witness evaluates both triangles as one block with zero coefficients
+        # the four-time witness evaluates the three-time rows on both triangles' columns as one (6, 2) array
         a1, a2, a3, a4, c12, c23, c34, c14, chord = x
         want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
-        got = _affine_values(fine._TRIANGLES, [a1, a2, a3, a4, c12, c23, chord, c34, c14])
+        got = _affine_values(ROWS[3]["fine"], np.array([(a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)]))
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        m = MomentSet(averages=(a1, a2, a3, a4), correlators=(c12, c23, c34, c14))
+        with np.errstate(invalid="ignore"):  # far outside the slack the glued weights may sum to 0
+            assert fine._glued_weights(m, chord).tobytes() == glued_weights(m, chord).tobytes()
+        if (r := d_interval(m)).feasible:
+            lo, hi = r.d_interval
+            assert r.witness_table.weights.tobytes() == glued_weights(m, (lo + hi) / 2.0).tobytes()
 
     def test_triangle_rows_on_a_grid(self, rng):
         x = rng.uniform(-1.0, 1.0, size=(9, 2000))
         x[:, ::5] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=x[:, ::5].shape)
         a1, a2, a3, a4, c12, c23, c34, c14, chord = x
         want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
-        got = _affine_values(fine._TRIANGLES, (a1, a2, a3, a4, c12, c23, chord, c34, c14))
+        got = _affine_values(ROWS[3]["fine"], np.array([(a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)]))
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        m = MomentSet(averages=tuple(x[:4]), correlators=tuple(x[4:8]))
+        with np.errstate(invalid="ignore"):
+            assert fine._glued_weights(m, chord).tobytes() == glued_weights(m, chord).tobytes()
+        # a grid of joints (with deterministic points among them) is feasible everywhere, so it has a witness
+        feasible = feasible_grid(rng, 4, 2000)
+        r = d_interval(feasible)
+        lo, hi = r.d_interval
+        assert r.witness_table.weights.tobytes() == glued_weights(feasible, (lo + hi) / 2.0).tobytes()
 
     @given(st.lists(edgy, min_size=8, max_size=8), st.sampled_from([3, 4]))
     def test_slices_bit_equal_to_column_sums(self, x, n):
@@ -262,6 +289,46 @@ class TestOneRowEvaluation:
         got_lo, got_hi = d_interval(m).d_interval
         assert (got_lo.tobytes(), got_hi.tobytes()) == (lo.tobytes(), hi.tobytes())
         assert [a.tobytes() for a in d_bounds(m)] == [lo.tobytes(), hi.tobytes()]
+
+
+class TestGridMemo:
+    """A grid moment set, like one set, is evaluated once and reduced once:
+    ``mr_weak``, ``d_bounds`` and ``d_interval`` read the memoized rows and
+    minima in whichever order they run, and give the same bits in every order."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_evaluation_and_one_reduction_in_every_order(self, rng, n):
+        x = rng.uniform(-1.0, 1.0, size=(2 * n, 500)) * rng.uniform(0.0, 1.0, size=500)
+        x[:, ::7] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=x[:, ::7].shape)
+        readers = {
+            "weak": lambda m: (mr_weak(m).values, mr_weak(m).verdict, mr_weak(m, 1e-6).verdict),
+            "bounds": lambda m: d_bounds(m),
+            "fine": lambda m: (d_interval(m).margin, d_interval(m).feasible, *d_interval(m, 1e-6).d_interval),
+        }
+        fresh = None
+        for order in itertools.permutations(readers):
+            m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:]))
+            evaluated, reduced = [], []
+
+            def counted_values(block, columns):
+                evaluated.append(block.names)
+                return _affine_values(block, columns)
+
+            def counted_minima(values, n_times, key):
+                reduced.append((n_times, key))
+                return _minima(values, n_times, key)
+
+            with mock.patch.object(conditions, "_affine_values", counted_values), mock.patch.object(
+                fine, "_affine_values", counted_values
+            ), mock.patch.object(conditions, "_minima", counted_minima), mock.patch.object(fine, "_minima", counted_minima):
+                got = {name: readers[name](m) for name in order}
+            # a grid with infeasible sets builds no witness, so nothing else is evaluated or reduced
+            assert not d_interval(m).feasible.all()
+            assert evaluated == [ROWS[n]["weak+fine"].names] and reduced == [(n, "weak+fine")], order
+            got = {name: [np.asarray(a).tobytes() for a in got[name]] for name in readers}
+            fresh = fresh or got
+            assert got == fresh, order
+            assert not m._cache["minima"].flags.writeable
 
 
 def one_set_outputs(m: MomentSet, epsilon: float, order) -> dict:
