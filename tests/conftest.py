@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from mrtest.conditions import ROWS, RowBlock, mr_int, mr_strong, mr_weak
 from mrtest.errors import ValidationError
-from mrtest.fine import d_interval
+from mrtest.fine import d_bounds
 from mrtest.harness import sample_model
 from mrtest.measurement import (
     SIGNS,
@@ -520,8 +520,9 @@ def reference_sample(rng: np.random.Generator, dim: int, epsilon: float):
     strong = mr_strong(tables, epsilon)
     chain_ok = (not strong.verdict or mint.verdict) and (not mint.verdict or weak.verdict)
     yield "implication_chain", 0.0 if chain_ok else 1.0, 0.5
-    fine_ok = d_interval(moments, epsilon).feasible == weak.verdict
-    yield "fine_matches_mr_weak", 0.0 if fine_ok else 1.0, 0.5
+    # Fine's theorem: the triple correlator's interval is twice the smallest weak margin wide
+    lo, hi = d_bounds(moments)
+    yield "fine_matches_mr_weak", abs((hi - lo) / 2.0 - min(weak.margins.values())), TOL.scalar
 
 
 def reference_campaign(seed: int, count: int, dim_min: int = 2, dim_max: int = 4, epsilon: float = TOL.verdict) -> dict:

@@ -833,3 +833,77 @@ class TestExactOracle:
                 err, passes = self.check(m, (0.0, 2.0**-k, TOL.verdict, 1e-6))
                 assert err == 0 and passes == (target >= 0)
                 assert mr_weak(m, 2.0**-k).verdict and d_interval(m, 2.0**-k).feasible
+
+
+def half_width_residual(m: MomentSet):
+    """|(hi - lo)/2 - smallest weak margin|, from ``d_bounds`` and ``mr_weak``: a number for
+    one set, an array over a grid.  Zero at three times, up to rounding, by Fine's theorem."""
+    lo, hi = d_bounds(m)
+    return np.abs((hi - lo) / 2.0 - mr_weak(m).values.min(axis=0))
+
+
+def exact_width_and_margin(m: MomentSet) -> tuple[Fraction, Fraction]:
+    """hi - lo and twice the smallest weak margin in ``Fraction``s, from the rows
+    as ``conftest.exact_rows`` defines them: no float rounding and no ``ROWS``."""
+    exact = exact_row_values(m).values()
+    lo = max(-value for row, value, _ in exact if row.block == "fine" and row.slope > 0)
+    hi = min(value for row, value, _ in exact if row.block == "fine" and row.slope < 0)
+    return hi - lo, 2 * min(value for row, value, _ in exact if row.block == "weak")
+
+
+#: a few ulps of the rows' unit scale; 10^4 random and near-boundary sets gave at most 2 eps
+FEW_ULPS = 4 * np.finfo(float).eps
+
+
+class TestFineTheorem:
+    """Fine's theorem at three times as an identity: two expansion rows of opposite
+    slope either differ in one sign and add up to twice an LG2 row, or differ in all
+    three and add up to twice an LG3 row, and every LG2 and LG3 row is such a sum;
+    so the interval [lo, hi] the rows leave for the triple correlator is twice the
+    smallest weak margin wide, and empty exactly when that margin is negative."""
+
+    @given(st.lists(edgy, min_size=6, max_size=6))
+    def test_width_is_twice_the_smallest_weak_margin(self, values):
+        m = moment_set3(values)
+        width, twice_margin = exact_width_and_margin(m)
+        assert width == twice_margin
+        assert half_width_residual(m) <= FEW_ULPS
+
+    @pytest.mark.parametrize("epsilon", [TOL.verdict, 1e-6])
+    def test_near_and_exact_boundary_sets_one_by_one_and_as_a_grid(self, rng, epsilon):
+        sets = [
+            # two sets exactly on the weak boundary (width 0), then the third-turn set (width -1)
+            moment_set3([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+            moment_set3([1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+            moment_set3([0.0, 0.0, 0.0, 0.5, 0.5, -0.5]),
+        ]
+        while len(sets) < 300:
+            target = 0.0 if len(sets) % 10 == 0 else rng.uniform(-10.0, 10.0) * epsilon
+            m = near_weak_boundary3(rng.uniform(-1.0, 1.0, 6).tolist(), target)
+            if m is not None:
+                sets.append(m)
+        assert [exact_width_and_margin(m)[0] for m in sets[:3]] == [0, 0, -1]
+        one_by_one = [half_width_residual(m) for m in sets]
+        assert max(one_by_one) <= FEW_ULPS
+        assert half_width_residual(stacked(sets)).tobytes() == np.array(one_by_one).tobytes()
+        assert all(width == twice for width, twice in map(exact_width_and_margin, sets))
+
+    def test_random_grid(self, rng):
+        x = rng.uniform(-1.0, 1.0, size=(6, 3000)) * rng.uniform(0.0, 1.0, size=3000)
+        grid = moment_set3(x)
+        residual = half_width_residual(grid)
+        assert residual.shape == (3000,) and residual.max() <= FEW_ULPS
+        lo, hi = d_bounds(grid)
+        # empty intervals and open ones both occur
+        assert (hi < lo).any() and (hi > lo).any()
+
+    def test_dyadic_sets_hold_exactly(self):
+        rng = np.random.default_rng(12)
+        for k in (1, 9, 20, 30, 40):
+            for target in (Fraction(0), Fraction(1, 2**k), -Fraction(1, 2**k)):
+                m = next(m for m in (dyadic_set(rng, 3, target) for _ in range(100)) if m is not None)
+                # every row is a float sum without rounding, so the float identity is exact too
+                assert exact_width_and_margin(m) == (2 * target, 2 * target)
+                assert half_width_residual(m) == 0.0
+                lo, hi = d_bounds(m)
+                assert Fraction(hi) - Fraction(lo) == 2 * target

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from mrtest import harness
+from mrtest import fine, harness
 from mrtest.cli import main
 from mrtest.conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from mrtest.errors import InputFormatError, ValidationError
@@ -24,7 +25,7 @@ from mrtest.harness import (
     sweep_csv_lines,
     write_sweep_csv,
 )
-from mrtest.measurement import measure_all, outcomes, pair_set, witness
+from mrtest.measurement import MomentSet, measure_all, outcomes, pair_set, witness
 from mrtest.quantum import QuantumModel, _validate
 
 import conftest
@@ -569,6 +570,31 @@ class TestCampaign:
         summary = run_campaign(seed=1, count=2)
         assert [(v["check"], v["index"]) for v in summary["violations"]] == [("contextual_in_range", 0), ("contextual_in_range", 1)]
         assert summary["checks"]["contextual_in_range"]["max_residual"] == 0.25
+
+    def test_widened_fine_interval_fails_on_every_model(self, monkeypatch):
+        # hi 1e-9 too high moves the half width 5e-10 off the smallest weak margin
+        bounds = harness.d_bounds
+        monkeypatch.setattr(harness, "d_bounds", lambda m: (bounds(m)[0], bounds(m)[1] + 1e-9))
+        count = 20
+        summary = run_campaign(seed=2, count=count)
+        assert [(v["index"], v["check"]) for v in summary["violations"]] == [
+            (index, "fine_matches_mr_weak") for index in range(count)
+        ]
+        assert all(abs(v["residual"] - 5e-10) < 1e-15 for v in summary["violations"])
+        assert summary["checks"]["fine_matches_mr_weak"]["samples"] == count
+
+    def test_fine_check_runs_once_per_block(self, monkeypatch):
+        # no d_interval under any name, and no moment set but each block's one
+        calls, blocks, sets, interval = [], [], [], fine.d_interval
+        for module in [m for name, m in sys.modules.items() if name.startswith("mrtest")]:
+            if getattr(module, "d_interval", None) is interval:
+                monkeypatch.setattr(module, "d_interval", lambda *args: calls.append(args) or interval(*args))
+        block, post_init = harness._campaign_block, MomentSet.__post_init__
+        monkeypatch.setattr(harness, "_campaign_block", lambda *args: blocks.append(args) or block(*args))
+        monkeypatch.setattr(MomentSet, "__post_init__", lambda m: sets.append(m) or post_init(m))
+        summary = run_campaign(seed=3, count=60)
+        assert summary["passed"] and summary["checks"]["fine_matches_mr_weak"]["samples"] == 60
+        assert calls == [] and len(blocks) == 3 and len(sets) == len(blocks)
 
     def test_count_cap(self):
         with pytest.raises(ValidationError, match="10\\^5"):
