@@ -404,12 +404,13 @@ def _campaign_block(lam, vec, rho, q, times, shifts: np.ndarray, epsilon: float)
     residual over the models, tolerance)`` in one model's check order; it holds where
     residual <= tolerance.  A check run only where its premise holds adds that mask.  Each
     residual is array work over the whole block, with no Python model by model."""
-    _, q, proj, dichotomy = _spectral(lam, vec, q, times)
+    _, q, proj = _spectral(lam, vec, q, times)
     tables = _tables(proj, rho)
     moments = tables.moments
 
-    # dichotomy and expectation range of evolved observables
-    yield "dichotomy_preserved", dichotomy.max(axis=-1), TOL.structural
+    # dichotomy and expectation range of evolved observables: the only check of Q(t)^2 = I after load
+    dichotomy = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max(axis=-1)
+    yield "dichotomy_preserved", dichotomy, TOL.structural
     yield "expectation_range", np.abs(moments.averages).max(axis=0) - 1.0, TOL.structural
 
     # unitary group property on a random time pair

@@ -14,7 +14,7 @@ its absolute NSIT residual is the coherence witness.
 ``measure_all`` builds every table from two shared stacks, P rho (one BLAS
 call) and P rho P: each sequential run starts from P rho P and ends in the
 trace pairing Tr(P state), and each quasi table is Re Tr(P_j P_i rho), the
-symmetrized form, since Tr(P_i P_j rho) is its complex conjugate.  Stack
+symmetrized form: a validated model's Tr(P_i P_j rho) is its conjugate.  Stack
 products and pairings go through ``quantum._product`` and
 ``quantum._pairing``: broadcast multiply-adds for a qubit or qutrit, BLAS
 and ``np.einsum`` from d = 4.
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .quantum import QuantumModel, _frozen, _pairing, _product, _real_trace, _times_matrix, expectation
+from .quantum import QuantumModel, _frozen, _pairing, _product, _times_matrix, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
@@ -326,12 +326,9 @@ def _sequential_weights(proj: np.ndarray, prp: np.ndarray, idx: tuple[int, ...])
 def _quasi_weights(proj: np.ndarray, p_rho: np.ndarray, i: int, j: int) -> np.ndarray:
     """Symmetrized quasi-probability of the time indices i < j, from the stack
     ``p_rho`` of P rho: q(s1, s2) = Re Tr((P_{s2}(t_j) P_{s1}(t_i) + P_{s1}(t_i) P_{s2}(t_j)) rho) / 2
-    = Re Tr(P_{s2}(t_j) P_{s1}(t_i) rho), and the sum's imaginary residue is checked as ``expectation``
-    checks it.  Its marginals are the single-time tables, but entries may be negative."""
-    ji = _pairing(proj[..., j, None, :, :, :], p_rho[..., i, :, None, :, :])
-    ij = _pairing(proj[..., i, :, None, :, :], p_rho[..., j, None, :, :, :])
-    _real_trace(ji + ij)
-    return ji.real
+    = Re Tr(P_{s2}(t_j) P_{s1}(t_i) rho), since for Hermitian P and rho the two traces are complex
+    conjugates.  Its marginals are the single-time tables, but entries may be negative."""
+    return _pairing(proj[..., j, None, :, :, :], p_rho[..., i, :, None, :, :]).real
 
 
 def sequential_moments(tables: TableSet) -> dict[tuple[str, str], float]:

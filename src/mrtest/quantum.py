@@ -8,8 +8,9 @@ them stays unitary up to rounding.
 ``QuantumModel`` bundles a Hamiltonian, a density matrix, a dichotomic
 observable and 2-4 measurement times, validates all invariants on
 construction with ``_validate`` (which the property campaign runs on whole
-blocks of sampled models), and derives the spectral data the measurement
-layer needs as cached read-only properties: the unitary evolution U(t)
+blocks of sampled models), stores the Hermitian parts of the matrices, and
+derives the spectral data the measurement layer needs as cached read-only
+properties, which are not checked again: the unitary evolution U(t)
 generated by H (hbar = 1), the Heisenberg-picture observable Q(t) and its
 two spectral projectors.  H is diagonalised once per model; ``spectral``
 then evaluates all three for a whole array of times, so a sweep over a grid
@@ -66,16 +67,15 @@ def require_hermitian(a: np.ndarray, *, name: str = "matrix") -> None:
         raise ValidationError(f"{name}: not Hermitian (max deviation {dev:.3e} > {TOL.scalar:.0e})")
 
 
-def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> np.ndarray:
+def require_dichotomic(q: np.ndarray, *, name: str = "observable") -> None:
     """Observable must square to the identity (eigenvalues +1/-1); a stack
-    of observables is checked matrix by matrix.  Returns ||Q^2 - I|| per matrix."""
+    of observables is checked matrix by matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = (norms := np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1))).max()
+        dev = np.linalg.norm(q @ q - np.eye(q.shape[-1]), axis=(-2, -1)).max()
     if not dev <= TOL.structural:
         raise InvalidObservableError(
             f"{name}: not dichotomic, ||Q^2 - I|| = {dev:.3e} > {TOL.structural:.0e}"
         )
-    return norms
 
 
 def check_times(times) -> np.ndarray:
@@ -217,15 +217,14 @@ def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
     return u
 
 
-def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, ...]:
-    """``QuantumModel.spectral``, then ||Q(t)^2 - I|| per time as checked, from the eigendecomposition
-    (lam, vec) of H and the observable q of one model, or of one model per leading index of t."""
+def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``QuantumModel.spectral`` from the eigendecomposition (lam, vec) of H and the observable q of
+    one model, or of one model per leading index of t; Q(t)^2 - I = U^dag (Q^2 - I) U is not checked."""
     u = _evolve_from_eig(lam, vec, t)
     q = _product(_times_matrix(_dagger(u), q), u)
-    norms = require_dichotomic(q, name="evolved observable")
     eye = np.eye(q.shape[-1], dtype=complex)
     plus = 0.5 * (eye + q)
-    return u, q, np.stack([eye - plus, plus], axis=-3), norms
+    return u, q, np.stack([eye - plus, plus], axis=-3)
 
 
 def expectation(rho, a):
@@ -237,11 +236,7 @@ def expectation(rho, a):
     if not 2 <= rho.ndim <= a.ndim or rho.shape != a.shape[: rho.ndim - 2] + a.shape[-2:]:
         raise ValidationError(f"expectation: shape mismatch {a.shape} vs {rho.shape}")
     rho = rho.reshape(rho.shape[:-2] + (1,) * (a.ndim - rho.ndim) + rho.shape[-2:])
-    return _real_trace(_pairing(a, rho))
-
-
-def _real_trace(val: np.ndarray):
-    """The real part of traces that must be real; every imaginary residue must be negligible."""
+    val = _pairing(a, rho)
     worst = np.abs(val.imag).max()
     if worst > TOL.scalar:
         raise ValidationError(f"expectation: imaginary residue {worst:.3e} exceeds {TOL.scalar:.0e}")
@@ -265,8 +260,9 @@ class QuantumModel:
       times model back-to-back measurements, the tau -> 0 limit of a
       vanishing gap).
 
-    Arrays are copied and frozen read-only, and what derives from them is a
-    cached read-only property; instances are safe to share.
+    The validated matrices' Hermitian parts (exact for a Hermitian input) are
+    stored read-only, so every trace against rho is real to rounding; what
+    derives from them is a cached read-only property; instances are safe to share.
     """
 
     hamiltonian: np.ndarray
@@ -284,7 +280,7 @@ class QuantumModel:
             )
         object.__setattr__(self, "times", tuple(_validate(h, r, q, self.times).tolist()))
         for key, a in (("hamiltonian", h), ("rho", r), ("observable", q)):
-            object.__setattr__(self, key, _frozen(a, complex))
+            object.__setattr__(self, key, _frozen(_hermitian_part(a), complex))
 
     @property
     def dim(self) -> int:
@@ -307,8 +303,8 @@ class QuantumModel:
         """U(t), Q(t) and the projector pairs P_s(t) (s = -1, +1) for an array
         of times, with shapes ``times.shape + (d, d)`` and ``+ (2, d, d)``;
         ``times=None`` means the model's own times, cached and read-only.  The
-        times are not checked for order (an omega sweep passes omega * t);
-        every Q(t) must stay dichotomic."""
+        times are not checked for order (an omega sweep passes omega * t), nor
+        is any Q(t), the validated Q conjugated by a unitary."""
         if times is None:
             return self._own_spectral
-        return _spectral(*self.hamiltonian_eig, self.observable, times)[:3]
+        return _spectral(*self.hamiltonian_eig, self.observable, times)

@@ -114,6 +114,20 @@ def weight(table: ProbabilityTable, outcome: Outcome):
     return w if w.ndim else float(w)
 
 
+def near_hermitian_inputs(dim: int) -> dict:
+    """Raw model inputs whose rho passes validation but is not exactly
+    Hermitian: H = diag(0, ..., dim - 1), Q = I - 2 v v^T with v the unit
+    all-ones vector, and rho = I/dim + i 4.9e-13 (J - I), J the all-ones
+    matrix, whose largest deviation from Hermitian is 9.8e-13; times (0, 1, 2)."""
+    v = np.ones(dim) / np.sqrt(dim)
+    return {
+        "hamiltonian": np.diag(np.arange(dim, dtype=float)).astype(complex),
+        "rho": np.eye(dim) / dim + 1j * 4.9e-13 * (np.ones((dim, dim)) - np.eye(dim)),
+        "observable": (np.eye(dim) - 2 * np.outer(v, v)).astype(complex),
+        "times": (0.0, 1.0, 2.0),
+    }
+
+
 def complex_gaussian(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 

@@ -10,7 +10,7 @@ from mrtest import harness
 from mrtest.cli import main
 from mrtest.harness import default_model_path, model_to_jsonable, run_campaign
 
-from conftest import precession_model
+from conftest import near_hermitian_inputs, precession_model
 
 
 @pytest.fixture
@@ -77,6 +77,17 @@ class TestSimulate:
         p.write_text(json.dumps(obj))
         assert main(["simulate", "--model", str(p)]) == 2
         assert "non-decreasing" in capsys.readouterr().err
+
+
+class TestNearHermitianRho:
+    def test_simulate_exits_zero(self, tmp_path, capsys):
+        # written entry by entry, so the file keeps rho's 9.8e-13 deviation from Hermitian
+        raw = near_hermitian_inputs(16)
+        obj = {"dim": 16, "times": list(raw.pop("times"))}
+        obj.update((key, [[[x.real, x.imag] for x in row] for row in a.tolist()]) for key, a in raw.items())
+        p = tmp_path / "near-hermitian.json"
+        p.write_text(json.dumps(obj))
+        assert main(["simulate", "--model", str(p)]) == 0, capsys.readouterr().err
 
 
 class TestNonFiniteEvolution:

@@ -797,6 +797,67 @@ class TestWeakFacets:
             assert np.linalg.matrix_rank(homogenized[values == 0]) == rank, name
 
 
+class TestStrongNsitByRank:
+    """At three times the weights of the seven tables that ``measure_all``
+    builds are 26 unknowns.  Given the marginal identities that every quantum
+    model satisfies (dropping a run's last time gives the shorter run), the
+    rows of ``mr_strong`` imply every one- and two-time NSIT equality the
+    tables allow, and none of its three rows can be dropped."""
+
+    TABLES = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2))
+    UNKNOWNS = 26
+    #: each table's first unknown
+    START = dict(zip(TABLES, np.cumsum([0] + [2 ** len(t) for t in TABLES[:-1]]).tolist()))
+    IDENTITIES = (((0, 1, 2), (0, 1)), ((0, 1), (0,)), ((0, 2), (0,)), ((1, 2), (1,)))
+    STRONG = {"NSIT(2)3": ((1, 2), (2,)), "NSIT(1)23": ((0, 1, 2), (1, 2)), "NSIT1(2)3": ((0, 1, 2), (0, 2))}
+    IMPLIED = {
+        "NSIT(1)2": ((0, 1), (1,)), "NSIT(1)3": ((0, 2), (2,)), "NSIT(2)3": ((1, 2), (2,)),
+        "NSIT(12)3": ((0, 1, 2), (2,)), "NSIT(1)23": ((0, 1, 2), (1, 2)), "NSIT1(2)3": ((0, 1, 2), (0, 2)),
+    }
+
+    @classmethod
+    def rows(cls, longer, shorter) -> np.ndarray:
+        """One row per outcome of ``shorter``: the weights of ``longer`` summed
+        over its other times, minus the weight of ``shorter``."""
+        kept = [longer.index(i) for i in shorter]
+        out = np.zeros((2 ** len(shorter), cls.UNKNOWNS))
+        for k, o in enumerate(outcomes(len(longer))):
+            out[outcomes(len(shorter)).index(tuple(o[p] for p in kept)), cls.START[longer] + k] += 1
+        out[np.arange(len(out)), cls.START[shorter] + np.arange(len(out))] -= 1
+        return out
+
+    def stack(self, *pairs) -> np.ndarray:
+        return np.vstack([self.rows(*pair) for pair in pairs])
+
+    def test_rows_are_the_tables_equalities(self, rng):
+        # on a model's tables the identities hold, and each strong row block gives mr_strong's values
+        tables = measure_all(sample_model(rng, 3))
+        by_times = {t.time_indices: t for t in (*tables.singles, *tables.pairs.values(), tables.chain)}
+        w = np.concatenate([by_times[t].weights.ravel() for t in self.TABLES])
+        assert w.size == self.UNKNOWNS
+        assert np.abs(self.stack(*self.IDENTITIES) @ w).max() < 1e-12
+        report = mr_strong(tables)
+        for name, pair in self.STRONG.items():
+            values = report.values[[k for k, n in enumerate(report.names) if n.rsplit(".", 1)[0] == name]]
+            assert np.abs(self.rows(*pair) @ w - values).max() < 1e-15, name
+        assert {n.rsplit(".", 1)[0] for n in report.names} == set(self.STRONG)
+
+    @staticmethod
+    def implies(given: np.ndarray, row: np.ndarray) -> bool:
+        return np.linalg.matrix_rank(np.vstack([given, row])) == np.linalg.matrix_rank(given)
+
+    def test_strong_set_implies_every_nsit(self):
+        given = self.stack(*self.IDENTITIES, *self.STRONG.values())
+        for name, pair in self.IMPLIED.items():
+            assert self.implies(given, self.rows(*pair)), name
+
+    @pytest.mark.parametrize("dropped", list(STRONG))
+    def test_each_strong_row_is_needed(self, dropped):
+        given = self.stack(*self.IDENTITIES, *(pair for name, pair in self.STRONG.items() if name != dropped))
+        lost = [name for name, pair in self.IMPLIED.items() if not self.implies(given, self.rows(*pair))]
+        assert dropped in lost
+
+
 class TestGridMatchesPoints:
     """A grid TableSet gives, for each family, the names of the per-point
     reports and, at every grid point, bit-equal values and verdicts."""

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from mrtest import fine, harness
+from mrtest import fine, harness, quantum
 from mrtest.cli import main
 from mrtest.conditions import mr_int, mr_strong, mr_weak, nsit_pairwise
 from mrtest.errors import InputFormatError, ValidationError
@@ -413,6 +413,21 @@ class TestBatchedSweep:
         assert counts[("tau", 50)] <= 2
 
 
+class TestChecksAtLoad:
+    def test_sweep_checks_no_evolved_observable(self, tmp_path, monkeypatch):
+        # Q is checked once, when the spec's model is validated; no sweep block checks Q(t) again
+        calls, check = [], quantum.require_dichotomic
+        monkeypatch.setattr(quantum, "require_dichotomic", lambda *args, **kw: calls.append(args) or check(*args, **kw))
+        obj = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+        obj.update(steps=2000, outputs=["averages", "correlators", "margins", "witness", "d_interval", "verdicts"])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(obj))
+        spec = load_sweep_spec(path)
+        assert len(calls) == 1
+        blocks = list(sweep_blocks(spec))
+        assert len(blocks) > 1 and len(calls) == 1
+
+
 class TestSweepColumns:
     """A multi-block sweep: every block is a column map with the CSV
     header's names, in the header's order."""
@@ -595,6 +610,23 @@ class TestCampaign:
         summary = run_campaign(seed=3, count=60)
         assert summary["passed"] and summary["checks"]["fine_matches_mr_weak"]["samples"] == 60
         assert calls == [] and len(blocks) == 3 and len(sets) == len(blocks)
+
+    def test_non_dichotomic_evolved_observable_is_a_violation(self, monkeypatch):
+        # Q(t) scaled by 1 + 1e-6 gives ||Q(t)^2 - I|| = (2e-6 + 1e-12) sqrt(d) at each time
+        spectral = harness._spectral
+
+        def scaled(*args):
+            u, q, proj = spectral(*args)
+            return u, q * (1 + 1e-6), proj
+
+        monkeypatch.setattr(harness, "_spectral", scaled)
+        summary = run_campaign(3, 30)
+        found = [v for v in summary["violations"] if v["check"] == "dichotomy_preserved"]
+        assert [v["index"] for v in found] == list(range(30))
+        assert all(v["residual"] == pytest.approx(2e-6 * np.sqrt(v["dim"]), rel=1e-5) for v in found)
+        stats = summary["checks"]["dichotomy_preserved"]
+        assert stats["samples"] == stats["violations"] == 30
+        assert stats["max_residual"] == pytest.approx(4e-6, rel=1e-5)
 
     def test_count_cap(self):
         with pytest.raises(ValidationError, match="10\\^5"):

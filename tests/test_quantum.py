@@ -8,10 +8,12 @@ import pytest
 from mrtest import quantum
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary, sample_model
+from mrtest.measurement import measure_all
 from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
 from mrtest.quantum import _UNROLL_MAX_DIM, _hermitian_part, _pairing, _product, _times_matrix, _validate
 
-from conftest import I2, SX, SY, SZ, at_time, complex_gaussian, precession_model, random_hermitian, times_matrix_reference
+from conftest import I2, SX, SY, SZ, at_time, complex_gaussian, near_hermitian_inputs, precession_model, random_hermitian
+from conftest import times_matrix_reference
 
 
 def model_at(t, hamiltonian=None, observable=SZ) -> QuantumModel:
@@ -499,6 +501,25 @@ class TestQuantumModel:
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ValidationError, match=r"hamiltonian: expected a square matrix, got shape \(2, 3\)"):
             QuantumModel(hamiltonian=np.zeros((2, 3)), rho=I2 / 2, observable=SZ.copy(), times=(0.0, 1.0))
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_stores_hermitian_parts(self, dim):
+        # rho passes validation 9.8e-13 off Hermitian; its traces must then come out real
+        raw = near_hermitian_inputs(dim)
+        model = QuantumModel(**raw)
+        assert measure_all(model).moments.averages == pytest.approx([1 - 2 / dim] * 3, abs=1e-12)
+        assert np.array_equal(model.rho, raw["rho"].real)
+        for key in ("hamiltonian", "observable"):
+            assert np.array_equal(getattr(model, key), raw[key]), key
+
+    def test_exactly_hermitian_inputs_keep_their_bits(self, rng):
+        h, q = random_hermitian(rng, 3), random_dichotomic(rng, 3)
+        z = complex_gaussian(rng, 3)
+        rho = _hermitian_part(z @ z.conj().T)
+        rho /= np.trace(rho).real
+        model = QuantumModel(hamiltonian=h, rho=rho, observable=q, times=(0.0, 1.0, 2.0))
+        for key, a in (("hamiltonian", h), ("rho", rho), ("observable", q)):
+            assert getattr(model, key).tobytes() == a.tobytes(), key
 
     def test_arrays_frozen(self, mixed_qubit):
         with pytest.raises(ValueError):
