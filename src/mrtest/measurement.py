@@ -99,8 +99,8 @@ class ProbabilityTable:
     ``batch``, which is empty for a single table.  ``kind`` fixes the
     validation class: "single"/"sequential"/"joint" weights must be
     nonnegative (down to -1e-12 rounding slack), "quasi" weights may be
-    negative but stay within [-1, 1] up to slack.  Every table must sum to 1.
-    The weights are a read-only copy of the caller's.
+    negative but stay within [-1, 1] up to slack.  Every table must sum to 1,
+    over distinct time indices.  The weights are a read-only copy of the caller's.
     """
 
     kind: str
@@ -110,10 +110,12 @@ class ProbabilityTable:
     def __post_init__(self) -> None:
         if self.kind not in TABLE_KINDS:
             raise ValidationError(f"table kind must be one of {TABLE_KINDS}, got {self.kind!r}")
-        idx = tuple(int(i) for i in self.time_indices)
+        idx = tuple(map(int, self.time_indices))
         k = len(idx)
         if not (1 <= k <= 4):
             raise ValidationError(f"table arity must be 1-4, got {k}")
+        if len(set(idx)) != k:
+            raise ValidationError(f"table time_indices must be distinct, got {idx}")
         w = _frozen(self.weights)
         if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
@@ -121,9 +123,8 @@ class ProbabilityTable:
         total = w
         for _ in range(k):
             total = total[..., 0] + total[..., 1]
-        off = ~(np.abs(total - 1.0) <= TOL.scalar)
-        if off.any():
-            raise ValidationError(f"table weights must sum to 1, got {float(total[off].flat[0])!r}")
+        if not (ok := np.abs(total - 1.0) <= TOL.scalar).all():
+            raise ValidationError(f"table weights must sum to 1, got {float(total[~ok].flat[0])!r}")
         if self.kind == "quasi":
             bad = w[~((-1 - TOL.structural <= w) & (w <= 1 + TOL.structural))]
             if bad.size:
@@ -139,9 +140,11 @@ class ProbabilityTable:
 
     def moment(self, positions: Iterable[int]):
         """Expectation of the product of outcome signs at the given
-        positions (positions index into the tuple, not into model times):
-        a float, or an array over the grid."""
+        positions (in 0..arity-1: they index into the tuple, not into model
+        times): a float, or an array over the grid."""
         pos = set(positions)
+        if bad := pos.difference(range(self.arity)):
+            raise ValidationError(f"moment: position {min(bad)!r} outside 0..{self.arity - 1} for a table of arity {self.arity}")
         w = self.weights
         for p in reversed(range(self.arity)):
             w = w[..., 1] - w[..., 0] if p in pos else w[..., 0] + w[..., 1]
@@ -222,13 +225,15 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         n = len(self.averages)
-        values = (*self.averages, *self.correlators)
+        given = values = (*self.averages, *self.correlators)
         # one pass for the common case, one set of Python floats in range
         if [x for x in values if type(x) is not float or not -_UNIT <= x <= _UNIT]:
             values = _unit_values(values, n)
         pairs = pair_set(n)
         if len(values) - n != len(pairs):
             raise ValidationError(f"need {len(pairs)} correlators for {n} times, got {len(values) - n}")
+        if values is given and type(self.averages) is type(self.correlators) is tuple:
+            return  # kept as given
         if isinstance(values[0], np.ndarray):
             shapes = sorted({x.shape for x in values})
             if len(shapes) > 1:

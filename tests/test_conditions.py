@@ -37,7 +37,7 @@ from mrtest.measurement import (
 )
 from mrtest.quantum import QuantumModel
 
-from conftest import SZ, column_sums, point_tables, precession_model, weight
+from conftest import SZ, column_sums, point_tables, precession_model, weight, with_ones
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -698,7 +698,7 @@ class TestRowFormulas:
             else:
                 assert value.hex() == want[name].hex(), name
         if n == 3:
-            expansion = _affine_values(ROWS[3]["fine"], a + cs).tolist()
+            expansion = _affine_values(ROWS[3]["fine"], with_ones(a + cs)).tolist()
             for (s1, s2, s3), value in zip(outcomes(3), expansion):
                 e = 1.0 + s1 * a[0] + s2 * a[1] + s3 * a[2] + s1 * s2 * c12 + s2 * s3 * c23 + s1 * s3 * c13
                 assert value.hex() == e.hex()
@@ -711,10 +711,11 @@ class TestAffineValues:
     def test_bit_equal_to_the_column_loop(self, x, n):
         for key, block in ROWS[n].items():
             width = block.a.shape[1] - 1
-            assert _affine_values(block, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
-            # whatever the coefficients' memory layout
-            by_columns = block._replace(a=np.asfortranarray(block.a))
-            assert _affine_values(by_columns, x[:width]).tobytes() == column_sums(block, x[:width]).tobytes(), key
+            want = column_sums(block, x[:width]).tobytes()
+            assert _affine_values(block, with_ones(x[:width])).tobytes() == want, key
+            # whatever the coefficients' memory layout: the table's column-major one, or row-major
+            for layout in (np.asfortranarray, np.ascontiguousarray):
+                assert _affine_values(block._replace(a=layout(block.a)), with_ones(x[:width])).tobytes() == want, key
 
     def test_grid_bit_equal_and_owns_its_memory(self, rng):
         # a view of the terms array would keep it alive inside every report
@@ -722,9 +723,10 @@ class TestAffineValues:
             for key, block in ROWS[n].items():
                 width = block.a.shape[1] - 1
                 for x in (list(rng.uniform(-1, 1, width)), tuple(rng.uniform(-1, 1, (width, 7)))):
-                    values = _affine_values(block, x)
+                    columns = with_ones(x)
+                    values = _affine_values(block, columns)
                     assert values.base is None, key
-                    assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
+                    assert not np.shares_memory(values, columns)
                     assert values.tobytes() == column_sums(block, x).tobytes(), key
 
 
@@ -734,12 +736,14 @@ def address(a: np.ndarray) -> int:
 
 
 class TestRowTable:
-    """Each weak and Fine row is stored once: every block of ``ROWS[n]`` is a
-    view into "weak+fine", whose "weak" rows come first, then its "fine" rows."""
+    """Each weak and Fine row is stored once, column-major: every block of ``ROWS[n]``
+    is a view into "weak+fine", whose "weak" rows come first, then its "fine" rows."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_row_stored_once(self, n):
         whole = ROWS[n]["weak+fine"]
+        # column-major, so that one set's terms are one contiguous product
+        assert whole.a.T.flags.c_contiguous
         for key, block in ROWS[n].items():
             assert np.shares_memory(block.a, whole.a) and np.shares_memory(block.slope, whole.slope), key
         weak, fine = ROWS[n]["weak"], ROWS[n]["fine"]

@@ -8,6 +8,7 @@ import pytest
 
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
+from mrtest.fine import d_interval
 from mrtest.harness import _model_block, default_model_path, load_model, model_from_jsonable, sample_model
 from mrtest.measurement import (
     PAIR_SETS,
@@ -89,6 +90,27 @@ class TestProbabilityTable:
         with pytest.raises(ValidationError, match=r"^to_jsonable: one table only, got a grid of shape \(2,\)$"):
             tables.chain.to_jsonable()
         assert measure_all(model).chain.to_jsonable()["arity"] == 3
+
+    @pytest.mark.parametrize("positions, bad", [((3,), "3"), ((0, 7), "7"), ((-1, 1), "-1")])
+    def test_moment_rejects_a_position_outside_the_table(self, positions, bad):
+        # such positions were skipped: moment((3,)) read 1.0 and moment((0, 7)) read 0.0 on this table
+        t = ProbabilityTable(kind="joint", time_indices=(0, 1, 2), weights=np.full((2, 2, 2), 0.125))
+        with pytest.raises(ValidationError, match=rf"^moment: position {bad} outside 0\.\.2 for a table of arity 3$"):
+            t.moment(positions)
+
+    def test_rejects_repeated_time_indices(self):
+        # such a table used to build, and its marginal(0) then failed on an unrelated sum
+        with pytest.raises(ValidationError, match=r"^table time_indices must be distinct, got \(0, 0, 1\)$"):
+            ProbabilityTable(kind="joint", time_indices=(0, 0, 1), weights=np.full((2, 2, 2), 0.125))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_built_table_has_distinct_time_indices(self, rng, n):
+        model = sample_model(rng, 3, n_times=n)
+        tables = measure_all(model)
+        built = [*tables.singles, *tables.pairs.values(), tables.chain, *tables.quasi.values()]
+        built.append(d_interval(MomentSet(averages=(0.0,) * n, correlators=(0.0,) * n)).witness_table)
+        built += [t.marginal(i) for t in built for i in t.time_indices if t.arity > 1]
+        assert all(len(set(t.time_indices)) == t.arity for t in built)
 
     def test_marginal_of_an_unmeasured_time(self):
         t = ProbabilityTable(kind="sequential", time_indices=(0, 1), weights=np.full((2, 2), 0.25))
