@@ -3,12 +3,12 @@ macrorealism verdicts composed from them.
 
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` stores each row once, with its check name, in one
-column-major table, and ``_affine_values`` evaluates a block of them on the
-columns (1, x) of one set (a contiguous product) or a grid as one product and
-one reduction.  ``_rows(m, key)`` evaluates a moment set's weak and Fine rows
-once, memoized on the set, and returns the key's rows, and ``_group_minima(m)``
-memoizes beside them the set's smallest weak margin and Fine bounds, for one set
-or a grid alike; every family, here and in ``fine``, reads its rows through them.
+column-major table, and ``_affine_values`` evaluates a block of them, on one
+set or a grid, as one product and one reduction.  ``_rows(m, key)`` evaluates
+a set's weak and Fine rows once, memoized on it, and ``_group_minima(m)``
+memoizes beside them the smallest weak margin and Fine bounds, each the least
+of a row group (``_group_min``); every family, here and in ``fine``, reads
+through them, so only this module knows where each row lies.
 A ``ConditionReport`` holds names, a value array of shape ``(k,) + batch``
 and a per-row equality flag.  A ">=0" row passes when value >= -epsilon
 (margin = value), an "=0" row when |value| <= epsilon (margin = -|value|):
@@ -173,16 +173,26 @@ _INEQUALITY = np.zeros(max(len(t["weak+fine"].names) for t in ROWS.values()), bo
 _INEQUALITY.setflags(write=False)
 
 
-def _affine_values(block: RowBlock, columns: np.ndarray) -> np.ndarray:
-    """b + G x, shape ``(k,) + batch``, from the columns (1, x), shape ``(w,) + batch``
-    (a one, or ones, then the moment columns x), as the terms of ``block.a`` times them
-    added strictly left to right from b: one product of ``block.a.T`` (C-contiguous for
-    "weak+fine", as the table is column-major; over a batch, reshaped to broadcast) with
-    the columns into a C-ordered array of terms, one row per column, and one
-    ``np.add.reduce`` along its axis 0, which adds whole rows in turn (C order keeps the
-    reduction axis outer, so numpy does not sum it pairwise).  The result owns its memory."""
-    a = block.a.T if columns.ndim == 1 else block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
+def _affine_values(block: RowBlock, x) -> np.ndarray:
+    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats for one
+    set; arrays of one shape, or one array, over a batch; or pairs of them, two
+    sets side by side), as the terms of ``block.a`` times (1, x) added strictly
+    left to right from b: one product of ``block.a.T`` (C-contiguous for
+    "weak+fine", as the table is column-major), reshaped to broadcast, with the
+    columns (1, x), built as one array, into a C-ordered array of terms, one row
+    per column, and one ``np.add.reduce`` along its axis 0, which adds whole rows
+    in turn (C order keeps the reduction axis outer, so numpy does not sum it
+    pairwise).  The result owns its memory."""
+    columns = np.array((1.0 if type(x[0]) is float else np.ones(np.shape(x[0])), *x))
+    a = block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
     return np.add.reduce(np.multiply(a, columns[:, None], order="C"), axis=0)
+
+
+def _group_min(values: np.ndarray, n: int, key) -> np.ndarray:
+    """The smallest of ``values`` in each row group ``_GROUPS[n][key]``, shape
+    ``(groups,) + batch``, from one ``np.minimum.reduceat``."""
+    order, starts = _GROUPS[n][key]
+    return np.minimum.reduceat(values[order], starts, axis=0)
 
 
 def _rows(m: MomentSet, key) -> np.ndarray:
@@ -191,24 +201,19 @@ def _rows(m: MomentSet, key) -> np.ndarray:
     set's own values are read-only too, so the memo cannot go stale)."""
     n = m.n_times
     if (values := m._cache.get("rows")) is None:
-        x = m.averages + m.correlators
-        columns = np.array((1.0, *x) if type(x[0]) is float else (np.ones(x[0].shape), *x))
-        values = m._cache["rows"] = _affine_values(ROWS[n]["weak+fine"], columns)
+        values = m._cache["rows"] = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
         values.setflags(write=False)
     return values[_ROW_SLICES[n][key]]
 
 
 def _group_minima(m: MomentSet) -> list | np.ndarray:
-    """The smallest weak margin, -lo and hi: the smallest of m's "weak+fine" rows in
-    each group of ``_GROUPS[n]["weak+fine"]``, from one ``np.minimum.reduceat``, as
-    Python floats for one set or read-only arrays over a grid, memoized beside the
-    rows by the first reader."""
+    """The smallest weak margin, -lo and hi: ``_group_min`` of m's "weak+fine" rows,
+    as Python floats for one set or read-only arrays over a grid, memoized beside
+    the rows by the first reader."""
     if (minima := m._cache.get("minima")) is None:
-        order, starts = _GROUPS[m.n_times]["weak+fine"]
-        minima = np.minimum.reduceat(_rows(m, "weak+fine")[order], starts, axis=0)
-        if minima.ndim > 1:
-            minima.setflags(write=False)
-        minima = m._cache["minima"] = minima if minima.ndim > 1 else minima.tolist()
+        minima = _group_min(_rows(m, "weak+fine"), m.n_times, "weak+fine")
+        minima.setflags(write=False)
+        minima = m._cache["minima"] = minima.tolist() if minima.ndim == 1 else minima
     return minima
 
 

@@ -14,9 +14,8 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
   rows, each lifted onto the four-time columns at x = 0 with its C13
   coefficient as slope; a joint of the two triangles glues into one of all
   four times (the chordal extension behind Fine's theorem: Fine, PRL 48,
-  291 (1982); Araujo et al., PRA 88, 022118 (2013)).  The witness builds
-  both triangles' columns (1, x) as one array and evaluates the three-time
-  expansion rows on it in one product.
+  291 (1982); Araujo et al., PRA 88, 022118 (2013)).  The witness evaluates
+  the three-time expansion rows on both triangles' columns in one product.
 
 ``d_bounds`` is the interval [lo, hi] the rows leave for z; ``d_interval``
 reads its verdict from the smallest weak margin, so it agrees with ``mr_weak``
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import _GROUPS, ROWS, _affine_values, _group_minima, _rows
+from .conditions import ROWS, _affine_values, _group_min, _group_minima, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -119,11 +118,9 @@ def _glued_weights(m: MomentSet, x) -> np.ndarray:
     and p134 (one batch axis ahead of the grid's), each at its own interval
     midpoint, glued as p(s) = p123(s1,s2,s3) p134(s1,s3,s4) / p13(s1,s3)."""
     (a1, a2, a3, a4), (c12, c23, c34, c14) = m.averages, m.correlators
-    one = np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
-    # both triangles' columns (1, x), in the three-time order, side by side: (7, 2) + batch
-    e = _affine_values(_EXPANSION, np.array(((one, one), (a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14))))
-    order, starts = _GROUPS[3]["fine"]
-    neg_lo, hi = np.minimum.reduceat(e[order], starts, axis=0)
+    # the expansion rows on both triangles' columns, in the three-time order, side by side
+    e = _affine_values(_EXPANSION, ((a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)))
+    neg_lo, hi = _group_min(e, 3, "fine")
     p123, p134 = _midpoint_weights(e, -neg_lo, hi)
     p13 = p134.sum(axis=-1, keepdims=True)
     cond = np.divide(p134, p13, out=np.zeros(p134.shape), where=p13 > 0.0)

@@ -225,15 +225,13 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         n = len(self.averages)
-        given = values = (*self.averages, *self.correlators)
+        values = (*self.averages, *self.correlators)
         # one pass for the common case, one set of Python floats in range
         if [x for x in values if type(x) is not float or not -_UNIT <= x <= _UNIT]:
             values = _unit_values(values, n)
         pairs = pair_set(n)
         if len(values) - n != len(pairs):
             raise ValidationError(f"need {len(pairs)} correlators for {n} times, got {len(values) - n}")
-        if values is given and type(self.averages) is type(self.correlators) is tuple:
-            return  # kept as given
         if isinstance(values[0], np.ndarray):
             shapes = sorted({x.shape for x in values})
             if len(shapes) > 1:

@@ -158,13 +158,6 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
     return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
 
 
-def with_ones(x) -> np.ndarray:
-    """The columns (1, x) that ``_affine_values`` reads: a one, or ones over
-    the batch, then the moment columns x."""
-    x = np.array(x, dtype=float)
-    return np.concatenate([np.ones((1,) + x.shape[1:]), x])
-
-
 def column_sums(block: RowBlock, x) -> np.ndarray:
     """b + G x added one whole column at a time, left to right, from b: the
     loop that ``_affine_values`` must match bit for bit."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mrtest import conditions, fine
-from mrtest.conditions import ROWS, _affine_values, lg2, lg3, lg4, mr_weak
+from mrtest.conditions import ROWS, _affine_values, _group_min, lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
@@ -34,7 +34,6 @@ from conftest import (
     scan_oracle,
     triangle_fine_rows,
     weight,
-    with_ones,
 )
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -153,14 +152,14 @@ class TestFineRows:
     def test_lifted_block_is_the_triangle_construction(self, values):
         m = MomentSet(averages=tuple(values[:4]), correlators=tuple(values[4:]))
         b, slope = triangle_fine_rows(m)
-        assert _affine_values(ROWS[4]["fine"], with_ones(values)).tobytes() == b.tobytes()
+        assert _affine_values(ROWS[4]["fine"], values).tobytes() == b.tobytes()
         assert ROWS[4]["fine"].slope.tolist() == slope.tolist()
 
     def test_lifted_block_on_a_grid(self, rng):
         x = rng.uniform(-1.0, 1.0, size=(8, 500)) * rng.uniform(0.0, 1.0, size=500)
         m = MomentSet(averages=tuple(x[:4]), correlators=tuple(x[4:]))
         b, slope = triangle_fine_rows(m)
-        assert _affine_values(ROWS[4]["fine"], with_ones(m.averages + m.correlators)).tobytes() == b.tobytes()
+        assert _affine_values(ROWS[4]["fine"], m.averages + m.correlators).tobytes() == b.tobytes()
         lo, hi = d_bounds(m)
         assert lo.tobytes() == (-b[slope > 0]).max(axis=0).tobytes()
         assert hi.tobytes() == b[slope < 0].min(axis=0).tobytes()
@@ -220,9 +219,9 @@ class TestOneRowEvaluation:
         m = MomentSet(averages=(0.0,) * n, correlators=corr)
         calls = []
 
-        def counted(block, columns):
-            calls.append((block.names, columns.shape))
-            return _affine_values(block, columns)
+        def counted(block, x):
+            calls.append((block.names, np.shape(x)))
+            return _affine_values(block, x)
 
         with mock.patch.object(conditions, "_affine_values", counted), mock.patch.object(fine, "_affine_values", counted):
             assert mr_weak(m).verdict == (corr[0] == 0.0)
@@ -234,18 +233,17 @@ class TestOneRowEvaluation:
             d_interval(m, 1e-6)
             if n == 3 and result.feasible:
                 triple_expansion_table(m, 0.0)
-        # each witness of a feasible four-time set evaluates the expansion rows on its two triangles'
-        # columns (1, x), as one (7, 2) array
-        glued = [(ROWS[3]["fine"].names, (7, 2))] * 2 if n == 4 and result.feasible else []
-        assert calls == [(ROWS[n]["weak+fine"].names, (2 * n + 1,))] + glued
+        # each witness of a feasible four-time set evaluates the expansion rows once, on its two
+        # triangles' columns side by side, shape (6, 2)
+        glued = [(ROWS[3]["fine"].names, (6, 2))] * 2 if n == 4 and result.feasible else []
+        assert calls == [(ROWS[n]["weak+fine"].names, (2 * n,))] + glued
 
     @given(st.lists(edgy, min_size=9, max_size=9))
     def test_triangle_rows_bit_equal_to_three_time_rows(self, x):
-        # the four-time witness evaluates the three-time rows on both triangles' columns (1, x) as one (7, 2) array
+        # the four-time witness evaluates the three-time rows on both triangles' columns side by side, as pairs
         a1, a2, a3, a4, c12, c23, c34, c14, chord = x
         want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
-        columns = np.array([(1.0, 1.0), (a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)])
-        got = _affine_values(ROWS[3]["fine"], columns)
+        got = _affine_values(ROWS[3]["fine"], ((a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)))
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
         m = MomentSet(averages=(a1, a2, a3, a4), correlators=(c12, c23, c34, c14))
         with np.errstate(invalid="ignore"):  # far outside the slack the glued weights may sum to 0
@@ -259,9 +257,7 @@ class TestOneRowEvaluation:
         x[:, ::5] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=x[:, ::5].shape)
         a1, a2, a3, a4, c12, c23, c34, c14, chord = x
         want = [column_sums(ROWS[3]["fine"], t) for t in ([a1, a2, a3, c12, c23, chord], [a1, a3, a4, chord, c34, c14])]
-        one = np.ones(chord.shape)
-        columns = np.array([(one, one), (a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)])
-        got = _affine_values(ROWS[3]["fine"], columns)
+        got = _affine_values(ROWS[3]["fine"], ((a1, a1), (a2, a3), (a3, a4), (c12, chord), (c23, c34), (chord, c14)))
         assert got.tobytes() == np.stack(want, axis=1).tobytes()
         m = MomentSet(averages=tuple(x[:4]), correlators=tuple(x[4:8]))
         with np.errstate(invalid="ignore"):
@@ -296,18 +292,6 @@ class TestOneRowEvaluation:
         assert [a.tobytes() for a in d_bounds(m)] == [lo.tobytes(), hi.tobytes()]
 
 
-class RecordingMemo(dict):
-    """A moment set's memo that records every key written to it, in turn."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.written = []
-
-    def __setitem__(self, key, value) -> None:
-        self.written.append(key)
-        super().__setitem__(key, value)
-
-
 class TestGridMemo:
     """A grid moment set, like one set, is evaluated once and reduced once:
     ``mr_weak``, ``d_bounds`` and ``d_interval`` read the memoized rows and
@@ -325,21 +309,23 @@ class TestGridMemo:
         fresh = None
         for order in itertools.permutations(readers):
             m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:]))
-            # the memo records what is written to it: the rows once, then their minima, from the one reduction
-            object.__setattr__(m, "_cache", RecordingMemo())
-            evaluated = []
+            evaluated, reduced = [], []
 
-            def counted_values(block, columns):
+            def counted_values(block, x):
                 evaluated.append(block.names)
-                return _affine_values(block, columns)
+                return _affine_values(block, x)
+
+            def counted_minima(values, n_times, key):
+                reduced.append((n_times, key))
+                return _group_min(values, n_times, key)
 
             with mock.patch.object(conditions, "_affine_values", counted_values), mock.patch.object(
                 fine, "_affine_values", counted_values
-            ):
+            ), mock.patch.object(conditions, "_group_min", counted_minima), mock.patch.object(fine, "_group_min", counted_minima):
                 got = {name: readers[name](m) for name in order}
             # a grid with infeasible sets builds no witness, so nothing else is evaluated or reduced
             assert not d_interval(m).feasible.all()
-            assert evaluated == [ROWS[n]["weak+fine"].names] and m._cache.written == ["rows", "minima"], order
+            assert evaluated == [ROWS[n]["weak+fine"].names] and reduced == [(n, "weak+fine")], order
             got = {name: [np.asarray(a).tobytes() for a in got[name]] for name in readers}
             fresh = fresh or got
             assert got == fresh, order
