@@ -6,9 +6,9 @@ correlators); ``ROWS`` stores each row once, with its check name, in one
 column-major table, and ``_affine_values`` evaluates a block of them, on one
 set or a grid, as one product and one reduction.  ``_rows(m, key)`` evaluates
 a set's weak and Fine rows once, memoized on it, and ``_group_minima(m)``
-memoizes beside them the smallest weak margin and Fine bounds, each the least
-of a row group (``_group_min``); every family, here and in ``fine``, reads
-through them, so only this module knows where each row lies.
+memoizes beside them the smallest weak margin and Fine bounds, for one set or a
+grid alike; every family, here and in ``fine``, reads its rows through them and
+its row groups through ``_minima``, so only this module knows where each lies.
 A ``ConditionReport`` holds names, a value array of shape ``(k,) + batch``
 and a per-row equality flag.  A ">=0" row passes when value >= -epsilon
 (margin = value), an "=0" row when |value| <= epsilon (margin = -|value|):
@@ -174,25 +174,25 @@ _INEQUALITY.setflags(write=False)
 
 
 def _affine_values(block: RowBlock, x) -> np.ndarray:
-    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats for one
-    set; arrays of one shape, or one array, over a batch; or pairs of them, two
-    sets side by side), as the terms of ``block.a`` times (1, x) added strictly
-    left to right from b: one product of ``block.a.T`` (C-contiguous for
-    "weak+fine", as the table is column-major), reshaped to broadcast, with the
-    columns (1, x), built as one array, into a C-ordered array of terms, one row
-    per column, and one ``np.add.reduce`` along its axis 0, which adds whole rows
-    in turn (C order keeps the reduction axis outer, so numpy does not sum it
-    pairwise).  The result owns its memory."""
-    columns = np.array((1.0 if type(x[0]) is float else np.ones(np.shape(x[0])), *x))
-    a = block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
+    """b + G x, shape ``(k,) + batch``, for the moment columns x (floats for one set;
+    arrays of one shape, or one array, over a batch; or pairs, two sets side by side):
+    the terms of ``block.a`` times (1, x), built as one array, added strictly left to
+    right from b, as one product of ``block.a.T`` (C-contiguous for "weak+fine": the
+    table is column-major) into a C-ordered array of terms, one row per column, and
+    one ``np.add.reduce`` along axis 0, which adds whole rows in turn (C order keeps
+    that axis outer, so numpy does not sum it pairwise).  The result owns its memory."""
+    columns = np.array((x[0], *x))
+    columns[0] = 1.0  # x's first column, copied for its shape, set to the ones of (1, x)
+    a = block.a.T if columns.ndim == 1 else block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
     return np.add.reduce(np.multiply(a, columns[:, None], order="C"), axis=0)
 
 
-def _group_min(values: np.ndarray, n: int, key) -> np.ndarray:
-    """The smallest of ``values`` in each row group ``_GROUPS[n][key]``, shape
-    ``(groups,) + batch``, from one ``np.minimum.reduceat``."""
+def _minima(values: np.ndarray, n: int, key):
+    """The smallest value in each row group ``_GROUPS[n][key]`` of ``values``, from one
+    ``np.minimum.reduceat``: Python floats for one set, arrays over a grid."""
     order, starts = _GROUPS[n][key]
-    return np.minimum.reduceat(values[order], starts, axis=0)
+    minima = np.minimum.reduceat(values[order], starts, axis=0)
+    return minima.tolist() if minima.ndim == 1 else minima
 
 
 def _rows(m: MomentSet, key) -> np.ndarray:
@@ -207,13 +207,13 @@ def _rows(m: MomentSet, key) -> np.ndarray:
 
 
 def _group_minima(m: MomentSet) -> list | np.ndarray:
-    """The smallest weak margin, -lo and hi: ``_group_min`` of m's "weak+fine" rows,
-    as Python floats for one set or read-only arrays over a grid, memoized beside
-    the rows by the first reader."""
+    """The smallest weak margin, -lo and hi: ``_minima`` of m's "weak+fine" rows, as
+    Python floats for one set or read-only arrays over a grid, memoized beside the
+    rows by the first reader."""
     if (minima := m._cache.get("minima")) is None:
-        minima = _group_min(_rows(m, "weak+fine"), m.n_times, "weak+fine")
-        minima.setflags(write=False)
-        minima = m._cache["minima"] = minima.tolist() if minima.ndim == 1 else minima
+        minima = m._cache["minima"] = _minima(_rows(m, "weak+fine"), m.n_times, "weak+fine")
+        if isinstance(minima, np.ndarray):
+            minima.setflags(write=False)
     return minima
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, _affine_values, _group_min, _group_minima, _rows
+from .conditions import ROWS, _affine_values, _group_minima, _minima, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
@@ -120,7 +120,7 @@ def _glued_weights(m: MomentSet, x) -> np.ndarray:
     (a1, a2, a3, a4), (c12, c23, c34, c14) = m.averages, m.correlators
     # the expansion rows on both triangles' columns, in the three-time order, side by side
     e = _affine_values(_EXPANSION, ((a1, a1), (a2, a3), (a3, a4), (c12, x), (c23, c34), (x, c14)))
-    neg_lo, hi = _group_min(e, 3, "fine")
+    neg_lo, hi = _minima(e, 3, "fine")
     p123, p134 = _midpoint_weights(e, -neg_lo, hi)
     p13 = p134.sum(axis=-1, keepdims=True)
     cond = np.divide(p134, p13, out=np.zeros(p134.shape), where=p13 > 0.0)

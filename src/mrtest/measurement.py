@@ -142,11 +142,11 @@ class ProbabilityTable:
         """Expectation of the product of outcome signs at the given
         positions (in 0..arity-1: they index into the tuple, not into model
         times): a float, or an array over the grid."""
-        pos = set(positions)
-        if bad := pos.difference(range(self.arity)):
-            raise ValidationError(f"moment: position {min(bad)!r} outside 0..{self.arity - 1} for a table of arity {self.arity}")
+        pos, k = set(positions), self.arity
+        if bad := pos.difference(range(k)):
+            raise ValidationError(f"moment: position {min(bad)!r} outside 0..{k - 1} for a table of arity {k}")
         w = self.weights
-        for p in reversed(range(self.arity)):
+        for p in reversed(range(k)):
             w = w[..., 1] - w[..., 0] if p in pos else w[..., 0] + w[..., 1]
         return w if w.ndim else float(w)
 
@@ -225,21 +225,20 @@ class MomentSet:
 
     def __post_init__(self) -> None:
         n = len(self.averages)
-        values = (*self.averages, *self.correlators)
-        # one pass for the common case, one set of Python floats in range
+        given = values = (*self.averages, *self.correlators)
+        # one pass for the common case, one set of Python floats in range, kept as given
         if [x for x in values if type(x) is not float or not -_UNIT <= x <= _UNIT]:
             values = _unit_values(values, n)
         pairs = pair_set(n)
         if len(values) - n != len(pairs):
             raise ValidationError(f"need {len(pairs)} correlators for {n} times, got {len(values) - n}")
-        if isinstance(values[0], np.ndarray):
-            shapes = sorted({x.shape for x in values})
-            if len(shapes) > 1:
+        if values is not given or not type(self.averages) is type(self.correlators) is tuple:
+            if isinstance(values[0], np.ndarray) and len(shapes := sorted({x.shape for x in values})) > 1:
                 raise ValidationError(
                     f"averages and correlators must share one shape, got {', '.join(map(str, shapes))}"
                 )
-        object.__setattr__(self, "averages", values[:n])
-        object.__setattr__(self, "correlators", values[n:])
+            object.__setattr__(self, "averages", values[:n])
+            object.__setattr__(self, "correlators", values[n:])
 
     @property
     def n_times(self) -> int:

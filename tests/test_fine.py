@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mrtest import conditions, fine
-from mrtest.conditions import ROWS, _affine_values, _group_min, lg2, lg3, lg4, mr_weak
+from mrtest.conditions import ROWS, _affine_values, _minima, lg2, lg3, lg4, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import (
     FeasibilityResult,
@@ -311,17 +311,17 @@ class TestGridMemo:
             m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:]))
             evaluated, reduced = [], []
 
-            def counted_values(block, x):
+            def counted_values(block, columns):
                 evaluated.append(block.names)
-                return _affine_values(block, x)
+                return _affine_values(block, columns)
 
             def counted_minima(values, n_times, key):
                 reduced.append((n_times, key))
-                return _group_min(values, n_times, key)
+                return _minima(values, n_times, key)
 
             with mock.patch.object(conditions, "_affine_values", counted_values), mock.patch.object(
                 fine, "_affine_values", counted_values
-            ), mock.patch.object(conditions, "_group_min", counted_minima), mock.patch.object(fine, "_group_min", counted_minima):
+            ), mock.patch.object(conditions, "_minima", counted_minima), mock.patch.object(fine, "_minima", counted_minima):
                 got = {name: readers[name](m) for name in order}
             # a grid with infeasible sets builds no witness, so nothing else is evaluated or reduced
             assert not d_interval(m).feasible.all()
