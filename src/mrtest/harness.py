@@ -5,7 +5,9 @@ parsed by ``MomentSet.from_jsonable``), writes the sweep CSV, and owns the
 reproducible random-model sampling used by the property campaign.  A
 sweep is a lazy sequence of blocks, each an ordered map from CSV column
 name to an array over the block's points; ``OUTPUT_GROUPS`` maps each
-output group to its columns, and the CSV writer only formats the maps.
+output group to its columns, and the CSV writer only formats the maps: it
+makes each block's '%.17g' text in numpy, from tables of digits, and moves
+the file into place only once the last block is written.
 The campaign draws each model from its own stream, then builds, validates
 (with ``quantum._validate``, as ``QuantumModel`` does) and checks models of
 one dimension in blocks of a sweep block's byte budget: a block yields each
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -319,21 +322,177 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict
     )
 
 
-def sweep_csv_lines(columns: Mapping[str, np.ndarray]) -> list[str]:
-    """The CSV rows of one ``sweep_blocks`` block: '.' decimals, 17
-    significant digits, bool columns (the verdicts) as 1/0."""
-    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns.values())
-    return [row % values for values in zip(*(c.tolist() for c in columns.values()))]
+# ---------------------------------------------------------------------------
+# sweep CSV
+#
+# '%.17g' for a whole block in numpy.  A value x with 1e-99 <= |x| < 1e99 is
+# scaled to x * 10^(16 - X), X its decade, as a double-double pair (error about
+# 1e-14) and rounded to the integer of its 17 significant digits.  Tables spell
+# it as a field of six 8-byte words whose 0 bytes are dropped: the sign, any
+# "0.000" prefix and the first digit; the 16 other digits, each followed by a gap
+# that holds the point after it; the exponent and the separator.  A value out of
+# that range, not finite, or whose scaled value lies within 2^-30 of a half (the
+# exact half-way cases included) is formatted by '%.17g' into its field.
+
+#: decades X = floor(log10|x|) in the tables: one more at each end than the range
+#: needs, for log10's first guess and for the double nearest 1e-99
+_DECADES = range(-100, 100)
+#: values formatted at once: about 1.3 MB of work arrays, so that a block takes
+#: no more memory to format than one '%' format per row did
+_CSV_CHUNK = 6144
+
+
+def _halves(v):
+    """Veltkamp's split: v as high + low, each of at most 26 significant bits."""
+    split = 134217729.0 * v  # 2^27 + 1
+    high = split - (split - v)
+    return high, v - high
+
+
+def _pow10_parts() -> np.ndarray:
+    """For p = 16 - X from the last decade to the first: the double nearest
+    10^p, its halves, and the double nearest the rest, from integers."""
+    near, rest = [], []
+    for p in range(16 - _DECADES[-1], 17 - _DECADES[0]):
+        if p >= 0:
+            near.append(float(10**p))  # int to float rounds correctly
+            rest.append(float(10**p - int(near[-1])))
+        else:
+            near.append(1 / 10**-p)  # and so does int / int
+            n, d = near[-1].as_integer_ratio()
+            rest.append((d - n * 10**-p) / (d * 10**-p))
+    return np.array([near, *_halves(np.array(near)), rest])
+
+
+def _words(texts) -> np.ndarray:
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), dtype=np.uint64)
+
+
+_POW10 = _pow10_parts()
+_DIGITS = np.indices((10,) * 4, dtype=np.int8).reshape(4, -1)  # of the 4-digit groups
+#: each 4-digit group as one word, its digits on the even bytes
+_GROUP_WORDS = np.zeros((10**4, 8), dtype=np.uint8)
+_GROUP_WORDS[:, ::2] = 48 + _DIGITS.T
+_GROUP_WORDS = _GROUP_WORDS.view(np.uint64)[:, 0]
+#: at group position i (at i * 10^4 + group): the count of the 16 digits up to
+#: the group's last nonzero one, or 0
+_GROUP_END = ((_DIGITS > 0) * np.arange(1, 5, dtype=np.int8)[:, None]).max(axis=0)
+_GROUP_END = np.where(_GROUP_END > 0, np.arange(1, 17, 4, dtype=np.int8)[:, None] + _GROUP_END, 0).ravel()
+_GROUP_AT = np.arange(0, 4 * 10**4, 10**4, dtype=np.int32)[:, None]
+#: at group position i and count K: the mask of the group's digits among the first K
+_GROUP_KEEP = np.zeros((4, 18, 4, 2), dtype=np.uint8)
+_GROUP_KEEP[..., 0] = 255 * (np.arange(1, 17).reshape(4, 1, 4) < np.arange(18)[:, None])
+_GROUP_KEEP = _GROUP_KEEP.reshape(4, 18, 8).view(np.uint64)[..., 0]
+#: by sign, -X for a value below 1 written positionally ("0." and -X - 1 zeros),
+#: else 0, and first digit
+_HEAD = _words(
+    (sign + zeros).rjust(6, b"\0") + b"%d" % d
+    for sign in (b"", b"-") for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000") for d in range(10)
+)
+#: by the exponent (none, or a decade) and the row end, which is the last byte
+_TAIL = _words([b""] + [b"e%+03d" % x for x in _DECADES])[:, None] | _words([b"\0" * 7 + b",", b"\0" * 7 + b"\n"])
+_TAIL = _TAIL.ravel()
+
+
+def _rounded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer of each |value|'s 17 significant digits, its decade, and
+    whether both are certain; 0, 0 where not, and for zeros."""
+    size = np.abs(values)
+    fast = (size >= 1e-99) & (size < 1e99)
+    x = np.where(fast, size, 1.0)
+
+    def scaled(x, decade):
+        # x * 10^(16 - decade) as hi + lo, lo by Dekker's exact product
+        near, high, low, rest = _POW10.take(_DECADES[-1] - decade, axis=1)
+        x_high, x_low = _halves(x)
+        hi = x * near
+        return hi, ((x_high * high - hi) + x_high * low + x_low * high) + x_low * low + x * rest
+
+    decade = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo = scaled(x, decade)
+    # log10 puts a value just below a power of ten in the decade above, where hi
+    # alone may round onto 1e16: read the decade from the pair
+    below = np.flatnonzero((hi < 1e16) | ((hi == 1e16) & (lo < 0.0)))
+    if below.size:
+        decade[below] -= 1
+        hi[below], lo[below] = scaled(x[below], decade[below])
+    whole = np.floor(lo)
+    digits = hi.astype(np.int64) + whole.astype(np.int64) + (lo - whole > 0.5)
+    # a rounding onto 10^17, from within 5e-18 below a power of ten (such as the double 1e-14), is left out
+    fast &= (np.abs(lo - whole - 0.5) > 2.0**-30) & (digits < 10**17)
+    return np.where(fast, digits, 0), np.where(fast, decade, 0), fast
+
+
+def _csv_fields(values: np.ndarray, ends: np.ndarray) -> bytes:
+    """The field of each value, 0 bytes included, followed by ',' or, where
+    ``ends`` holds, a newline."""
+    n = len(values)
+    digits, decade, fast = _rounded(values)
+    first, rest = np.divmod(digits, 10**16)
+    groups = np.empty((4, n), dtype=np.int32)
+    groups[0], groups[2] = np.divmod(rest, 10**8)
+    groups[::2], groups[1::2] = np.divmod(groups[::2], 10**4)
+    end = _GROUP_END.take(groups + _GROUP_AT).max(axis=0)
+    positional = (decade >= -4) & (decade < 17)
+    # the digits before the point, and as many as the 'g' layout keeps
+    before = np.where(positional, np.maximum(decade + 1, 0), 1).astype(np.int8)
+    points = np.flatnonzero((end > before) & (before > 0))
+
+    fields = np.empty((6, n), dtype=np.uint64)
+    zeros = np.where(positional & (decade < 0), -decade, 0)
+    np.take(_HEAD, (np.signbit(values) * 5 + zeros) * 10 + first, out=fields[0])
+    np.take(_GROUP_WORDS, groups, out=fields[1:5])
+    fields[1:5] &= _GROUP_KEEP.take(np.maximum(end, before), axis=1)
+    np.take(_TAIL, ends + np.where(positional, 0, 2 * (decade - _DECADES[0] + 1)), out=fields[5])
+    at = 2 * before[points].astype(np.int64) + 5  # the byte of the gap after digit before - 1
+    fields.view(np.uint8).reshape(-1)[((at >> 3) * n + points) * 8 + (at & 7)] = ord(".")
+    slow = np.flatnonzero(~fast & (values != 0.0))
+    if slow.size:
+        text = b"".join(
+            (b"%.17g" % v).ljust(47, b"\0") + (b"\n" if e else b",")
+            for v, e in zip(values[slow].tolist(), ends[slow].tolist())
+        )
+        fields[:, slow] = np.frombuffer(text, dtype=np.uint64).reshape(-1, 6).T
+    return fields.T.tobytes()
+
+
+def sweep_csv_lines(columns: Mapping[str, np.ndarray]) -> str:
+    """The CSV rows of one ``sweep_blocks`` block as one string, each row
+    ending in a newline: every value as '%.17g' formats it, so '.' decimals,
+    17 significant digits, and bool columns (the verdicts) as 1/0."""
+    arrays = list(columns.values())
+    rows = max(1, _CSV_CHUNK // len(arrays))
+    ends = np.tile(np.arange(len(arrays)) == len(arrays) - 1, rows)
+    text = []
+    for start in range(0, len(arrays[0]), rows):
+        chunk = np.stack([a[start : start + rows] for a in arrays], axis=1).astype(float, copy=False)
+        text.append(_csv_fields(chunk.ravel(), ends[: chunk.size]).translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def write_sweep_csv(blocks: Iterable[Mapping[str, np.ndarray]], path) -> None:
     """Write ``sweep_blocks`` as CSV one block at a time, so a sweep streams
-    through in bounded memory; the header is the first block's column names."""
-    with open(path, "w") as fh:
-        for k, columns in enumerate(blocks):
-            if k == 0:
-                fh.write(",".join(columns) + "\n")
-            fh.write("\n".join(sweep_csv_lines(columns)) + "\n")
+    through in bounded memory; the header is the first block's column names.
+
+    A regular file is written beside ``path`` and replaces it only once the
+    last block is written: a sweep that fails leaves no CSV, and an earlier
+    file at ``path`` as it was.  A pipe or a terminal is written directly."""
+    direct = os.path.exists(path) and not os.path.isfile(path)
+    target = path if direct else os.path.realpath(path)
+    part = target if direct else f"{target}.{os.urandom(4).hex()}.part"
+    fh = open(part, "w" if direct else "x")
+    try:
+        with fh:
+            for k, columns in enumerate(blocks):
+                if k == 0:
+                    fh.write(",".join(columns) + "\n")
+                fh.write(sweep_csv_lines(columns))
+        if not direct:
+            os.replace(part, target)
+    except BaseException:
+        if not direct:
+            os.unlink(part)
+        raise
 
 
 # ---------------------------------------------------------------------------

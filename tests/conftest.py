@@ -158,6 +158,21 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
     return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
 
 
+def csv_rows_reference(columns) -> list[str]:
+    """The CSV rows of one sweep block, one Python '%' format per row: '%.17g'
+    for each float column and '%d' for each bool column.  The reference that
+    ``sweep_csv_lines`` must match byte for byte."""
+    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns.values())
+    return [row % values for values in zip(*(c.tolist() for c in columns.values()))]
+
+
+def csv_reference(blocks) -> str:
+    """The whole CSV text of a sweep's blocks by ``csv_rows_reference``."""
+    blocks = list(blocks)
+    rows = [",".join(blocks[0]), *(row for block in blocks for row in csv_rows_reference(block))]
+    return "".join(row + "\n" for row in rows)
+
+
 def column_sums(block: RowBlock, x) -> np.ndarray:
     """b + G x added one whole column at a time, left to right, from b: the
     loop that ``_affine_values`` must match bit for bit."""

@@ -1,8 +1,13 @@
 import json
+import os
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrtest import fine, harness, quantum
 from mrtest.cli import main
@@ -30,8 +35,8 @@ from mrtest.quantum import QuantumModel, _validate
 
 import conftest
 from conftest import (
-    apply_parameter, assert_same_summary, at_time, complex_gaussian, precession_model, reference_campaign, reference_model,
-    weight,
+    apply_parameter, assert_same_summary, at_time, complex_gaussian, csv_reference, csv_rows_reference, precession_model,
+    reference_campaign, reference_model, weight,
 )
 
 
@@ -390,6 +395,7 @@ class TestBatchedSweep:
             got = dict(zip(header, row))
             assert max(abs(float(got[name]) - v) for name, v in numbers.items()) <= 1e-12
             assert {name: got[name] for name in ref["verdicts"]} == {k: str(int(v)) for k, v in ref["verdicts"].items()}
+        assert path.read_bytes() == csv_reference(sweep_blocks(spec)).encode()
 
     def test_one_eigendecomposition_of_h_per_sweep(self, tmp_path, monkeypatch):
         calls = []
@@ -445,7 +451,10 @@ class TestSweepColumns:
         write_sweep_csv(blocks, path)
         header, *rows = path.read_text().splitlines()
         assert [header, *rows].count(header) == 1
-        assert rows == [row for block in blocks for row in sweep_csv_lines(block)]
+        assert rows == [row for block in blocks for row in sweep_csv_lines(block).splitlines()]
+        for block in blocks:
+            assert sweep_csv_lines(block) == "".join(row + "\n" for row in csv_rows_reference(block))
+        assert path.read_bytes() == csv_reference(blocks).encode()
         columns = header.split(",")
         if outputs[0] == "verdicts":
             assert columns[1] == "verdict_weak" and columns[-1] == f"avg_{n}"
@@ -453,6 +462,160 @@ class TestSweepColumns:
             assert list(block) == columns
             for name, column in block.items():
                 assert column.dtype == (bool if name.startswith("verdict_") else float), name
+
+
+def assert_formats_as_g17(values) -> None:
+    """``sweep_csv_lines`` on the values as one column, and on up to 64 of
+    them as one row, must give '%.17g' of each, byte for byte, with no numpy
+    warning."""
+    values = np.asarray(values, dtype=float)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        column = sweep_csv_lines({"x": values})
+        row = sweep_csv_lines({f"x{i}": values[i : i + 1] for i in range(min(len(values), 64))})
+    want = ["%.17g" % v for v in values.tolist()]
+    # the first few mismatches, not a diff of the whole text
+    assert [(v, g, w) for v, g, w in zip(values.tolist(), column.split("\n"), want) if g != w][:3] == []
+    same = column == "".join(w + "\n" for w in want)
+    assert same, f"{len(column)} characters against {sum(len(w) + 1 for w in want)}"
+    assert row == ",".join(want[:64]) + "\n"
+
+
+def neighbours(x: np.ndarray) -> np.ndarray:
+    """Each value with the doubles on either side of it."""
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+class TestCsvNumbers:
+    """The sweep CSV's numbers against Python's '%.17g', byte for byte."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert_formats_as_g17(values)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern(self, bits):
+        assert_formats_as_g17(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_every_half_way_case_in_one_to_ten(self):
+        # 1 + k/2^17 with k odd has 18 significant digits, the last a 5: each rounds half to even
+        assert_formats_as_g17(1.0 + np.arange(1, 9 * 2**17, 2) / 2**17)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert_formats_as_g17(neighbours(np.array([float(f"1e{k}") for k in range(-30, 31)])))
+
+    def test_positional_and_scientific_switch(self):
+        edges = neighbours(np.array([1e-4, 1e17, 1e-5, 1e16]))
+        assert_formats_as_g17(np.concatenate([edges, [99999999999999999.0, 9.99999999999999999e-5]]))
+        assert sweep_csv_lines({"x": np.array([1e-4, 1e17, 99999999999999999.0])}) == "0.0001\n1e+17\n1e+17\n"
+
+    def test_zeros_and_the_extremes(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        assert_formats_as_g17(values)
+        assert sweep_csv_lines({"x": np.array(values[:2])}) == "0\n-0\n"
+
+    def test_scaled_values_over_the_whole_range(self):
+        rng = np.random.default_rng(30)
+        assert_formats_as_g17(rng.standard_normal(4000) * 10.0 ** rng.integers(-320, 300, 4000))
+
+    def test_a_column_outside_the_table_range(self):
+        # not finite, subnormal, past 1e99 or below 1e-99, and half-way cases: none is spelled from the tables
+        values = [np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-100, 1e99, -3e200,
+                  1.0000076293945312, 9.5]
+        assert_formats_as_g17(values)
+        assert sweep_csv_lines({"x": np.array(values[:3])}) == "nan\ninf\n-inf\n"
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("where", ["first", "last", "both"])
+    def test_bool_columns(self, where, rows):
+        rng = np.random.default_rng(rows)
+        flags = rng.random((2, rows)) < 0.5
+        numbers = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-20, 20, (2, rows))
+        columns = {"a": numbers[0], "b": numbers[1]}
+        if where in ("first", "both"):
+            columns = {"flag_first": flags[0], **columns}
+        if where in ("last", "both"):
+            columns = {**columns, "flag_last": flags[1]}
+        assert sweep_csv_lines(columns) == "".join(row + "\n" for row in csv_rows_reference(columns))
+
+    def test_only_bool_columns(self):
+        columns = {"u": np.array([True, False, True]), "v": np.array([False, False, True])}
+        assert sweep_csv_lines(columns) == "1,0\n0,0\n1,1\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 8192])
+    def test_rows_across_chunks(self, chunk, monkeypatch):
+        # a chunk of fewer values than a row still holds one whole row
+        monkeypatch.setattr(harness, "_CSV_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        columns = {f"c{i}": rng.standard_normal(23) * 10.0 ** rng.integers(-30, 30, 23) for i in range(3)}
+        columns["ok"] = rng.random(23) < 0.5
+        assert sweep_csv_lines(columns) == "".join(row + "\n" for row in csv_rows_reference(columns))
+
+
+def failing_sweep_spec(tmp_path):
+    """The shipped tau spec with rho = diag(1 + 5e-11, -5e-11): the model
+    loads, since its PSD check allows -5e-11, but the first block's single
+    table then has a negative weight."""
+    spec = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+    spec["model"]["rho"] = [[[1 + 5e-11, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-5e-11, 0.0]]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+class TestWriteSweepCsv:
+    def test_failing_sweep_keeps_an_existing_csv(self, tmp_path, capsys):
+        spec = failing_sweep_spec(tmp_path)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"tau,C_12\n0,1\n")
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "single table weight negative: -5e-11" in capsys.readouterr().err
+        assert out.read_bytes() == b"tau,C_12\n0,1\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad.json", "out.csv"]
+
+    def test_failing_sweep_writes_no_csv(self, tmp_path):
+        spec = failing_sweep_spec(tmp_path)
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
+    def test_an_error_while_writing_leaves_no_partial_file(self, tmp_path, spec):
+        def blocks():
+            yield from sweep_blocks(spec)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_sweep_csv(blocks(), tmp_path / "out.csv")
+        assert os.listdir(tmp_path) == []
+
+    def test_replaces_an_existing_csv(self, tmp_path, spec):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        write_sweep_csv(sweep_blocks(spec), out)
+        assert out.read_bytes() == csv_reference(sweep_blocks(spec)).encode()
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_writes_through_a_symlink(self, tmp_path, spec):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "out.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_sweep_csv(sweep_blocks(spec), link)
+        assert link.is_symlink()
+        assert target.read_bytes() == csv_reference(sweep_blocks(spec)).encode()
+        assert sorted(os.listdir(tmp_path / "data")) == ["out.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_writes_a_pipe_directly(self, tmp_path, spec):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_sweep_csv(sweep_blocks(spec), fifo)
+        reader.join(timeout=30)
+        assert got == [csv_reference(sweep_blocks(spec)).encode()]
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestSamplers:
