@@ -9,6 +9,7 @@ violation), 2 for usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -86,6 +87,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return EXIT_PASS if summary["passed"] else EXIT_FAIL
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrtest",
@@ -134,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MrtestError, OSError) as exc:

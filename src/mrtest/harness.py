@@ -328,17 +328,18 @@ def sweep_blocks(spec: SweepSpec, epsilon: float = TOL.verdict) -> Iterator[dict
 # '%.17g' for a whole block in numpy.  A value x with 1e-99 <= |x| < 1e99 is
 # scaled to x * 10^(16 - X), X its decade, as a double-double pair (error about
 # 1e-14) and rounded to the integer of its 17 significant digits.  Tables spell
-# it as a field of six 8-byte words whose 0 bytes are dropped: the sign, any
-# "0.000" prefix and the first digit; the 16 other digits, each followed by a gap
-# that holds the point after it; the exponent and the separator.  A value out of
-# that range, not finite, or whose scaled value lies within 2^-30 of a half (the
-# exact half-way cases included) is formatted by '%.17g' into its field.
+# it as four 8-byte words whose 0 bytes are dropped: the sign, any "0.000"
+# prefix, the first digit and a point after it; the 16 other digits, one byte
+# each, those after a point among them moved one byte on; the exponent and the
+# separator.  A value out of that range, not finite, or whose scaled value lies
+# within 2^-30 of a half (the exact half-way cases included) is formatted by
+# '%.17g' into its field.
 
 #: decades X = floor(log10|x|) in the tables: one more at each end than the range
 #: needs, for log10's first guess and for the double nearest 1e-99
 _DECADES = range(-100, 100)
-#: values formatted at once: about 1.3 MB of work arrays, so that a block takes
-#: no more memory to format than one '%' format per row did
+#: values formatted at once: about 0.9 MB of work arrays (tracemalloc); 3072 took
+#: a quarter longer, and 9216 a few per cent less for half as much memory again
 _CSV_CHUNK = 6144
 
 
@@ -370,24 +371,23 @@ def _words(texts) -> np.ndarray:
 
 _POW10 = _pow10_parts()
 _DIGITS = np.indices((10,) * 4, dtype=np.int8).reshape(4, -1)  # of the 4-digit groups
-#: each 4-digit group as one word, its digits on the even bytes
-_GROUP_WORDS = np.zeros((10**4, 8), dtype=np.uint8)
-_GROUP_WORDS[:, ::2] = 48 + _DIGITS.T
-_GROUP_WORDS = _GROUP_WORDS.view(np.uint64)[:, 0]
+#: each 4-digit group's digits as 4 bytes, in the low half of a word and in the high half
+_GROUP_LOW = np.frombuffer((48 + _DIGITS.T).astype(np.uint8).tobytes(), dtype=np.uint32).astype(np.uint64)
+_GROUP_HIGH = _GROUP_LOW << np.uint64(32)
 #: at group position i (at i * 10^4 + group): the count of the 16 digits up to
 #: the group's last nonzero one, or 0
-_GROUP_END = ((_DIGITS > 0) * np.arange(1, 5, dtype=np.int8)[:, None]).max(axis=0)
-_GROUP_END = np.where(_GROUP_END > 0, np.arange(1, 17, 4, dtype=np.int8)[:, None] + _GROUP_END, 0).ravel()
+_GROUP_END = ((_DIGITS > 0) * np.arange(1, 17, dtype=np.int8).reshape(4, 4, 1)).max(axis=1).ravel()
 _GROUP_AT = np.arange(0, 4 * 10**4, 10**4, dtype=np.int32)[:, None]
-#: at group position i and count K: the mask of the group's digits among the first K
-_GROUP_KEEP = np.zeros((4, 18, 4, 2), dtype=np.uint8)
-_GROUP_KEEP[..., 0] = 255 * (np.arange(1, 17).reshape(4, 1, 4) < np.arange(18)[:, None])
-_GROUP_KEEP = _GROUP_KEEP.reshape(4, 18, 8).view(np.uint64)[..., 0]
+#: for each of the two digit words and count K: the mask of its digits among the first K
+_KEEP = (255 * (np.arange(16).reshape(2, 1, 8) < np.arange(17)[:, None])).astype(np.uint8).view(np.uint64)[..., 0]
+#: for a point after p of the 16 digits, put at byte 16 (the tail's first): where each byte comes from
+_POINT_AT = np.array([[*range(p), 16, *range(p, 16), *range(17, 24)] for p in range(16)])
 #: by sign, -X for a value below 1 written positionally ("0." and -X - 1 zeros),
-#: else 0, and first digit
+#: else 0, a point after the first digit or not, and the first digit
 _HEAD = _words(
-    (sign + zeros).rjust(6, b"\0") + b"%d" % d
-    for sign in (b"", b"-") for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000") for d in range(10)
+    sign + zeros + b"%d" % d + point
+    for sign in (b"", b"-") for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000") for point in (b"", b".")
+    for d in range(10)
 )
 #: by the exponent (none, or a decade) and the row end, which is the last byte
 _TAIL = _words([b""] + [b"e%+03d" % x for x in _DECADES])[:, None] | _words([b"\0" * 7 + b",", b"\0" * 7 + b"\n"])
@@ -426,33 +426,42 @@ def _rounded(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _csv_fields(values: np.ndarray, ends: np.ndarray) -> bytes:
     """The field of each value, 0 bytes included, followed by ',' or, where
     ``ends`` holds, a newline."""
-    n = len(values)
     digits, decade, fast = _rounded(values)
-    first, rest = np.divmod(digits, 10**16)
-    groups = np.empty((4, n), dtype=np.int32)
-    groups[0], groups[2] = np.divmod(rest, 10**8)
-    groups[::2], groups[1::2] = np.divmod(groups[::2], 10**4)
+    first = digits // 10**16  # and a multiply-subtract: under half np.divmod's time
+    rest = digits - first * 10**16
+    groups = np.empty((4, len(values)), dtype=np.int32)
+    groups[0] = high = rest // 10**8
+    groups[2] = rest - high * 10**8
+    high = groups[::2] // 10**4
+    groups[1::2] = groups[::2] - high * 10**4
+    groups[::2] = high
     end = _GROUP_END.take(groups + _GROUP_AT).max(axis=0)
     positional = (decade >= -4) & (decade < 17)
     # the digits before the point, and as many as the 'g' layout keeps
     before = np.where(positional, np.maximum(decade + 1, 0), 1).astype(np.int8)
-    points = np.flatnonzero((end > before) & (before > 0))
 
-    fields = np.empty((6, n), dtype=np.uint64)
+    fields = np.empty((4, len(values)), dtype=np.uint64)
     zeros = np.where(positional & (decade < 0), -decade, 0)
-    np.take(_HEAD, (np.signbit(values) * 5 + zeros) * 10 + first, out=fields[0])
-    np.take(_GROUP_WORDS, groups, out=fields[1:5])
-    fields[1:5] &= _GROUP_KEEP.take(np.maximum(end, before), axis=1)
-    np.take(_TAIL, ends + np.where(positional, 0, 2 * (decade - _DECADES[0] + 1)), out=fields[5])
-    at = 2 * before[points].astype(np.int64) + 5  # the byte of the gap after digit before - 1
-    fields.view(np.uint8).reshape(-1)[((at >> 3) * n + points) * 8 + (at & 7)] = ord(".")
+    point = (before == 1) & (end > 0)
+    np.take(_HEAD, ((np.signbit(values) * 5 + zeros) * 2 + point) * 10 + first, out=fields[0])
+    np.take(_GROUP_LOW, groups[::2], out=fields[1:3])
+    fields[1:3] |= _GROUP_HIGH.take(groups[1::2])
+    fields[1:3] &= _KEEP.take(np.maximum(end, before - 1), axis=1)
+    np.take(_TAIL, ends + np.where(positional, 0, 2 * (decade - _DECADES[0] + 1)), out=fields[3])
+    # a point among the 16 digits (10 <= |x| < 1e17, so no exponent): those after it move one byte on
+    points = np.flatnonzero((end >= before) & (before > 1))
+    if points.size:
+        run = fields[1:, points].T.copy().view(np.uint8)
+        run[:, 16] = ord(".")
+        at = _POINT_AT.take(before[points] - 1, axis=0) + np.arange(0, run.size, 24)[:, None]
+        fields[1:, points] = run.take(at).view(np.uint64).T
     slow = np.flatnonzero(~fast & (values != 0.0))
     if slow.size:
         text = b"".join(
-            (b"%.17g" % v).ljust(47, b"\0") + (b"\n" if e else b",")
+            (b"%.17g" % v).ljust(31, b"\0") + (b"\n" if e else b",")
             for v, e in zip(values[slow].tolist(), ends[slow].tolist())
         )
-        fields[:, slow] = np.frombuffer(text, dtype=np.uint64).reshape(-1, 6).T
+        fields[:, slow] = np.frombuffer(text, dtype=np.uint64).reshape(-1, 4).T
     return fields.T.tobytes()
 
 

@@ -8,9 +8,16 @@ import pytest
 
 from mrtest import harness
 from mrtest.cli import main
-from mrtest.harness import default_model_path, model_to_jsonable, run_campaign
+from mrtest.harness import (
+    default_model_path,
+    load_sweep_spec,
+    model_to_jsonable,
+    run_campaign,
+    sweep_blocks,
+)
+from mrtest.tolerances import TOL
 
-from conftest import near_hermitian_inputs, precession_model
+from conftest import csv_reference, near_hermitian_inputs, precession_model
 
 
 @pytest.fixture
@@ -185,6 +192,26 @@ class TestCheck:
         assert "C13" in capsys.readouterr().err
 
 
+class TestOneParserPerProcess:
+    """``main`` reuses one parser: each call must still parse as if alone."""
+
+    def test_epsilon_does_not_carry_over(self, zero_moments_file, capsys):
+        argv = ["check", "--which", "weak", "--moments", str(zero_moments_file)]
+        assert main([*argv, "--epsilon", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 1e-3
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == TOL.verdict
+
+    def test_usage_error_then_a_good_call(self, zero_moments_file, capsys):
+        # the failed call has parsed --epsilon before it finds --which missing
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--moments", str(zero_moments_file), "--epsilon", "1e-3"])
+        assert exc.value.code == 2
+        assert "--which" in capsys.readouterr().err
+        assert main(["check", "--which", "weak", "--moments", str(zero_moments_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == TOL.verdict
+
+
 class TestFine:
     def test_infeasible_exit_one(self, moments_file, capsys):
         assert main(["fine", "--moments", str(moments_file)]) == 1
@@ -317,6 +344,16 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "times: must be non-decreasing, got (0.0, 2.1, 2.0)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tau_to_100_equals_the_reference(self, tmp_path):
+        # tau from 10 on puts the point among the digits after the first
+        spec = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+        spec["to"] = 100
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == csv_reference(sweep_blocks(load_sweep_spec(spec_path))).encode()
 
     def test_unknown_output_rejected(self, tmp_path, capsys):
         spec = {

@@ -509,6 +509,16 @@ class TestCsvNumbers:
         assert_formats_as_g17(np.concatenate([edges, [99999999999999999.0, 9.99999999999999999e-5]]))
         assert sweep_csv_lines({"x": np.array([1e-4, 1e17, 99999999999999999.0])}) == "0.0001\n1e+17\n1e+17\n"
 
+    def test_point_after_every_digit(self):
+        # from 10 up to 1e17 a value with a fraction has its point among the digits after the first
+        powers = 10.0 ** np.arange(1, 17)
+        values = np.array([float(f"1.2345678901234567e{k}") for k in range(1, 17)])
+        assert_formats_as_g17(np.concatenate([
+            neighbours(np.concatenate([values, -values])),
+            [100.0, 1e15, 12000000000000000.0],
+            np.nextafter(powers, 0.0),
+        ]))
+
     def test_zeros_and_the_extremes(self):
         values = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         assert_formats_as_g17(values)
