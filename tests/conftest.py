@@ -1,4 +1,6 @@
 import functools
+import json
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -9,7 +11,7 @@ from hypothesis import HealthCheck, settings
 from mrtest.conditions import ROWS, RowBlock, mr_int, mr_strong, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import d_bounds
-from mrtest.harness import sample_model
+from mrtest.harness import default_model_path, model_to_jsonable, sample_model
 from mrtest.measurement import (
     SIGNS,
     MomentSet,
@@ -171,6 +173,25 @@ def csv_reference(blocks) -> str:
     blocks = list(blocks)
     rows = [",".join(blocks[0]), *(row for block in blocks for row in csv_rows_reference(block))]
     return "".join(row + "\n" for row in rows)
+
+
+def sweep_specs() -> dict[str, dict]:
+    """Sweep specs whose CSVs are checked against ``csv_reference`` and, run
+    twice through the console script, against each other: the shipped spec,
+    the shipped 4-time model over one turn of tau, and sampled dim-3 and dim-4
+    models with every output group, on either side of the size up to which
+    stack products and trace pairings are broadcast multiply-adds."""
+    data = default_model_path().parent
+    turn = {"parameter": "tau", "from": 0.0, "to": 2 * math.pi, "steps": 500}
+    specs = {
+        "shipped": json.loads((data / "tau_sweep_lg3.json").read_text()),
+        "4-time": {"model": json.loads((data / "qubit_precession_4t.json").read_text()), **turn},
+    }
+    outputs = ["averages", "correlators", "margins", "witness", "d_interval", "verdicts"]
+    for dim in (3, 4):
+        model = model_to_jsonable(sample_model(np.random.default_rng(dim), dim))
+        specs[f"dim{dim}"] = {"model": model, **turn, "outputs": outputs}
+    return specs
 
 
 def column_sums(block: RowBlock, x) -> np.ndarray:

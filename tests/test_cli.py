@@ -17,7 +17,7 @@ from mrtest.harness import (
 )
 from mrtest.tolerances import TOL
 
-from conftest import csv_reference, near_hermitian_inputs, precession_model
+from conftest import csv_reference, near_hermitian_inputs, precession_model, sweep_specs
 
 
 @pytest.fixture
@@ -62,6 +62,17 @@ def zero_moments_file(tmp_path):
     return p
 
 
+def main_strict(argv):
+    """``main`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+_THREE = {"n": 3, "avg": [0, 0, 0], "pairs": [[1, 2], [2, 3], [1, 3]]}
+_FOUR = {"n": 4, "avg": [0, 0, 0, 0], "pairs": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+
+
 class TestSimulate:
     def test_writes_json(self, model_file, tmp_path, capsys):
         out = tmp_path / "sim.json"
@@ -104,7 +115,7 @@ class TestNonFiniteEvolution:
         obj["hamiltonian"][0][1], obj["hamiltonian"][1][0] = [1e308, 1e308], [1e308, -1e308]
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(obj))
-        assert main([*argv, "--model", str(p)]) == 2
+        assert main_strict([*argv, "--model", str(p)]) == 2
         err = capsys.readouterr().err
         assert "evolution: H eigenvalue times t overflows the float range" in err
         assert "Traceback" not in err
@@ -292,6 +303,31 @@ class TestFine:
             assert err.count("\n") == 1 and len(err) < 200
             assert "moments: D must be null (the triple correlator is never measured), got 0.5" in err
 
+    @pytest.mark.parametrize("moments, tolerance, flags", [
+        ({**_THREE, "corr": [0, 0, 0]}, 1e-9, []),
+        ({**_FOUR, "corr": [0, 0, 0, 0]}, 1e-9, []),
+        # the near-boundary sets of TestCheckAndFineAgree mirrored just inside the boundary
+        ({**_THREE, "corr": [0.5, 0.5, 5e-7]}, 1e-9, []),
+        ({**_FOUR, "corr": [-0.5, -0.5, -0.5, 0.4999995]}, 1e-9, []),
+        # those sets themselves have no joint: the witness is clipped inside the slack
+        ({**_THREE, "corr": [0.5, 0.5, -5e-7]}, 1e-6, ["--epsilon", "1e-6"]),
+        ({**_FOUR, "corr": [-0.5, -0.5, -0.5, 0.5000005]}, 1e-6, ["--epsilon", "1e-6"]),
+        # distinct nonzero averages, so that a triangle reading the wrong average misses the moments
+        ({**_THREE, "avg": [0.3, -0.2, 0.1], "corr": [0.2, -0.1, 0.3]}, 1e-9, []),
+        ({**_FOUR, "avg": [0.3, -0.2, 0.1, 0.4], "corr": [0.2, -0.1, 0.3, 0.25]}, 1e-9, []),
+    ], ids=["3-zero", "4-zero", "3-inside", "4-inside", "3-slack", "4-slack", "3-averages", "4-averages"])
+    def test_witness_reproduces_the_moments(self, tmp_path, capsys, moments, tolerance, flags):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({**moments, "D": None}))
+        assert main_strict(["fine", "--moments", str(p), *flags]) == 0
+        want = moments["avg"] + moments["corr"]
+        got = [0.0] * len(want)
+        for key, w in json.loads(capsys.readouterr().out)["witness"]["weights"].items():
+            s = [1 if ch == "+" else -1 for ch in key]
+            products = s + [s[i - 1] * s[j - 1] for i, j in moments["pairs"]]
+            got = [g + w * x for g, x in zip(got, products)]
+        assert max(abs(g - x) for g, x in zip(got, want)) <= tolerance
+
     def test_triple_rejected(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({
@@ -300,6 +336,56 @@ class TestFine:
         }))
         assert main(["fine", "--moments", str(p)]) == 2
         assert "triple" in capsys.readouterr().err
+
+
+class TestCheckAndFineAgree:
+    """``fine`` reads its verdict from its own evaluation of the weak rows, so
+    it exits as ``check --which weak`` does on every moments file, and prints
+    the same with numpy warnings raised as errors: a warning on the witness
+    path (the exact-boundary sets, the near-boundary sets clipped at 1e-6)
+    fails."""
+
+    # each set with its exit codes at the default epsilon, at 1e-6 and at 0
+    SETS = [
+        ({**_THREE, "corr": [0, 0, 0], "D": None}, (0, 0, 0)),
+        # the third-turn set
+        ({**_THREE, "corr": [0.5, 0.5, -0.5], "D": None}, (1, 1, 1)),
+        # LG3.2 margin -5e-7
+        ({**_THREE, "corr": [0.5, 0.5, -5e-7], "D": None}, (1, 0, 1)),
+        ({**_THREE, "corr": [0, 0, 0], "D": 0.5}, (2, 2, 2)),
+        ({**_FOUR, "corr": [0, 0, 0, 0], "D": None}, (0, 0, 0)),
+        # fails LG4
+        ({**_FOUR, "corr": [0.7, 0.7, 0.7, -0.7], "D": None}, (1, 1, 1)),
+        # LG4.4.lo margin -5e-7
+        ({**_FOUR, "corr": [-0.5, -0.5, -0.5, 0.5000005], "D": None}, (1, 0, 1)),
+        # a negative two-time weight (LG2.12 margin -0.5) inside an open chord interval
+        ({**_FOUR, "avg": [0.5, 0.5, 0, 0], "corr": [-0.5, 0, 0, 0], "D": None}, (1, 1, 1)),
+        ({**_FOUR, "corr": [0, 0, 0, 0], "D": 0.5}, (2, 2, 2)),
+        # sets 2 and 6 with their pairs out of canonical order, some reversed
+        ({**_THREE, "pairs": [[3, 1], [2, 1], [3, 2]], "corr": [-0.5, 0.5, 0.5], "D": None}, (1, 1, 1)),
+        ({**_FOUR, "pairs": [[4, 1], [3, 2], [2, 1], [4, 3]], "corr": [-0.7, 0.7, 0.7, 0.7], "D": None}, (1, 1, 1)),
+        # exactly on the weak boundary: all averages 0, every correlator 1
+        ({**_THREE, "corr": [1, 1, 1], "D": None}, (0, 0, 0)),
+        ({**_FOUR, "corr": [1, 1, 1, 1], "D": None}, (0, 0, 0)),
+    ]
+    TWINS = {10: 2, 11: 6}
+
+    @pytest.mark.parametrize("k", range(1, len(SETS) + 1), ids=lambda k: f"set{k}")
+    @pytest.mark.parametrize("e, flags", enumerate([[], ["--epsilon", "1e-6"], ["--epsilon", "0"]]),
+                             ids=["eps-default", "eps-1e-6", "eps-0"])
+    def test_exit_codes_and_output(self, tmp_path, capsys, k, e, flags):
+        def run(command, moments, strict=False):
+            p = tmp_path / "moments.json"
+            p.write_text(json.dumps(moments))
+            code = (main_strict if strict else main)([*_argv(command, p), *flags])
+            return code, capsys.readouterr().out
+
+        moments, codes = self.SETS[k - 1]
+        fine = run("fine", moments)
+        assert (run("check", moments)[0], fine[0]) == (codes[e], codes[e])
+        assert run("fine", moments, strict=True) == fine
+        if k in self.TWINS:
+            assert run("fine", self.SETS[self.TWINS[k] - 1][0]) == fine
 
 
 class TestModelAndMomentsRoutes:
@@ -345,15 +431,24 @@ class TestSweep:
         assert "times: must be non-decreasing, got (0.0, 2.1, 2.0)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_tau_to_100_equals_the_reference(self, tmp_path):
-        # tau from 10 on puts the point among the digits after the first
-        spec = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
-        spec["to"] = 100
+    @staticmethod
+    def assert_csv_equals_the_reference(tmp_path, spec):
+        """The CSV ``sweep`` writes, under numpy warnings raised as errors, is
+        the '%.17g' reference byte for byte."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "out.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert main_strict(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert out.read_bytes() == csv_reference(sweep_blocks(load_sweep_spec(spec_path))).encode()
+
+    @pytest.mark.parametrize("name", ["shipped", "4-time", "dim3", "dim4"])
+    def test_csv_equals_the_reference(self, tmp_path, name):
+        self.assert_csv_equals_the_reference(tmp_path, sweep_specs()[name])
+
+    def test_tau_to_100_equals_the_reference(self, tmp_path):
+        # tau from 10 on puts the point among the digits after the first
+        spec = json.loads(default_model_path().with_name("tau_sweep_lg3.json").read_text())
+        self.assert_csv_equals_the_reference(tmp_path, {**spec, "to": 100})
 
     def test_unknown_output_rejected(self, tmp_path, capsys):
         spec = {
@@ -384,6 +479,25 @@ class TestCampaign:
         assert capsys.readouterr().out == json.dumps(summary, indent=2) + "\n"
         assert bool(summary["violations"]) is violating
         assert code == (1 if summary["violations"] else 0)
+
+    def test_thousand_models_keep_the_fine_and_dichotomy_checks(self, capsys):
+        # fine_matches_mr_weak: the triple correlator's interval half width
+        # against the smallest weak margin; dichotomy_preserved: Q(t)^2 = I after load
+        assert main_strict(["campaign", "--seed", "3", "--count", "1000"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for name, bound in (("fine_matches_mr_weak", 1e-12), ("dichotomy_preserved", 1e-10)):
+            stats = checks[name]
+            assert stats["samples"] == 1000 and stats["violations"] == 0 and stats["max_residual"] <= bound, stats
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "3", "--count", "300"],
+        # fine_matches_mr_weak does not read epsilon
+        ["--seed", "3", "--count", "300", "--epsilon", "0"],
+        # one factor per model at every block size
+        ["--seed", "7", "--count", "200", "--dim-min", "2", "--dim-max", "16"],
+    ], ids=["300", "300-eps-0", "200-dim-2-16"])
+    def test_exits_zero_with_warnings_as_errors(self, capsys, argv):
+        assert main_strict(["campaign", *argv]) == 0
 
     def test_zero_count(self, capsys):
         assert main(["campaign", "--seed", "5", "--count", "0"]) == 0
