@@ -11,9 +11,12 @@ the file into place only once the last block is written.
 The campaign draws each model from its own stream, then builds, validates
 (with ``quantum._validate``, as ``QuantumModel`` does) and checks models of
 one dimension in blocks of a sweep block's byte budget: a block yields each
-check as (name, residuals over its models, tolerance), and ``run_campaign``
-folds them into the JSON-ready summary that ``mrtest campaign`` prints.  All
-is deterministic: identical inputs, including the seed, give identical bytes.
+check as (name, residuals over its models, tolerance[, premise mask]), and
+``run_campaign`` folds the block's checks as one (checks, models) residual
+array into the JSON-ready summary that ``mrtest campaign`` prints: a NaN
+residual is a violation and never the largest, and a check whose premise held
+on no model is left out.  All is deterministic: identical inputs, including
+the seed, give identical bytes.
 """
 
 from __future__ import annotations
@@ -470,10 +473,13 @@ def sweep_csv_lines(columns: Mapping[str, np.ndarray]) -> str:
     ending in a newline: every value as '%.17g' formats it, so '.' decimals,
     17 significant digits, and bool columns (the verdicts) as 1/0."""
     arrays = list(columns.values())
-    rows = max(1, _CSV_CHUNK // len(arrays))
+    # equal chunks of at most _CSV_CHUNK values, so that no short tail pays a whole chunk's fixed cost
+    size = len(arrays[0])
+    chunks = max(1, -(-size // max(1, _CSV_CHUNK // len(arrays))))
+    rows = max(1, -(-size // chunks))
     ends = np.tile(np.arange(len(arrays)) == len(arrays) - 1, rows)
     text = []
-    for start in range(0, len(arrays[0]), rows):
+    for start in range(0, size, rows):
         chunk = np.stack([a[start : start + rows] for a in arrays], axis=1).astype(float, copy=False)
         text.append(_csv_fields(chunk.ravel(), ends[: chunk.size]).translate(None, b"\0").decode("ascii"))
     return "".join(text)
@@ -522,8 +528,8 @@ def _model_block(rngs, dim: int, n_times: int = 3, commuting: bool = False, rho_
     gauss = np.stack([rng.standard_normal((1 if commuting else 2, 2, dim, dim)) for rng in rngs])
     u = haar_unitary(gauss[:, :, 0] + 1j * gauss[:, :, 1])
     u_h, u_q = u[:, 0], u[:, -1]
-    h = _hermitian_part(u_h @ np.diag(np.arange(dim, dtype=float)) @ _dagger(u_h))
-    q = _hermitian_part(u_q @ np.diag(np.resize([1.0, -1.0], dim)) @ _dagger(u_q))
+    h = _hermitian_part((u_h * np.arange(dim, dtype=float)) @ _dagger(u_h))
+    q = _hermitian_part((u_q * np.resize([1.0, -1.0], dim)) @ _dagger(u_q))
     gaps = np.stack([rng.uniform(0.3, 1.2, size=n_times - 1) for rng in rngs])
     times = np.concatenate([np.zeros((len(rngs), 1)), np.cumsum(gaps, axis=-1)], axis=-1)
     if rho_mode == "maximally_mixed":
@@ -654,24 +660,33 @@ def run_campaign(
     violations = []
 
     def fold(dim: int, block: list) -> None:
-        indices, rngs = np.array([index for index, _ in block]), [rng for _, rng in block]
+        indices, rngs = [index for index, _ in block], [rng for _, rng in block]
         h, rho, q, times = _model_block(rngs, dim)
         models = (*np.linalg.eigh(h), rho, q, _validate(h, rho, q, times))
         shifts = np.array([rng.uniform(-10.0, 10.0, size=2) for rng in rngs])
-        for order, (name, residual, tol, *premise) in enumerate(_campaign_block(*models, shifts, epsilon)):
-            ran = premise[0] if premise else slice(None)
-            values, where = np.broadcast_to(residual, indices.shape)[ran].astype(float), indices[ran]
-            if values.size:
+        # the block's checks as one (checks, models) array, a tolerance each and where each ran
+        items = list(_campaign_block(*models, shifts, epsilon))
+        residuals, tols = np.empty((len(items), len(block))), np.empty((len(items), 1))
+        ran = np.ones(residuals.shape, dtype=bool)
+        for k, (_, residual, tol, *premise) in enumerate(items):
+            residuals[k], tols[k] = residual, tol
+            if premise:
+                ran[k] = premise[0]
+        # a NaN residual is a violation, and never the largest
+        bad = ran & ~(residuals <= tols)
+        largest = np.where(ran & ~np.isnan(residuals), residuals, -np.inf).max(axis=1)
+        for (name, *_), samples, failed, top in zip(items, ran.sum(axis=1).tolist(), bad.sum(axis=1).tolist(),
+                                                    largest.tolist()):
+            if samples:
                 stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
-                # a NaN residual is a violation, and never the largest
-                bad, numbers = ~(values <= tol), values[~np.isnan(values)]
-                stats["samples"] += values.size
-                stats["violations"] += int(bad.sum())
-                stats["max_residual"] = max(stats["max_residual"], float(numbers.max(initial=-np.inf)))
-                violations.extend(
-                    (index, order, {"check": name, "seed": seed, "index": index, "dim": dim, "residual": value})
-                    for index, value in zip(where[bad].tolist(), values[bad].tolist())
-                )
+                stats["samples"] += samples
+                stats["violations"] += failed
+                stats["max_residual"] = max(stats["max_residual"], top)
+        row, model = np.nonzero(bad)
+        violations.extend(
+            {"check": items[k][0], "seed": seed, "index": indices[m], "dim": dim, "residual": value}
+            for k, m, value in zip(row.tolist(), model.tolist(), residuals[row, model].tolist())
+        )
 
     pending: dict[int, list] = {}
     for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
@@ -688,5 +703,6 @@ def run_campaign(
         "dim_range": [dim_min, dim_max],
         "passed": not violations,
         "checks": dict(sorted(checks.items())),
-        "violations": [v for _, _, v in sorted(violations, key=lambda v: v[:2])],
+        # each model is in one block, so a stable sort by index keeps its check order
+        "violations": sorted(violations, key=lambda v: v["index"]),
     }

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mrtest import harness
 from mrtest.conditions import ROWS, RowBlock, mr_int, mr_strong, mr_weak
 from mrtest.errors import ValidationError
 from mrtest.fine import d_bounds
@@ -597,6 +598,54 @@ def reference_campaign(seed: int, count: int, dim_min: int = 2, dim_max: int = 4
         "passed": not violations,
         "checks": dict(sorted(checks.items())),
         "violations": violations,
+    }
+
+
+def check_by_check_campaign(seed: int, count: int, dim_min: int = 2, dim_max: int = 4,
+                            epsilon: float = TOL.verdict) -> dict:
+    """``run_campaign`` with each block's checks folded one at a time, as it
+    did before it folded a block as one residual array: the same blocks from
+    ``harness._campaign_block``, so the two summaries must match byte for
+    byte under ``json.dumps``."""
+    checks: dict[str, dict] = {}
+    violations = []
+
+    def fold(dim: int, block: list) -> None:
+        indices, rngs = np.array([index for index, _ in block]), [rng for _, rng in block]
+        h, rho, q, times = harness._model_block(rngs, dim)
+        models = (*np.linalg.eigh(h), rho, q, harness._validate(h, rho, q, times))
+        shifts = np.array([rng.uniform(-10.0, 10.0, size=2) for rng in rngs])
+        for order, (name, residual, tol, *premise) in enumerate(harness._campaign_block(*models, shifts, epsilon)):
+            ran = premise[0] if premise else slice(None)
+            values, where = np.broadcast_to(residual, indices.shape)[ran].astype(float), indices[ran]
+            if values.size:
+                stats = checks.setdefault(name, {"samples": 0, "violations": 0, "max_residual": 0.0})
+                # a NaN residual is a violation, and never the largest
+                bad, numbers = ~(values <= tol), values[~np.isnan(values)]
+                stats["samples"] += values.size
+                stats["violations"] += int(bad.sum())
+                stats["max_residual"] = max(stats["max_residual"], float(numbers.max(initial=-np.inf)))
+                violations.extend(
+                    (index, order, {"check": name, "seed": seed, "index": index, "dim": dim, "residual": value})
+                    for index, value in zip(where[bad].tolist(), values[bad].tolist())
+                )
+
+    pending: dict[int, list] = {}
+    for index, stream in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        rng = np.random.default_rng(stream)
+        dim = int(rng.integers(dim_min, dim_max + 1))
+        pending.setdefault(dim, []).append((index, rng))
+        if len(pending[dim]) == harness._block_size(dim, 3):
+            fold(dim, pending.pop(dim))
+    for dim, block in pending.items():
+        fold(dim, block)
+    return {
+        "seed": seed,
+        "count": count,
+        "dim_range": [dim_min, dim_max],
+        "passed": not violations,
+        "checks": dict(sorted(checks.items())),
+        "violations": [v for _, _, v in sorted(violations, key=lambda v: v[:2])],
     }
 
 

@@ -367,8 +367,13 @@ class TestCheckAndFineAgree:
         # exactly on the weak boundary: all averages 0, every correlator 1
         ({**_THREE, "corr": [1, 1, 1], "D": None}, (0, 0, 0)),
         ({**_FOUR, "corr": [1, 1, 1, 1], "D": None}, (0, 0, 0)),
+        # set 15 is set 14 with its pairs out of canonical order, one reversed; its correlators are
+        # distinct, so reading them in file order would give other moments, not a sign image
+        ({**_THREE, "avg": [0.2, -0.1, 0], "corr": [0.6, 0.3, 0.1], "D": None}, (0, 0, 0)),
+        ({**_THREE, "avg": [0.2, -0.1, 0], "pairs": [[2, 3], [3, 1], [1, 2]], "corr": [0.3, 0.1, 0.6], "D": None},
+         (0, 0, 0)),
     ]
-    TWINS = {10: 2, 11: 6}
+    TWINS = {10: 2, 11: 6, 15: 14}
 
     @pytest.mark.parametrize("k", range(1, len(SETS) + 1), ids=lambda k: f"set{k}")
     @pytest.mark.parametrize("e, flags", enumerate([[], ["--epsilon", "1e-6"], ["--epsilon", "0"]]),

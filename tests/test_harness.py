@@ -35,8 +35,8 @@ from mrtest.quantum import QuantumModel, _validate
 
 import conftest
 from conftest import (
-    apply_parameter, assert_same_summary, at_time, complex_gaussian, csv_reference, csv_rows_reference, precession_model,
-    reference_campaign, reference_model, weight,
+    apply_parameter, assert_same_summary, at_time, check_by_check_campaign, complex_gaussian, csv_reference,
+    csv_rows_reference, precession_model, reference_campaign, reference_model, weight,
 )
 
 
@@ -881,3 +881,70 @@ class TestStackedCampaign:
         stats = summary["checks"]["quasi_marginals"]
         assert stats["violations"] == 3 * len(firsts) and stats["samples"] == 3 * count
         assert 0.0 < stats["max_residual"] <= default["checks"]["quasi_marginals"]["max_residual"]
+
+
+def _never_on_dim_two(lam, vec, *args):
+    n = len(lam)
+    yield "never", np.ones(n), 0.5, np.zeros(n, dtype=bool)
+    yield "not_on_dim_two", np.arange(n, dtype=float), 0.5, np.full(n, vec.shape[-1] != 2)
+
+
+def _scalars(lam, *args):
+    yield "scalar", 0.25, 0.5
+    yield "scalar_violated", 1.0, 0.5
+
+
+def _nans(lam, *args):
+    n = len(lam)
+    yield "nan_everywhere", np.full(n, np.nan), 0.5
+    yield "nan_or_negative", np.where(np.arange(n) % 2 == 1, np.nan, -1.0), 0.5
+    yield "nan_or_large", np.where(np.arange(n) % 2 == 1, np.nan, 0.75), 0.5, np.arange(n) < 5
+
+
+def _tail_violation(lam, *args):
+    n = len(lam)
+    yield "tail", np.where((n == 2) & (np.arange(n) == 1), 1.0, 0.0), 0.5
+
+
+class TestBlockFold:
+    """``run_campaign`` folds each block's checks as one residual array; its
+    summary is, byte for byte, that of ``check_by_check_campaign``, which
+    folds the same blocks one check at a time."""
+
+    @pytest.mark.parametrize("args", [(1, 50, 16, 16), (3, 1000, 2, 4), (7, 200, 2, 16)])
+    def test_ci_campaigns_match_the_check_by_check_fold(self, args):
+        summary = run_campaign(*args)
+        assert json.dumps(summary) == json.dumps(check_by_check_campaign(*args))
+        assert summary["passed"] and summary["checks"]
+
+    @pytest.mark.parametrize("extra, args", [
+        (_never_on_dim_two, (3, 60, 2, 4)),
+        (_scalars, (2, 30, 2, 4)),
+        (_nans, (1, 20, 2, 4)),
+        (_tail_violation, (1, 50, 16, 16)),
+    ], ids=["premise", "scalar", "nan", "tail"])
+    def test_edge_cases_match_the_check_by_check_fold(self, monkeypatch, extra, args):
+        block = harness._campaign_block
+        # the extra checks first, so that their violations come before the block's own in check order
+        monkeypatch.setattr(harness, "_campaign_block", lambda *a: (*extra(*a), *block(*a)))
+        summary = run_campaign(*args)
+        assert json.dumps(summary) == json.dumps(check_by_check_campaign(*args))
+        checks, count = summary["checks"], args[1]
+        found = [(v["check"], v["index"]) for v in summary["violations"]]
+        if extra is _never_on_dim_two:
+            # a premise false on the whole run leaves no trace; one false on a block leaves its models out
+            dims = [int(np.random.default_rng(s).integers(2, 5)) for s in np.random.SeedSequence(3).spawn(count)]
+            assert "never" not in checks
+            assert checks["not_on_dim_two"]["samples"] == count - dims.count(2) > 0
+            assert checks["not_on_dim_two"]["violations"] == count - dims.count(2) - 2
+        elif extra is _scalars:
+            assert checks["scalar"] == {"samples": count, "violations": 0, "max_residual": 0.25}
+            assert found == [("scalar_violated", index) for index in range(count)]
+        elif extra is _nans:
+            assert checks["nan_everywhere"] == {"samples": count, "violations": count, "max_residual": 0.0}
+            assert checks["nan_or_negative"]["max_residual"] == 0.0
+            assert checks["nan_or_large"]["max_residual"] == 0.75
+        else:
+            assert count % harness._block_size(16, 3) == 2
+            assert found == [("tail", 49)]
+            assert checks["tail"] == {"samples": count, "violations": 1, "max_residual": 1.0}
