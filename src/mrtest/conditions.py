@@ -4,11 +4,11 @@ macrorealism verdicts composed from them.
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` stores each row once, with its check name, in one
 column-major table, and ``_affine_values`` evaluates a block of them, on one
-set or a grid, as one product and one reduction.  ``_rows(m, key)`` evaluates
-a set's weak and Fine rows once, memoized on it, and ``_group_minima(m)``
-memoizes beside them the smallest weak margin and Fine bounds, for one set or a
-grid alike; every family, here and in ``fine``, reads its rows through them and
-its row groups through ``_minima``, so only this module knows where each lies.
+set or a grid, as one product and one reduction.  ``_evaluation(m)``, made by
+whichever family reads a set first and kept on it, holds the set's weak and Fine
+rows and, from one reduction, its smallest weak margin and Fine bounds; every
+family, here and in ``fine``, reads its rows through ``_rows`` and its row groups
+through ``_minima``, so only this module knows where each lies.
 A ``ConditionReport`` holds names, a value array of shape ``(k,) + batch``
 and a per-row equality flag.  A ">=0" row passes when value >= -epsilon
 (margin = value), an "=0" row when |value| <= epsilon (margin = -|value|):
@@ -34,12 +34,13 @@ ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assu
 ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (modeling assumption)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Named rows: ``values``, a float array of shape ``(k,) + batch``, has one row per name, and the
-    bool array ``equality`` flags the "=0" rows.  Flags sliced from the shared all-">=0" ``_INEQUALITY``
-    tell a report, with no scan, that its margins are its values, and ``_margin``, one set's smallest
-    margin memoized by ``mr_weak``, gives its verdict (``replace`` and ``merged_with`` reset it)."""
+    bool array ``equality`` flags the "=0" rows (the moment families share one all-">=0" ``_INEQUALITY``).
+    A report with no "=0" row has its values as margins, and ``_margin``, one set's smallest margin
+    that ``mr_weak`` copies from the set's record, gives its verdict (``replace`` and ``merged_with``
+    reset it).  Reports compare and hash by identity."""
 
     names: tuple[str, ...]
     values: np.ndarray
@@ -53,7 +54,7 @@ class ConditionReport:
         return a.tolist() if self.values.ndim == 1 else a
 
     def _margins(self) -> np.ndarray:
-        if self.equality.base is _INEQUALITY:
+        if not self.equality.any():
             return self.values
         eq = self.equality.reshape((-1,) + (1,) * (self.values.ndim - 1))
         return np.where(eq, -np.abs(self.values), self.values)
@@ -111,11 +112,12 @@ class RowBlock(NamedTuple):
     names: tuple[str, ...]
     a: np.ndarray
     slope: np.ndarray
+    at: slice
 
 
-def _row_table(n: int) -> tuple[dict, dict]:
+def _row_table(n: int) -> dict:
     """``ROWS[n]``, every row written once into one coefficient array and one
-    slope vector, each key a block of views into them; and each key's slice."""
+    slope vector, each key a block of views into them at its slice ``at``."""
     pairs = pair_set(n)
     names, rows, slices = [], [], {}
 
@@ -152,17 +154,17 @@ def _row_table(n: int) -> tuple[dict, dict]:
     slices["weak"], slices["weak+fine"] = slice(0, slices["fine"].start), slice(0, len(names))
     table = np.vstack(rows)
     a, slope = np.asfortranarray(table[:, :-1]), table[:, -1].copy()
-    return {key: RowBlock(tuple(names[s]), a[s], slope[s]) for key, s in slices.items()}, slices
+    return {key: RowBlock(tuple(names[s]), a[s], slope[s], s) for key, s in slices.items()}
 
 
 #: the rows at 3 and 4 times: each measured pair's LG2 block (keyed by the pair), "LG3" or
 #: "LG4", "weak", the LG2 blocks then the family, as ``mr_weak`` reads them, "fine", the rows
 #: ``fine.d_bounds`` reads (the expansion values E(s) at 3 times), and "weak+fine", the two in
-#: turn; every block is a view of the "weak+fine" rows at ``_ROW_SLICES[n][key]``.  ``_GROUPS[n][key]``:
-#: the rows in group order and each group's start, "fine" as slope +1 then -1, "weak+fine" as weak then those
-ROWS, _ROW_SLICES, _GROUPS = {}, {}, {}
+#: turn; every block is a view of the "weak+fine" rows at its ``at``.  ``_GROUPS[n][key]``: the
+#: rows in group order and each group's start, "fine" as slope +1 then -1, "weak+fine" as weak then those
+ROWS, _GROUPS = {}, {}
 for _n in PAIR_SETS:
-    ROWS[_n], _ROW_SLICES[_n] = _row_table(_n)
+    ROWS[_n] = _row_table(_n)
     _slope, _w = ROWS[_n]["fine"].slope, len(ROWS[_n]["weak"].names)
     _order = np.concatenate([np.flatnonzero(_slope > 0), np.flatnonzero(_slope < 0)])
     _starts = np.array([0, np.count_nonzero(_slope > 0)])
@@ -189,32 +191,28 @@ def _affine_values(block: RowBlock, x) -> np.ndarray:
 
 def _minima(values: np.ndarray, n: int, key):
     """The smallest value in each row group ``_GROUPS[n][key]`` of ``values``, from one
-    ``np.minimum.reduceat``: Python floats for one set, arrays over a grid."""
+    ``np.minimum.reduceat``: a tuple of Python floats for one set, a read-only array over a grid."""
     order, starts = _GROUPS[n][key]
     minima = np.minimum.reduceat(values[order], starts, axis=0)
-    return minima.tolist() if minima.ndim == 1 else minima
+    minima.setflags(write=False)
+    return tuple(minima.tolist()) if minima.ndim == 1 else minima
+
+
+def _evaluation(m: MomentSet) -> tuple[np.ndarray, tuple | np.ndarray]:
+    """m's evaluation record: its "weak+fine" rows, shape ``(k,) + batch``, and their
+    ``_minima``, the smallest weak margin, -lo and hi, both read-only and set on m in one
+    go by its first reader (the set's own values are read-only too, so it cannot go stale)."""
+    if (record := m._record) is None:
+        rows = _affine_values(ROWS[m.n_times]["weak+fine"], m.averages + m.correlators)
+        rows.setflags(write=False)
+        record = rows, _minima(rows, m.n_times, "weak+fine")
+        object.__setattr__(m, "_record", record)
+    return record
 
 
 def _rows(m: MomentSet, key) -> np.ndarray:
-    """The rows ``ROWS[n][key]`` on m, shape ``(k,) + batch``: a slice of the
-    set's one evaluation of "weak+fine", memoized on it and read-only (the
-    set's own values are read-only too, so the memo cannot go stale)."""
-    n = m.n_times
-    if (values := m._cache.get("rows")) is None:
-        values = m._cache["rows"] = _affine_values(ROWS[n]["weak+fine"], m.averages + m.correlators)
-        values.setflags(write=False)
-    return values[_ROW_SLICES[n][key]]
-
-
-def _group_minima(m: MomentSet) -> list | np.ndarray:
-    """The smallest weak margin, -lo and hi: ``_minima`` of m's "weak+fine" rows, as
-    Python floats for one set or read-only arrays over a grid, memoized beside the
-    rows by the first reader."""
-    if (minima := m._cache.get("minima")) is None:
-        minima = m._cache["minima"] = _minima(_rows(m, "weak+fine"), m.n_times, "weak+fine")
-        if isinstance(minima, np.ndarray):
-            minima.setflags(write=False)
-    return minima
+    """The rows ``ROWS[n][key]`` on m, shape ``(k,) + batch``: a slice of its record's rows."""
+    return _evaluation(m)[0][ROWS[m.n_times][key].at]
 
 
 def _report(m: MomentSet, key, epsilon: float, assumptions=()) -> ConditionReport:
@@ -308,7 +306,7 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
     non-invasiveness and induction."""
     report = _report(m, "weak", epsilon, (ASSUMPTION_NIM_PW, ASSUMPTION_IND))
     if report.values.ndim == 1:
-        object.__setattr__(report, "_margin", _group_minima(m)[0])
+        object.__setattr__(report, "_margin", _evaluation(m)[1][0])
     return report
 
 

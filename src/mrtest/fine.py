@@ -20,8 +20,8 @@ are the "fine" block of the affine row table ``conditions.ROWS``:
 ``d_bounds`` is the interval [lo, hi] the rows leave for z; ``d_interval``
 reads its verdict from the smallest weak margin, so it agrees with ``mr_weak``
 by construction, and builds a witness at the interval's midpoint.  Both read
-the margin, -lo and hi that ``conditions._group_minima`` memoizes with the
-rows, from one ``np.minimum.reduceat``, for one set or a grid.  A zero bound is 0.0.
+the margin, -lo and hi from the set's record (``conditions._evaluation``),
+one ``np.minimum.reduceat`` of its rows, for one set or a grid.  A zero bound is 0.0.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import ROWS, _affine_values, _group_minima, _minima, _rows
+from .conditions import ROWS, _affine_values, _evaluation, _minima, _rows
 from .errors import ValidationError
 from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityResult:
     """Outcome of a joint-probability existence test: Python floats and
     bools for one moment set, arrays over a grid of them.  ``d_interval``
@@ -44,7 +44,7 @@ class FeasibilityResult:
     times, the chord correlator C13 at four.  ``margin`` is the smallest
     weak margin; ``feasible`` is margin >= -epsilon.  ``witness_table``, a
     joint reproducing the moments (only to about the margin when that is
-    negative), is None unless every set is feasible."""
+    negative), is None unless every set is feasible; compared by identity."""
 
     n_times: int
     feasible: bool
@@ -98,7 +98,7 @@ def d_bounds(m: MomentSet):
     """Bounds (lo, hi) on the free parameter: rows with slope +1 force
     z >= -b, slope -1 force z <= b.  Python floats for one moment set, or
     arrays over the grid of ``m``."""
-    neg_lo, hi = _group_minima(m)[1:]
+    neg_lo, hi = _evaluation(m)[1][1:]
     return 0.0 - neg_lo, hi
 
 
@@ -137,7 +137,7 @@ def d_interval(m: MomentSet, epsilon: float = TOL.verdict) -> FeasibilityResult:
     times, glued from the two triangle joints), with weights left slightly
     negative inside the slack clipped at 0 and the table renormalised."""
     n = m.n_times
-    margin, neg_lo, hi = _group_minima(m)
+    margin, neg_lo, hi = _evaluation(m)[1]
     lo, feasible, one_set = 0.0 - neg_lo, margin >= -float(epsilon), type(margin) is float
     witness = None
     if feasible if one_set else feasible.all():

@@ -92,7 +92,7 @@ def outcome_key(outcome: Outcome) -> str:
 # tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Real weights on the outcomes {-1,+1}^k as a float array of shape
     ``batch + (2,)*k``, index 0 for s = -1: one table per grid point of
@@ -100,8 +100,8 @@ class ProbabilityTable:
     validation class: "single"/"sequential"/"joint" weights must be
     nonnegative (down to -1e-12 rounding slack), "quasi" weights may be
     negative but stay within [-1, 1] up to slack.  Every table must sum to 1,
-    over distinct time indices.  The weights are a read-only copy of the caller's.
-    """
+    over distinct time indices.  The weights are a read-only copy of the caller's;
+    tables compare and hash by identity."""
 
     kind: str
     time_indices: tuple[int, ...]
@@ -215,13 +215,13 @@ class MomentSet:
     theorem, so a moments file gives ``D`` as null or not at all.  The
     averages and correlators are stored as tuples of Python floats, or of
     read-only float arrays (copies of the caller's) over a grid when the set
-    comes from ``measure_all`` with a grid of times.  ``conditions`` memoizes
-    the set's weak and Fine rows, and their minima, in ``_cache``.
+    comes from ``measure_all`` with a grid of times.  ``_record``, the set's
+    weak and Fine rows and their minima, is ``conditions._evaluation``'s to set.
     """
 
     averages: tuple[float, ...]
     correlators: tuple[float, ...]
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _record: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.averages)
@@ -401,10 +401,10 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
 # bundled tables for one model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableSet:
     """All measurement tables of one model, computed once and shared, and
-    the piecewise moments derived from them."""
+    the piecewise moments derived from them; compared and hashed by identity."""
 
     singles: tuple[ProbabilityTable, ...]
     pairs: Mapping[tuple[int, int], ProbabilityTable]

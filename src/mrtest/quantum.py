@@ -9,10 +9,10 @@ them stays unitary up to rounding.
 observable and 2-4 measurement times, validates all invariants on
 construction with ``_validate`` (which the property campaign runs on whole
 blocks of sampled models), stores the Hermitian parts of the matrices, and
-derives the spectral data the measurement layer needs as cached read-only
-properties, which are not checked again: the unitary evolution U(t)
-generated by H (hbar = 1), the Heisenberg-picture observable Q(t) and its
-two spectral projectors.  H is diagonalised once per model; ``spectral``
+derives the spectral data the measurement layer needs, which is not checked
+again: the unitary evolution U(t) generated by H (hbar = 1), the
+Heisenberg-picture observable Q(t) and its two spectral projectors.  H is
+diagonalised once per model, a cached read-only property; ``spectral``
 then evaluates all three for a whole array of times, so a sweep over a grid
 of times, or over a scale omega of H (exp(-i omega H t) = V exp(-i omega
 lambda t) V^dag), reuses that one eigendecomposition.
@@ -247,7 +247,7 @@ def expectation(rho, a):
 # model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumModel:
     """A dichotomic-variable experiment: (H, rho, Q) plus 2-4 measurement times.
 
@@ -261,9 +261,8 @@ class QuantumModel:
       vanishing gap).
 
     The validated matrices' Hermitian parts (exact for a Hermitian input) are
-    stored read-only, so every trace against rho is real to rounding; what
-    derives from them is a cached read-only property; instances are safe to share.
-    """
+    stored read-only, so every trace against rho is real to rounding, and so is the
+    cached eigendecomposition of H; instances are safe to share, compared by identity."""
 
     hamiltonian: np.ndarray
     rho: np.ndarray
@@ -295,16 +294,10 @@ class QuantumModel:
         """H's ``eig_hermitian`` eigenvalues and eigenvectors, read-only."""
         return tuple(_frozen(a, None) for a in eig_hermitian(self.hamiltonian))
 
-    @cached_property
-    def _own_spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(_frozen(a, None) for a in self.spectral(np.array(self.times)))
-
     def spectral(self, times=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U(t), Q(t) and the projector pairs P_s(t) (s = -1, +1) for an array
         of times, with shapes ``times.shape + (d, d)`` and ``+ (2, d, d)``;
-        ``times=None`` means the model's own times, cached and read-only.  The
+        ``times=None`` means the model's own times; new arrays on each call.  The
         times are not checked for order (an omega sweep passes omega * t), nor
         is any Q(t), the validated Q conjugated by a unitary."""
-        if times is None:
-            return self._own_spectral
-        return _spectral(*self.hamiltonian_eig, self.observable, times)
+        return _spectral(*self.hamiltonian_eig, self.observable, self.times if times is None else times)

@@ -44,11 +44,6 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
-@pytest.fixture
-def pauli():
-    return {"x": SX, "y": SY, "z": SZ, "i": I2}
-
-
 def point_tables(tables: TableSet, g: int) -> TableSet:
     """Point g of a grid ``TableSet`` as a one-point TableSet: the same
     weights, and moments derived from them, as floats instead of arrays

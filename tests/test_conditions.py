@@ -98,9 +98,9 @@ class TestCheckSemantics:
 
 
 class TestEqualityRowsSigned:
-    """Only a report whose flags are a slice of the shared all-">=0" array
-    reads its values as margins; every report with "=0" rows gives them
-    -|value| margins, a NaN row included (whose margin is NaN and fails)."""
+    """Only a report with no "=0" row reads its values as margins; every
+    report with "=0" rows gives them -|value| margins, a NaN row included
+    (whose margin is NaN and fails)."""
 
     @staticmethod
     def assert_signed(r: ConditionReport) -> None:

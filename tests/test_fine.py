@@ -294,8 +294,8 @@ class TestOneRowEvaluation:
 
 class TestGridMemo:
     """A grid moment set, like one set, is evaluated once and reduced once:
-    ``mr_weak``, ``d_bounds`` and ``d_interval`` read the memoized rows and
-    minima in whichever order they run, and give the same bits in every order."""
+    ``mr_weak``, ``d_bounds`` and ``d_interval`` read the rows and minima of
+    its one record in whichever order they run, and give the same bits in every order."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_evaluation_and_one_reduction_in_every_order(self, rng, n):
@@ -329,7 +329,7 @@ class TestGridMemo:
             got = {name: [np.asarray(a).tobytes() for a in got[name]] for name in readers}
             fresh = fresh or got
             assert got == fresh, order
-            assert not m._cache["minima"].flags.writeable
+            assert not m._record[1].flags.writeable
 
 
 def one_set_outputs(m: MomentSet, epsilon: float, order) -> dict:
@@ -346,9 +346,10 @@ def one_set_outputs(m: MomentSet, epsilon: float, order) -> dict:
 
 
 class TestMemoizedMinima:
-    """For one set, the first reader of its minima memoizes the smallest weak
-    margin, -lo and hi; every reader gives what it gives on a fresh set, in
-    whichever order they run, as Python bools and floats."""
+    """The first reader of a set keeps its rows and their minima (the smallest
+    weak margin, -lo and hi) on it as one record; every reader gives what it
+    gives on a fresh set, in whichever order they run, as Python bools and
+    floats for one set."""
 
     @settings(max_examples=60)
     @given(st.lists(edgy, min_size=8, max_size=8), st.sampled_from([3, 4]), st.sampled_from([1e-9, 1e-6]))
@@ -396,13 +397,44 @@ class TestMemoizedMinima:
         object.__setattr__(report, "_margin", float("nan"))
         assert report.verdict is False
 
-    def test_row_families_alone_do_not_reduce(self):
-        # lg2, lg3 and lg4 read only the rows; the minima wait for their first reader
-        m3, m4 = MomentSet((0.0,) * 3, (0.5,) * 3), MomentSet((0.0,) * 4, (0.5,) * 4)
-        reports = [lg2(m3, (0, 1)), lg3(m3), lg2(m4, (2, 3)), lg4(m4)]
-        assert all(r._margin is None for r in reports)
-        assert "rows" in m3._cache and "minima" not in m3._cache and "minima" not in m4._cache
-        assert mr_weak(m3).verdict is True and m3._cache["minima"][0] == mr_weak(m3)._margin
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_first_reader_fills_the_record_in_one_go(self, rng, n, grid):
+        # whichever family reads a fresh set first evaluates its rows and reduces them
+        # once; every later reader reads that record.  Only the conditions bindings are
+        # counted: the four-time witness evaluates its own triangle rows in fine.
+        readers = {
+            "lg2": lambda m: lg2(m, (0, 1)).values,
+            "lg3" if n == 3 else "lg4": lambda m: (lg3 if n == 3 else lg4)(m).values,
+            "mr_weak": lambda m: mr_weak(m).verdict,
+            "d_bounds": d_bounds,
+            "d_interval": lambda m: d_interval(m).feasible,
+        }
+        x = rng.uniform(-1.0, 1.0, size=(2 * n, 50)) if grid else np.full(2 * n, 0.5)
+        calls = []
+
+        def counting(name):
+            f = getattr(conditions, name)
+            return lambda *args: calls.append(name) or f(*args)
+
+        counted = {name: counting(name) for name in ("_affine_values", "_minima")}
+        for first in readers:
+            m = MomentSet(averages=tuple(x[:n]), correlators=tuple(x[n:]))
+            with mock.patch.multiple(conditions, **counted):
+                readers[first](m)
+                assert calls == ["_affine_values", "_minima"], first
+                for reader in readers.values():
+                    reader(m)
+                assert calls == ["_affine_values", "_minima"], first
+            calls.clear()
+            rows, minima = m._record
+            assert not rows.flags.writeable and rows.tobytes() == _affine_values(ROWS[n]["weak+fine"], tuple(x)).tobytes()
+            if grid:
+                assert not minima.flags.writeable and mr_weak(m)._margin is None
+            else:
+                assert type(minima) is tuple and mr_weak(m)._margin == minima[0]
+            assert np.asarray(minima).tobytes() == np.asarray(_minima(rows, n, "weak+fine")).tobytes()
+            assert lg2(m, (0, 1))._margin is None
 
 
 class TestDInterval:

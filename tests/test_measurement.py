@@ -9,7 +9,7 @@ import pytest
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.fine import d_interval
-from mrtest.harness import _model_block, default_model_path, load_model, model_from_jsonable, sample_model
+from mrtest.harness import _model_block, default_model_path, load_model, load_sweep_spec, model_from_jsonable, sample_model
 from mrtest.measurement import (
     PAIR_SETS,
     MomentSet,
@@ -635,13 +635,29 @@ class TestDerivedValues:
     def test_derived_arrays_are_read_only(self):
         m = load_model(default_model_path())
         tables = measure_all(m)
-        for a in (*m.spectral(), *m.hamiltonian_eig, at_time(m, 1).projector(+1), tables.chain.weights):
+        for a in (*m.hamiltonian_eig, tables.chain.weights):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
-        # two copies of diag(1, 0) would make the next tables sum to 2
-        with pytest.raises(ValueError, match="read-only"):
-            m.spectral()[2][1] = np.diag([1.0, 0.0])
+        # spectral() builds new arrays on every call, so writing into them cannot
+        # reach the next tables (two shared copies of diag(1, 0) would sum to 2)
+        m.spectral()[2][1] = np.diag([1.0, 0.0])
+        for a in m.spectral():
+            a[...] = 0
         assert_same_tables(measure_all(m), tables)
+
+    def test_values_holding_arrays_compare_and_hash_by_identity(self):
+        path = default_model_path()
+        a, b = load_model(path), load_model(path)
+        assert a != b and a == a and b == b
+        ta, tb = measure_all(a), measure_all(b)
+        spec = path.with_name("tau_sweep_lg3.json")
+        assert load_sweep_spec(spec) != load_sweep_spec(spec)
+        values = (a, ta.chain, ta, mr_weak(ta.moments), d_interval(ta.moments))
+        for x, y in zip(values, (b, tb.chain, tb, mr_weak(tb.moments), d_interval(tb.moments))):
+            assert x != y and x == x and hash(x) == hash(x)
+        assert len(set(values)) == 5
+        # one moment set keeps value equality
+        assert ta.moments == tb.moments and hash(ta.moments) == hash(tb.moments)
 
     def test_table_maps_are_read_only_copies(self):
         tables = measure_all(load_model(default_model_path()))

@@ -340,6 +340,14 @@ class TestExpectation:
         with pytest.raises(ValidationError):
             expectation(np.eye(2), np.eye(3))
 
+    def test_rejects_an_imaginary_trace(self):
+        # Tr(A rho) = A_01 rho_10 = -0.5j for a non-Hermitian A and a pure state
+        a = np.array([[0, 1], [0, 0]], dtype=complex)
+        rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        for ops in (a, np.stack([np.eye(2), a])):
+            with pytest.raises(ValidationError, match=re.escape("expectation: imaginary residue 5.000e-01 exceeds 1e-12")):
+                expectation(rho, ops)
+
     def test_one_state_per_leading_index(self, rng):
         # a stack of two states against a (2, 3) stack of operators: state k
         # pairs with the operators in row k, as one state does with each alone
