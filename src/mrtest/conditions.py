@@ -280,8 +280,9 @@ def nsit(
         )
     diff = table_a.marginal(marginalized).weights - table_b.weights
     k = len(kept)
-    # outcomes first, in serialization order, then the grid axes
-    values = diff.reshape(-1, 2**k).T.reshape((2**k,) + diff.shape[: diff.ndim - k])
+    # outcomes first, in serialization order, then the grid axes: no copy when the grid axis is innermost
+    g = diff.ndim - k
+    values = diff.transpose(*range(g, diff.ndim), *range(g)).reshape((2**k,) + diff.shape[:g])
     return ConditionReport(tuple(f"{name}.{outcome_key(o)}" for o in outcomes(k)), values, np.ones(2**k, bool), epsilon)
 
 

@@ -15,9 +15,9 @@ its absolute NSIT residual is the coherence witness.
 call) and P rho P: each sequential run starts from P rho P and ends in the
 trace pairing Tr(P state), and each quasi table is Re Tr(P_j P_i rho), the
 symmetrized form: a validated model's Tr(P_i P_j rho) is its conjugate.  Stack
-products and pairings go through ``quantum._product`` and
-``quantum._pairing``: broadcast multiply-adds for a qubit or qutrit, BLAS
-and ``np.einsum`` from d = 4.
+products and pairings go through ``quantum._product`` and ``quantum._pairing``:
+for a qubit or qutrit, broadcast multiply-adds over stacks whose grid axis is
+innermost in memory, a layout the tables keep; BLAS and ``np.einsum`` from d = 4.
 ``PAIR_SETS`` is the one table of the supported time counts and their pairs.
 """
 
@@ -215,8 +215,10 @@ class MomentSet:
     theorem, so a moments file gives ``D`` as null or not at all.  The
     averages and correlators are stored as tuples of Python floats, or of
     read-only float arrays (copies of the caller's) over a grid when the set
-    comes from ``measure_all`` with a grid of times.  ``_record``, the set's
-    weak and Fine rows and their minima, is ``conditions._evaluation``'s to set.
+    comes from ``measure_all`` with a grid of times.  Sets are equal when their
+    values have equal shapes and are equal (one bool, for a grid set too, which is
+    not hashable).  ``_record``, the set's weak and Fine rows and their minima, is
+    ``conditions._evaluation``'s to set.
     """
 
     averages: tuple[float, ...]
@@ -239,6 +241,12 @@ class MomentSet:
                 )
             object.__setattr__(self, "averages", values[:n])
             object.__setattr__(self, "correlators", values[n:])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = (*self.averages, *self.correlators), (*other.averages, *other.correlators)
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
 
     @property
     def n_times(self) -> int:

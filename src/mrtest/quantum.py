@@ -17,11 +17,13 @@ then evaluates all three for a whole array of times, so a sweep over a grid
 of times, or over a scale omega of H (exp(-i omega H t) = V exp(-i omega
 lambda t) V^dag), reuses that one eigendecomposition.
 
-Products of two stacks of matrices (``_product``) and trace pairings
-Tr(A B) (``_pairing``) are, for d <= ``_UNROLL_MAX_DIM``, broadcast
-multiply-adds of entry slices over the whole stack, and ``@`` or
-``np.einsum`` above it; a product with one fixed factor is one BLAS call
-(``_times_matrix``).  The input model's own checks in ``_validate`` use ``@``.
+For d <= ``_UNROLL_MAX_DIM``, products of two stacks of matrices (``_product``) and
+trace pairings Tr(A B) (``_pairing``) are broadcast multiply-adds of entry slices over
+stacks that ``_stack`` lays out with the leading axis (grid points, or models) innermost
+in memory, so each multiply loops over that axis, not over length-2 outcome axes; above
+it they are ``@`` and ``np.einsum`` on C-ordered stacks.  A product with one fixed factor
+is one BLAS call on C-ordered rows (``_times_matrix``), its result laid out as ``_stack``
+does.  The input model's own checks in ``_validate`` use ``@``.
 """
 
 from __future__ import annotations
@@ -155,18 +157,31 @@ def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
 # operations
 
 
+#: the largest matrix size d whose stacks keep the leading axis innermost and whose products and
+#: pairings are multiply-adds of entry slices; ``@`` and ``np.einsum`` are faster above it (README)
+_UNROLL_MAX_DIM = 3
+
+
+def _stack(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """An empty stack of d x d matrices: for d <= ``_UNROLL_MAX_DIM`` its leading axis (grid points,
+    or models) innermost in memory and its matrix axes outermost, so each entry slice of the stack
+    is one contiguous run; C order above it, where ``@`` needs each matrix contiguous."""
+    k = len(shape)
+    if shape[-1] > _UNROLL_MAX_DIM or k < 3:
+        return np.empty(shape, dtype)
+    return np.empty(shape[-2:] + shape[1:-2] + shape[:1], dtype).transpose(k - 1, *range(2, k - 1), 0, 1)
+
+
 def _times_matrix(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``stack @ m`` for one fixed d x d matrix m, or one m per leading index of
-    the stack (models of one dimension): one BLAS call per factor, over its rows."""
+    the stack (models of one dimension): one BLAS call per factor, over its rows,
+    its result in ``_stack``'s layout."""
     d = m.shape[-1]
     m = m.reshape(-1, d, d)
-    return (stack.reshape(len(m), -1, d) @ m).reshape(stack.shape[:-1] + (d,))
-
-
-#: the largest matrix size d whose stack products and trace pairings are
-#: multiply-adds of entry slices over the whole stack; above it ``@`` (one BLAS
-#: call per matrix) and ``np.einsum`` are faster (measured crossover between d = 3 and 4)
-_UNROLL_MAX_DIM = 3
+    product = (stack.reshape(len(m), -1, d) @ m).reshape(stack.shape[:-1] + (d,))
+    out = product if d > _UNROLL_MAX_DIM else _stack(product.shape, product.dtype)
+    out[...] = product  # no copy when out is product
+    return out
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,8 +192,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     if d > _UNROLL_MAX_DIM:
         return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    term = np.empty(out.shape[:-2], out.dtype)
+    out = _stack(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    term = np.empty_like(out[..., 0, 0])
     for i, k in np.ndindex(d, d):
         entry = out[..., i, k]
         np.multiply(a[..., i, 0], b[..., 0, k], out=entry)
@@ -223,8 +238,9 @@ def _spectral(lam: np.ndarray, vec: np.ndarray, q: np.ndarray, t) -> tuple[np.nd
     u = _evolve_from_eig(lam, vec, t)
     q = _product(_times_matrix(_dagger(u), q), u)
     eye = np.eye(q.shape[-1], dtype=complex)
-    plus = 0.5 * (eye + q)
-    return u, q, np.stack([eye - plus, plus], axis=-3)
+    proj = _stack(q.shape[:-2] + (2,) + q.shape[-2:])
+    np.subtract(eye, np.multiply(0.5, eye + q, out=proj[..., 1, :, :]), out=proj[..., 0, :, :])
+    return u, q, proj
 
 
 def expectation(rho, a):

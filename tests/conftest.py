@@ -173,20 +173,24 @@ def csv_reference(blocks) -> str:
 
 def sweep_specs() -> dict[str, dict]:
     """Sweep specs whose CSVs are checked against ``csv_reference`` and, run
-    twice through the console script, against each other: the shipped spec,
-    the shipped 4-time model over one turn of tau, and sampled dim-3 and dim-4
-    models with every output group, on either side of the size up to which
-    stack products and trace pairings are broadcast multiply-adds."""
+    twice through the console script, against each other: the shipped spec and
+    an omega sweep of its model, the shipped 4-time model over one turn of tau,
+    and sampled dim-3 and dim-4 models with every output group, on either side
+    of the size up to which stack products and trace pairings are broadcast
+    multiply-adds.  The sampled 4-time dim-3 model has the largest stacks of
+    that kind, and its 500 steps span three blocks."""
     data = default_model_path().parent
     turn = {"parameter": "tau", "from": 0.0, "to": 2 * math.pi, "steps": 500}
+    shipped = json.loads((data / "tau_sweep_lg3.json").read_text())
     specs = {
-        "shipped": json.loads((data / "tau_sweep_lg3.json").read_text()),
+        "shipped": shipped,
+        "omega": {**shipped, "parameter": "omega", "from": 0.25, "to": 4.0, "steps": 500},
         "4-time": {"model": json.loads((data / "qubit_precession_4t.json").read_text()), **turn},
     }
     outputs = ["averages", "correlators", "margins", "witness", "d_interval", "verdicts"]
-    for dim in (3, 4):
-        model = model_to_jsonable(sample_model(np.random.default_rng(dim), dim))
-        specs[f"dim{dim}"] = {"model": model, **turn, "outputs": outputs}
+    for name, dim, n_times in (("dim3", 3, 3), ("dim4", 4, 3), ("dim3-4-time", 3, 4)):
+        model = model_to_jsonable(sample_model(np.random.default_rng(dim), dim, n_times))
+        specs[name] = {"model": model, **turn, "outputs": outputs}
     return specs
 
 

@@ -446,7 +446,7 @@ class TestSweep:
         assert main_strict(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert out.read_bytes() == csv_reference(sweep_blocks(load_sweep_spec(spec_path))).encode()
 
-    @pytest.mark.parametrize("name", ["shipped", "4-time", "dim3", "dim4"])
+    @pytest.mark.parametrize("name", list(sweep_specs()))
     def test_csv_equals_the_reference(self, tmp_path, name):
         self.assert_csv_equals_the_reference(tmp_path, sweep_specs()[name])
 

@@ -645,6 +645,18 @@ class TestDerivedValues:
             a[...] = 0
         assert_same_tables(measure_all(m), tables)
 
+    def test_grid_moment_sets_compare_as_one_bool(self):
+        m = load_model(default_model_path())
+        times = m.times[0] + np.arange(3) * np.linspace(0.0, 3.0, 7)[:, None]
+        a, b = measure_all(m, times).moments, measure_all(m, times).moments
+        assert a == b and not a != b
+        assert a != measure_all(m, times[::-1]).moments
+        # a different grid shape, one set, and a set with the same values and no grid are not equal
+        assert a != measure_all(m, times[:6]).moments and a != measure_all(m).moments
+        assert measure_all(m, times[:1]).moments != measure_all(m, times[0]).moments
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_values_holding_arrays_compare_and_hash_by_identity(self):
         path = default_model_path()
         a, b = load_model(path), load_model(path)

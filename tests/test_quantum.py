@@ -263,6 +263,20 @@ class TestStackContractions:
                 else:
                     assert np.abs(got - want).max() <= 1e-14, name
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_equal_on_either_layout(self, rng, dim):
+        # C-ordered operands, and copies laid out as ``_stack`` lays out the spectral and table stacks
+        for name, pair in self.operand_pairs(rng, dim).items():
+            inner = []
+            for x in pair:
+                inner.append(quantum._stack(x.shape, x.dtype))
+                inner[-1][...] = x
+                assert x.ndim < 3 or inner[-1].strides[0] == x.itemsize, name
+            for f in (_product, _pairing):
+                want = np.asarray(f(*pair)).tobytes()
+                for a, b in ((inner[0], pair[1]), (pair[0], inner[1]), inner):
+                    assert np.asarray(f(a, b)).tobytes() == want, (name, f.__name__)
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 16])
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-310])
     def test_finite_inputs_raise_no_warning(self, rng, dim, scale):
@@ -280,6 +294,28 @@ class TestStackContractions:
             want = np.einsum("...ij,...ji->...", 1e200 * a, 1e200 * b)
             got = _pairing(1e200 * a, 1e200 * b)
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
+
+
+class TestStackLayout:
+    """Up to ``_UNROLL_MAX_DIM`` the spectral stacks and the tables built from
+    them keep their leading axis (the grid, or the model's times) innermost in
+    memory, so the multiply-adds run over it; above it every matrix is C-contiguous
+    for ``@`` and BLAS."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_leading_axis_innermost_up_to_the_unrolled_size(self, dim, grid):
+        model = sample_model(np.random.default_rng(dim), dim)
+        times = model.times[0] + np.arange(3) * np.linspace(0.1, 2.0, 5)[:, None] if grid else None
+        tables = measure_all(model, times)
+        weights = [t.weights for t in (*tables.singles, *tables.pairs.values(), tables.chain, *tables.quasi.values())]
+        for a in model.spectral(times):
+            if dim <= _UNROLL_MAX_DIM:
+                assert a.strides[0] == min(a.strides) == a.itemsize
+            else:
+                assert a.strides[-2:] == (dim * a.itemsize, a.itemsize)
+        for w in weights if grid else ():
+            assert w.strides[0] == min(w.strides) if dim <= _UNROLL_MAX_DIM else w.flags.c_contiguous
 
 
 class TestHugeEntries:
