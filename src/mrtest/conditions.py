@@ -21,7 +21,7 @@ induction) are annotations on reports, never rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -256,45 +256,58 @@ def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 _PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pairs) for n, pairs in PAIR_SETS.items()}
 
 
-def nsit(
-    table_a: ProbabilityTable,
-    table_b: ProbabilityTable,
-    marginalized: int,
-    name: str = "NSIT",
-    epsilon: float = TOL.verdict,
-) -> ConditionReport:
+def _family(blocks, tail=(), assumptions=()) -> tuple:
+    """An NSIT report's constants: its blocks, each (table a's time indices, table b's, name); its row names,
+    ``<name>.<outcome>`` over each b's outcomes, then the ">=0" rows ``tail``; its "=0" flags; its assumptions."""
+    names = tuple(f"{name}.{outcome_key(o)}" for _, b, name in blocks for o in outcomes(len(b))) + tail
+    equality = np.arange(len(names)) < len(names) - len(tail)
+    equality.setflags(write=False)
+    return tuple(blocks), names, equality, assumptions
+
+
+#: the reports of ``nsit_pairwise`` (keyed by the number of times), ``mr_int`` and ``mr_strong``
+_FAMILIES = {n: _family([((i, j), (j,), name) for i, j, name in rows]) for n, rows in _PAIRWISE_NSIT.items()}
+_FAMILIES["int"] = _family(_FAMILIES[3][0], ROWS[3]["LG3"].names, (ASSUMPTION_IND,))
+_FAMILIES["strong"] = _family([((1, 2), (2,), "NSIT(2)3"), ((0, 1, 2), (1, 2), "NSIT(1)23"),
+                               ((0, 1, 2), (0, 2), "NSIT1(2)3")], assumptions=(ASSUMPTION_IND,))
+
+
+def _nsit_report(tables, family: tuple, epsilon: float, *tail: np.ndarray) -> ConditionReport:
+    """``family``'s report on validated tables (a ``TableSet``, or a dict by time indices): per block, a's weights with
+    the index not in b summed out minus b's, outcomes first, then grid axes; then the rows ``tail``; one concatenate."""
+    if isinstance(tables, TableSet):
+        tables = {t.time_indices: t for t in (*tables.singles, *tables.pairs.values(), tables.chain)}
+    values = []
+    for a, b, _ in family[0]:
+        diff = tables[a]._summed_out(*set(a).difference(b)) - tables[b].weights
+        g = diff.ndim - len(b)
+        values.append(diff.transpose(*range(g, diff.ndim), *range(g)).reshape((2 ** len(b),) + diff.shape[:g]))
+    return ConditionReport(family[1], np.concatenate([*values, *tail]), family[2], epsilon, family[3])
+
+
+def nsit(table_a: ProbabilityTable, table_b: ProbabilityTable, marginalized: int, name: str = "NSIT",
+         epsilon: float = TOL.verdict) -> ConditionReport:
     """Marginalizing ``marginalized`` out of table_a must reproduce table_b.
 
-    Emits one "=0" check per outcome of the target table, named
-    ``<name>.<outcome>``.
+    Emits one "=0" check per outcome of the target table, named ``<name>.<outcome>``,
+    once both tables' time indices are checked; the families below build theirs alike.
     """
     if marginalized not in table_a.time_indices:
-        raise ValidationError(
-            f"nsit: time index {marginalized} not measured in table {table_a.time_indices}"
-        )
+        raise ValidationError(f"nsit: time index {marginalized} not measured in table {table_a.time_indices}")
     kept = tuple(i for i in table_a.time_indices if i != marginalized)
     if kept != tuple(table_b.time_indices):
-        raise ValidationError(
-            f"nsit: incompatible index sets {table_a.time_indices} minus "
-            f"{{{marginalized}}} vs {table_b.time_indices}"
-        )
-    diff = table_a.marginal(marginalized).weights - table_b.weights
-    k = len(kept)
-    # outcomes first, in serialization order, then the grid axes: no copy when the grid axis is innermost
-    g = diff.ndim - k
-    values = diff.transpose(*range(g, diff.ndim), *range(g)).reshape((2**k,) + diff.shape[:g])
-    return ConditionReport(tuple(f"{name}.{outcome_key(o)}" for o in outcomes(k)), values, np.ones(2**k, bool), epsilon)
+        raise ValidationError(f"nsit: incompatible index sets {table_a.time_indices} minus "
+                              f"{{{marginalized}}} vs {table_b.time_indices}")
+    tables = {table_a.time_indices: table_a, kept: table_b}
+    return _nsit_report(tables, _family([(table_a.time_indices, kept, name)]), epsilon)
 
 
 def nsit_pairwise(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Two-time no-signaling equalities for every measured pair: marginalizing
     the earlier measurement of the pair must reproduce the later single-time
-    table.  For three times these are NSIT_(1)2, NSIT_(1)3, NSIT_(2)3."""
-    reports = [
-        nsit(tables.pairs[(i, j)], tables.singles[j], i, name=name, epsilon=epsilon)
-        for i, j, name in _PAIRWISE_NSIT[tables.n_times]
-    ]
-    return reports[0].merged_with(*reports[1:])
+    table.  For three times these are NSIT_(1)2, NSIT_(1)3, NSIT_(2)3: one
+    report, its rows as ``nsit`` names them."""
+    return _nsit_report(tables, _FAMILIES[tables.n_times], epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +327,10 @@ def mr_weak(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 def mr_int(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
     """Intermediate macrorealism: the three pairwise no-signaling equalities
     on sequential two-time runs plus the three-time inequalities on the
-    piecewise moments."""
+    piecewise moments, as one report: ``nsit_pairwise``'s rows, then LG3's."""
     if tables.n_times != 3:
         raise ValidationError(f"mr_int: need 3 times, got {tables.n_times}")
-    merged = nsit_pairwise(tables, epsilon).merged_with(lg3(tables.moments, epsilon))
-    return replace(merged, assumptions=(ASSUMPTION_IND,))
+    return _nsit_report(tables, _FAMILIES["int"], epsilon, _rows(tables.moments, "LG3"))
 
 
 def mr_strong(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport:
@@ -328,12 +340,9 @@ def mr_strong(tables: TableSet, epsilon: float = TOL.verdict) -> ConditionReport
     table, and marginalizing t1 (resp. t2) out of the three-time run must
     give the (2,3) (resp. (1,3)) run.  When all pass, the three-time
     sequential table coincides with the context-free moment expansion.
+    One report of the three ``nsit`` row blocks NSIT(2)3, NSIT(1)23 and
+    NSIT1(2)3, in that order.
     """
     if tables.n_times != 3:
         raise ValidationError(f"mr_strong: need 3 times, got {tables.n_times}")
-    chain, p23, p13 = tables.chain, tables.pairs[(1, 2)], tables.pairs[(0, 2)]
-    merged = nsit(p23, tables.singles[2], 1, name="NSIT(2)3", epsilon=epsilon).merged_with(
-        nsit(chain, p23, 0, name="NSIT(1)23", epsilon=epsilon),
-        nsit(chain, p13, 1, name="NSIT1(2)3", epsilon=epsilon),
-    )
-    return replace(merged, assumptions=(ASSUMPTION_IND,))
+    return _nsit_report(tables, _FAMILIES["strong"], epsilon)

@@ -9,14 +9,14 @@ output group to its columns, and the CSV writer only formats the maps: it
 makes each block's '%.17g' text in numpy, from tables of digits, and moves
 the file into place only once the last block is written.
 The campaign draws each model from its own stream, then builds, validates
-(with ``quantum._validate``, as ``QuantumModel`` does) and checks models of
-one dimension in blocks of a sweep block's byte budget: a block yields each
-check as (name, residuals over its models, tolerance[, premise mask]), and
-``run_campaign`` folds the block's checks as one (checks, models) residual
-array into the JSON-ready summary that ``mrtest campaign`` prints: a NaN
-residual is a violation and never the largest, and a check whose premise held
-on no model is left out.  All is deterministic: identical inputs, including
-the seed, give identical bytes.
+(``quantum._validate``, as ``QuantumModel`` does) and checks models of one
+dimension in blocks of a sweep block's byte budget: a block validates its ten
+tables once, keeps each marginal it compares a weight array (a wrong one is a
+residual, not an abort) and yields each check as (name, residuals over its
+models, tolerance[, premise mask]); ``run_campaign`` folds them as one
+(checks, models) residual array into the JSON summary ``mrtest campaign``
+prints: a NaN residual is a violation and never the largest, and a check whose
+premise held on no model is left out.  Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -609,14 +609,13 @@ def _campaign_block(lam, vec, rho, q, times, shifts: np.ndarray, epsilon: float)
         premise = 0.5 * w_op <= p.weights.min(axis=(-2, -1))
         yield "bounded_interference_nonneg", -quasi.weights.min(axis=(-2, -1)), TOL.scalar, premise
 
-        marg = [np.abs(quasi.marginal(b).weights - tables.singles[a].weights).max(axis=-1) for a, b in ((i, j), (j, i))]
+        marg = [np.abs(quasi._summed_out(b) - tables.singles[a].weights).max(axis=-1) for a, b in ((i, j), (j, i))]
         yield "quasi_marginals", np.maximum(*marg), TOL.scalar
 
         yield "piecewise_equals_quasi_correlator", np.abs(moments.corr(i, j) - quasi.moment((0, 1))), TOL.scalar
 
     # marginalizing the last measured time reproduces the shorter run
-    chain = tables.chain
-    resid = np.abs(chain.marginal(chain.time_indices[-1]).weights - tables.pairs[chain.time_indices[:-1]].weights)
+    resid = np.abs(tables.chain._summed_out(2) - tables.pairs[(0, 1)].weights)
     yield "sequential_last_marginal", resid.max(axis=(-2, -1)), TOL.scalar
 
     # contextual values stay in [-1, 1]

@@ -151,14 +151,16 @@ class ProbabilityTable:
         return w if w.ndim else float(w)
 
     def marginal(self, time_index: int) -> "ProbabilityTable":
-        """Sum out the measurement at the given model time index."""
+        """Sum out the measurement at the given model time index, as a new validated table."""
         if time_index not in self.time_indices:
             raise ValidationError(f"time index {time_index} not in table {self.time_indices}")
-        pos = self.time_indices.index(time_index)
         kept = tuple(i for i in self.time_indices if i != time_index)
-        rest = (slice(None),) * (self.arity - 1 - pos)
-        weights = self.weights[(..., 0, *rest)] + self.weights[(..., 1, *rest)]
-        return ProbabilityTable(kind=self.kind, time_indices=kept, weights=weights)
+        return ProbabilityTable(kind=self.kind, time_indices=kept, weights=self._summed_out(time_index))
+
+    def _summed_out(self, time_index: int) -> np.ndarray:
+        """The weights with ``time_index`` summed out, one slice add, unvalidated: each caller compares them."""
+        rest = (slice(None),) * (self.arity - 1 - self.time_indices.index(time_index))
+        return self.weights[(..., 0, *rest)] + self.weights[(..., 1, *rest)]
 
     def to_jsonable(self) -> dict:
         if grid := self.weights.shape[: -self.arity]:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -9,7 +10,17 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mrtest import harness
-from mrtest.conditions import ROWS, RowBlock, mr_int, mr_strong, mr_weak
+from mrtest.conditions import (
+    _PAIRWISE_NSIT,
+    ASSUMPTION_IND,
+    ROWS,
+    RowBlock,
+    lg3,
+    mr_int,
+    mr_strong,
+    mr_weak,
+    nsit,
+)
 from mrtest.errors import ValidationError
 from mrtest.fine import d_bounds
 from mrtest.harness import default_model_path, model_to_jsonable, sample_model
@@ -154,6 +165,25 @@ def apply_parameter(template: QuantumModel, parameter: str, value: float) -> Qua
     else:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     return QuantumModel(hamiltonian=h, rho=rho, observable=q, times=times)
+
+
+def nsit_families_reference(tables: TableSet, epsilon: float = TOL.verdict) -> dict:
+    """``nsit_pairwise`` and, at 3 times, ``mr_int`` and ``mr_strong`` assembled the
+    way they were before each became one report: one ``nsit`` report per pair of
+    tables, chained through ``merged_with``, and the assumptions set by ``replace``."""
+    pairwise = [nsit(tables.pairs[(i, j)], tables.singles[j], i, name=name, epsilon=epsilon)
+                for i, j, name in _PAIRWISE_NSIT[tables.n_times]]
+    reports = {"nsit_pairwise": pairwise[0].merged_with(*pairwise[1:])}
+    if tables.n_times == 3:
+        merged = reports["nsit_pairwise"].merged_with(lg3(tables.moments, epsilon))
+        reports["mr_int"] = replace(merged, assumptions=(ASSUMPTION_IND,))
+        chain, p23, p13 = tables.chain, tables.pairs[(1, 2)], tables.pairs[(0, 2)]
+        merged = nsit(p23, tables.singles[2], 1, name="NSIT(2)3", epsilon=epsilon).merged_with(
+            nsit(chain, p23, 0, name="NSIT(1)23", epsilon=epsilon),
+            nsit(chain, p13, 1, name="NSIT1(2)3", epsilon=epsilon),
+        )
+        reports["mr_strong"] = replace(merged, assumptions=(ASSUMPTION_IND,))
+    return reports
 
 
 def csv_rows_reference(columns) -> list[str]:

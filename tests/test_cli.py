@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 import warnings
@@ -660,6 +661,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["times"] == [0.0, 1.0, 2.0]
+
+    def test_main_guard_exits_with_mains_code(self, monkeypatch, capsys):
+        # in process, as ``python -m mrtest.cli`` runs it: the weak check fails on the shipped model
+        argv = ["mrtest", "check", "--which", "weak", "--model", str(default_model_path())]
+        monkeypatch.setattr(sys, "argv", argv)
+        # a fresh run, not the imported module, as runpy warns when it finds that one
+        monkeypatch.delitem(sys.modules, "mrtest.cli")
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("mrtest.cli", run_name="__main__")
+        guarded = capsys.readouterr()
+        assert exit_info.value.code == main(argv[1:]) == 1
+        assert capsys.readouterr() == guarded and guarded.out
 
     def test_usage_error_exit_two(self):
         proc = subprocess.run(

@@ -23,7 +23,8 @@ from mrtest.conditions import (
 )
 from mrtest.errors import ValidationError
 from mrtest.fine import triple_expansion_table
-from mrtest.harness import sample_model
+from mrtest import harness
+from mrtest.harness import _model_block, default_model_path, load_model, sample_model, sweep_blocks, sweep_spec_from_jsonable
 from mrtest.measurement import (
     PAIR_SETS,
     MomentSet,
@@ -35,9 +36,10 @@ from mrtest.measurement import (
     sequential_moments,
     witness,
 )
-from mrtest.quantum import QuantumModel
+from mrtest.quantum import QuantumModel, _spectral
+from mrtest.tolerances import TOL
 
-from conftest import SZ, column_sums, point_tables, precession_model, weight
+from conftest import SZ, column_sums, nsit_families_reference, point_tables, precession_model, sweep_specs, weight
 
 RHO_UP = np.diag([1.0, 0.0]).astype(complex)
 
@@ -387,6 +389,55 @@ class TestPairwiseNsit:
         r = nsit_pairwise(measure_all(model))
         families = {name.rsplit(".", 1)[0] for name in r.names}
         assert families == {"NSIT(1)2", "NSIT(2)3", "NSIT(3)4", "NSIT(1)4"}
+
+
+def nsit_family_cases():
+    """(id, tables) pairs: both shipped models, every table set the ``sweep_specs`` sweeps
+    measure, block by block (3 and 4 times, d = 2 to 4), and a 12-model dim-16 campaign block."""
+    for name in ("qubit_precession.json", "qubit_precession_4t.json"):
+        yield name, measure_all(load_model(default_model_path().with_name(name)))
+    for name, spec in sweep_specs().items():
+        measured = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "measure_all", lambda *args: measured.append(measure_all(*args)) or measured[-1])
+            list(sweep_blocks(sweep_spec_from_jsonable(spec)))
+        yield from ((f"sweep-{name}-block{k}", tables) for k, tables in enumerate(measured))
+    h, rho, q, times = _model_block([np.random.default_rng(k) for k in range(12)], 16)
+    lam, vec = np.linalg.eigh(h)
+    yield "campaign-dim16", harness._tables(_spectral(lam, vec, q, times)[2], rho)
+
+
+class TestNsitFamilies:
+    """``nsit_pairwise``, ``mr_int`` and ``mr_strong`` build one report each, from one
+    concatenate; each must equal, bit for bit, the ``nsit`` + ``merged_with`` +
+    ``replace`` assembly of ``conftest.nsit_families_reference``."""
+
+    @pytest.mark.parametrize("epsilon", [TOL.verdict, 1e-7])
+    def test_one_step_reports_equal_the_merged_reference(self, epsilon):
+        families = {"nsit_pairwise": nsit_pairwise, "mr_int": mr_int, "mr_strong": mr_strong}
+        seen = set()
+        for case, tables in nsit_family_cases():
+            want = nsit_families_reference(tables, epsilon)
+            seen.add((tables.n_times, tables.chain.weights.ndim - tables.n_times))
+            for name, reference in want.items():
+                got = families[name](tables, epsilon)
+                where = (case, name)
+                assert got.names == reference.names, where
+                assert got.values.shape == reference.values.shape and got.values.dtype == reference.values.dtype
+                assert got.values.tobytes() == reference.values.tobytes(), where
+                assert got.equality.dtype == reference.equality.dtype, where
+                assert got.equality.tolist() == reference.equality.tolist(), where
+                assert got.epsilon == reference.epsilon and got.assumptions == reference.assumptions, where
+                assert np.array_equal(got.verdict, reference.verdict), where
+        # one table set and grids, at 3 and 4 times
+        assert seen == {(3, 0), (4, 0), (3, 1), (4, 1)}
+
+    def test_rows_are_read_only_constants(self, mixed_qubit):
+        tables = measure_all(mixed_qubit)
+        # the families share their "=0" flags between reports, so none may write them
+        for report in (nsit_pairwise(tables), mr_int(tables), mr_strong(tables), nsit(tables.chain, tables.pairs[(1, 2)], 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                report.equality[0] = False
 
 
 class TestFixedInitialStateReduction:

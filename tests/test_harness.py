@@ -30,7 +30,7 @@ from mrtest.harness import (
     sweep_csv_lines,
     write_sweep_csv,
 )
-from mrtest.measurement import MomentSet, measure_all, outcomes, pair_set, witness
+from mrtest.measurement import MomentSet, ProbabilityTable, measure_all, outcomes, pair_set, witness
 from mrtest.quantum import QuantumModel, _validate
 
 import conftest
@@ -948,3 +948,48 @@ class TestBlockFold:
             assert count % harness._block_size(16, 3) == 2
             assert found == [("tail", 49)]
             assert checks["tail"] == {"samples": count, "violations": 1, "max_residual": 1.0}
+
+
+class TestTablesValidatedOnce:
+    """Each table is validated once, where it is measured: a block builds the ten tables of
+    ``measure_all`` at 3 times and no marginal table.  The derived sums that the campaign and
+    the NSIT rows compare stay weight arrays (23 tables per campaign block, 16 per sweep block,
+    before they did)."""
+
+    MEASURED = [("quasi", 2)] * 3 + [("sequential", 2)] * 3 + [("sequential", 3)] + [("single", 1)] * 3
+
+    @staticmethod
+    def built(monkeypatch) -> list:
+        built, post_init = [], ProbabilityTable.__post_init__
+        monkeypatch.setattr(ProbabilityTable, "__post_init__", lambda t: built.append(t) or post_init(t))
+        return built
+
+    def test_one_model_campaign_block(self, monkeypatch):
+        rngs = [np.random.default_rng(36)]
+        h, rho, q, times = harness._model_block(rngs, 16)
+        models = (*np.linalg.eigh(h), rho, q, _validate(h, rho, q, times))
+        built = self.built(monkeypatch)
+        checks = [name for name, *_ in harness._campaign_block(*models, np.array([[1.5, -2.5]]), 1e-9)]
+        assert len(checks) == 3 + 3 * 6 + 4 and "quasi_marginals" in checks and "sequential_last_marginal" in checks
+        assert sorted((t.kind, t.arity) for t in built) == self.MEASURED
+
+    def test_one_sweep_block(self, monkeypatch):
+        spec = load_sweep_spec(default_model_path().with_name("tau_sweep_lg3.json"))
+        assert spec.steps <= harness._block_size(spec.model.dim, spec.model.n_times)
+        built = self.built(monkeypatch)
+        [columns] = sweep_blocks(spec)
+        assert {"verdict_int", "verdict_strong"} <= set(columns)
+        assert sorted((t.kind, t.arity) for t in built) == self.MEASURED
+
+    def test_a_disagreeing_marginal_is_a_reported_violation(self, monkeypatch):
+        # a quasi marginal 1e-6 off used to abort the campaign in marginal()'s sum check;
+        # now each model reports it, three pairs each, with its (seed, index) reproducer
+        summed_out = ProbabilityTable._summed_out
+        monkeypatch.setattr(ProbabilityTable, "_summed_out",
+                            lambda t, i: summed_out(t, i) + (1e-6 if t.kind == "quasi" else 0.0))
+        summary = run_campaign(seed=5, count=8)
+        assert not summary["passed"]
+        assert [(v["check"], v["seed"], v["index"]) for v in summary["violations"]] == [
+            ("quasi_marginals", 5, index) for index in range(8) for _ in range(3)
+        ]
+        assert all(v["residual"] == pytest.approx(1e-6, rel=1e-6) for v in summary["violations"])

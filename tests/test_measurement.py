@@ -657,6 +657,12 @@ class TestDerivedValues:
         with pytest.raises(TypeError):
             hash(a)
 
+    def test_a_moment_set_is_never_equal_to_another_type(self):
+        # __eq__ defers to the other operand, so == falls back to identity and is False
+        m = MomentSet(averages=(0.0,) * 3, correlators=(0.5,) * 3)
+        assert m.__eq__(1) is NotImplemented and m.__eq__((0.0,) * 3 + (0.5,) * 3) is NotImplemented
+        assert (m == 1) is False and (m != (0.0,) * 3 + (0.5,) * 3) is True
+
     def test_values_holding_arrays_compare_and_hash_by_identity(self):
         path = default_model_path()
         a, b = load_model(path), load_model(path)
