@@ -39,8 +39,8 @@ class ConditionReport:
     """Named rows: ``values``, a float array of shape ``(k,) + batch``, has one row per name, and the
     bool array ``equality`` flags the "=0" rows (the moment families share one all-">=0" ``_INEQUALITY``).
     A report with no "=0" row has its values as margins, and ``_margin``, one set's smallest margin
-    that ``mr_weak`` copies from the set's record, gives its verdict (``replace`` and ``merged_with``
-    reset it).  Reports compare and hash by identity."""
+    that ``mr_weak`` copies from the set's record, gives its verdict (``replace`` resets it).  Reports
+    compare and hash by identity."""
 
     names: tuple[str, ...]
     values: np.ndarray
@@ -69,18 +69,6 @@ class ConditionReport:
     @property
     def margins(self) -> dict[str, float]:
         return dict(zip(self.names, self._out(self._margins())))
-
-    def merged_with(self, *others: "ConditionReport") -> "ConditionReport":
-        if any(other.epsilon != self.epsilon for other in others):
-            raise ValidationError("cannot merge reports with different epsilons")
-        reports = (self,) + others
-        return ConditionReport(
-            names=sum((r.names for r in others), self.names),
-            values=np.concatenate([r.values for r in reports]),
-            equality=np.concatenate([r.equality for r in reports]),
-            epsilon=self.epsilon,
-            assumptions=tuple(dict.fromkeys(a for r in reports for a in r.assumptions)),
-        )
 
     def to_jsonable(self) -> dict:
         """One moment set only: each row's name, value, kind, margin and pass flag."""
@@ -253,9 +241,6 @@ def lg4(m: MomentSet, epsilon: float = TOL.verdict) -> ConditionReport:
 # no-signaling-in-time equalities
 
 
-_PAIRWISE_NSIT = {n: tuple((i, j, f"NSIT({i + 1}){j + 1}") for i, j in pairs) for n, pairs in PAIR_SETS.items()}
-
-
 def _family(blocks, tail=(), assumptions=()) -> tuple:
     """An NSIT report's constants: its blocks, each (table a's time indices, table b's, name); its row names,
     ``<name>.<outcome>`` over each b's outcomes, then the ">=0" rows ``tail``; its "=0" flags; its assumptions."""
@@ -266,7 +251,7 @@ def _family(blocks, tail=(), assumptions=()) -> tuple:
 
 
 #: the reports of ``nsit_pairwise`` (keyed by the number of times), ``mr_int`` and ``mr_strong``
-_FAMILIES = {n: _family([((i, j), (j,), name) for i, j, name in rows]) for n, rows in _PAIRWISE_NSIT.items()}
+_FAMILIES = {n: _family([((i, j), (j,), f"NSIT({i + 1}){j + 1}") for i, j in pairs]) for n, pairs in PAIR_SETS.items()}
 _FAMILIES["int"] = _family(_FAMILIES[3][0], ROWS[3]["LG3"].names, (ASSUMPTION_IND,))
 _FAMILIES["strong"] = _family([((1, 2), (2,), "NSIT(2)3"), ((0, 1, 2), (1, 2), "NSIT(1)23"),
                                ((0, 1, 2), (0, 2), "NSIT1(2)3")], assumptions=(ASSUMPTION_IND,))

@@ -133,13 +133,6 @@ class TestEqualityRowsSigned:
         assert nan_row.margins[r.names[second]] == -0.25
         assert nan_row.verdict is False
 
-    def test_nsit_merged_with_lg3(self, mixed_qubit):
-        tables = measure_all(mixed_qubit)
-        merged = self.with_nan_row(nsit_pairwise(tables)).merged_with(lg3(tables.moments))
-        self.assert_signed(merged)
-        assert np.isnan(merged.margins[merged.names[0]]) and merged.margins[merged.names[1]] == -0.25
-        assert merged.verdict is False
-
     def test_hand_built_flags(self):
         values = np.array([0.5, 0.25, np.nan])
         for equality in ([False, True, True], [True, False, False], [False, False, False]):
@@ -409,8 +402,8 @@ def nsit_family_cases():
 
 class TestNsitFamilies:
     """``nsit_pairwise``, ``mr_int`` and ``mr_strong`` build one report each, from one
-    concatenate; each must equal, bit for bit, the ``nsit`` + ``merged_with`` +
-    ``replace`` assembly of ``conftest.nsit_families_reference``."""
+    concatenate; each must equal, block by block and bit for bit, the standalone
+    ``nsit`` and ``lg3`` reports of ``conftest.nsit_families_reference``."""
 
     @pytest.mark.parametrize("epsilon", [TOL.verdict, 1e-7])
     def test_one_step_reports_equal_the_merged_reference(self, epsilon):
@@ -419,16 +412,24 @@ class TestNsitFamilies:
         for case, tables in nsit_family_cases():
             want = nsit_families_reference(tables, epsilon)
             seen.add((tables.n_times, tables.chain.weights.ndim - tables.n_times))
-            for name, reference in want.items():
+            for name, (blocks, assumptions) in want.items():
                 got = families[name](tables, epsilon)
+                start = 0
+                for block in blocks:
+                    where = (case, name, block.names[0])
+                    rows = slice(start, start + len(block.names))
+                    start = rows.stop
+                    assert got.names[rows] == block.names, where
+                    values = got.values[rows]
+                    assert values.shape == block.values.shape and values.dtype == block.values.dtype, where
+                    assert values.tobytes() == block.values.tobytes(), where
+                    assert got.equality.dtype == block.equality.dtype, where
+                    assert got.equality[rows].tolist() == block.equality.tolist(), where
                 where = (case, name)
-                assert got.names == reference.names, where
-                assert got.values.shape == reference.values.shape and got.values.dtype == reference.values.dtype
-                assert got.values.tobytes() == reference.values.tobytes(), where
-                assert got.equality.dtype == reference.equality.dtype, where
-                assert got.equality.tolist() == reference.equality.tolist(), where
-                assert got.epsilon == reference.epsilon and got.assumptions == reference.assumptions, where
-                assert np.array_equal(got.verdict, reference.verdict), where
+                assert start == len(got.names) == len(got.values) == len(got.equality), where
+                assert got.epsilon == epsilon and got.assumptions == assumptions, where
+                verdict = np.logical_and.reduce([np.asarray(block.verdict) for block in blocks])
+                assert np.array_equal(got.verdict, verdict), where
         # one table set and grids, at 3 and 4 times
         assert seen == {(3, 0), (4, 0), (3, 1), (4, 1)}
 
@@ -593,7 +594,7 @@ WEAK_THIRD_TURN_JSON = """\
   ]
 }"""
 
-#: an NSIT(1)23 report with one shifted weight, merged with the third-turn ``lg3``
+#: an NSIT(1)23 report with one shifted weight, then the rows of the third-turn ``lg3``
 NSIT_LG3_JSON = """\
 {
   "epsilon": 1e-09,
@@ -691,7 +692,9 @@ class TestSerialization:
         a = ProbabilityTable(kind="sequential", time_indices=(0, 1, 2), weights=chain)
         b = ProbabilityTable(kind="sequential", time_indices=(1, 2), weights=np.full((2, 2), 0.25))
         third = MomentSet(averages=(0.0, 0.0, 0.0), correlators=(0.5, 0.5, -0.5))
-        r = nsit(a, b, 0, name="NSIT(1)23").merged_with(lg3(third))
+        first, second = nsit(a, b, 0, name="NSIT(1)23"), lg3(third)
+        r = ConditionReport(first.names + second.names, np.concatenate([first.values, second.values]),
+                            np.concatenate([first.equality, second.equality]), first.epsilon)
         assert json.dumps(r.to_jsonable(), indent=2) == NSIT_LG3_JSON
 
     def test_to_jsonable_builds_margins_once(self, monkeypatch):
@@ -707,12 +710,6 @@ class TestSerialization:
         report = mr_weak(measure_all(precession_model(), times).moments)
         with pytest.raises(ValidationError, match=r"one moment set only, got a grid of shape \(5,\)"):
             report.to_jsonable()
-
-    def test_merge_rejects_mixed_epsilon(self):
-        a = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-9)
-        b = lg3(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3), epsilon=1e-6)
-        with pytest.raises(ValidationError, match="epsilon"):
-            a.merged_with(b)
 
 
 class TestRowFormulas:
@@ -803,11 +800,13 @@ class TestRowTable:
             assert address(part.a) == address(whole.a[rows]) and address(part.slope) == address(whole.slope[rows])
 
     def test_every_time_count_table_is_keyed_by_pair_sets(self):
-        for table in (measurement._JSON_PAIRS, ROWS, conditions._PAIRWISE_NSIT, conditions._GROUPS):
+        for table in (measurement._JSON_PAIRS, ROWS, conditions._GROUPS):
             assert table.keys() == PAIR_SETS.keys()
+        assert conditions._FAMILIES.keys() - {"int", "strong"} == PAIR_SETS.keys()
         for n, pairs in PAIR_SETS.items():
             assert measurement._JSON_PAIRS[n] == [[i + 1, j + 1] for i, j in pairs]
-            assert [(i, j) for i, j, _ in conditions._PAIRWISE_NSIT[n]] == list(pairs)
+            # nsit_pairwise's blocks, one per measured pair, each the pair's table against its later time's
+            assert [(a, b) for a, b, _ in conditions._FAMILIES[n][0]] == [(pair, pair[1:]) for pair in pairs]
             assert ROWS[n]["weak"].names[: 4 * len(pairs)] == sum((ROWS[n][p].names for p in pairs), ())
 
 

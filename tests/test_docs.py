@@ -1,9 +1,10 @@
-"""The README quickstart and the package exports stay in step with the code,
-the CI workflow's shell steps can fail, and every source file parses on the
-oldest Python that CI runs."""
+"""The README quickstart, its lists of campaign checks and of tolerances, and
+the package exports stay in step with the code, the CI workflow's shell steps
+can fail, and every source file parses on the oldest Python that CI runs."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mrtest
+from mrtest.tolerances import Tolerances
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -43,6 +45,13 @@ def test_readme_campaign_section_names_every_check():
     checks = mrtest.run_campaign(1, 10)["checks"]
     assert len(checks) == 13
     assert [name for name in checks if f"`{name}`" not in section] == []
+
+
+def test_numerical_policy_names_every_tolerance():
+    section = README.read_text().split("## Numerical policy", 1)[1].split("\n## ", 1)[0]
+    fields = [field.name for field in dataclasses.fields(Tolerances)]
+    assert len(fields) == 4
+    assert [name for name in fields if f"`TOL.{name}`" not in section] == []
 
 
 def run_lines(text: str) -> list[str]:

@@ -249,6 +249,26 @@ class TestRunSweep:
             lg_margins = np.array([v for k, v in block.items() if k.startswith("LG")])
             assert np.array_equal(block["verdict_weak"], (lg_margins >= -eps).all(axis=0))
 
+    def test_rows_two_reports_share_are_bit_equal(self, monkeypatch):
+        # the margins group keeps one column per row name, so a row that two reports
+        # share (LG3.* in weak and int, NSIT(2)3.* in int and strong) must be the same bits in both
+        margins, seen = harness.OUTPUT_GROUPS["margins"], []
+        monkeypatch.setitem(harness.OUTPUT_GROUPS, "margins", lambda t, r: seen.append(r) or margins(t, r))
+        shared_at_3 = sorted([f"LG3.{k}" for k in range(1, 5)] + ["NSIT(2)3.-", "NSIT(2)3.+"])
+        for name, obj in conftest.sweep_specs().items():
+            seen.clear()
+            list(sweep_blocks(harness.sweep_spec_from_jsonable(obj)))
+            assert seen, name
+            for k, reports in enumerate(seen):
+                rows = {}
+                for report in reports.values():
+                    for row, values in zip(report.names, report.values):
+                        rows.setdefault(row, []).append(values)
+                shared = {row: values for row, values in rows.items() if len(values) > 1}
+                assert sorted(shared) == (shared_at_3 if "int" in reports else []), (name, k)
+                for row, (first, second) in shared.items():
+                    assert first.tobytes() == second.tobytes(), (name, k, row)
+
     def test_witness_zero_for_maximally_mixed(self, spec):
         assert max(np.max([v for k, v in b.items() if k.startswith("W_")]) for b in sweep_blocks(spec)) < 1e-12
 
