@@ -4,7 +4,8 @@ macrorealism verdicts composed from them.
 Every inequality is a row b + G x of the moments x = (averages,
 correlators); ``ROWS`` stores each row once, with its check name, in one
 column-major table, and ``_affine_values`` evaluates a block of them, on one
-set or a grid, as one product and one reduction.  ``_evaluation(m)``, made by
+set or a grid, as one ``np.einsum`` that adds each row's terms left to right from
+b.  ``_evaluation(m)``, made by
 whichever family reads a set first and kept on it, holds the set's weak and Fine
 rows and, from one reduction, its smallest weak margin and Fine bounds; every
 family, here and in ``fine``, reads its rows through ``_rows`` and its row groups
@@ -34,7 +35,7 @@ ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assu
 ASSUMPTION_IND = "Ind: future measurements cannot affect the present state (modeling assumption)"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ConditionReport:
     """Named rows: ``values``, a float array of shape ``(k,) + batch``, has one row per name, and the
     bool array ``equality`` flags the "=0" rows (the moment families share one all-">=0" ``_INEQUALITY``).
@@ -166,15 +167,14 @@ _INEQUALITY.setflags(write=False)
 def _affine_values(block: RowBlock, x) -> np.ndarray:
     """b + G x, shape ``(k,) + batch``, for the moment columns x (floats for one set;
     arrays of one shape, or one array, over a batch; or pairs, two sets side by side):
-    the terms of ``block.a`` times (1, x), built as one array, added strictly left to
-    right from b, as one product of ``block.a.T`` (C-contiguous for "weak+fine": the
-    table is column-major) into a C-ordered array of terms, one row per column, and
-    one ``np.add.reduce`` along axis 0, which adds whole rows in turn (C order keeps
-    that axis outer, so numpy does not sum it pairwise).  The result owns its memory."""
+    one ``np.einsum`` of ``block.a.T`` with (1, x), no array of terms built.  Every
+    coefficient on x is 0 or +-1 and b meets a column of ones, so every product is exact;
+    ``order="F"`` keeps the column axis outermost in einsum's loop, so each row adds
+    its terms strictly left to right from b, whatever the coefficients' layout (the
+    default ``order="K"`` may reorder the sum).  The result owns its memory."""
     columns = np.array((x[0], *x))
     columns[0] = 1.0  # x's first column, copied for its shape, set to the ones of (1, x)
-    a = block.a.T if columns.ndim == 1 else block.a.T.reshape(block.a.T.shape + (1,) * (columns.ndim - 1))
-    return np.add.reduce(np.multiply(a, columns[:, None], order="C"), axis=0)
+    return np.einsum("ij,i...->j...", block.a.T, columns, order="F")
 
 
 def _minima(values: np.ndarray, n: int, key):

@@ -36,7 +36,7 @@ from .measurement import MomentSet, ProbabilityTable
 from .tolerances import TOL
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FeasibilityResult:
     """Outcome of a joint-probability existence test: Python floats and
     bools for one moment set, arrays over a grid of them.  ``d_interval``

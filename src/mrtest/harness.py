@@ -189,7 +189,7 @@ def simulate(model: QuantumModel) -> dict:
 # sweeps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """A one-parameter grid over a template model.
 

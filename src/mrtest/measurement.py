@@ -92,7 +92,7 @@ def outcome_key(outcome: Outcome) -> str:
 # tables
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ProbabilityTable:
     """Real weights on the outcomes {-1,+1}^k as a float array of shape
     ``batch + (2,)*k``, index 0 for s = -1: one table per grid point of
@@ -208,7 +208,7 @@ def _unit_values(values: tuple, n_averages: int) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentSet:
     """Averages <Q_i> and pair correlators C_ij, as the piecewise protocol measures them.
 
@@ -414,7 +414,9 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
 @dataclass(frozen=True, eq=False)
 class TableSet:
     """All measurement tables of one model, computed once and shared, and
-    the piecewise moments derived from them; compared and hashed by identity."""
+    the piecewise moments derived from them; compared and hashed by identity.
+    Unlike the other frozen value classes it is not slotted: ``moments`` is a
+    ``cached_property``, which stores its value in the instance dict."""
 
     singles: tuple[ProbabilityTable, ...]
     pairs: Mapping[tuple[int, int], ProbabilityTable]

@@ -278,7 +278,9 @@ class QuantumModel:
 
     The validated matrices' Hermitian parts (exact for a Hermitian input) are
     stored read-only, so every trace against rho is real to rounding, and so is the
-    cached eigendecomposition of H; instances are safe to share, compared by identity."""
+    cached eigendecomposition of H; instances are safe to share, compared by identity.
+    Unlike the other frozen value classes it is not slotted: ``hamiltonian_eig`` is a
+    ``cached_property``, which stores its value in the instance dict."""
 
     hamiltonian: np.ndarray
     rho: np.ndarray

@@ -15,7 +15,7 @@ that the package has one place where numerical policy lives.  The split is:
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tolerances:
     scalar: float = 1e-12
     structural: float = 1e-10

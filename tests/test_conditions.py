@@ -766,15 +766,25 @@ class TestAffineValues:
                 assert _affine_values(block._replace(a=layout(block.a)), x[:width]).tobytes() == want, key
 
     def test_grid_bit_equal_and_owns_its_memory(self, rng):
-        # a view of the terms array would keep it alive inside every report
+        # a view of a larger array would keep it alive inside every report
         for n in (3, 4):
             for key, block in ROWS[n].items():
                 width = block.a.shape[1] - 1
-                for x in (list(rng.uniform(-1, 1, width)), tuple(rng.uniform(-1, 1, (width, 7)))):
-                    values = _affine_values(block, x)
-                    assert values.base is None, key
-                    assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
-                    assert values.tobytes() == column_sums(block, x).tobytes(), key
+                columns = [
+                    list(rng.uniform(-1, 1, width)),
+                    tuple(rng.uniform(-1, 1, (width, 7))),
+                    tuple(rng.uniform(-1, 1, (width, 3, 5))),
+                    # pairs, two sets side by side, as ``fine._glued_weights`` passes them: floats, or arrays over a grid
+                    tuple(map(tuple, rng.uniform(-1, 1, (width, 2)).tolist())),
+                    tuple(map(tuple, rng.uniform(-1, 1, (width, 2, 7)))),
+                ]
+                for layout in (np.asfortranarray, np.ascontiguousarray):
+                    laid_out = block._replace(a=layout(block.a))
+                    for x in columns:
+                        values = _affine_values(laid_out, x)
+                        assert values.base is None, key
+                        assert not any(np.shares_memory(values, xj) for xj in x if isinstance(xj, np.ndarray))
+                        assert values.tobytes() == column_sums(block, x).tobytes(), (key, layout)
 
 
 def address(a: np.ndarray) -> int:
@@ -789,7 +799,7 @@ class TestRowTable:
     @pytest.mark.parametrize("n", [3, 4])
     def test_each_row_stored_once(self, n):
         whole = ROWS[n]["weak+fine"]
-        # column-major, so that one set's terms are one contiguous product
+        # column-major, so that ``_affine_values``' inner loop, over the rows, reads each column's coefficients contiguously
         assert whole.a.T.flags.c_contiguous
         for key, block in ROWS[n].items():
             assert np.shares_memory(block.a, whole.a) and np.shares_memory(block.slope, whole.slope), key

@@ -1,11 +1,17 @@
+import copy
 import dataclasses
+import functools
+import importlib
 import itertools
 import json
+import pickle
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
+import mrtest
 from mrtest.conditions import lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.fine import d_interval
@@ -25,6 +31,7 @@ from mrtest.measurement import (
 )
 from mrtest.measurement import SIGNS, _quasi_weights, _tables
 from mrtest.quantum import QuantumModel, _spectral, expectation
+from mrtest.tolerances import TOL
 
 from conftest import SX, SZ, at_time, point_tables, precession_model, weight
 
@@ -617,6 +624,17 @@ def assert_same_tables(a: TableSet, b: TableSet) -> None:
 MODEL_FIELDS = ("hamiltonian", "rho", "observable", "times")
 
 
+def contents(x):
+    """What a value holds, field by field, to compare values that compare by identity."""
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple(contents(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(contents, x))
+    return x
+
+
 class TestDerivedValues:
     """Models and tables copy their inputs read-only and derive the rest, so a
     model made by ``dataclasses.replace`` measures as a freshly built one."""
@@ -661,7 +679,7 @@ class TestDerivedValues:
         # __eq__ defers to the other operand, so == falls back to identity and is False
         m = MomentSet(averages=(0.0,) * 3, correlators=(0.5,) * 3)
         assert m.__eq__(1) is NotImplemented and m.__eq__((0.0,) * 3 + (0.5,) * 3) is NotImplemented
-        assert (m == 1) is False and (m != (0.0,) * 3 + (0.5,) * 3) is True
+        assert (m == 1) is False and (m == object()) is False and (m != (0.0,) * 3 + (0.5,) * 3) is True
 
     def test_values_holding_arrays_compare_and_hash_by_identity(self):
         path = default_model_path()
@@ -676,6 +694,41 @@ class TestDerivedValues:
         assert len(set(values)) == 5
         # one moment set keeps value equality
         assert ta.moments == tb.moments and hash(ta.moments) == hash(tb.moments)
+
+    def test_value_classes_hold_only_their_fields(self):
+        """Every mrtest dataclass with no ``cached_property`` is slotted; the two with
+        one keep the instance dict it caches in.  A slotted value refuses an undeclared
+        attribute and survives pickle, deepcopy and ``dataclasses.replace``."""
+        modules = [importlib.import_module(f"mrtest.{info.name}") for info in pkgutil.iter_modules(mrtest.__path__)]
+        classes = {
+            cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        }
+        caching = {cls for cls in classes if any(isinstance(v, functools.cached_property) for v in vars(cls).values())}
+        assert caching == {QuantumModel, TableSet}
+        m = load_model(default_model_path())
+        tables = measure_all(m)
+        for value, name in ((m, "hamiltonian_eig"), (tables, "moments")):
+            assert not hasattr(type(value), "__slots__")
+            assert getattr(value, name) is getattr(value, name) is vars(value)[name]
+        report = mr_weak(tables.moments)
+        assert report._margin is not None and tables.moments._record is not None
+        spec = load_sweep_spec(default_model_path().with_name("tau_sweep_lg3.json"))
+        values = [tables.chain, tables.moments, report, d_interval(tables.moments), spec, TOL]
+        assert {type(x) for x in values} == classes - caching
+        for x in values:
+            cls, fields = type(x), dataclasses.fields(x)
+            assert cls.__slots__ == tuple(f.name for f in fields) and not hasattr(x, "__dict__"), cls
+            with pytest.raises(AttributeError):
+                object.__setattr__(x, "extra", 0)
+            for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+                assert type(copied) is cls and contents(copied) == contents(x), cls
+            # replace builds through __init__, so what was derived after construction is reset
+            replaced = dataclasses.replace(x)
+            for f in fields:
+                assert contents(getattr(replaced, f.name)) == (contents(getattr(x, f.name)) if f.init else None), cls
+        # mr_weak's copied margin is reset, and the verdict read from the values again
+        assert dataclasses.replace(report).verdict is report.verdict is False
 
     def test_table_maps_are_read_only_copies(self):
         tables = measure_all(load_model(default_model_path()))
