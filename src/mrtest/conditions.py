@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measurement import PAIR_SETS, MomentSet, ProbabilityTable, TableSet, outcome_key, outcomes, pair_set
+from .quantum import _rebuilt
 from .tolerances import TOL
 
 ASSUMPTION_NIM_PW = "NIM_pw: piecewise non-invasive measurability (modeling assumption)"
@@ -40,8 +41,8 @@ class ConditionReport:
     """Named rows: ``values``, a float array of shape ``(k,) + batch``, has one row per name, and the
     bool array ``equality`` flags the "=0" rows (the moment families share one all-">=0" ``_INEQUALITY``).
     A report with no "=0" row has its values as margins, and ``_margin``, one set's smallest margin
-    that ``mr_weak`` copies from the set's record, gives its verdict (``replace`` resets it).  Reports
-    compare and hash by identity."""
+    that ``mr_weak`` copies from the set's record, gives its verdict (``replace`` and copies reset it).
+    Reports keep the arrays they are given, and compare and hash by identity."""
 
     names: tuple[str, ...]
     values: np.ndarray
@@ -49,6 +50,8 @@ class ConditionReport:
     epsilon: float
     assumptions: tuple[str, ...] = ()
     _margin: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    __reduce__ = _rebuilt
 
     def _out(self, a: np.ndarray):
         """Python floats and bools for one moment set, arrays over a grid."""
@@ -80,7 +83,7 @@ class ConditionReport:
         rows = zip(self.names, self.values.tolist(), self.equality.tolist(), margins.tolist(), passed)
         return {
             "epsilon": self.epsilon,
-            "verdict": bool(margins.min() >= -self.epsilon),
+            "verdict": self.verdict,
             "assumptions": list(self.assumptions),
             "checks": [
                 {"name": name, "value": value, "kind": "=0" if eq else ">=0", "margin": margin, "pass": ok}

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InputFormatError, ValidationError
-from .quantum import QuantumModel, _frozen, _pairing, _product, _times_matrix, expectation
+from .quantum import QuantumModel, _frozen, _pairing, _product, _rebuilt, _times_matrix, expectation
 from .tolerances import TOL
 
 Outcome = tuple[int, ...]
@@ -107,6 +106,8 @@ class ProbabilityTable:
     time_indices: tuple[int, ...]
     weights: np.ndarray
 
+    __reduce__ = _rebuilt
+
     def __post_init__(self) -> None:
         if self.kind not in TABLE_KINDS:
             raise ValidationError(f"table kind must be one of {TABLE_KINDS}, got {self.kind!r}")
@@ -116,7 +117,7 @@ class ProbabilityTable:
             raise ValidationError(f"table arity must be 1-4, got {k}")
         if len(set(idx)) != k:
             raise ValidationError(f"table time_indices must be distinct, got {idx}")
-        w = _frozen(self.weights)
+        w = _frozen(self.weights, name="table weights")
         if w.shape[w.ndim - k :] != (2,) * k:
             raise ValidationError("table weights must cover exactly {-1,+1}^arity")
         # the outcome axes summed as slice adds, not as numpy reductions over length-2 axes
@@ -195,12 +196,13 @@ def _unit_values(values: tuple, n_averages: int) -> tuple:
     """The averages then the correlators as Python floats, or as read-only
     float arrays (copies) over a grid if any value is an array, each checked
     to lie in [-1, 1] up to TOL.scalar."""
+    name = "averages and correlators"
     if any(isinstance(x, np.ndarray) for x in values):
-        values = tuple(map(_frozen, values))
+        values = tuple(_frozen(x, name=name) for x in values)
         outside = [(k, x[~(np.abs(x) <= _UNIT)]) for k, x in enumerate(values)]
         bad = [(k, float(b[0])) for k, b in outside if b.size]
     else:
-        values = tuple(map(float, values))
+        values = tuple(_frozen(values, name=name).tolist())
         bad = [(k, x) for k, x in enumerate(values) if not -_UNIT <= x <= _UNIT]
     if bad:
         k, x = bad[0]
@@ -226,6 +228,8 @@ class MomentSet:
     averages: tuple[float, ...]
     correlators: tuple[float, ...]
     _record: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         n = len(self.averages)
@@ -411,36 +415,33 @@ def witness(pair: ProbabilityTable, single: ProbabilityTable, s2: int = +1) -> f
 # bundled tables for one model
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TableSet:
     """All measurement tables of one model, computed once and shared, and
-    the piecewise moments derived from them; compared and hashed by identity.
-    Unlike the other frozen value classes it is not slotted: ``moments`` is a
-    ``cached_property``, which stores its value in the instance dict."""
+    ``moments``, the piecewise averages and pair correlators derived from them
+    on construction: every average from a single-time run, every correlator
+    C_ij from the two-time sequential run over {i, j} alone.  The maps are
+    read-only copies, so the moments cannot go stale; compared and hashed by identity."""
 
     singles: tuple[ProbabilityTable, ...]
     pairs: Mapping[tuple[int, int], ProbabilityTable]
     chain: ProbabilityTable
     quasi: Mapping[tuple[int, int], ProbabilityTable]
+    moments: MomentSet = field(init=False, repr=False)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
-        # read-only copies, so the cached moments cannot go stale
         for name in ("pairs", "quasi"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "moments", MomentSet(
+            averages=tuple(t.moment((0,)) for t in self.singles),
+            correlators=tuple(self.pairs[p].moment((0, 1)) for p in pair_set(self.n_times)),
+        ))
 
     @property
     def n_times(self) -> int:
         return len(self.singles)
-
-    @cached_property
-    def moments(self) -> MomentSet:
-        """The piecewise averages and pair correlators read off ``singles`` and
-        ``pairs``: every average from a single-time run, every correlator C_ij
-        from the two-time sequential run over {i, j} alone."""
-        return MomentSet(
-            averages=tuple(t.moment((0,)) for t in self.singles),
-            correlators=tuple(self.pairs[p].moment((0, 1)) for p in pair_set(self.n_times)),
-        )
 
 
 def measure_all(model: QuantumModel, times=None) -> TableSet:

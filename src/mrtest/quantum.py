@@ -12,7 +12,7 @@ blocks of sampled models), stores the Hermitian parts of the matrices, and
 derives the spectral data the measurement layer needs, which is not checked
 again: the unitary evolution U(t) generated by H (hbar = 1), the
 Heisenberg-picture observable Q(t) and its two spectral projectors.  H is
-diagonalised once per model, a cached read-only property; ``spectral``
+diagonalised once per model, on construction, and kept read-only; ``spectral``
 then evaluates all three for a whole array of times, so a sweep over a grid
 of times, or over a scale omega of H (exp(-i omega H t) = V exp(-i omega
 lambda t) V^dag), reuses that one eigendecomposition.
@@ -28,8 +28,8 @@ does.  The input model's own checks in ``_validate`` use ``@``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 import numpy as np
 
 from .errors import InvalidObservableError, ValidationError
@@ -42,11 +42,23 @@ MAX_DIM = 16
 # validation helpers
 
 
-def _frozen(x, dtype=float) -> np.ndarray:
-    """A read-only copy of x as a ``dtype`` array (None keeps x's dtype)."""
-    a = np.array(x, dtype=dtype)
+def _frozen(x, dtype=float, name: str = "values") -> np.ndarray:
+    """A read-only copy of x as a ``dtype`` array (None keeps x's dtype); a float
+    copy of anything but real numbers, such as complex or text entries, is refused."""
+    a = np.asarray(x)
+    if dtype is float and a.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be real numbers, got {a.dtype.type.__name__.rstrip('_')} entries")
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _rebuilt(value) -> tuple:
+    """``__reduce__`` of the frozen value classes: pickle and ``copy`` rebuild a value
+    through its constructor from its init fields (a read-only map passed as a dict), so
+    a copy is validated and frozen again and derives the rest, as ``dataclasses.replace`` does."""
+    args = (getattr(value, f.name) for f in fields(value) if f.init)
+    return type(value), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
 
 
 def as_complex_matrix(entries, *, name: str = "matrix") -> np.ndarray:
@@ -84,8 +96,8 @@ def check_times(times) -> np.ndarray:
     """Times as a float array: a row of 2-4 finite, non-decreasing times
     per grid point or model, or one row for one model."""
     t = np.asarray(times, dtype=float)
-    if not (2 <= t.shape[-1] <= 4):
-        raise ValidationError(f"times: need 2-4 measurement times, got {t.shape[-1]}")
+    if not (2 <= (n := t.shape[-1] if t.ndim else 1) <= 4):
+        raise ValidationError(f"times: need 2-4 measurement times, got {n}")
     if not np.isfinite(t).all():
         raise ValidationError("times: entries must be finite")
     bad = (np.diff(t, axis=-1) < 0).any(axis=-1)
@@ -110,7 +122,8 @@ def _validate(h: np.ndarray, rho: np.ndarray, q: np.ndarray, times) -> np.ndarra
         require_hermitian(rho, name="rho")
         require_hermitian(q, name="observable")
         require_dichotomic(q)
-        tr = np.trace(rho, axis1=-2, axis2=-1).real
+        with np.errstate(over="ignore"):
+            tr = np.trace(rho, axis1=-2, axis2=-1).real
         if (abs(tr - 1.0) > TOL.scalar).any():
             raise ValidationError(f"rho: trace must be 1, got {tr.tolist()!r}")
         lam = np.linalg.eigvalsh(rho)[..., 0].min()
@@ -223,7 +236,7 @@ def _evolve_from_eig(lam: np.ndarray, vec: np.ndarray, t) -> np.ndarray:
     """exp(-i H t), shape ``t.shape + (d, d)``, from the eigendecomposition of
     H, or of one H per leading index of t; t = 0 gives the exact identity."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         angles = lam[..., None, :] * t[..., None]
     if not np.isfinite(angles).all():
         raise ValidationError("evolution: H eigenvalue times t overflows the float range")
@@ -263,7 +276,7 @@ def expectation(rho, a):
 # model
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class QuantumModel:
     """A dichotomic-variable experiment: (H, rho, Q) plus 2-4 measurement times.
 
@@ -277,15 +290,17 @@ class QuantumModel:
       vanishing gap).
 
     The validated matrices' Hermitian parts (exact for a Hermitian input) are
-    stored read-only, so every trace against rho is real to rounding, and so is the
-    cached eigendecomposition of H; instances are safe to share, compared by identity.
-    Unlike the other frozen value classes it is not slotted: ``hamiltonian_eig`` is a
-    ``cached_property``, which stores its value in the instance dict."""
+    stored read-only, so every trace against rho is real to rounding, and so is
+    ``hamiltonian_eig``, H's ``eig_hermitian`` eigenvalues and eigenvectors, derived
+    on construction; instances are safe to share, compared by identity."""
 
     hamiltonian: np.ndarray
     rho: np.ndarray
     observable: np.ndarray
     times: tuple[float, ...]
+    hamiltonian_eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    __reduce__ = _rebuilt
 
     def __post_init__(self) -> None:
         h = as_complex_matrix(self.hamiltonian, name="hamiltonian")
@@ -298,6 +313,7 @@ class QuantumModel:
         object.__setattr__(self, "times", tuple(_validate(h, r, q, self.times).tolist()))
         for key, a in (("hamiltonian", h), ("rho", r), ("observable", q)):
             object.__setattr__(self, key, _frozen(_hermitian_part(a), complex))
+        object.__setattr__(self, "hamiltonian_eig", tuple(_frozen(a, None) for a in eig_hermitian(self.hamiltonian)))
 
     @property
     def dim(self) -> int:
@@ -306,11 +322,6 @@ class QuantumModel:
     @property
     def n_times(self) -> int:
         return len(self.times)
-
-    @cached_property
-    def hamiltonian_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """H's ``eig_hermitian`` eigenvalues and eigenvectors, read-only."""
-        return tuple(_frozen(a, None) for a in eig_hermitian(self.hamiltonian))
 
     def spectral(self, times=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """U(t), Q(t) and the projector pairs P_s(t) (s = -1, +1) for an array

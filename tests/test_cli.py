@@ -122,6 +122,9 @@ class TestNonFiniteEvolution:
         assert "Traceback" not in err
 
 
+_HUGE = [1e308, 0.0]
+
+
 class TestHugeEntries:
     """The shipped qubit model with matrix entries near the float limit fails its
     invariant, and no numpy warning precedes the error line."""
@@ -138,6 +141,21 @@ class TestHugeEntries:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--model", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mrtest: error: {named}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, rows, named", [
+        ("hamiltonian", [[_HUGE, _HUGE], [_HUGE, _HUGE]], "evolution: H eigenvalue times t overflows the float range"),
+        ("rho", [[_HUGE, [0.0, 0.0]], [[0.0, 0.0], _HUGE]], "rho: trace must be 1, got inf"),
+        ("rho", [[_HUGE, _HUGE], [_HUGE, _HUGE]], "rho: trace must be 1, got inf"),
+    ], ids=["hamiltonian", "rho-diagonal", "rho-every-entry"])
+    @pytest.mark.parametrize("command", ["simulate", "check", "sweep"])
+    def test_every_entry_huge_exits_two_naming_the_invariant(self, tmp_path, capsys, field, rows, named, command):
+        model = {**_MODEL, field: rows}
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({**_SPEC, "model": model} if command == "sweep" else model))
+        argv = ["check", "--model", str(p), "--which", "weak"] if command == "check" else _argv(command, p)
+        assert main_strict(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mrtest: error: {named}") and err.count("\n") == 1
 

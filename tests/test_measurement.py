@@ -1,18 +1,18 @@
 import copy
 import dataclasses
-import functools
 import importlib
 import itertools
 import json
 import pickle
 import pkgutil
 import re
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 import mrtest
-from mrtest.conditions import lg2, mr_weak
+from mrtest.conditions import ConditionReport, lg2, mr_weak
 from mrtest.errors import InputFormatError, ValidationError
 from mrtest.fine import d_interval
 from mrtest.harness import _model_block, default_model_path, load_model, load_sweep_spec, model_from_jsonable, sample_model
@@ -67,6 +67,16 @@ class TestProbabilityTable:
     def test_rejects_kind_and_arity(self, kind, indices, weights, named):
         with pytest.raises(ValidationError, match=named):
             ProbabilityTable(kind=kind, time_indices=indices, weights=weights)
+
+    @pytest.mark.parametrize("weights, got", [
+        (np.array([0.5 + 0.3j, 0.5]), "complex128"),
+        ([0.5 + 0.3j, 0.5], "complex128"),
+        (["half", 0.5], "str"),
+    ], ids=["complex-array", "python-complex", "text"])
+    def test_rejects_weights_that_are_not_real_numbers(self, weights, got):
+        # before the check: the imaginary parts dropped after a ComplexWarning, a TypeError, a ValueError
+        with pytest.raises(ValidationError, match=rf"^table weights must be real numbers, got {got} entries$"):
+            ProbabilityTable(kind="single", time_indices=(0,), weights=weights)
 
     def test_unnormalized_grid_names_its_first_total(self):
         w = np.full((4, 2, 2, 2), 0.125)
@@ -489,6 +499,16 @@ class TestMomentSet:
         with pytest.raises(ValidationError, match="out of"):
             MomentSet(averages=(1.5, 0.0, 0.0), correlators=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("averages, correlators", [
+        ((np.array([0.1 + 0.1j, 0.2]), np.zeros(2), np.zeros(2)), (np.zeros(2),) * 3),
+        ((0.1j, 0.0, 0.0), (0.0,) * 3),
+    ], ids=["grid", "one-set"])
+    def test_rejects_values_that_are_not_real_numbers(self, averages, correlators):
+        # before the check: a grid kept the real parts after a ComplexWarning, one set raised TypeError
+        text = "averages and correlators must be real numbers, got complex128 entries"
+        with pytest.raises(ValidationError, match=f"^{text}$"):
+            MomentSet(averages=averages, correlators=correlators)
+
     def test_correlator_count(self):
         with pytest.raises(ValidationError, match="need 3 correlators for 3 times, got 2"):
             MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 2)
@@ -625,14 +645,29 @@ MODEL_FIELDS = ("hamiltonian", "rho", "observable", "times")
 
 
 def contents(x):
-    """What a value holds, field by field, to compare values that compare by identity."""
+    """What a value is built from, init field by init field, to compare values that compare by identity."""
     if dataclasses.is_dataclass(x):
-        return type(x), tuple(contents(getattr(x, f.name)) for f in dataclasses.fields(x))
+        return type(x), tuple(contents(getattr(x, f.name)) for f in dataclasses.fields(x) if f.init)
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, (tuple, list)):
         return tuple(map(contents, x))
+    if isinstance(x, Mapping):
+        return tuple((k, contents(v)) for k, v in x.items())
     return x
+
+
+def arrays(x):
+    """Every array a value holds, through every field, its derived fields too."""
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in arrays(getattr(x, f.name))]
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (tuple, list)):
+        return [a for v in x for a in arrays(v)]
+    if isinstance(x, Mapping):
+        return arrays(list(x.values()))
+    return []
 
 
 class TestDerivedValues:
@@ -696,44 +731,52 @@ class TestDerivedValues:
         assert ta.moments == tb.moments and hash(ta.moments) == hash(tb.moments)
 
     def test_value_classes_hold_only_their_fields(self):
-        """Every mrtest dataclass with no ``cached_property`` is slotted; the two with
-        one keep the instance dict it caches in.  A slotted value refuses an undeclared
-        attribute and survives pickle, deepcopy and ``dataclasses.replace``."""
+        """Every mrtest dataclass is slotted, so it refuses an undeclared attribute.  A copy
+        by pickle, deepcopy, ``copy`` or ``dataclasses.replace`` is built through the
+        constructor: it keeps the init fields, holds read-only copies of its arrays (a
+        report keeps the arrays it is given), derives its derived fields again and resets
+        its memos."""
         modules = [importlib.import_module(f"mrtest.{info.name}") for info in pkgutil.iter_modules(mrtest.__path__)]
         classes = {
             cls for module in modules for cls in vars(module).values()
             if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
         }
-        caching = {cls for cls in classes if any(isinstance(v, functools.cached_property) for v in vars(cls).values())}
-        assert caching == {QuantumModel, TableSet}
         m = load_model(default_model_path())
         tables = measure_all(m)
-        for value, name in ((m, "hamiltonian_eig"), (tables, "moments")):
-            assert not hasattr(type(value), "__slots__")
-            assert getattr(value, name) is getattr(value, name) is vars(value)[name]
+        grid = measure_all(m, m.times[0] + np.arange(3) * np.linspace(0.0, 3.0, 7)[:, None]).moments
         report = mr_weak(tables.moments)
         assert report._margin is not None and tables.moments._record is not None
+        feasible = d_interval(MomentSet(averages=(0.0,) * 3, correlators=(0.0,) * 3))
         spec = load_sweep_spec(default_model_path().with_name("tau_sweep_lg3.json"))
-        values = [tables.chain, tables.moments, report, d_interval(tables.moments), spec, TOL]
-        assert {type(x) for x in values} == classes - caching
+        values = [m, tables, tables.chain, tables.moments, grid, report, d_interval(tables.moments), feasible]
+        values += [spec, TOL]
+        assert {type(x) for x in values} == classes
         for x in values:
             cls, fields = type(x), dataclasses.fields(x)
             assert cls.__slots__ == tuple(f.name for f in fields) and not hasattr(x, "__dict__"), cls
             with pytest.raises(AttributeError):
                 object.__setattr__(x, "extra", 0)
-            for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            copies = (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x), dataclasses.replace(x))
+            for copied in copies:
                 assert type(copied) is cls and contents(copied) == contents(x), cls
-            # replace builds through __init__, so what was derived after construction is reset
-            replaced = dataclasses.replace(x)
-            for f in fields:
-                assert contents(getattr(replaced, f.name)) == (contents(getattr(x, f.name)) if f.init else None), cls
+                # a report keeps the arrays it is given; every other class holds read-only copies
+                assert cls is ConditionReport or not any(a.flags.writeable for a in arrays(copied)), cls
+                for f in fields:
+                    if f.init:
+                        continue
+                    if f.default is None:
+                        assert getattr(copied, f.name) is None, (cls, f.name)
+                    else:
+                        derived = getattr(copied, f.name)
+                        assert derived is not getattr(x, f.name), (cls, f.name)
+                        assert contents(derived) == contents(getattr(x, f.name)), (cls, f.name)
         # mr_weak's copied margin is reset, and the verdict read from the values again
-        assert dataclasses.replace(report).verdict is report.verdict is False
+        assert all(c.verdict is report.verdict is False for c in (copy.copy(report), dataclasses.replace(report)))
 
     def test_table_maps_are_read_only_copies(self):
         tables = measure_all(load_model(default_model_path()))
         c12 = tables.moments.corr(0, 1)
-        # once the moments are cached, swapping a table would leave them stale
+        # the moments are derived on construction, so swapping a table would leave them stale
         for tables_map in (tables.pairs, tables.quasi):
             with pytest.raises(TypeError):
                 tables_map[(0, 1)] = tables_map[(0, 2)]

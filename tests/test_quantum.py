@@ -9,7 +9,7 @@ from mrtest import quantum
 from mrtest.errors import InvalidObservableError, ValidationError
 from mrtest.harness import haar_unitary, sample_model
 from mrtest.measurement import measure_all
-from mrtest.quantum import QuantumModel, eig_hermitian, expectation, require_dichotomic, require_hermitian
+from mrtest.quantum import QuantumModel, check_times, eig_hermitian, expectation, require_dichotomic, require_hermitian
 from mrtest.quantum import _UNROLL_MAX_DIM, _hermitian_part, _pairing, _product, _times_matrix, _validate
 
 from conftest import I2, SX, SY, SZ, at_time, complex_gaussian, near_hermitian_inputs, precession_model, random_hermitian
@@ -332,6 +332,17 @@ class TestHugeEntries:
         with pytest.raises(InvalidObservableError, match=r"^observable: not dichotomic, \|\|Q\^2 - I\|\| = nan > 1e-10$"):
             QuantumModel(hamiltonian=SX / 2, rho=I2 / 2, observable=q, times=(0.0, 1.0))
 
+    def test_hamiltonian_eigenvalue_overflows_the_evolution(self):
+        # eigenvalues 0 and inf: inf * 0 at t = 0 used to warn before the error
+        m = QuantumModel(hamiltonian=np.full((2, 2), 1e308), rho=I2 / 2, observable=SZ.copy(), times=(0.0, 1.0))
+        with pytest.raises(ValidationError, match=r"^evolution: H eigenvalue times t overflows the float range$"):
+            m.spectral()
+
+    @pytest.mark.parametrize("rho", [np.diag([1e308, 1e308]), np.full((2, 2), 1e308)], ids=["diagonal", "every-entry"])
+    def test_rho_trace_overflows(self, rho):
+        with pytest.raises(ValidationError, match=r"^rho: trace must be 1, got inf$"):
+            QuantumModel(hamiltonian=SX / 2, rho=rho, observable=SZ.copy(), times=(0.0, 1.0))
+
     def test_nan_deviation_is_not_hermitian(self):
         with pytest.raises(ValidationError, match=r"not Hermitian \(max deviation nan"):
             require_hermitian(np.full((2, 2), np.nan, dtype=complex))
@@ -472,12 +483,12 @@ class TestQuantumModel:
             QuantumModel(hamiltonian=SX, rho=rho, observable=SZ, times=(0.0, 1.0))
 
     def test_one_eigendecomposition_per_model(self, rng):
-        # validating rho needs its eigenvalues only; H is diagonalized once, on first use
+        # validating rho needs its eigenvalues only; H is diagonalized once, on construction
         with mock.patch.object(quantum, "eig_hermitian", side_effect=eig_hermitian) as counted:
             model = sample_model(rng, 16)
-            assert counted.call_count == 0
-            model.hamiltonian_eig
+            assert counted.call_count == 1
             model.spectral()
+            model.spectral(np.linspace(0.0, 1.0, 5)[:, None] * np.arange(3))
             assert counted.call_count == 1
 
     def test_rejects_non_dichotomic_observable(self):
@@ -518,6 +529,11 @@ class TestQuantumModel:
             precession_model(times=(0.0,))
         with pytest.raises(ValidationError, match="2-4"):
             precession_model(times=(0.0, 1.0, 2.0, 3.0, 4.0))
+
+    def test_check_times_counts_a_bare_number_as_one_time(self):
+        # before the check: an IndexError from the shape of a 0-d array
+        with pytest.raises(ValidationError, match=r"^times: need 2-4 measurement times, got 1$"):
+            check_times(1.0)
 
     @pytest.mark.parametrize("times, shape", [
         (1.0, "()"),
